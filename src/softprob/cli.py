@@ -305,8 +305,8 @@ def cmd_tree_train(args) -> int:
     return 0
 
 
-def _rows_for_predict(model_doc: dict, text: str, delimiter: str) -> list[list[Observation]]:
-    feature_names = [str(n) for n in model_doc["feature_names"]]
+def _rows_for_predict(feature_names: list[str], text: str,
+                      delimiter: str) -> list[list[Observation]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise SoftProbError("prediction input is empty")
@@ -336,8 +336,11 @@ def cmd_tree_predict(args) -> int:
     if not isinstance(model_doc, dict) or "tree" not in model_doc:
         raise SoftProbError("model file does not contain a 'tree' entry")
     root = tree_from_dict(model_doc["tree"])
-    feature_names = [str(n) for n in model_doc.get("feature_names", [])]
-    rows = _rows_for_predict(model_doc, _read_text(args.data, "dataset"), args.delimiter)
+    feature_names = model_doc.get("feature_names")
+    if not (isinstance(feature_names, list) and feature_names):
+        raise SoftProbError("model file does not contain a 'feature_names' list")
+    feature_names = [str(n) for n in feature_names]
+    rows = _rows_for_predict(feature_names, _read_text(args.data, "dataset"), args.delimiter)
     predictions = [predict(root, row, feature_names) for row in rows]
     _emit(args, {"predictions": predictions},
           [f"{p!r}" for p in predictions])

@@ -4,6 +4,11 @@ The abstract bases deliberately expose a small surface (pdf, cdf, support
 plus location/scale hints for truncating improper integrals). The Gaussian
 joint model overrides every generic quadrature path with closed forms; the
 generic paths remain available for user-supplied models.
+
+Densities at many points at once come from the array methods (pdf_array,
+joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
+methods point by point; the Gaussian models override them with numpy
+broadcasts of the same formulas.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadratureConfig, integrate_1d, integrate_2d
@@ -30,6 +37,10 @@ class ContinuousDistribution(ABC):
 
     @abstractmethod
     def cdf(self, x: float) -> float: ...
+
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        """Density at each of the points xs."""
+        return np.array([self.pdf(float(x)) for x in xs], dtype=float)
 
     @property
     @abstractmethod
@@ -74,6 +85,10 @@ class Gaussian(ContinuousDistribution):
     def pdf(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
+
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        z = (xs - self.mean) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
     def cdf(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
@@ -189,6 +204,16 @@ class JointModel(ABC):
     def conditional_pdf(self, y: float, given_x: float) -> float:
         """Density of Y at y conditioned on X = given_x."""
 
+    def joint_pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Joint density with rows over ys and columns over xs: [j, i] = f(xs[i], ys[j])."""
+        return np.array([[self.joint_pdf(float(x), float(y)) for x in xs] for y in ys],
+                        dtype=float).reshape(len(ys), len(xs))
+
+    def conditional_pdf_grid(self, ys: np.ndarray, given_xs: np.ndarray) -> np.ndarray:
+        """Conditional density laid out like joint_pdf_grid: [j, i] = f(ys[j] | given_xs[i])."""
+        return np.array([[self.conditional_pdf(float(y), float(x)) for x in given_xs]
+                         for y in ys], dtype=float).reshape(len(ys), len(given_xs))
+
     def joint_cdf(self, x: float, y: float) -> float:
         """P(X <= x, Y <= y)."""
         x_lo, x_hi = self.marginal_x.truncated_range()
@@ -235,6 +260,9 @@ class BivariateGaussianModel(JointModel):
         self._my = Gaussian(mean_y, var_y)
         self._cond_var = var_y * (1.0 - self.rho * self.rho)
         self._cond_slope = self.rho * math.sqrt(var_y / var_x)
+        if not (math.isfinite(self._cond_slope) and self._cond_var > 0.0):
+            raise DomainError(
+                f"variances ({var_x!r}, {var_y!r}) are too far apart for a conditional model")
 
     def _cond_mean(self, x: float) -> float:
         return self.mean_y + self._cond_slope * (x - self.mean_x)
@@ -254,6 +282,21 @@ class BivariateGaussianModel(JointModel):
         z = y - self._cond_mean(given_x)
         return math.exp(-0.5 * z * z / self._cond_var) / math.sqrt(
             2.0 * math.pi * self._cond_var)
+
+    def joint_pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        grid = self.conditional_pdf_grid(ys, xs)
+        grid *= self._mx.pdf_array(xs)
+        return grid
+
+    def conditional_pdf_grid(self, ys: np.ndarray, given_xs: np.ndarray) -> np.ndarray:
+        cond_mean = self.mean_y + self._cond_slope * (given_xs - self.mean_x)
+        # the scalar formula, evaluated in place on one temporary
+        z = ys[:, None] - cond_mean
+        z *= -0.5 * z
+        z /= self._cond_var
+        np.exp(z, out=z)
+        z /= math.sqrt(2.0 * math.pi * self._cond_var)
+        return z
 
     def conditional_cdf(self, y: float, given_x: float) -> float:
         z = (y - self._cond_mean(given_x)) / math.sqrt(self._cond_var)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .distributions import ContinuousDistribution, JointModel
 from .errors import DomainError
 from .moments import MixedSet
@@ -189,6 +191,54 @@ def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
 FORM_SYMMETRIC = "symmetric"
 FORM_CONDITIONAL = "conditional"
 
+# pairs per block of the point-pair sum: whole rows of y are taken until a
+# block holds about this many pairs, so that each temporary array of a
+# block (128 KiB at this size) stays in cache however many points there are
+POINT_BLOCK_PAIRS = 1 << 14
+
+
+def _marginal_densities(d: ContinuousDistribution, points: np.ndarray,
+                        axis: str) -> np.ndarray:
+    f = d.pdf_array(points)
+    bad = np.flatnonzero(~(f > 0.0))
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"marginal density of {axis} is {float(f[k])!r} "
+                          f"at point {float(points[k])!r}")
+    return f
+
+
+def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> float:
+    """Sum of the pointwise MI terms over every (xs[i], ys[j]) pair.
+
+    Pairs with weight below TINY_DENSITY add nothing, and ratios within
+    UNIT_RATIO_TOLERANCE of one add exactly zero, as in _w_log_ratio.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fx = _marginal_densities(j.marginal_x, xs, "X")
+        fy = _marginal_densities(j.marginal_y, ys, "Y")
+        rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
+        total = 0.0
+        for start in range(0, len(ys), rows):
+            yb = ys[start:start + rows]
+            fyb = fy[start:start + rows, None]
+            if form == FORM_SYMMETRIC:
+                w = num = j.joint_pdf_grid(xs, yb)
+                den = fx * fyb
+            else:
+                num = j.conditional_pdf_grid(yb, xs)
+                w = num * fx
+                den = fyb
+            ratio = num / den
+            keep = ~(w < TINY_DENSITY)
+            keep &= ~(np.abs(ratio - 1.0) < UNIT_RATIO_TOLERANCE)
+            terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
+            terms *= w
+            total += float(terms.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"point-pair sum of mutual information is {total!r}")
+    return total
+
 
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                             cfg: InfoConfig = _DEFAULT,
@@ -204,33 +254,8 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     """
     if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
         raise DomainError(f"unknown mutual-information form {form!r}")
-    fx = {}
-    for p in sx.points:
-        v = j.marginal_x.pdf(p)
-        if not v > 0.0:
-            raise DomainError(f"marginal density of X is {v!r} at point {p!r}")
-        fx[p] = v
-    fy = {}
-    for p in sy.points:
-        v = j.marginal_y.pdf(p)
-        if not v > 0.0:
-            raise DomainError(f"marginal density of Y is {v!r} at point {p!r}")
-        fy[p] = v
-
-    soft = 0.0
-    for yj in sy.points:
-        for xi in sx.points:
-            if form == FORM_SYMMETRIC:
-                w = j.joint_pdf(xi, yj)
-                if w < TINY_DENSITY:
-                    continue
-                soft += _w_log_ratio(w, w, fx[xi] * fy[yj])
-            else:
-                cond = j.conditional_pdf(yj, xi)
-                w = cond * fx[xi]
-                if w < TINY_DENSITY:
-                    continue
-                soft += _w_log_ratio(w, cond, fy[yj])
+    soft = _point_pair_sum(j, np.asarray(sx.points, dtype=float),
+                           np.asarray(sy.points, dtype=float), form)
 
     if form == FORM_SYMMETRIC:
         def integrand(x: float, y: float) -> float:

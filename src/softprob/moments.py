@@ -34,7 +34,7 @@ class MixedSet:
 
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
-        pts = tuple(sorted(float(p) for p in points))
+        pts = tuple(sorted(_as_float(p) for p in points))
         for p in pts:
             if not math.isfinite(p):
                 raise DomainError(f"points must be finite, got {p!r}")
@@ -43,7 +43,7 @@ class MixedSet:
                 raise DomainError(f"duplicate point {prev!r}")
         ivs = []
         for iv in intervals:
-            lo, hi = (float(v) for v in iv)
+            lo, hi = (_as_float(v) for v in iv)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(f"interval needs finite lo < hi, got ({lo!r}, {hi!r})")
             ivs.append((lo, hi))
@@ -85,7 +85,27 @@ class MixedSet:
     def from_dict(cls, obj: dict) -> "MixedSet":
         if not isinstance(obj, dict):
             raise DomainError(f"mixed-set record must be an object, got {obj!r}")
-        return cls(obj.get("points", ()), obj.get("intervals", ()))
+        points = obj.get("points", [])
+        intervals = obj.get("intervals", [])
+        if not (isinstance(points, list) and all(map(_is_number, points))):
+            raise DomainError(f"mixed-set points must be a list of numbers, got {points!r}")
+        if not (isinstance(intervals, list) and all(
+                isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv))
+                for iv in intervals)):
+            raise DomainError(
+                f"mixed-set intervals must be a list of [lo, hi] pairs, got {intervals!r}")
+        return cls(points, intervals)
+
+
+def _as_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError("number too large to represent as a float") from None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,22 @@ class TreeConfig:
             raise DomainError(f"min_rows must be >= 2, got {self.min_rows!r}")
 
 
-def _column_stats(col: Sequence[Observation]) -> tuple[float, float]:
+def _column_stats(col: Sequence[Observation]) -> tuple[float, float, list[float]]:
+    """Mean and variance of a column, plus each midpoint's deviation from the mean.
+
+    Two-pass fsum sums: the variance is that of the midpoints plus the mean
+    spread variance of the interval observations. The mean is taken relative
+    to the first midpoint, so a constant column has a mean equal to its value
+    and deviations of exactly zero.
+    """
     mids = [o.midpoint for o in col]
-    var = statistics.variance(mids) + statistics.fmean(o.spread_variance for o in col)
-    return statistics.fmean(mids), var
+    n = len(mids)
+    base = mids[0]
+    mean = base + math.fsum(m - base for m in mids) / n
+    devs = [m - mean for m in mids]
+    var = (math.fsum(d * d for d in devs) / (n - 1)
+           + math.fsum(o.spread_variance for o in col) / n)
+    return mean, var, devs
 
 
 def fit_joint_model(feature_col: Sequence[Observation],
@@ -190,18 +202,24 @@ def fit_joint_model(feature_col: Sequence[Observation],
 
     Observations enter through their midpoints; interval observations also
     widen the column variance by width^2/12 (a uniform draw within the
-    interval). Columns without variation cannot support a model.
+    interval). Columns without variation cannot support a model, and
+    columns whose statistics overflow are a domain error.
     """
     if len(feature_col) != len(label_col) or len(feature_col) < 2:
         raise DomainError("need two columns of equal length >= 2")
-    mean_x, var_x = _column_stats(feature_col)
-    mean_y, var_y = _column_stats(label_col)
+    try:
+        mean_x, var_x, dev_x = _column_stats(feature_col)
+        mean_y, var_y, dev_y = _column_stats(label_col)
+        cov = math.fsum(dx * dy for dx, dy in zip(dev_x, dev_y)) / (len(dev_x) - 1)
+        finite = all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov)))
+    except (OverflowError, ValueError):  # fsum overflowing or meeting inf - inf
+        finite = False
+    if not finite:
+        raise DomainError("column statistics are not finite; values too large to fit a model")
     if var_x <= 0.0 or var_y <= 0.0:
         raise DegenerateModelError(
             f"column variance vanished (var_x={var_x!r}, var_y={var_y!r})")
-    cov = statistics.covariance([o.midpoint for o in feature_col],
-                                [o.midpoint for o in label_col])
-    rho = cov / math.sqrt(var_x * var_y)
+    rho = cov / (math.sqrt(var_x) * math.sqrt(var_y))
     rho = max(-MAX_ABS_CORRELATION, min(MAX_ABS_CORRELATION, rho))
     return BivariateGaussianModel(mean_x, mean_y, var_x, var_y, rho)
 

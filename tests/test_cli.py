@@ -194,6 +194,15 @@ class TestEntropyCommands:
         assert sym["mi"]["soft"] == pytest.approx(cond["mi"]["soft"], abs=1e-8)
         assert sym["mi"]["real"] == pytest.approx(cond["mi"]["real"], abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", ["symmetric", "conditional"])
+    def test_mi_far_point_fails_without_warnings(self, capsys, form):
+        code, _, err = _run(capsys, ["mi", "--joint", ADDITIVE, "--form", form,
+                                     "--set-x", '{"points": [1e200]}',
+                                     "--set-y", '{"points": [0]}'])
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_mi_reruns_byte_identical(self, capsys):
         args = ["mi", "--joint", ADDITIVE,
                 "--set-x", '{"points": [0], "intervals": [[1, 2]]}',
@@ -208,6 +217,17 @@ class TestEntropyCommands:
                                      "--set", '{"points": [0.5], "intervals": [[0, 1]]}'])
         assert code == 1
         assert err.startswith("error:")
+
+
+    def test_malformed_set_records_fail_cleanly(self, capsys):
+        for record in ('{"points": 5}', '{"intervals": [5]}', '{"points": "12"}',
+                       '{"points": [null]}', '{"intervals": [[0, 1, 2]]}',
+                       '{"points": [1' + '0' * 400 + ']}',
+                       '{"intervals": [[0, 1' + '0' * 400 + ']]}'):
+            code, _, err = _run(capsys, ["entropy", "--dist", GAUSSIAN_STD,
+                                         "--set", record])
+            assert code == 1, record
+            assert err.startswith("error:"), record
 
 
 class TestMoments:
@@ -295,6 +315,30 @@ class TestTreeCommands:
         code, _, err = _run(capsys, ["tree-predict", "--model", str(model),
                                      "--data", str(wrong)])
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_train_on_overflowing_column_fails_cleanly(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("x1,y\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1,5\n",
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["tree-train", "--data", str(data)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_predict_with_model_lacking_feature_names_fails_cleanly(self, capsys,
+                                                                     tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text(TRAIN_CSV, encoding="utf-8")
+        model = tmp_path / "model.json"
+        _run(capsys, ["tree-train", "--data", str(data), "--out", str(model)])
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        del doc["feature_names"]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run(capsys, ["tree-predict", "--model", str(model),
+                                       "--data", str(data)])
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
     def test_missing_files_fail_cleanly(self, capsys, tmp_path):

@@ -154,6 +154,11 @@ class TestBivariateGaussianModel:
             assert math.isclose(j.joint_cdf(x, y), g.joint_cdf(x, y),
                                 rel_tol=1e-6, abs_tol=1e-9)
 
+    def test_variances_too_far_apart_rejected(self):
+        # the conditional slope rho * sqrt(var_y / var_x) overflows
+        with pytest.raises(DomainError):
+            BivariateGaussianModel(0, 0, 5e-324, 1.0, 0.5)
+
     def test_extreme_correlation_rejected(self):
         with pytest.raises(DomainError):
             BivariateGaussianModel(0, 0, 1, 1, 1.0)

@@ -199,6 +199,38 @@ class TestFitJointModel:
         with pytest.raises(DegenerateModelError):
             fit_joint_model(varied, const)
 
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 6), (1e-100, 5)])
+    def test_inexact_mean_constant_column_is_degenerate(self, value, n):
+        # fsum([value] * n) / n differs from value by an ulp for these.
+        const = [Observation.point(value)] * n
+        varied = [Observation.point(float(v)) for v in range(1, n + 1)]
+        with pytest.raises(DegenerateModelError):
+            fit_joint_model(const, varied)
+        with pytest.raises(DegenerateModelError):
+            fit_joint_model(varied, const)
+
+    @pytest.mark.parametrize("column", [
+        [Observation.point(v) for v in (1e308, -1e308, 1e308, -1e308)],
+        [Observation.point(1.0), Observation.point(2.0),
+         Observation.interval(1e308, 1.7e308)],
+    ])
+    def test_overflowing_column_statistics_are_a_domain_error(self, column):
+        varied = [Observation.point(float(v)) for v in range(len(column))]
+        for args in ((column, varied), (varied, column)):
+            with pytest.raises(DomainError) as info:
+                fit_joint_model(*args)
+            assert not isinstance(info.value, DegenerateModelError)
+
+    def test_tiny_scale_columns_keep_their_correlation(self):
+        rng = random.Random(11)
+        xs = [rng.gauss(0.0, 1.0) for _ in range(50)]
+        ys = [x + rng.gauss(0.0, 0.5) for x in xs]
+        unit = fit_joint_model([Observation.point(v) for v in xs],
+                               [Observation.point(v) for v in ys])
+        tiny = fit_joint_model([Observation.point(v * 1e-100) for v in xs],
+                               [Observation.point(v * 1e-100) for v in ys])
+        assert tiny.rho == pytest.approx(unit.rho, rel=1e-12)
+
     def test_too_short_columns_rejected(self):
         one = [Observation.point(1.0)]
         with pytest.raises(DomainError):
@@ -256,6 +288,15 @@ class TestSplitGain:
     def test_constant_feature_gives_absolute_zero(self):
         rows = [((Observation.point(1.0), Observation.point(float(i))),
                  Observation.point(float(i))) for i in range(8)]
+        ds = Dataset(["const", "varied"], rows)
+        assert split_gain(ds, "const", TreeConfig()) == SoftNumber.zero()
+
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_inexact_mean_constant_feature_gives_absolute_zero(self, value):
+        # Labels with a large mean and a small spread: a constant column's
+        # rounding residue, if any, would turn into a large spurious gain.
+        rows = [((Observation.point(value), Observation.point(float(i))),
+                 Observation.point(1e8 + i * 1e-5)) for i in range(6)]
         ds = Dataset(["const", "varied"], rows)
         assert split_gain(ds, "const", TreeConfig()) == SoftNumber.zero()
 
