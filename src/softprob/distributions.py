@@ -221,7 +221,7 @@ class JointModel(ABC):
         xu, yu = min(x, x_hi), min(y, y_hi)
         if xu <= x_lo or yu <= y_lo:
             return 0.0
-        return integrate_2d(self.joint_pdf, x_lo, xu, y_lo, yu, self.quad_2d)
+        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu, self.quad_2d)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""
@@ -341,18 +341,32 @@ def joint_gaussian_additive(signal: Gaussian, noise: Gaussian) -> BivariateGauss
                                   signal.variance, var_y, rho)
 
 
+def _numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
+    """The named fields of a descriptor as floats.
+
+    A missing field, or one float() cannot convert (a list, null, an integer
+    too large for a float), is a DomainError.
+    """
+    values = []
+    for name in names:
+        if name not in obj:
+            raise DomainError(f"{what} is missing field {name!r}")
+        try:
+            values.append(float(obj[name]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{what} field {name!r} is not a number: {exc}") from None
+    return values
+
+
 def parse_distribution(obj: dict) -> ContinuousDistribution:
     """Build a distribution from a descriptor like {"kind": "gaussian", ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"distribution descriptor must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
-    try:
-        if kind == "gaussian":
-            return Gaussian(float(obj["mean"]), float(obj["variance"]))
-        if kind == "uniform":
-            return Uniform(float(obj["lo"]), float(obj["hi"]))
-    except KeyError as exc:
-        raise DomainError(f"descriptor for {kind!r} is missing field {exc}") from exc
+    if kind == "gaussian":
+        return Gaussian(*_numbers(obj, ("mean", "variance"), f"descriptor for {kind!r}"))
+    if kind == "uniform":
+        return Uniform(*_numbers(obj, ("lo", "hi"), f"descriptor for {kind!r}"))
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
@@ -361,10 +375,7 @@ def _parse_gaussian_params(obj: dict, role: str) -> Gaussian:
         raise DomainError(f"{role} must be an object with mean and variance: {obj!r}")
     if "kind" in obj and obj["kind"] != "gaussian":
         raise DomainError(f"{role} must be gaussian, got kind {obj['kind']!r}")
-    try:
-        return Gaussian(float(obj["mean"]), float(obj["variance"]))
-    except KeyError as exc:
-        raise DomainError(f"{role} descriptor is missing field {exc}") from exc
+    return Gaussian(*_numbers(obj, ("mean", "variance"), f"{role} descriptor"))
 
 
 def parse_joint(obj: dict) -> JointModel:
@@ -380,11 +391,6 @@ def parse_joint(obj: dict) -> JointModel:
             raise DomainError(f"joint descriptor is missing field {exc}") from exc
         return joint_gaussian_additive(signal, noise)
     if kind == "bivariate_gaussian":
-        try:
-            return BivariateGaussianModel(
-                float(obj["mean_x"]), float(obj["mean_y"]),
-                float(obj["var_x"]), float(obj["var_y"]),
-                float(obj["correlation"]))
-        except KeyError as exc:
-            raise DomainError(f"joint descriptor is missing field {exc}") from exc
+        return BivariateGaussianModel(*_numbers(
+            obj, ("mean_x", "mean_y", "var_x", "var_y", "correlation"), "joint descriptor"))
     raise DomainError(f"unknown joint model kind {kind!r}")

@@ -197,44 +197,53 @@ FORM_CONDITIONAL = "conditional"
 POINT_BLOCK_PAIRS = 1 << 14
 
 
-def _marginal_densities(d: ContinuousDistribution, points: np.ndarray,
-                        axis: str) -> np.ndarray:
-    f = d.pdf_array(points)
+def _require_positive_density(d: ContinuousDistribution, points: np.ndarray, axis: str) -> None:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = d.pdf_array(points)
     bad = np.flatnonzero(~(f > 0.0))
     if bad.size:
         k = bad[0]
         raise DomainError(f"marginal density of {axis} is {float(f[k])!r} "
                           f"at point {float(points[k])!r}")
-    return f
+
+
+def _mi_terms(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> np.ndarray:
+    """Pointwise MI terms w*log(num/den) on the grid [k, i] = (xs[i], ys[k]).
+
+    Terms with weight below TINY_DENSITY are 0, and ratios within
+    UNIT_RATIO_TOLERANCE of one give exactly 0, as in _w_log_ratio. A
+    vanishing denominator under a weight that counts gives an infinite term.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fx = j.marginal_x.pdf_array(xs)
+        fy = j.marginal_y.pdf_array(ys)[:, None]
+        if form == FORM_SYMMETRIC:
+            w = num = j.joint_pdf_grid(xs, ys)
+            den = fx * fy
+        else:
+            num = j.conditional_pdf_grid(ys, xs)
+            w = num * fx
+            den = fy
+        ratio = num / den
+        keep = ~(w < TINY_DENSITY)
+        keep &= ~(np.abs(ratio - 1.0) < UNIT_RATIO_TOLERANCE)
+        terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
+        terms *= w
+    return terms
 
 
 def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> float:
-    """Sum of the pointwise MI terms over every (xs[i], ys[j]) pair.
+    """Sum of the pointwise MI terms over every (xs[i], ys[k]) pair.
 
-    Pairs with weight below TINY_DENSITY add nothing, and ratios within
-    UNIT_RATIO_TOLERANCE of one add exactly zero, as in _w_log_ratio.
+    A marginal density that is not positive at a listed point is a
+    DomainError, whatever the weight of its pairs.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fx = _marginal_densities(j.marginal_x, xs, "X")
-        fy = _marginal_densities(j.marginal_y, ys, "Y")
-        rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
-        total = 0.0
-        for start in range(0, len(ys), rows):
-            yb = ys[start:start + rows]
-            fyb = fy[start:start + rows, None]
-            if form == FORM_SYMMETRIC:
-                w = num = j.joint_pdf_grid(xs, yb)
-                den = fx * fyb
-            else:
-                num = j.conditional_pdf_grid(yb, xs)
-                w = num * fx
-                den = fyb
-            ratio = num / den
-            keep = ~(w < TINY_DENSITY)
-            keep &= ~(np.abs(ratio - 1.0) < UNIT_RATIO_TOLERANCE)
-            terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
-            terms *= w
-            total += float(terms.sum())
+    _require_positive_density(j.marginal_x, xs, "X")
+    _require_positive_density(j.marginal_y, ys, "Y")
+    rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
+    total = 0.0
+    for start in range(0, len(ys), rows):
+        total += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
     if not math.isfinite(total):
         raise DomainError(f"point-pair sum of mutual information is {total!r}")
     return total
@@ -256,25 +265,11 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
         raise DomainError(f"unknown mutual-information form {form!r}")
     soft = _point_pair_sum(j, np.asarray(sx.points, dtype=float),
                            np.asarray(sy.points, dtype=float), form)
-
-    if form == FORM_SYMMETRIC:
-        def integrand(x: float, y: float) -> float:
-            w = j.joint_pdf(x, y)
-            if w < TINY_DENSITY:
-                return 0.0
-            return _w_log_ratio(w, w, j.marginal_x.pdf(x) * j.marginal_y.pdf(y))
-    else:
-        def integrand(x: float, y: float) -> float:
-            cond = j.conditional_pdf(y, x)
-            w = cond * j.marginal_x.pdf(x)
-            if w < TINY_DENSITY:
-                return 0.0
-            return _w_log_ratio(w, cond, j.marginal_y.pdf(y))
-
     real = 0.0
     quad = cfg.quad_2d()
     for ylo, yhi in sy.intervals:
         for xlo, xhi in sx.intervals:
-            real += integrate_2d(integrand, xlo, xhi, ylo, yhi, quad)
+            real += integrate_2d(lambda xs, ys: _mi_terms(j, xs, ys, form),
+                                 xlo, xhi, ylo, yhi, quad)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)

@@ -52,11 +52,13 @@ class MixedSet:
             if lo2 < hi1:
                 raise DomainError(
                     f"intervals ({lo1!r}, {hi1!r}) and ({lo2!r}, {hi2!r}) overlap")
+        k = 0  # first interval whose open right end is not left of the point
         for p in pts:
-            for lo, hi in ivs:
-                if lo < p < hi:
-                    raise DomainError(
-                        f"point {p!r} lies inside interval ({lo!r}, {hi!r})")
+            while k < len(ivs) and ivs[k][1] <= p:
+                k += 1
+            if k < len(ivs) and ivs[k][0] < p:
+                lo, hi = ivs[k]
+                raise DomainError(f"point {p!r} lies inside interval ({lo!r}, {hi!r})")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "intervals", tuple(ivs))
 

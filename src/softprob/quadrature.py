@@ -6,6 +6,13 @@ optional absolute floor. Termination is relative by default because the
 integrals this package cares about range over hundreds of orders of
 magnitude; an absolute cutoff would silently zero the tail cases.
 
+The 1-D integrand is a scalar function f(x). The 2-D integrand is a grid
+function: f(xs, ys) takes two 1-D arrays and returns the array
+[len(ys), len(xs)] with [j, i] = f(xs[i], ys[j]), the layout of
+JointModel.joint_pdf_grid. The first whole-rectangle estimate is one call
+on the 16x16 Gauss nodes, and each refinement step evaluates its four
+child panels with one call on the 32x32 tensor grid of their nodes.
+
 Everything here is pure and deterministic: panels are visited depth-first
 left to right and accepted values are combined with an exact running sum,
 so repeated calls return bit-identical results.
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
 import numpy.polynomial.legendre as _legendre
 
 from .errors import ConvergenceError, DomainError
@@ -118,46 +126,65 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
     return float(total)
 
 
-def _panel_2d(f, xlo, xhi, ylo, yhi, nodes, weights) -> float:
-    xm, xh = 0.5 * (xlo + xhi), 0.5 * (xhi - xlo)
-    ym, yh = 0.5 * (ylo + yhi), 0.5 * (yhi - ylo)
-    acc = 0.0
-    for tx, wx in zip(nodes, weights):
-        x = xm + xh * tx
-        row = 0.0
-        for ty, wy in zip(nodes, weights):
-            y = ym + yh * ty
-            v = float(f(x, y))
-            if not math.isfinite(v):
-                raise DomainError(
-                    f"integrand returned non-finite value {v!r} at ({x!r}, {y!r})")
-            row += wy * v
-        acc += wx * row
-    return acc * xh * yh
+def _panel_nodes(edges: tuple[float, ...], nodes: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes of each panel between consecutive edges, and each panel's half-width."""
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+    return ((0.5 * (lo + hi))[:, None] + half[:, None] * nodes).ravel(), half
 
 
-def integrate_2d(f: Callable[[float, float], float],
+def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...],
+                 nodes: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Gauss-Legendre estimates of every panel of the tensor grid with these edges.
+
+    f is called once on all the nodes. The estimates come back row by row,
+    y panels outer and x panels inner.
+    """
+    xs, xh = _panel_nodes(xedges, nodes)
+    ys, yh = _panel_nodes(yedges, nodes)
+    grid = np.asarray(f(xs, ys), dtype=float)
+    if grid.shape != (len(ys), len(xs)):
+        raise DomainError(f"grid integrand returned shape {grid.shape}, "
+                          f"expected {(len(ys), len(xs))}")
+    if not np.isfinite(grid).all():
+        j, i = np.argwhere(~np.isfinite(grid))[0]
+        raise DomainError(f"integrand returned non-finite value {float(grid[j, i])!r} "
+                          f"at ({float(xs[i])!r}, {float(ys[j])!r})")
+    n = len(nodes)
+    cells = grid.reshape(len(yh), n, len(xh), n)
+    sums = np.einsum("j,ajbi,i->ab", weights, cells, weights)
+    sums *= xh
+    sums *= yh[:, None]
+    return sums.ravel().tolist()
+
+
+def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x_lo: float, x_hi: float, y_lo: float, y_hi: float,
                  cfg: Optional[QuadratureConfig] = None) -> float:
-    """Integrate f over the open rectangle (x_lo, x_hi) x (y_lo, y_hi)."""
+    """Integrate the grid function f over the open rectangle (x_lo, x_hi) x (y_lo, y_hi).
+
+    f(xs, ys) returns the array [len(ys), len(xs)] of f(xs[i], ys[j]); a
+    non-finite value in it is a DomainError naming the first bad (x, y).
+    """
     if cfg is None:
         cfg = DEFAULT_2D
     if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
         raise DomainError(f"need finite x bounds with x_lo < x_hi, got ({x_lo!r}, {x_hi!r})")
     if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
         raise DomainError(f"need finite y bounds with y_lo < y_hi, got ({y_lo!r}, {y_hi!r})")
-    nodes, weights = _gauss_rule(cfg.points_per_panel)
+    nodes, weights = (np.array(v) for v in _gauss_rule(cfg.points_per_panel))
     accepted: list[float] = []
     stuck_count = 0
-    stack = [(x_lo, x_hi, y_lo, y_hi,
-              _panel_2d(f, x_lo, x_hi, y_lo, y_hi, nodes, weights), 1)]
+    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi), nodes, weights)
+    stack = [(x_lo, x_hi, y_lo, y_hi, whole, 1)]
     while stack:
         xlo, xhi, ylo, yhi, whole, depth = stack.pop()
         xm = 0.5 * (xlo + xhi)
         ym = 0.5 * (ylo + yhi)
         quads = ((xlo, xm, ylo, ym), (xm, xhi, ylo, ym),
                  (xlo, xm, ym, yhi), (xm, xhi, ym, yhi))
-        parts = [_panel_2d(f, *q, nodes, weights) for q in quads]
+        parts = _grid_panels(f, (xlo, xm, xhi), (ylo, ym, yhi), nodes, weights)
         refined = (parts[0] + parts[1]) + (parts[2] + parts[3])
         if _accept(refined, whole, cfg):
             accepted.append(refined)

@@ -239,27 +239,32 @@ def build_mixed_sets(col: Sequence[Observation]) -> MixedSet:
             merged[-1] = (last_lo, max(last_hi, hi))
         else:
             merged.append((lo, hi))
-    points = sorted(set(o.value for o in col if o.kind == POINT))
-    kept = [p for p in points
-            if not any(lo <= p <= hi for lo, hi in merged)]
+    kept = []
+    k = 0  # first merged interval not wholly left of the point
+    for p in sorted(set(o.value for o in col if o.kind == POINT)):
+        while k < len(merged) and merged[k][1] < p:
+            k += 1
+        if k == len(merged) or p < merged[k][0]:
+            kept.append(p)
     return MixedSet(kept, merged)
 
 
-def _gain(rows: Sequence[Row], index: int, cfg: TreeConfig) -> SoftNumber:
+def _gain(rows: Sequence[Row], index: int, label_col: Sequence[Observation],
+          label_set: MixedSet, cfg: TreeConfig) -> SoftNumber:
+    """Gain of feature index on rows whose label column and its MixedSet are given."""
     feature_col = [features[index] for features, _ in rows]
-    label_col = [label for _, label in rows]
     try:
         model = fit_joint_model(feature_col, label_col)
     except DegenerateModelError:
         return SoftNumber.zero()
-    sx = build_mixed_sets(feature_col)
-    sy = build_mixed_sets(label_col)
-    return soft_mutual_information(model, sx, sy, cfg.info)
+    return soft_mutual_information(model, build_mixed_sets(feature_col), label_set, cfg.info)
 
 
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
-    return _gain(ds.rows, ds.feature_index(feature), cfg)
+    label_col = [label for _, label in ds.rows]
+    return _gain(ds.rows, ds.feature_index(feature), label_col,
+                 build_mixed_sets(label_col), cfg)
 
 
 def _leaf(rows: Sequence[Row]) -> Leaf:
@@ -278,10 +283,12 @@ def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     def grow(rows: Sequence[Row], depth: int) -> TreeNode:
         if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
             return _leaf(rows)
+        label_col = [label for _, label in rows]
+        label_set = build_mixed_sets(label_col)
         best_index = 0
-        best_gain = _gain(rows, 0, cfg)
+        best_gain = _gain(rows, 0, label_col, label_set, cfg)
         for index in range(1, len(ds.feature_names)):
-            gain = _gain(rows, index, cfg)
+            gain = _gain(rows, index, label_col, label_set, cfg)
             if cmp(gain, best_gain) > 0:
                 best_index, best_gain = index, gain
         if cmp(best_gain, cfg.min_gain) <= 0:

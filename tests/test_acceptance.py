@@ -420,7 +420,7 @@ def test_criterion_6_quadrature_oracle():
     assert 0.0 < tail < 1e-50
 
     f2 = lambda x, y: np.exp(-x * x - y * y)
-    adaptive = integrate_2d(lambda x, y: float(f2(x, y)), 0.0, 1.0, 0.0, 1.0)
+    adaptive = integrate_2d(lambda x, y: f2(x, y[:, None]), 0.0, 1.0, 0.0, 1.0)
     brute = _riemann_2d(f2, 0.0, 1.0, 0.0, 1.0, cells=1000)
     assert abs(adaptive - brute) <= 1e-3 * abs(brute)
     checked += 1

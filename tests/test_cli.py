@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from softprob.cli import main
 
@@ -203,6 +208,16 @@ class TestEntropyCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_mi_underflowing_marginal_product_on_rectangle_fails_cleanly(self, capsys):
+        box = '{"intervals": [[29.9, 30.1]]}'
+        code, out, err = _run(capsys, [
+            "mi", "--form", "symmetric", "--set-x", box, "--set-y", box, "--joint",
+            '{"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0, '
+            '"var_x": 1, "var_y": 1, "correlation": 0.999}'])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_mi_reruns_byte_identical(self, capsys):
         args = ["mi", "--joint", ADDITIVE,
                 "--set-x", '{"points": [0], "intervals": [[1, 2]]}',
@@ -369,3 +384,55 @@ class TestErrorHandling:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["table1", "--format", "bogus"])
+
+
+# Random JSON-ish descriptors for the mi command: mostly well-formed models
+# and sets with extreme or out-of-range numbers, plus arbitrary JSON values
+# and text that is not JSON at all.
+_NUMBERS = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from([0, 1, -1, 0.999, 1e-300, 5e-324, 1e300, 1e308]),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_FIELD = st.one_of(_NUMBERS, _NUMBERS, _JSON)
+_GAUSSIAN = st.one_of(st.fixed_dictionaries({"mean": _FIELD, "variance": _FIELD}), _JSON)
+_JOINT = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("bivariate_gaussian"), "mean_x": _FIELD,
+                           "mean_y": _FIELD, "var_x": _FIELD, "var_y": _FIELD,
+                           "correlation": _FIELD}),
+    st.fixed_dictionaries({"kind": st.just("joint_gaussian_additive"),
+                           "input": _GAUSSIAN, "noise": _GAUSSIAN}),
+    _JSON)
+_SET = st.one_of(
+    st.fixed_dictionaries({"points": st.lists(_FIELD, max_size=3),
+                           "intervals": st.lists(st.lists(_FIELD, min_size=2, max_size=2),
+                                                 max_size=2)}),
+    _JSON)
+
+
+def _json_ish(strategy):
+    return st.one_of(strategy.map(json.dumps), strategy.map(json.dumps), st.text(max_size=8))
+
+
+class TestRandomDescriptors:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(joint=_json_ish(_JOINT), set_x=_json_ish(_SET), set_y=_json_ish(_SET),
+           form=st.sampled_from(["symmetric", "conditional"]))
+    def test_mi_never_raises(self, joint, set_x, set_y, form):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["mi", f"--joint={joint}", f"--set-x={set_x}",
+                             f"--set-y={set_y}", f"--form={form}"])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error:")
+            assert out.getvalue() == ""

@@ -129,7 +129,7 @@ class TestBivariateGaussianModel:
         j = BivariateGaussianModel(0, 0, 1, 1, 0.6)
         x_lo, _ = j.marginal_x.truncated_range()
         y_lo, _ = j.marginal_y.truncated_range()
-        want = integrate_2d(j.joint_pdf, x_lo, 0.3, y_lo, -0.2)
+        want = integrate_2d(j.joint_pdf_grid, x_lo, 0.3, y_lo, -0.2)
         assert math.isclose(j.joint_cdf(0.3, -0.2), want, rel_tol=1e-6)
 
     def test_partial_cdfs_match_generic_quadrature(self):
@@ -200,3 +200,15 @@ class TestParsing:
     def test_missing_field_rejected(self):
         with pytest.raises(DomainError):
             parse_distribution({"kind": "gaussian", "mean": 0.0})
+
+    @pytest.mark.parametrize("bad", [None, [1.0], {"v": 1}, "one", 10 ** 400])
+    def test_non_numeric_field_rejected(self, bad):
+        with pytest.raises(DomainError, match="'variance' is not a number"):
+            parse_distribution({"kind": "gaussian", "mean": 0.0, "variance": bad})
+        with pytest.raises(DomainError, match="'variance' is not a number"):
+            parse_joint({"kind": "joint_gaussian_additive",
+                         "input": {"mean": 0, "variance": 1},
+                         "noise": {"mean": 0, "variance": bad}})
+        with pytest.raises(DomainError, match="'correlation' is not a number"):
+            parse_joint({"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0,
+                         "var_x": 1, "var_y": 1, "correlation": bad})

@@ -2,10 +2,12 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+import softprob.information as information
 from softprob.distributions import (
     BivariateGaussianModel,
     Gaussian,
@@ -425,6 +427,55 @@ class TestPointPairSum:
         j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999)
         with pytest.raises(DomainError):
             soft_mutual_information(j, MixedSet([27.3]), MixedSet([27.3]))
+
+
+class TestIntervalGrid:
+    """The real part of MI integrates _mi_terms grids, one per refinement step."""
+
+    def test_table1_evaluation_counts(self, monkeypatch):
+        evaluations = []
+        integrate = information.integrate_2d
+
+        def counting(f, *args):
+            def grid(xs, ys):
+                values = f(xs, ys)
+                evaluations[-1] += values.size
+                return values
+            return integrate(grid, *args)
+
+        monkeypatch.setattr(information, "integrate_2d", counting)
+        for x0, y0, x_iv, y_iv, _, _ in BENCHMARK_ROWS:
+            evaluations.append(0)
+            soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
+                                    MixedSet([y0], [y_iv]), form=FORM_CONDITIONAL)
+        assert evaluations == [1280, 1280, 1280, 75008, 1280]
+        assert sum(evaluations) == 4 * 1280 + 75008
+
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_default_grid_matches_gaussian_override_on_rectangle(self, form):
+        sx, sy = MixedSet([], [(2.0, 3.0)]), MixedSet([], [(1.0, 3.0)])
+        fast = soft_mutual_information(STD_ADDITIVE, sx, sy, form=form)
+        generic = soft_mutual_information(_ScalarOnly(STD_ADDITIVE), sx, sy, form=form)
+        assert fast.real > 0.0
+        assert generic.real == pytest.approx(fast.real, rel=1e-12)
+
+    def test_generic_joint_cdf_default_grid_matches_gaussian_override(self):
+        j = BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.6)
+        for x, y in ((0.3, -0.2), (-1.0, 1.5)):
+            fast = JointModel.joint_cdf(j, x, y)
+            assert fast == pytest.approx(j.joint_cdf(x, y), rel=1e-6)
+            assert _ScalarOnly(j).joint_cdf(x, y) == pytest.approx(fast, rel=1e-12)
+
+    def test_underflowing_marginal_product_on_rectangle_is_a_domain_error(self):
+        # f_X * f_Y underflows to zero on the whole rectangle while the joint
+        # density is about 1e-195; this was a ZeroDivisionError
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999)
+        box = MixedSet([], [(29.9, 30.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
+            assert soft_mutual_information(j, box, box, form=FORM_CONDITIONAL).real > 0.0
 
 
 # Frozen outputs of the additive standard-Gaussian model on the five

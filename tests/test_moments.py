@@ -38,6 +38,21 @@ class TestMixedSet:
         ms = MixedSet([0.25], [(0.0, 0.25)])
         assert ms.points == (0.25,)
 
+    @pytest.mark.parametrize("point, inside", [
+        (0.5, False),  # before the first interval
+        (1.0, False), (2.0, False), (5.0, False), (8.0, False),  # on an endpoint
+        (1.5, True), (4.5, True), (7.5, True),  # inside an interval
+        (3.0, False),  # between intervals
+        (9.0, False),  # after the last interval
+    ])
+    def test_point_against_several_intervals(self, point, inside):
+        intervals = [(7.0, 8.0), (1.0, 2.0), (4.0, 5.0), (5.0, 6.0)]
+        if inside:
+            with pytest.raises(DomainError, match="inside"):
+                MixedSet([-1.0, point, 10.0], intervals)
+        else:
+            assert MixedSet([-1.0, point, 10.0], intervals).points == (-1.0, point, 10.0)
+
     def test_overlapping_intervals_rejected(self):
         with pytest.raises(DomainError):
             MixedSet([], [(0.0, 0.5), (0.4, 1.0)])

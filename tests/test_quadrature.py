@@ -87,28 +87,71 @@ class TestIntegrate1D:
         assert err.value.best_estimate == pytest.approx(exact, rel=1e-3)
 
 
+def on_grid(f):
+    """Grid integrand [j, i] = f(xs[i], ys[j]) from a formula that broadcasts."""
+    return lambda xs, ys: np.broadcast_to(f(xs, ys[:, None]), (len(ys), len(xs)))
+
+
+def phi_array(x):
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 class TestIntegrate2D:
     def test_separable_polynomial(self):
-        got = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
+        got = integrate_2d(on_grid(lambda x, y: x * y), 0.0, 1.0, 0.0, 1.0)
         assert abs(got - 0.25) < 1e-12
 
     def test_unit_area(self):
-        got = integrate_2d(lambda x, y: 1.0, 0.0, 1.0, 0.0, 1.0)
+        got = integrate_2d(on_grid(lambda x, y: 1.0), 0.0, 1.0, 0.0, 1.0)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_product_factorizes(self):
-        got = integrate_2d(lambda x, y: phi(x) * phi(y), 1.0, 2.0, 1.0, 2.0)
+        got = integrate_2d(on_grid(lambda x, y: phi_array(x) * phi_array(y)),
+                           1.0, 2.0, 1.0, 2.0)
         one_dim = integrate_1d(phi, 1.0, 2.0)
         assert math.isclose(got, one_dim * one_dim, rel_tol=1e-7)
 
     def test_deterministic_reruns(self):
-        f = lambda x, y: math.exp(-x * y) * math.cos(x + y)
+        f = on_grid(lambda x, y: np.exp(-x * y) * np.cos(x + y))
         assert integrate_2d(f, 0.0, 2.0, 0.0, 2.0) == integrate_2d(f, 0.0, 2.0, 0.0, 2.0)
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DomainError):
-            integrate_2d(lambda x, y: math.inf, 0.0, 1.0, 0.0, 1.0)
+            integrate_2d(on_grid(lambda x, y: math.inf), 0.0, 1.0, 0.0, 1.0)
+
+    def test_non_finite_grid_value_is_named(self):
+        # finite on the whole-rectangle nodes, NaN at the one refinement node
+        # nearest the corner (1, 1)
+        seen = []
+
+        def f(xs, ys):
+            seen.append((xs, ys))
+            grid = np.ones((len(ys), len(xs)))
+            if len(seen) == 2:
+                grid[-1, -1] = math.nan
+            return grid
+
+        with pytest.raises(DomainError) as err:
+            integrate_2d(f, 0.0, 1.0, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
+        xs, ys = seen[1]
+        assert len(xs) == len(ys) == 32
+        assert f"nan at ({float(xs[-1])!r}, {float(ys[-1])!r})" in str(err.value)
+
+    def test_wrong_grid_shape_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            integrate_2d(lambda xs, ys: xs * ys, 0.0, 1.0, 0.0, 1.0)
+
+    def test_one_grid_call_per_refinement_step(self):
+        shapes = []
+
+        def f(xs, ys):
+            shapes.append((len(ys), len(xs)))
+            return np.outer(np.exp(ys), np.sin(20.0 * xs))
+
+        integrate_2d(f, 0.0, 4.0, 0.0, 1.0)
+        assert shapes[0] == (16, 16)
+        assert len(shapes) > 2 and set(shapes[1:]) == {(32, 32)}
 
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(DomainError):
-            integrate_2d(lambda x, y: 1.0, 0.0, 1.0, 1.0, 1.0)
+            integrate_2d(on_grid(lambda x, y: 1.0), 0.0, 1.0, 1.0, 1.0)

@@ -9,6 +9,7 @@ import pytest
 from softprob.errors import DegenerateModelError, DomainError
 from softprob.softnum import SoftNumber, cmp
 from softprob.tree import (
+    POINT,
     Dataset,
     Leaf,
     Observation,
@@ -264,6 +265,31 @@ class TestBuildMixedSets:
         ms = build_mixed_sets([Observation.point(1), Observation.point(1),
                                Observation.point(0)])
         assert ms.points == (0.0, 1.0)
+
+    @pytest.mark.parametrize("point, absorbed", [
+        (0.5, False),  # before the first interval
+        (1.0, True), (2.0, True), (6.0, True), (8.0, True),  # on an endpoint
+        (1.5, True), (5.0, True), (7.5, True),  # inside a merged interval
+        (3.0, False), (6.5, False),  # between intervals
+        (9.0, False),  # after the last interval
+    ])
+    def test_point_against_several_intervals(self, point, absorbed):
+        col = [Observation.interval(*iv) for iv in ((7, 8), (1, 2), (4, 5), (5, 6))]
+        ms = build_mixed_sets(col + [Observation.point(point), Observation.point(-1.0)])
+        assert ms.intervals == ((1.0, 2.0), (4.0, 6.0), (7.0, 8.0))
+        assert ms.points == ((-1.0,) if absorbed else (-1.0, point))
+
+    def test_sweep_matches_pairwise_scan(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            col = [Observation.point(rng.randint(0, 40) / 2) for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(0, 5)):
+                lo = rng.randint(0, 38) / 2
+                col.append(Observation.interval(lo, lo + rng.randint(1, 6) / 2))
+            ms = build_mixed_sets(col)
+            points = sorted({o.value for o in col if o.kind == POINT})
+            assert ms.points == tuple(p for p in points if not any(
+                lo <= p <= hi for lo, hi in ms.intervals))
 
     def test_point_on_merged_endpoint_absorbed(self):
         ms = build_mixed_sets([Observation.point(2.0), Observation.interval(1, 2)])
