@@ -28,7 +28,7 @@ from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_inter
 from .quadrature import QuadratureConfig
 from .softnum import ExtendedSoftNumber, SoftNumber, ext_to_dict, render_extended, \
     render_soft, soft_to_dict
-from .tree import Dataset, Observation, TreeConfig, induce, parse_dataset, predict, \
+from .tree import Observation, TreeConfig, induce, parse_cell, parse_dataset, predict, \
     tree_from_dict, tree_to_dict
 
 # reference values for the additive standard-Gaussian channel:
@@ -57,12 +57,6 @@ def _info_config(args) -> InfoConfig:
         quad = QuadratureConfig(rel_tol=args.rel_tol)
     return InfoConfig(log_base=LOG_BASES[args.log_base], zlogz_mode=args.zlogz,
                       quadrature=quad)
-
-
-def _quad_config(args) -> Optional[QuadratureConfig]:
-    if args.rel_tol is not None:
-        return QuadratureConfig(rel_tol=args.rel_tol)
-    return None
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -250,7 +244,7 @@ def cmd_mi(args) -> int:
 def cmd_moments(args) -> int:
     d = parse_distribution(_parse_json(args.dist, "--dist"))
     ms = _mixed_set(args.set, "--set")
-    quad = _quad_config(args)
+    quad = _info_config(args).quadrature
     expectation = soft_expectation(d, ms, quad)
     variance, rec = soft_variance(d, ms, quad)
     payload = {
@@ -318,7 +312,6 @@ def _rows_for_predict(feature_names: list[str], text: str,
     else:
         raise SoftProbError(
             f"input columns {header!r} do not match model features {feature_names!r}")
-    from .tree import parse_cell
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in line.split(delimiter)]

@@ -67,9 +67,6 @@ class ContinuousDistribution(ABC):
         hi = min(hi, self.location + TRUNC_SCALES * self.scale)
         return lo, hi
 
-    def prob_between(self, a: float, b: float) -> float:
-        return self.cdf(b) - self.cdf(a)
-
 
 class Gaussian(ContinuousDistribution):
     """Normal distribution with the given mean and variance."""

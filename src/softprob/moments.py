@@ -129,11 +129,6 @@ class SoftMoments:
     gamma: float
 
 
-def validate(ms: MixedSet) -> MixedSet:
-    """Return the canonical form of a mixed set, re-checking its invariants."""
-    return MixedSet(ms.points, ms.intervals)
-
-
 def soft_expectation_of(d: ContinuousDistribution, ms: MixedSet,
                         g: Callable[[float], float],
                         quadrature: Optional[QuadratureConfig] = None) -> SoftNumber:

@@ -148,21 +148,6 @@ def _coerce(value) -> SoftNumber:
     return NotImplemented
 
 
-def add(s: SoftNumber, t: SoftNumber) -> SoftNumber:
-    """Componentwise sum."""
-    return s + t
-
-
-def sub(s: SoftNumber, t: SoftNumber) -> SoftNumber:
-    """Componentwise difference."""
-    return s - t
-
-
-def mul(s: SoftNumber, t: SoftNumber) -> SoftNumber:
-    """Product under the nilpotent rule 0~^2 = 0."""
-    return s * t
-
-
 def pow_nat(s: SoftNumber, n: int) -> SoftNumber:
     """Natural power: (a*0~ + b)^n = n*a*b^(n-1)*0~ + b^n, with s^0 = 1."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:

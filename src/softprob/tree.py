@@ -5,14 +5,25 @@ split fits a bivariate Gaussian to (feature, label), collects both columns
 into MixedSets, and scores the feature by soft mutual information; the
 soft-number total order then picks the winner, so interval evidence (real
 part) dominates and point evidence (soft part) breaks ties.
+
+Induction works on columns, not Observations. A column is a pair of float
+arrays (lo, hi): a point has lo == hi == its value and an interval keeps
+its endpoints, so lo < hi marks exactly the interval cells. `induce`
+converts the dataset once into two arrays of shape (rows, features + 1),
+the label last, and computes every cell's midpoint once; a node is an
+array of row indices, and its children keep the row order. Fits, merges,
+medians and leaf means are array work with the same arithmetic as the
+per-cell definitions: shifted-mean fsum sums, the median of the sorted
+midpoints and fsum(midpoints) / n.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
 from .errors import DegenerateModelError, DomainError
@@ -62,16 +73,27 @@ class Observation:
             return self.value
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def spread_variance(self) -> float:
-        """Variance of a uniform draw within the observation: 0 for points."""
-        if self.kind == POINT:
-            return 0.0
-        w = self.hi - self.lo
-        return w * w / 12.0
-
 
 Row = tuple[tuple[Observation, ...], Observation]
+
+# (lo, hi) float arrays of one column; lo == hi for a point, lo < hi for an interval
+Column = tuple[np.ndarray, np.ndarray]
+
+
+def as_column(observations: Iterable[Observation]) -> Column:
+    """The (lo, hi) arrays of a sequence of observations."""
+    obs = list(observations)
+    lo = np.array([o.value if o.kind == POINT else o.lo for o in obs], dtype=float)
+    hi = np.array([o.value if o.kind == POINT else o.hi for o in obs], dtype=float)
+    return lo, hi
+
+
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Observation.midpoint of every cell.
+
+    A point keeps its value: 0.5 * (v + v) overflows for |v| above about 9e307.
+    """
+    return np.where(lo == hi, lo, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -178,39 +200,41 @@ class TreeConfig:
             raise DomainError(f"min_rows must be >= 2, got {self.min_rows!r}")
 
 
-def _column_stats(col: Sequence[Observation]) -> tuple[float, float, list[float]]:
+def _column_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Mean and variance of a column, plus each midpoint's deviation from the mean.
 
     Two-pass fsum sums: the variance is that of the midpoints plus the mean
-    spread variance of the interval observations. The mean is taken relative
-    to the first midpoint, so a constant column has a mean equal to its value
-    and deviations of exactly zero.
+    spread variance (width^2/12, zero for points) of the cells. The mean is
+    taken relative to the first midpoint, so a constant column has a mean
+    equal to its value and deviations of exactly zero.
     """
-    mids = [o.midpoint for o in col]
+    mids = _midpoints(lo, hi)
     n = len(mids)
-    base = mids[0]
-    mean = base + math.fsum(m - base for m in mids) / n
-    devs = [m - mean for m in mids]
-    var = (math.fsum(d * d for d in devs) / (n - 1)
-           + math.fsum(o.spread_variance for o in col) / n)
+    base = float(mids[0])
+    mean = base + math.fsum((mids - base).tolist()) / n
+    devs = mids - mean
+    width = hi - lo
+    var = (math.fsum((devs * devs).tolist()) / (n - 1)
+           + math.fsum((width * width / 12.0).tolist()) / n)
     return mean, var, devs
 
 
-def fit_joint_model(feature_col: Sequence[Observation],
-                    label_col: Sequence[Observation]) -> JointModel:
-    """Fit a bivariate Gaussian to (feature, label) observation columns.
+def fit_joint_model(x: Column, y: Column) -> JointModel:
+    """Fit a bivariate Gaussian to (feature, label) columns.
 
-    Observations enter through their midpoints; interval observations also
-    widen the column variance by width^2/12 (a uniform draw within the
-    interval). Columns without variation cannot support a model, and
-    columns whose statistics overflow are a domain error.
+    Cells enter through their midpoints; interval cells also widen the
+    column variance by width^2/12 (a uniform draw within the interval).
+    Columns without variation cannot support a model, and columns whose
+    statistics overflow are a domain error.
     """
-    if len(feature_col) != len(label_col) or len(feature_col) < 2:
+    n = len(x[0])
+    if n != len(y[0]) or n < 2:
         raise DomainError("need two columns of equal length >= 2")
     try:
-        mean_x, var_x, dev_x = _column_stats(feature_col)
-        mean_y, var_y, dev_y = _column_stats(label_col)
-        cov = math.fsum(dx * dy for dx, dy in zip(dev_x, dev_y)) / (len(dev_x) - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_x, var_x, dev_x = _column_moments(*x)
+            mean_y, var_y, dev_y = _column_moments(*y)
+            cov = math.fsum((dev_x * dev_y).tolist()) / (n - 1)
         finite = all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov)))
     except (OverflowError, ValueError):  # fsum overflowing or meeting inf - inf
         finite = False
@@ -224,52 +248,64 @@ def fit_joint_model(feature_col: Sequence[Observation],
     return BivariateGaussianModel(mean_x, mean_y, var_x, var_y, rho)
 
 
-def build_mixed_sets(col: Sequence[Observation]) -> MixedSet:
+def build_mixed_sets(col: Column) -> MixedSet:
     """Collect a column into a MixedSet.
 
-    Interval observations merge into maximal open intervals (touching ones
+    Interval cells merge into maximal open intervals (touching ones
     included), duplicate points collapse, and points falling inside or on a
     merged interval are absorbed into it.
     """
-    raw = sorted((o.lo, o.hi) for o in col if o.kind == INTERVAL)
-    merged: list[tuple[float, float]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            last_lo, last_hi = merged[-1]
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    kept = []
-    k = 0  # first merged interval not wholly left of the point
-    for p in sorted(set(o.value for o in col if o.kind == POINT)):
-        while k < len(merged) and merged[k][1] < p:
-            k += 1
-        if k == len(merged) or p < merged[k][0]:
-            kept.append(p)
-    return MixedSet(kept, merged)
+    lo, hi = col
+    is_interval = lo < hi
+    ivs_lo, ivs_hi = lo[is_interval], hi[is_interval]
+    order = np.lexsort((ivs_hi, ivs_lo))
+    ivs_lo, ivs_hi = ivs_lo[order], ivs_hi[order]
+    reach = np.maximum.accumulate(ivs_hi)  # right end of the merged interval so far
+    starts = np.ones(len(ivs_lo), dtype=bool)
+    starts[1:] = ivs_lo[1:] > reach[:-1]
+    ends = np.ones(len(ivs_lo), dtype=bool)
+    ends[:-1] = starts[1:]
+    merged_lo, merged_hi = ivs_lo[starts], reach[ends]
+    points = np.sort(lo[~is_interval], kind="stable")
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = points[1:] != points[:-1]
+    points = points[distinct]
+    k = np.searchsorted(merged_hi, points)  # first merged interval not wholly left
+    inside = k < len(merged_hi)
+    inside[inside] = merged_lo[k[inside]] <= points[inside]
+    return MixedSet(points[~inside].tolist(),
+                    list(zip(merged_lo.tolist(), merged_hi.tolist())))
 
 
-def _gain(rows: Sequence[Row], index: int, label_col: Sequence[Observation],
-          label_set: MixedSet, cfg: TreeConfig) -> SoftNumber:
-    """Gain of feature index on rows whose label column and its MixedSet are given."""
-    feature_col = [features[index] for features, _ in rows]
+def _gain(x: Column, y: Column, y_set: MixedSet, cfg: TreeConfig) -> SoftNumber:
+    """Gain of feature column x for label column y, whose MixedSet is given."""
     try:
-        model = fit_joint_model(feature_col, label_col)
+        model = fit_joint_model(x, y)
     except DegenerateModelError:
         return SoftNumber.zero()
-    return soft_mutual_information(model, build_mixed_sets(feature_col), label_set, cfg.info)
+    return soft_mutual_information(model, build_mixed_sets(x), y_set, cfg.info)
 
 
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
-    label_col = [label for _, label in ds.rows]
-    return _gain(ds.rows, ds.feature_index(feature), label_col,
-                 build_mixed_sets(label_col), cfg)
+    index = ds.feature_index(feature)
+    y = as_column(label for _, label in ds.rows)
+    return _gain(as_column(features[index] for features, _ in ds.rows), y,
+                 build_mixed_sets(y), cfg)
 
 
-def _leaf(rows: Sequence[Row]) -> Leaf:
-    return Leaf(prediction=statistics.fmean(label.midpoint for _, label in rows),
-                count=len(rows))
+def _median(values: np.ndarray) -> float:
+    """statistics.median of the values."""
+    s = np.sort(values, kind="stable")
+    h = len(s) // 2
+    if len(s) % 2:
+        return float(s[h])
+    return (float(s[h - 1]) + float(s[h])) / 2
+
+
+def _leaf(label_mids: np.ndarray) -> Leaf:
+    n = len(label_mids)
+    return Leaf(prediction=math.fsum(label_mids.tolist()) / n, count=n)
 
 
 def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
@@ -279,34 +315,41 @@ def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     does not exceed cfg.min_gain under cmp, or a split fails to separate
     the rows. Ties in gain go to the lowest feature index.
     """
+    width = len(ds.feature_names) + 1
+    lo, hi = as_column([cell for features, label in ds.rows for cell in features + (label,)])
+    lo, hi = lo.reshape(-1, width), hi.reshape(-1, width)
+    with np.errstate(over="ignore"):
+        mids = _midpoints(lo, hi)
+    return _grow(ds, cfg, lo, hi, mids, np.arange(len(lo)), 0)
 
-    def grow(rows: Sequence[Row], depth: int) -> TreeNode:
-        if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
-            return _leaf(rows)
-        label_col = [label for _, label in rows]
-        label_set = build_mixed_sets(label_col)
-        best_index = 0
-        best_gain = _gain(rows, 0, label_col, label_set, cfg)
-        for index in range(1, len(ds.feature_names)):
-            gain = _gain(rows, index, label_col, label_set, cfg)
-            if cmp(gain, best_gain) > 0:
-                best_index, best_gain = index, gain
-        if cmp(best_gain, cfg.min_gain) <= 0:
-            return _leaf(rows)
-        threshold = statistics.median(
-            features[best_index].midpoint for features, _ in rows)
-        left_rows = [r for r in rows if r[0][best_index].midpoint <= threshold]
-        right_rows = [r for r in rows if r[0][best_index].midpoint > threshold]
-        if not left_rows or not right_rows:
-            return _leaf(rows)
-        return Split(feature=ds.feature_names[best_index],
-                     feature_index=best_index,
-                     threshold=threshold,
-                     gain=best_gain,
-                     left=grow(left_rows, depth + 1),
-                     right=grow(right_rows, depth + 1))
 
-    return grow(ds.rows, 0)
+def _grow(ds: Dataset, cfg: TreeConfig, lo: np.ndarray, hi: np.ndarray,
+          mids: np.ndarray, rows: np.ndarray, depth: int) -> TreeNode:
+    """The subtree of the given rows of induce's cell arrays (label column last)."""
+    label = len(ds.feature_names)
+    if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
+        return _leaf(mids[rows, label])
+    y = (lo[rows, label], hi[rows, label])
+    y_set = build_mixed_sets(y)
+    best_index = 0
+    best_gain = _gain((lo[rows, 0], hi[rows, 0]), y, y_set, cfg)
+    for index in range(1, label):
+        gain = _gain((lo[rows, index], hi[rows, index]), y, y_set, cfg)
+        if cmp(gain, best_gain) > 0:
+            best_index, best_gain = index, gain
+    if cmp(best_gain, cfg.min_gain) <= 0:
+        return _leaf(mids[rows, label])
+    x_mids = mids[rows, best_index]
+    threshold = _median(x_mids)
+    left, right = rows[x_mids <= threshold], rows[x_mids > threshold]
+    if not len(left) or not len(right):
+        return _leaf(mids[rows, label])
+    return Split(feature=ds.feature_names[best_index],
+                 feature_index=best_index,
+                 threshold=threshold,
+                 gain=best_gain,
+                 left=_grow(ds, cfg, lo, hi, mids, left, depth + 1),
+                 right=_grow(ds, cfg, lo, hi, mids, right, depth + 1))
 
 
 def predict(t: TreeNode, features: Sequence[Observation],

@@ -484,7 +484,7 @@ def _assert_tree_bounds(node, depth: int, cfg: TreeConfig):
 
 
 def test_criterion_7_tree_behavior():
-    from softprob.tree import build_mixed_sets, fit_joint_model
+    from softprob.tree import as_column, build_mixed_sets, fit_joint_model
 
     cfg = TreeConfig(max_depth=1)
     for seed in range(20):
@@ -494,8 +494,8 @@ def test_criterion_7_tree_behavior():
 
         oracle_values = []
         for index in range(2):
-            feature_col = [features[index] for features, _ in ds.rows]
-            label_col = [label for _, label in ds.rows]
+            feature_col = as_column(features[index] for features, _ in ds.rows)
+            label_col = as_column(label for _, label in ds.rows)
             model = fit_joint_model(feature_col, label_col)
             sx = build_mixed_sets(feature_col)
             sy = build_mixed_sets(label_col)

@@ -334,12 +334,16 @@ class TestTreeCommands:
 
     def test_train_on_overflowing_column_fails_cleanly(self, capsys, tmp_path):
         data = tmp_path / "huge.csv"
-        data.write_text("x1,y\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1,5\n",
-                        encoding="utf-8")
-        code, out, err = _run(capsys, ["tree-train", "--data", str(data)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
+        for text in ("x1,y\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1,5\n",
+                     "x1,y\n1,1\n2,2\n1e308..1.7e308,3\n3,4\n4,5\n"):
+            data.write_text(text, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _run(capsys, ["tree-train", "--data", str(data)])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
 
     def test_predict_with_model_lacking_feature_names_fails_cleanly(self, capsys,
                                                                      tmp_path):
@@ -409,6 +413,10 @@ _JOINT = st.one_of(
     st.fixed_dictionaries({"kind": st.just("joint_gaussian_additive"),
                            "input": _GAUSSIAN, "noise": _GAUSSIAN}),
     _JSON)
+_DIST = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "mean": _FIELD, "variance": _FIELD}),
+    st.fixed_dictionaries({"kind": st.just("uniform"), "lo": _FIELD, "hi": _FIELD}),
+    _JSON)
 _SET = st.one_of(
     st.fixed_dictionaries({"points": st.lists(_FIELD, max_size=3),
                            "intervals": st.lists(st.lists(_FIELD, min_size=2, max_size=2),
@@ -420,19 +428,60 @@ def _json_ish(strategy):
     return st.one_of(strategy.map(json.dumps), strategy.map(json.dumps), st.text(max_size=8))
 
 
+def _assert_exits_cleanly(argv):
+    """main(argv) returns 0, or 1 with an error line and no output; no warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert out.getvalue() == ""
+
+
+_PS_OPS = ["eq", "lt", "leq", "neq", "interval", "points-union", "points-intersect",
+           "union", "intersect", "cond-interval", "cond-point"]
+_FLOAT_TEXT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e308])).map(repr)
+_LIST_TEXT = st.one_of(st.lists(_NUMBERS, max_size=3).map(lambda v: ",".join(map(str, v))),
+                       st.text(max_size=8))
+
+
 class TestRandomDescriptors:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(joint=_json_ish(_JOINT), set_x=_json_ish(_SET), set_y=_json_ish(_SET),
            form=st.sampled_from(["symmetric", "conditional"]))
     def test_mi_never_raises(self, joint, set_x, set_y, form):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["mi", f"--joint={joint}", f"--set-x={set_x}",
-                             f"--set-y={set_y}", f"--form={form}"])
-        assert code in (0, 1)
-        if code == 1:
-            assert err.getvalue().startswith("error:")
-            assert out.getvalue() == ""
+        _assert_exits_cleanly(["mi", f"--joint={joint}", f"--set-x={set_x}",
+                               f"--set-y={set_y}", f"--form={form}"])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(op=st.sampled_from(_PS_OPS), dist=_json_ish(_DIST), x=_FLOAT_TEXT, y=_FLOAT_TEXT,
+           interval=_LIST_TEXT, points=_LIST_TEXT, closed=st.booleans())
+    def test_ps_never_raises(self, op, dist, x, y, interval, points, closed):
+        _assert_exits_cleanly(["ps", f"--op={op}", f"--dist={dist}", f"--x={x}", f"--y={y}",
+                               f"--interval={interval}", f"--points={points}"]
+                              + (["--closed"] if closed else []))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dist=_json_ish(_DIST), dist_hat=st.none() | _json_ish(_DIST), ms=_json_ish(_SET))
+    def test_entropy_never_raises(self, dist, dist_hat, ms):
+        _assert_exits_cleanly(["entropy", f"--dist={dist}", f"--set={ms}"]
+                              + ([] if dist_hat is None else [f"--dist-hat={dist_hat}"]))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dist=_json_ish(_DIST), dist_hat=_json_ish(_DIST), ms=_json_ish(_SET))
+    def test_kld_never_raises(self, dist, dist_hat, ms):
+        _assert_exits_cleanly(["kld", f"--dist={dist}", f"--dist-hat={dist_hat}", f"--set={ms}"])
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dist=_json_ish(_DIST), ms=_json_ish(_SET))
+    def test_moments_never_raises(self, dist, ms):
+        _assert_exits_cleanly(["moments", f"--dist={dist}", f"--set={ms}"])

@@ -90,7 +90,6 @@ class TestUserDefined:
             support=(0.0, 1.0))
         assert d.pdf(0.5) == 1.0
         assert d.cdf(0.5) == 0.25
-        assert d.prob_between(0.0, 1.0) == 1.0
 
 
 class TestJointGaussianAdditive:

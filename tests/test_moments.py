@@ -13,7 +13,6 @@ from softprob.moments import (
     soft_expectation,
     soft_expectation_of,
     soft_variance,
-    validate,
 )
 from softprob.softnum import SoftNumber
 
@@ -26,7 +25,6 @@ class TestMixedSet:
         ms = MixedSet([0.5], [(0.0, 0.25)])
         assert ms.points == (0.5,)
         assert ms.intervals == ((0.0, 0.25),)
-        assert validate(ms) == ms
 
     def test_point_inside_interval_rejected(self):
         with pytest.raises(DomainError):

@@ -1,20 +1,29 @@
 """Tests for the soft-MI decision-tree inducer and its dataset plumbing."""
 
+import gc
 import math
 import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softprob.distributions import BivariateGaussianModel
 from softprob.errors import DegenerateModelError, DomainError
+from softprob.information import soft_mutual_information
+from softprob.moments import MixedSet
 from softprob.softnum import SoftNumber, cmp
 from softprob.tree import (
+    INTERVAL,
+    MAX_ABS_CORRELATION,
     POINT,
     Dataset,
     Leaf,
     Observation,
     Split,
     TreeConfig,
+    as_column,
     build_mixed_sets,
     fit_joint_model,
     induce,
@@ -46,6 +55,14 @@ def _synthetic(seed: int, n: int = 200, interval_fraction: float = 0.0):
     return Dataset(["x1", "x2"], rows, label_name="y")
 
 
+def _fit(x, y):
+    return fit_joint_model(as_column(x), as_column(y))
+
+
+def _sets(col):
+    return build_mixed_sets(as_column(col))
+
+
 def _leaf_rows(node) -> int:
     if isinstance(node, Leaf):
         return node.count
@@ -68,13 +85,11 @@ class TestObservation:
         o = Observation.point(1.5)
         assert o.kind == "point"
         assert o.midpoint == 1.5
-        assert o.spread_variance == 0.0
 
     def test_interval_fields(self):
         o = Observation.interval(1.0, 2.0)
         assert o.kind == "interval"
         assert o.midpoint == 1.5
-        assert o.spread_variance == pytest.approx(1.0 / 12.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, None])
     def test_bad_point_rejected(self, value):
@@ -158,20 +173,20 @@ class TestDataset:
 class TestFitJointModel:
     def test_identical_columns_clip_correlation(self):
         col = [Observation.point(v) for v in (1.0, 2.0, 3.0, 4.0)]
-        model = fit_joint_model(col, col)
+        model = _fit(col, col)
         assert model.rho == 0.999
 
     def test_negated_column_clips_to_negative(self):
         col = [Observation.point(v) for v in (1.0, 2.0, 3.0, 4.0)]
         neg = [Observation.point(-v.value) for v in col]
-        assert fit_joint_model(col, neg).rho == -0.999
+        assert _fit(col, neg).rho == -0.999
 
     def test_shuffled_columns_nearly_uncorrelated(self):
         rng = random.Random(2718)
         values = [rng.gauss(0.0, 1.0) for _ in range(200)]
         shuffled = values[:]
         rng.shuffle(shuffled)
-        model = fit_joint_model([Observation.point(v) for v in values],
+        model = _fit([Observation.point(v) for v in values],
                                 [Observation.point(v) for v in shuffled])
         assert abs(model.rho) < 0.3
 
@@ -179,8 +194,8 @@ class TestFitJointModel:
         mids = [1.0, 2.0, 3.0, 4.0]
         points = [Observation.point(m) for m in mids]
         intervals = [Observation.interval(m - 1.0, m + 1.0) for m in mids]
-        base = fit_joint_model(points, points)
-        widened = fit_joint_model(intervals, points)
+        base = _fit(points, points)
+        widened = _fit(intervals, points)
         assert widened.var_x == pytest.approx(base.var_x + 4.0 / 12.0)
         assert widened.var_y == pytest.approx(base.var_y)
 
@@ -188,7 +203,7 @@ class TestFitJointModel:
         rng = random.Random(5)
         xs = [Observation.point(rng.uniform(-1, 1)) for _ in range(20)]
         ys = [Observation.point(rng.uniform(-1, 1)) for _ in range(20)]
-        model = fit_joint_model(xs, ys)
+        model = _fit(xs, ys)
         assert model.mean_x == pytest.approx(statistics.fmean(o.value for o in xs))
         assert model.var_y == pytest.approx(statistics.variance(o.value for o in ys))
 
@@ -196,9 +211,9 @@ class TestFitJointModel:
         const = [Observation.point(2.0)] * 4
         varied = [Observation.point(v) for v in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(DegenerateModelError):
-            fit_joint_model(const, varied)
+            _fit(const, varied)
         with pytest.raises(DegenerateModelError):
-            fit_joint_model(varied, const)
+            _fit(varied, const)
 
     @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 6), (1e-100, 5)])
     def test_inexact_mean_constant_column_is_degenerate(self, value, n):
@@ -206,9 +221,9 @@ class TestFitJointModel:
         const = [Observation.point(value)] * n
         varied = [Observation.point(float(v)) for v in range(1, n + 1)]
         with pytest.raises(DegenerateModelError):
-            fit_joint_model(const, varied)
+            _fit(const, varied)
         with pytest.raises(DegenerateModelError):
-            fit_joint_model(varied, const)
+            _fit(varied, const)
 
     @pytest.mark.parametrize("column", [
         [Observation.point(v) for v in (1e308, -1e308, 1e308, -1e308)],
@@ -219,50 +234,50 @@ class TestFitJointModel:
         varied = [Observation.point(float(v)) for v in range(len(column))]
         for args in ((column, varied), (varied, column)):
             with pytest.raises(DomainError) as info:
-                fit_joint_model(*args)
+                _fit(*args)
             assert not isinstance(info.value, DegenerateModelError)
 
     def test_tiny_scale_columns_keep_their_correlation(self):
         rng = random.Random(11)
         xs = [rng.gauss(0.0, 1.0) for _ in range(50)]
         ys = [x + rng.gauss(0.0, 0.5) for x in xs]
-        unit = fit_joint_model([Observation.point(v) for v in xs],
+        unit = _fit([Observation.point(v) for v in xs],
                                [Observation.point(v) for v in ys])
-        tiny = fit_joint_model([Observation.point(v * 1e-100) for v in xs],
+        tiny = _fit([Observation.point(v * 1e-100) for v in xs],
                                [Observation.point(v * 1e-100) for v in ys])
         assert tiny.rho == pytest.approx(unit.rho, rel=1e-12)
 
     def test_too_short_columns_rejected(self):
         one = [Observation.point(1.0)]
         with pytest.raises(DomainError):
-            fit_joint_model(one, one)
+            _fit(one, one)
         with pytest.raises(DomainError):
-            fit_joint_model(one * 2, one * 3)
+            _fit(one * 2, one * 3)
 
 
 class TestBuildMixedSets:
     def test_disjoint_inputs_pass_through(self):
-        ms = build_mixed_sets([Observation.point(1), Observation.point(2),
+        ms = _sets([Observation.point(1), Observation.point(2),
                                Observation.interval(3, 4)])
         assert ms.points == (1.0, 2.0)
         assert ms.intervals == ((3.0, 4.0),)
 
     def test_overlapping_intervals_merge(self):
-        ms = build_mixed_sets([Observation.interval(0, 2), Observation.interval(1, 3)])
+        ms = _sets([Observation.interval(0, 2), Observation.interval(1, 3)])
         assert ms.points == ()
         assert ms.intervals == ((0.0, 3.0),)
 
     def test_point_inside_interval_absorbed(self):
-        ms = build_mixed_sets([Observation.point(1.5), Observation.interval(1, 2)])
+        ms = _sets([Observation.point(1.5), Observation.interval(1, 2)])
         assert ms.points == ()
         assert ms.intervals == ((1.0, 2.0),)
 
     def test_touching_intervals_merge(self):
-        ms = build_mixed_sets([Observation.interval(0, 1), Observation.interval(1, 2)])
+        ms = _sets([Observation.interval(0, 1), Observation.interval(1, 2)])
         assert ms.intervals == ((0.0, 2.0),)
 
     def test_duplicate_points_collapse(self):
-        ms = build_mixed_sets([Observation.point(1), Observation.point(1),
+        ms = _sets([Observation.point(1), Observation.point(1),
                                Observation.point(0)])
         assert ms.points == (0.0, 1.0)
 
@@ -275,7 +290,7 @@ class TestBuildMixedSets:
     ])
     def test_point_against_several_intervals(self, point, absorbed):
         col = [Observation.interval(*iv) for iv in ((7, 8), (1, 2), (4, 5), (5, 6))]
-        ms = build_mixed_sets(col + [Observation.point(point), Observation.point(-1.0)])
+        ms = _sets(col + [Observation.point(point), Observation.point(-1.0)])
         assert ms.intervals == ((1.0, 2.0), (4.0, 6.0), (7.0, 8.0))
         assert ms.points == ((-1.0,) if absorbed else (-1.0, point))
 
@@ -286,18 +301,18 @@ class TestBuildMixedSets:
             for _ in range(rng.randint(0, 5)):
                 lo = rng.randint(0, 38) / 2
                 col.append(Observation.interval(lo, lo + rng.randint(1, 6) / 2))
-            ms = build_mixed_sets(col)
+            ms = _sets(col)
             points = sorted({o.value for o in col if o.kind == POINT})
             assert ms.points == tuple(p for p in points if not any(
                 lo <= p <= hi for lo, hi in ms.intervals))
 
     def test_point_on_merged_endpoint_absorbed(self):
-        ms = build_mixed_sets([Observation.point(2.0), Observation.interval(1, 2)])
+        ms = _sets([Observation.point(2.0), Observation.interval(1, 2)])
         assert ms.points == ()
         assert ms.intervals == ((1.0, 2.0),)
 
     def test_empty_column(self):
-        ms = build_mixed_sets([])
+        ms = _sets([])
         assert ms.points == ()
         assert ms.intervals == ()
 
@@ -460,3 +475,139 @@ class TestSerialization:
                     {"kind": "split", "feature": "a"}]:
             with pytest.raises(DomainError):
                 tree_from_dict(obj)
+
+
+# Pure-Python reference of the tree's statistics, one Observation at a time:
+# the oracle for induce's column arrays, which must give identical trees.
+
+def _ref_column_stats(col):
+    mids = [o.midpoint for o in col]
+    n = len(mids)
+    base = mids[0]
+    mean = base + math.fsum(m - base for m in mids) / n
+    devs = [m - mean for m in mids]
+    widths = [o.hi - o.lo if o.kind == INTERVAL else 0.0 for o in col]
+    var = (math.fsum(d * d for d in devs) / (n - 1)
+           + math.fsum(w * w / 12.0 for w in widths) / n)
+    return mean, var, devs
+
+
+def _ref_fit(x, y):
+    mean_x, var_x, dev_x = _ref_column_stats(x)
+    mean_y, var_y, dev_y = _ref_column_stats(y)
+    cov = math.fsum(dx * dy for dx, dy in zip(dev_x, dev_y)) / (len(x) - 1)
+    if var_x <= 0.0 or var_y <= 0.0:
+        return None
+    rho = cov / (math.sqrt(var_x) * math.sqrt(var_y))
+    rho = max(-MAX_ABS_CORRELATION, min(MAX_ABS_CORRELATION, rho))
+    return BivariateGaussianModel(mean_x, mean_y, var_x, var_y, rho)
+
+
+def _ref_sets(col):
+    merged = []
+    for lo, hi in sorted((o.lo, o.hi) for o in col if o.kind == INTERVAL):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    points = sorted(set(o.value for o in col if o.kind == POINT))
+    return MixedSet([p for p in points if not any(lo <= p <= hi for lo, hi in merged)],
+                    merged)
+
+
+def _ref_induce(ds, cfg, rows=None, depth=0):
+    rows = ds.rows if rows is None else rows
+    labels = [label for _, label in rows]
+    leaf = Leaf(prediction=statistics.fmean(o.midpoint for o in labels), count=len(rows))
+    if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
+        return leaf
+    best_index, best_gain = 0, None
+    for index in range(len(ds.feature_names)):
+        col = [features[index] for features, _ in rows]
+        model = _ref_fit(col, labels)
+        gain = (SoftNumber.zero() if model is None else soft_mutual_information(
+            model, _ref_sets(col), _ref_sets(labels), cfg.info))
+        if best_gain is None or cmp(gain, best_gain) > 0:
+            best_index, best_gain = index, gain
+    if cmp(best_gain, cfg.min_gain) <= 0:
+        return leaf
+    threshold = statistics.median(features[best_index].midpoint for features, _ in rows)
+    left = [r for r in rows if r[0][best_index].midpoint <= threshold]
+    right = [r for r in rows if r[0][best_index].midpoint > threshold]
+    if not left or not right:
+        return leaf
+    return Split(feature=ds.feature_names[best_index], feature_index=best_index,
+                 threshold=threshold, gain=best_gain,
+                 left=_ref_induce(ds, cfg, left, depth + 1),
+                 right=_ref_induce(ds, cfg, right, depth + 1))
+
+
+def _column_dataset(*columns):
+    """A dataset from equal-length columns of cells, the last one the label."""
+    def cell(c):
+        return Observation.interval(*c) if isinstance(c, tuple) else Observation.point(c)
+    names = [f"x{i}" for i in range(len(columns) - 1)]
+    return Dataset(names, [(tuple(map(cell, r[:-1])), cell(r[-1])) for r in zip(*columns)])
+
+
+_VALUES = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.sampled_from([0.1, 0.7]))
+_CELLS = st.one_of(
+    _VALUES,
+    st.tuples(_VALUES, st.sampled_from([0.5, 1.0, 2.0])).map(lambda t: (t[0], t[0] + t[1])))
+
+
+@st.composite
+def _mixed_datasets(draw):
+    n = draw(st.integers(2, 12))
+    columns = draw(st.lists(st.lists(_CELLS, min_size=n, max_size=n), min_size=2, max_size=3))
+    return _column_dataset(*columns)
+
+
+class TestColumnarInduction:
+    @pytest.mark.parametrize("columns", [
+        # ties at the median
+        ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        ([0.5, 1.0, 1.0, 1.0, 3.0, 4.0, 1.0, 2.0], [1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 0.0, 1.0]),
+        # constant columns whose fsum mean is inexact
+        ([0.1] * 3, [1.0, 2.0, 3.0]),
+        ([0.7] * 6, [1e8 + i * 1e-5 for i in range(6)]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.7] * 6),
+        # duplicate points
+        ([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0], [1.0, 1.0, 2.0, 5.0, 3.0, 3.0, 4.0, 9.0]),
+        # touching and nested intervals
+        ([(0.0, 1.0), (1.0, 2.0), (0.0, 4.0), (1.5, 1.75), 3.0, 5.0, (5.0, 6.0), 7.0],
+         [0.0, 1.0, 2.0, 3.0, (1.0, 2.0), (2.0, 3.0), 6.0, 7.0]),
+        # points on interval endpoints
+        ([1.0, 2.0, (1.0, 2.0), 4.0, (4.0, 5.0), 5.0, 6.0, 8.0],
+         [(0.0, 1.0), 1.0, 0.0, 3.0, 4.0, (4.0, 6.0), 6.0, 8.0]),
+        # an all-interval column
+        ([(i, i + 1.5) for i in range(8)], [0.0, 2.0, 1.0, 3.0, 5.0, 4.0, 7.0, 6.0]),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [(i, i + 0.5) for i in (3, 1, 2, 0, 5, 4, 7, 6)]),
+    ])
+    def test_matches_reference_on_edge_cases(self, columns):
+        ds = _column_dataset(*columns)
+        for cfg in (TreeConfig(max_depth=3, min_rows=2), TreeConfig(max_depth=1)):
+            assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_mixed_datasets(), max_depth=st.integers(1, 3))
+    def test_matches_reference_on_random_mixed_data(self, ds, max_depth):
+        cfg = TreeConfig(max_depth=max_depth, min_rows=2)
+        assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+
+    def test_matches_reference_on_synthetic_data(self):
+        ds = _synthetic(43, n=120, interval_fraction=0.25)
+        cfg = TreeConfig(max_depth=3, min_rows=8)
+        assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+
+    def test_induce_leaves_no_reference_cycles(self):
+        ds = _synthetic(47, n=80, interval_fraction=0.25)
+        cfg = TreeConfig(max_depth=3, min_rows=8)
+        induce(ds, cfg)
+        gc.disable()
+        try:
+            gc.collect()
+            induce(ds, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
