@@ -156,6 +156,25 @@ def _need_x(args) -> float:
     return args.x
 
 
+# ps operations on one distribution d; each lambda looks its ps_* function
+# and argument helpers up when it runs, so wrappers installed on this
+# module's names see every call
+PS_OPS = {
+    "eq": lambda d, args: ps_eq(d, _need_x(args)),
+    "lt": lambda d, args: ps_lt(d, _need_x(args)),
+    "leq": lambda d, args: ps_leq(d, _need_x(args)),
+    "neq": lambda d, args: ps_neq(d, _need_x(args)),
+    "interval": lambda d, args: ps_interval(d, _interval_event(args)),
+    "points-union": lambda d, args: ps_points_union(d, _points_list(args)),
+    "points-intersect": lambda d, args: ps_points_intersection(d, _points_list(args)),
+    "union": lambda d, args: ps_union_point_interval(d, _need_x(args), _interval_event(args)),
+    "intersect": lambda d, args: ps_intersect_point_interval(
+        d, _need_x(args), _interval_event(args)),
+    "cond-interval": lambda d, args: ps_cond_point_given_interval(
+        d, _need_x(args), _interval_event(args)),
+}
+
+
 def cmd_ps(args) -> int:
     if args.op == "ps2":
         if args.joint is None:
@@ -170,34 +189,15 @@ def cmd_ps(args) -> int:
     if args.dist is None:
         raise SoftProbError(f"operation {args.op!r} needs --dist")
     d = parse_distribution(_parse_json(args.dist, "--dist"))
-    if args.op == "eq":
-        value = ps_eq(d, _need_x(args))
-    elif args.op == "lt":
-        value = ps_lt(d, _need_x(args))
-    elif args.op == "leq":
-        value = ps_leq(d, _need_x(args))
-    elif args.op == "neq":
-        value = ps_neq(d, _need_x(args))
-    elif args.op == "interval":
-        value = ps_interval(d, _interval_event(args))
-    elif args.op == "points-union":
-        value = ps_points_union(d, _points_list(args))
-    elif args.op == "points-intersect":
-        value = ps_points_intersection(d, _points_list(args))
-    elif args.op == "union":
-        value = ps_union_point_interval(d, _need_x(args), _interval_event(args))
-    elif args.op == "intersect":
-        value = ps_intersect_point_interval(d, _need_x(args), _interval_event(args))
-    elif args.op == "cond-interval":
-        value = ps_cond_point_given_interval(d, _need_x(args), _interval_event(args))
-    elif args.op == "cond-point":
+    if args.op == "cond-point":
         if args.y is None:
             raise SoftProbError("cond-point needs --y")
         ratio = ps_cond_point_given_point(d, _need_x(args), args.y)
         _emit(args, {"value": ratio}, [f"value = {ratio!r}"])
         return 0
-    else:
+    if args.op not in PS_OPS:
         raise SoftProbError(f"unknown ps operation {args.op!r}")
+    value = PS_OPS[args.op](d, args)
     _emit(args, {"value": soft_to_dict(value)}, _soft_lines("value", value))
     return 0
 

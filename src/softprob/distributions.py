@@ -226,7 +226,8 @@ class JointModel(ABC):
         yu = min(y, y_hi)
         if yu <= y_lo:
             return 0.0
-        return integrate_1d(lambda t: self.joint_pdf(x, t), y_lo, yu, self.quad_1d)
+        return integrate_1d(lambda ts: self.joint_pdf_grid(np.array([x]), ts)[:, 0],
+                            y_lo, yu, self.quad_1d)
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         """d/dy of the joint cdf: integral of joint_pdf(t, y) for t <= x."""
@@ -234,7 +235,8 @@ class JointModel(ABC):
         xu = min(x, x_hi)
         if xu <= x_lo:
             return 0.0
-        return integrate_1d(lambda t: self.joint_pdf(t, y), x_lo, xu, self.quad_1d)
+        return integrate_1d(lambda ts: self.joint_pdf_grid(ts, np.array([y]))[0],
+                            x_lo, xu, self.quad_1d)
 
 
 class BivariateGaussianModel(JointModel):
@@ -317,9 +319,12 @@ class BivariateGaussianModel(JointModel):
         xu = min(x, x_hi)
         if xu <= x_lo:
             return 0.0
-        return integrate_1d(
-            lambda t: self._mx.pdf(t) * self.conditional_cdf(y, t),
-            x_lo, xu, self.quad_1d)
+
+        def integrand(ts: np.ndarray) -> np.ndarray:
+            cdf = [self.conditional_cdf(y, t) for t in ts.tolist()]
+            return self._mx.pdf_array(ts) * cdf
+
+        return integrate_1d(integrand, x_lo, xu, self.quad_1d)
 
     def __repr__(self) -> str:
         return (f"BivariateGaussianModel(mean_x={self.mean_x!r}, mean_y={self.mean_y!r}, "

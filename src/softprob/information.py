@@ -5,7 +5,9 @@ rides the indeterminate 0log0~ axis, point terms f*log(f) ride the soft
 axis, and interval integrals of f*log(f) stay real. Cross entropy keeps
 the same shape, their difference (the KL divergence) has no 0log0~ part,
 and mutual information pairs points with points and intervals with
-intervals on a two-variable model.
+intervals on a two-variable model. Every one of them is a term kernel
+w*log(num/den) under one pointwise rule (_log_terms); the 1-D ones are
+summed over points and intervals by moments.soft_sum.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -22,11 +24,13 @@ import numpy as np
 
 from .distributions import ContinuousDistribution, JointModel
 from .errors import DomainError
-from .moments import MixedSet
-from .quadrature import DEFAULT_1D, DEFAULT_2D, QuadratureConfig, integrate_1d, integrate_2d
+from .moments import MixedSet, soft_sum
+from .quadrature import DEFAULT_1D, DEFAULT_2D, QuadratureConfig, integrate_2d, sample_1d
+from .quadrature import integrate_1d  # noqa: F401  (unused; perfbench's tracer patches it here)
 from .softnum import ExtendedSoftNumber, SoftNumber
 
-# below this density the f*log(f) integrand is taken at its limit, 0
+# a term whose weight is below this density is taken at the limit of
+# f*log(f) as f -> 0, which is 0
 TINY_DENSITY = 1e-300
 
 # density ratios within one part in 1e12 of exact 1 count as 1, so terms
@@ -34,13 +38,6 @@ TINY_DENSITY = 1e-300
 # instead of leaving rounding noise that no quadrature tolerance can meet
 UNIT_RATIO_TOLERANCE = 1e-12
 
-
-def _w_log_ratio(w: float, num: float, den: float) -> float:
-    """w * log(num/den), with near-one ratios clamped to exactly one."""
-    r = num / den
-    if abs(r - 1.0) < UNIT_RATIO_TOLERANCE:
-        return 0.0
-    return w * math.log(r)
 
 ZLOGZ_AXIS = "axis"
 ZLOGZ_COLLAPSE = "collapse"
@@ -81,8 +78,42 @@ class InfoConfig:
 _DEFAULT = InfoConfig()
 
 
-def _flogf(p: float) -> float:
-    return 0.0 if p < TINY_DENSITY else p * math.log(p)
+def _log_terms(w: np.ndarray, num, den) -> np.ndarray:
+    """w*log(num/den) elementwise: the pointwise rule of every term here.
+
+    Terms with weight below TINY_DENSITY are 0, and ratios within
+    UNIT_RATIO_TOLERANCE of one give exactly 0. A vanishing numerator or
+    denominator under a weight that counts gives a non-finite term, and
+    every sum of terms rejects one with a DomainError: the integrators and
+    soft_sum name its point, the point-pair sum checks its total. Callers
+    run it with numpy's floating-point warnings off, as the integrators do.
+    """
+    ratio = num / den
+    keep = ~(w < TINY_DENSITY)
+    keep &= ~(np.abs(ratio - 1.0) < UNIT_RATIO_TOLERANCE)
+    terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
+    terms *= w
+    return terms
+
+
+def _require_positive_density(d: ContinuousDistribution, points: np.ndarray, what: str) -> None:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = d.pdf_array(points)
+    bad = np.flatnonzero(~(f > 0.0))
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"{what} is {float(f[k])!r} at point {float(points[k])!r}")
+
+
+def _entropy_axes(d: ContinuousDistribution, ms: MixedSet, point_sum: float,
+                  interval_sum: float, cfg: InfoConfig) -> ExtendedSoftNumber:
+    """-(sum f(x_i))*0log0~ - point_sum*0~ - interval_sum, in cfg's log base."""
+    lnb = cfg.ln_base
+    h1 = 0.0
+    if cfg.zlogz_mode == ZLOGZ_AXIS:
+        density = sample_1d(d.pdf_array, np.array(ms.points, dtype=float))
+        h1 = (0.0 - sum(density.tolist(), 0.0)) / lnb
+    return ExtendedSoftNumber(h1, (0.0 - point_sum) / lnb, (0.0 - interval_sum) / lnb)
 
 
 def soft_entropy(d: ContinuousDistribution, ms: MixedSet,
@@ -93,23 +124,13 @@ def soft_entropy(d: ContinuousDistribution, ms: MixedSet,
     integrals of f log f. Zero density at a listed point is a domain error;
     inside intervals f -> 0 is handled by the limit f log f -> 0.
     """
-    h1 = 0.0
-    h2 = 0.0
-    for p in ms.points:
-        fp = d.pdf(p)
-        if not fp > 0.0:
-            raise DomainError(f"density is {fp!r} at point {p!r}, log undefined")
-        h1 -= fp
-        h2 -= fp * math.log(fp)
-    h3 = 0.0
-    quad = cfg.quad_1d()
-    for lo, hi in ms.intervals:
-        h3 -= integrate_1d(lambda t: _flogf(d.pdf(t)), lo, hi, quad)
-    lnb = cfg.ln_base
-    h1, h2, h3 = h1 / lnb, h2 / lnb, h3 / lnb
-    if cfg.zlogz_mode == ZLOGZ_COLLAPSE:
-        h1 = 0.0
-    return ExtendedSoftNumber(h1, h2, h3)
+    _require_positive_density(d, np.array(ms.points, dtype=float), "density")
+
+    def flogf(xs: np.ndarray) -> np.ndarray:
+        f = d.pdf_array(xs)
+        return _log_terms(f, f, 1.0)
+
+    return _entropy_axes(d, ms, *soft_sum(d, flogf, ms, cfg.quad_1d()), cfg)
 
 
 def soft_cross_entropy(d: ContinuousDistribution, d_hat: ContinuousDistribution,
@@ -117,39 +138,12 @@ def soft_cross_entropy(d: ContinuousDistribution, d_hat: ContinuousDistribution,
     """Hs[d, d_hat | ms]: entropy shape with log f replaced by log f_hat.
 
     The 0log0~ coefficient is the same -sum f(x_i) as in soft_entropy.
-    Requires f_hat > 0 wherever f > 0 on the set.
+    Requires f_hat > 0 wherever f counts on the set.
     """
-    h1 = 0.0
-    h2 = 0.0
-    for p in ms.points:
-        fp = d.pdf(p)
-        h1 -= fp
-        if fp > 0.0:
-            qp = d_hat.pdf(p)
-            if not qp > 0.0:
-                raise DomainError(
-                    f"reference density is {qp!r} at point {p!r} where f > 0")
-            h2 -= fp * math.log(qp)
-    h3 = 0.0
-    quad = cfg.quad_1d()
+    def flogq(xs: np.ndarray) -> np.ndarray:
+        return _log_terms(d.pdf_array(xs), d_hat.pdf_array(xs), 1.0)
 
-    def integrand(t: float) -> float:
-        fp = d.pdf(t)
-        if fp < TINY_DENSITY:
-            return 0.0
-        qp = d_hat.pdf(t)
-        if qp < TINY_DENSITY:
-            raise DomainError(
-                f"reference density vanishes at {t!r} where f = {fp!r}")
-        return fp * math.log(qp)
-
-    for lo, hi in ms.intervals:
-        h3 -= integrate_1d(integrand, lo, hi, quad)
-    lnb = cfg.ln_base
-    h1, h2, h3 = h1 / lnb, h2 / lnb, h3 / lnb
-    if cfg.zlogz_mode == ZLOGZ_COLLAPSE:
-        h1 = 0.0
-    return ExtendedSoftNumber(h1, h2, h3)
+    return _entropy_axes(d, ms, *soft_sum(d, flogq, ms, cfg.quad_1d()), cfg)
 
 
 def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
@@ -160,30 +154,11 @@ def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
     it over intervals. Identical d and d_hat give absolute zero exactly
     because every log ratio is log(1).
     """
-    soft = 0.0
-    for p in ms.points:
-        fp = d.pdf(p)
-        if fp > 0.0:
-            qp = d_hat.pdf(p)
-            if not qp > 0.0:
-                raise DomainError(
-                    f"reference density is {qp!r} at point {p!r} where f > 0")
-            soft += _w_log_ratio(fp, fp, qp)
-    quad = cfg.quad_1d()
+    def flogratio(xs: np.ndarray) -> np.ndarray:
+        f = d.pdf_array(xs)
+        return _log_terms(f, f, d_hat.pdf_array(xs))
 
-    def integrand(t: float) -> float:
-        fp = d.pdf(t)
-        if fp < TINY_DENSITY:
-            return 0.0
-        qp = d_hat.pdf(t)
-        if qp < TINY_DENSITY:
-            raise DomainError(
-                f"reference density vanishes at {t!r} where f = {fp!r}")
-        return _w_log_ratio(fp, fp, qp)
-
-    real = 0.0
-    for lo, hi in ms.intervals:
-        real += integrate_1d(integrand, lo, hi, quad)
+    soft, real = soft_sum(d, flogratio, ms, cfg.quad_1d())
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
 
@@ -197,39 +172,18 @@ FORM_CONDITIONAL = "conditional"
 POINT_BLOCK_PAIRS = 1 << 14
 
 
-def _require_positive_density(d: ContinuousDistribution, points: np.ndarray, axis: str) -> None:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = d.pdf_array(points)
-    bad = np.flatnonzero(~(f > 0.0))
-    if bad.size:
-        k = bad[0]
-        raise DomainError(f"marginal density of {axis} is {float(f[k])!r} "
-                          f"at point {float(points[k])!r}")
-
-
 def _mi_terms(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> np.ndarray:
-    """Pointwise MI terms w*log(num/den) on the grid [k, i] = (xs[i], ys[k]).
-
-    Terms with weight below TINY_DENSITY are 0, and ratios within
-    UNIT_RATIO_TOLERANCE of one give exactly 0, as in _w_log_ratio. A
-    vanishing denominator under a weight that counts gives an infinite term.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fx = j.marginal_x.pdf_array(xs)
-        fy = j.marginal_y.pdf_array(ys)[:, None]
-        if form == FORM_SYMMETRIC:
-            w = num = j.joint_pdf_grid(xs, ys)
-            den = fx * fy
-        else:
-            num = j.conditional_pdf_grid(ys, xs)
-            w = num * fx
-            den = fy
-        ratio = num / den
-        keep = ~(w < TINY_DENSITY)
-        keep &= ~(np.abs(ratio - 1.0) < UNIT_RATIO_TOLERANCE)
-        terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
-        terms *= w
-    return terms
+    """Pointwise MI terms w*log(num/den) on the grid [k, i] = (xs[i], ys[k])."""
+    fx = j.marginal_x.pdf_array(xs)
+    fy = j.marginal_y.pdf_array(ys)[:, None]
+    if form == FORM_SYMMETRIC:
+        w = num = j.joint_pdf_grid(xs, ys)
+        den = fx * fy
+    else:
+        num = j.conditional_pdf_grid(ys, xs)
+        w = num * fx
+        den = fy
+    return _log_terms(w, num, den)
 
 
 def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> float:
@@ -238,12 +192,13 @@ def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) ->
     A marginal density that is not positive at a listed point is a
     DomainError, whatever the weight of its pairs.
     """
-    _require_positive_density(j.marginal_x, xs, "X")
-    _require_positive_density(j.marginal_y, ys, "Y")
+    _require_positive_density(j.marginal_x, xs, "marginal density of X")
+    _require_positive_density(j.marginal_y, ys, "marginal density of Y")
     rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
     total = 0.0
-    for start in range(0, len(ys), rows):
-        total += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, len(ys), rows):
+            total += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
     if not math.isfinite(total):
         raise DomainError(f"point-pair sum of mutual information is {total!r}")
     return total

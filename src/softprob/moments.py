@@ -1,10 +1,14 @@
-"""Soft expectation and soft variance over mixed point/interval sets.
+"""Mixed point/interval sets, the soft sum over them, and soft moments.
 
 Conditioning a continuous variable on a MixedSet keeps two kinds of mass:
 density at isolated points (soft axis) and classical probability on open
-intervals (real axis). The expectation therefore returns nu*0~ + kappa,
-and the variance propagates the soft expectation through the square using
-the nilpotent rule, which is where the gamma components below come from.
+intervals (real axis). Every soft quantity over a MixedSet is built the
+same way, and soft_sum builds it: an array term kernel is summed over the
+points and integrated over the intervals. The expectation therefore
+returns nu*0~ + kappa, and the variance propagates the soft expectation
+through the square using the nilpotent rule, which is where the gamma
+components below come from. The entropies in the information module are
+kernels over the same helper.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .distributions import ContinuousDistribution
 from .errors import DomainError
-from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_1d
+from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_1d, sample_1d
 from .softnum import SoftNumber
 
 
@@ -99,6 +105,30 @@ class MixedSet:
         return cls(points, intervals)
 
 
+def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray],
+             ms: MixedSet, quadrature: Optional[QuadratureConfig] = None
+             ) -> tuple[float, float]:
+    """(point_sum, interval_sum) of the array kernel term over ms.
+
+    term(xs) returns the term at each of the points xs, usually a density
+    of d times some function. point_sum adds it over ms.points, in order;
+    interval_sum integrates it over every interval. Each interval is split,
+    never clipped, at d.location and at the ends of d.truncated_range()
+    that lie strictly inside it, so that no panel straddles a narrow peak,
+    the bulk of a wide interval or a jump at a support edge. A non-finite
+    term is a DomainError that names its point.
+    """
+    cfg = quadrature if quadrature is not None else DEFAULT_1D
+    point_sum = sum(sample_1d(term, np.array(ms.points, dtype=float)).tolist(), 0.0)
+    breaks = (d.location, *d.truncated_range())
+    interval_sum = 0.0
+    for lo, hi in ms.intervals:
+        edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
+        for a, b in zip(edges, edges[1:]):
+            interval_sum += integrate_1d(term, a, b, cfg)
+    return point_sum, interval_sum
+
+
 def _as_float(v) -> float:
     try:
         return float(v)
@@ -130,19 +160,13 @@ class SoftMoments:
 
 
 def soft_expectation_of(d: ContinuousDistribution, ms: MixedSet,
-                        g: Callable[[float], float],
+                        g: Callable[[np.ndarray], np.ndarray],
                         quadrature: Optional[QuadratureConfig] = None) -> SoftNumber:
-    """Es[g(X) | X in ms] = (sum g(x_i)f(x_i))*0~ + sum of interval integrals of g*f."""
-    cfg = quadrature if quadrature is not None else DEFAULT_1D
-    nu = 0.0
-    for p in ms.points:
-        gp = float(g(p))
-        if not math.isfinite(gp):
-            raise DomainError(f"g returned non-finite value {gp!r} at {p!r}")
-        nu += gp * d.pdf(p)
-    kappa = 0.0
-    for lo, hi in ms.intervals:
-        kappa += integrate_1d(lambda x: g(x) * d.pdf(x), lo, hi, cfg)
+    """Es[g(X) | X in ms] = (sum g(x_i)f(x_i))*0~ + sum of interval integrals of g*f.
+
+    g takes an array of points and returns g at each of them.
+    """
+    nu, kappa = soft_sum(d, lambda xs: g(xs) * d.pdf_array(xs), ms, quadrature)
     return SoftNumber(nu, kappa)
 
 
@@ -160,21 +184,16 @@ def soft_variance(d: ContinuousDistribution, ms: MixedSet,
     The soft coefficient gamma = gamma1_sq + 2*nu*gamma2 may be negative;
     the real part lambda_sq never is.
     """
-    cfg = quadrature if quadrature is not None else DEFAULT_1D
-    expectation = soft_expectation(d, ms, cfg)
+    expectation = soft_expectation(d, ms, quadrature)
     nu, kappa = expectation.soft, expectation.real
-    gamma1_sq = 0.0
-    for p in ms.points:
-        delta = kappa - p
-        gamma1_sq += delta * delta * d.pdf(p)
-    coverage = 0.0
-    for lo, hi in ms.intervals:
-        coverage += d.cdf(hi) - d.cdf(lo)
+
+    def spread(xs: np.ndarray) -> np.ndarray:
+        delta = kappa - xs
+        return delta * delta * d.pdf_array(xs)
+
+    gamma1_sq, lambda_sq = soft_sum(d, spread, ms, quadrature)
+    coverage = sum((d.cdf(hi) - d.cdf(lo) for lo, hi in ms.intervals), 0.0)
     gamma2 = -kappa * (1.0 - coverage)
-    lambda_sq = 0.0
-    for lo, hi in ms.intervals:
-        lambda_sq += integrate_1d(
-            lambda x: (kappa - x) * (kappa - x) * d.pdf(x), lo, hi, cfg)
     gamma = gamma1_sq + 2.0 * nu * gamma2
     record = SoftMoments(nu=nu, kappa=kappa, gamma1_sq=gamma1_sq, gamma2=gamma2,
                          lambda_sq=lambda_sq, gamma=gamma)

@@ -6,12 +6,19 @@ optional absolute floor. Termination is relative by default because the
 integrals this package cares about range over hundreds of orders of
 magnitude; an absolute cutoff would silently zero the tail cases.
 
-The 1-D integrand is a scalar function f(x). The 2-D integrand is a grid
-function: f(xs, ys) takes two 1-D arrays and returns the array
+Integrands take arrays. The 1-D integrand f(xs) takes a 1-D array of
+nodes and returns the array of f at each of them. The 2-D integrand is a
+grid function: f(xs, ys) takes two 1-D arrays and returns the array
 [len(ys), len(xs)] with [j, i] = f(xs[i], ys[j]), the layout of
-JointModel.joint_pdf_grid. The first whole-rectangle estimate is one call
-on the 16x16 Gauss nodes, and each refinement step evaluates its four
-child panels with one call on the 32x32 tensor grid of their nodes.
+JointModel.joint_pdf_grid. The first whole-interval estimate is one call
+on the 16 Gauss nodes (16x16 in 2-D), and each refinement step evaluates
+all its child panels with one call: 32 nodes for the two halves in 1-D,
+the 32x32 tensor grid for the four quarters in 2-D. A result of the wrong
+shape, or a non-finite value in it, is a DomainError that names the
+first bad point. The 1-D soft quantities reach integrate_1d through
+moments.soft_sum, which evaluates the same array kernel on a MixedSet's
+points with sample_1d and splits its intervals at the density's break
+points before integrating them.
 
 Everything here is pure and deterministic: panels are visited depth-first
 left to right and accepted values are combined with an exact running sum,
@@ -60,78 +67,124 @@ DEFAULT_2D = QuadratureConfig(rel_tol=1e-7)
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = _legendre.leggauss(n)
-    return tuple(float(t) for t in nodes), tuple(float(w) for w in weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _sample(f: Callable[[float], float], x: float) -> float:
-    y = float(f(x))
-    if not math.isfinite(y):
-        raise DomainError(f"integrand returned non-finite value {y!r} at x={x!r}")
-    return y
+def _checked(f, args: tuple, shape: tuple[int, ...], where: Callable[[tuple], str]
+             ) -> np.ndarray:
+    """f(*args) as a float array of the given shape, all finite.
+
+    Anything else is a DomainError; where(k) names the point behind the
+    first non-finite entry k. Floating-point warnings are off while f runs,
+    because this check reports what they would.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = np.asarray(f(*args), dtype=float)
+    if values.shape != shape:
+        raise DomainError(f"integrand returned shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        k = tuple(np.argwhere(~np.isfinite(values))[0])
+        raise DomainError(f"integrand returned non-finite value {float(values[k])!r} "
+                          f"at {where(k)}")
+    return values
 
 
-def _panel_1d(f, a: float, b: float, nodes, weights) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = 0.0
-    for t, w in zip(nodes, weights):
-        acc += w * _sample(f, mid + half * t)
-    return acc * half
+def sample_1d(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """f(xs) for a 1-D integrand, checked as every panel's values are."""
+    return _checked(f, (xs,), xs.shape, lambda k: f"x={float(xs[k[0]])!r}")
 
 
 def _accept(refined: float, whole: float, cfg: QuadratureConfig) -> bool:
     return abs(refined - whole) <= max(cfg.rel_tol * abs(refined), cfg.abs_tol)
 
 
-def integrate_1d(f: Callable[[float], float], a: float, b: float,
-                 cfg: Optional[QuadratureConfig] = None) -> float:
-    """Integrate f over (a, b), a < b, both finite."""
-    if cfg is None:
-        cfg = DEFAULT_1D
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
-    nodes, weights = _gauss_rule(cfg.points_per_panel)
+def _describe(box: tuple[float, ...]) -> str:
+    """(lo, hi) in 1-D, (x_lo, x_hi) x (y_lo, y_hi) in 2-D."""
+    return " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(box[::2], box[1::2]))
+
+
+def _adapt(refine, root: tuple[float, ...], whole: float, cfg: QuadratureConfig) -> float:
+    """Refine the box root depth-first until every panel meets the tolerance.
+
+    A box is (lo, hi) in 1-D and (x_lo, x_hi, y_lo, y_hi) in 2-D.
+    refine(box) returns the child boxes, their estimates and the refined
+    estimate of box. Children are pushed last first, so that panels pop
+    in left-to-right order.
+    """
     accepted: list[float] = []
-    stuck: list[tuple[float, float, float]] = []
-    # work stack of (lo, hi, parent estimate, depth); children are pushed
-    # right before left so panels pop in left-to-right order
-    stack = [(a, b, _panel_1d(f, a, b, nodes, weights), 1)]
+    stuck: list[tuple[tuple[float, ...], float]] = []
+    stack = [(root, whole, 1)]
     while stack:
-        lo, hi, whole, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel_1d(f, lo, mid, nodes, weights)
-        right = _panel_1d(f, mid, hi, nodes, weights)
-        refined = left + right
+        box, whole, depth = stack.pop()
+        children, parts, refined = refine(box)
         if _accept(refined, whole, cfg):
             accepted.append(refined)
             continue
         if depth >= cfg.max_depth:
-            stuck.append((lo, hi, abs(refined - whole)))
+            stuck.append((box, abs(refined - whole)))
             accepted.append(refined)
             if len(stuck) >= STUCK_PANEL_CAP:
                 break
             continue
-        stack.append((mid, hi, right, depth + 1))
-        stack.append((lo, mid, left, depth + 1))
-    total = math.fsum(accepted) + math.fsum(whole for _, _, whole, _ in stack)
+        for child, part in zip(reversed(children), reversed(parts)):
+            stack.append((child, part, depth + 1))
+    total = math.fsum(accepted) + math.fsum(item[1] for item in stack)
     if stuck:
-        lo, hi, gap = stuck[0]
+        box, gap = stuck[0]
         raise ConvergenceError(
-            f"integral over ({a!r}, {b!r}) did not converge in {len(stuck)} "
-            f"panel(s) at depth {cfg.max_depth}; worst panel ({lo!r}, {hi!r}) "
-            f"moved by {gap!r} on the last refinement",
-            best_estimate=total)
+            f"integral over {_describe(root)} did not converge in {len(stuck)} "
+            f"panel(s) at depth {cfg.max_depth}; first stuck panel {_describe(box)} "
+            f"moved by {gap!r} on the last refinement", best_estimate=total)
     return float(total)
+
+
+def _mid(lo, hi):
+    """(lo + hi) / 2, halving first so that no finite lo, hi overflow."""
+    return 0.5 * lo + 0.5 * hi
 
 
 def _panel_nodes(edges: tuple[float, ...], nodes: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes of each panel between consecutive edges, and each panel's half-width."""
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = 0.5 * (hi - lo)
-    return ((0.5 * (lo + hi))[:, None] + half[:, None] * nodes).ravel(), half
+    pairs = tuple(zip(edges, edges[1:]))
+    mid = np.array([_mid(lo, hi) for lo, hi in pairs])
+    half = np.array([0.5 * hi - 0.5 * lo for lo, hi in pairs])
+    return (mid[:, None] + half[:, None] * nodes).ravel(), half
+
+
+def _panels(f, edges: tuple[float, ...], nodes: np.ndarray,
+            weights: np.ndarray) -> list[float]:
+    """Gauss-Legendre estimates of every panel between consecutive edges, from one call of f."""
+    xs, half = _panel_nodes(edges, nodes)
+    sums = sample_1d(f, xs).reshape(len(half), len(nodes)) @ weights
+    sums *= half
+    return sums.tolist()
+
+
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                 cfg: Optional[QuadratureConfig] = None) -> float:
+    """Integrate f over (a, b), a < b, both finite.
+
+    f(xs) returns the array of f at each of the nodes xs; a non-finite
+    value in it is a DomainError naming the first bad x.
+    """
+    if cfg is None:
+        cfg = DEFAULT_1D
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
+    nodes, weights = _gauss_rule(cfg.points_per_panel)
+
+    def refine(box):
+        lo, hi = box
+        mid = _mid(lo, hi)
+        left, right = _panels(f, (lo, mid, hi), nodes, weights)
+        return ((lo, mid), (mid, hi)), (left, right), left + right
+
+    [whole] = _panels(f, (a, b), nodes, weights)
+    return _adapt(refine, (a, b), whole, cfg)
 
 
 def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...],
@@ -143,14 +196,8 @@ def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...],
     """
     xs, xh = _panel_nodes(xedges, nodes)
     ys, yh = _panel_nodes(yedges, nodes)
-    grid = np.asarray(f(xs, ys), dtype=float)
-    if grid.shape != (len(ys), len(xs)):
-        raise DomainError(f"grid integrand returned shape {grid.shape}, "
-                          f"expected {(len(ys), len(xs))}")
-    if not np.isfinite(grid).all():
-        j, i = np.argwhere(~np.isfinite(grid))[0]
-        raise DomainError(f"integrand returned non-finite value {float(grid[j, i])!r} "
-                          f"at ({float(xs[i])!r}, {float(ys[j])!r})")
+    grid = _checked(f, (xs, ys), (len(ys), len(xs)),
+                    lambda k: f"({float(xs[k[1]])!r}, {float(ys[k[0]])!r})")
     n = len(nodes)
     cells = grid.reshape(len(yh), n, len(xh), n)
     sums = np.einsum("j,ajbi,i->ab", weights, cells, weights)
@@ -173,34 +220,16 @@ def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise DomainError(f"need finite x bounds with x_lo < x_hi, got ({x_lo!r}, {x_hi!r})")
     if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
         raise DomainError(f"need finite y bounds with y_lo < y_hi, got ({y_lo!r}, {y_hi!r})")
-    nodes, weights = (np.array(v) for v in _gauss_rule(cfg.points_per_panel))
-    accepted: list[float] = []
-    stuck_count = 0
-    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi), nodes, weights)
-    stack = [(x_lo, x_hi, y_lo, y_hi, whole, 1)]
-    while stack:
-        xlo, xhi, ylo, yhi, whole, depth = stack.pop()
-        xm = 0.5 * (xlo + xhi)
-        ym = 0.5 * (ylo + yhi)
+    nodes, weights = _gauss_rule(cfg.points_per_panel)
+
+    def refine(box):
+        xlo, xhi, ylo, yhi = box
+        xm = _mid(xlo, xhi)
+        ym = _mid(ylo, yhi)
         quads = ((xlo, xm, ylo, ym), (xm, xhi, ylo, ym),
                  (xlo, xm, ym, yhi), (xm, xhi, ym, yhi))
         parts = _grid_panels(f, (xlo, xm, xhi), (ylo, ym, yhi), nodes, weights)
-        refined = (parts[0] + parts[1]) + (parts[2] + parts[3])
-        if _accept(refined, whole, cfg):
-            accepted.append(refined)
-            continue
-        if depth >= cfg.max_depth:
-            stuck_count += 1
-            accepted.append(refined)
-            if stuck_count >= STUCK_PANEL_CAP:
-                break
-            continue
-        for q, part in zip(reversed(quads), reversed(parts)):
-            stack.append((*q, part, depth + 1))
-    total = math.fsum(accepted) + math.fsum(item[4] for item in stack)
-    if stuck_count:
-        raise ConvergenceError(
-            f"2-D integral over ({x_lo!r}, {x_hi!r}) x ({y_lo!r}, {y_hi!r}) did "
-            f"not converge in {stuck_count} panel(s) at depth {cfg.max_depth}",
-            best_estimate=total)
-    return float(total)
+        return quads, parts, (parts[0] + parts[1]) + (parts[2] + parts[3])
+
+    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi), nodes, weights)
+    return _adapt(refine, (x_lo, x_hi, y_lo, y_hi), whole, cfg)

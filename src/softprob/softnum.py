@@ -10,8 +10,9 @@ return type of nearly every quantity in this package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Union
 
 from .errors import DomainError
 
@@ -23,6 +24,20 @@ def _check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _order_key(s: "SoftNumber") -> tuple[float, float]:
+    """Soft numbers order by real part first; soft coefficients break ties."""
+    return (s.real, s.soft)
+
+
+def _comparison(op):
+    def compare(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(_order_key(self), _order_key(other))
+    return compare
 
 
 @dataclass(frozen=True)
@@ -46,19 +61,9 @@ class SoftNumber:
         """A pure soft zero a*0~."""
         return cls(coefficient, 0.0)
 
-    @classmethod
-    def from_real(cls, value: float) -> "SoftNumber":
-        """Embed an ordinary real number."""
-        return cls(0.0, value)
-
     @property
     def is_absolute_zero(self) -> bool:
         return self.soft == 0.0 and self.real == 0.0
-
-    @property
-    def is_soft_zero(self) -> bool:
-        """True for a*0~ with a != 0."""
-        return self.soft != 0.0 and self.real == 0.0
 
     def conjugate(self) -> "SoftNumber":
         """Flip the sign of the soft coefficient."""
@@ -112,29 +117,10 @@ class SoftNumber:
     def __pow__(self, n: int) -> "SoftNumber":
         return pow_nat(self, n)
 
-    def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.real, self.soft) < (other.real, other.soft)
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.real, self.soft) <= (other.real, other.soft)
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.real, self.soft) > (other.real, other.soft)
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.real, self.soft) >= (other.real, other.soft)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __str__(self) -> str:
         return render_soft(self)
@@ -227,12 +213,8 @@ def cmp(s: SoftNumber, t: SoftNumber) -> int:
 
     Returns -1, 0, or 1.
     """
-    a, b = (s.real, s.soft), (t.real, t.soft)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+    a, b = _order_key(s), _order_key(t)
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -265,39 +247,6 @@ def from_sp(p: SymmetricPair) -> SoftNumber:
     if not 0.0 <= b <= 1.0:
         raise DomainError(f"width must lie in [0, 1], got {b!r}")
     return SoftNumber((1.0 - b) * a, b * a)
-
-
-@dataclass(frozen=True)
-class BridgeNumber:
-    """One-sided form a*0~ (+) b with the soft term on the left or right.
-
-    The two orientations hold the same components but are distinct values;
-    ``side`` participates in equality. ``mirror`` swaps the orientation.
-    """
-
-    side: str
-    soft: float
-    real: float
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise DomainError(f"side must be 'left' or 'right', got {self.side!r}")
-        object.__setattr__(self, "soft", _check_finite("soft", self.soft))
-        object.__setattr__(self, "real", _check_finite("real", self.real))
-
-    def mirror(self) -> "BridgeNumber":
-        other = "right" if self.side == "left" else "left"
-        return BridgeNumber(other, self.soft, self.real)
-
-    def to_soft(self) -> SoftNumber:
-        """Collapse the orientation and return the plain soft number."""
-        return SoftNumber(self.soft, self.real)
-
-
-def bridges_of(s: SoftNumber) -> tuple[BridgeNumber, BridgeNumber]:
-    """The (left, right) oriented forms of a soft number."""
-    return (BridgeNumber("left", s.soft, s.real),
-            BridgeNumber("right", s.soft, s.real))
 
 
 @dataclass(frozen=True)
@@ -335,10 +284,6 @@ class ExtendedSoftNumber:
     def __neg__(self) -> "ExtendedSoftNumber":
         return ExtendedSoftNumber(-self.zlogz, -self.soft, -self.real)
 
-    def scaled(self, factor: float) -> "ExtendedSoftNumber":
-        return ExtendedSoftNumber(factor * self.zlogz, factor * self.soft,
-                                  factor * self.real)
-
     def without_zlogz(self) -> SoftNumber:
         """Project onto the two ordinary axes; zlogz must already be 0."""
         if self.zlogz != 0.0:
@@ -347,16 +292,6 @@ class ExtendedSoftNumber:
 
     def __str__(self) -> str:
         return render_extended(self)
-
-
-def ext_combine(terms: Iterable[tuple[float, ExtendedSoftNumber]]) -> ExtendedSoftNumber:
-    """Weighted sum of extended values, componentwise."""
-    z = s = r = 0.0
-    for weight, e in terms:
-        z += weight * e.zlogz
-        s += weight * e.soft
-        r += weight * e.real
-    return ExtendedSoftNumber(z, s, r)
 
 
 def render_soft(s: SoftNumber) -> str:

@@ -411,12 +411,12 @@ BATTERY_1D = (
 def test_criterion_6_quadrature_oracle():
     checked = 0
     for f, a, b in BATTERY_1D:
-        adaptive = integrate_1d(lambda t: float(f(t)), a, b)
+        adaptive = integrate_1d(f, a, b)
         brute = _riemann_1d(f, a, b)
         assert abs(adaptive - brute) <= 1e-3 * abs(brute), (a, b, adaptive, brute)
         checked += 1
 
-    tail = integrate_1d(lambda t: float(_std_phi(t)), 20.0, 21.0)
+    tail = integrate_1d(_std_phi, 20.0, 21.0)
     assert 0.0 < tail < 1e-50
 
     f2 = lambda x, y: np.exp(-x * x - y * y)

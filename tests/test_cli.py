@@ -264,6 +264,16 @@ class TestMoments:
         assert payload["variance"]["soft"] == pytest.approx(0.0, abs=1e-12)
         assert payload["variance"]["real"] == pytest.approx(1.0 / 12.0, abs=1e-9)
 
+    def test_interval_beyond_the_support(self, capsys):
+        # both support edges lie inside the interval; this exited 1 with a
+        # ConvergenceError
+        code, payload, err = _run_json(capsys, ["moments", "--dist", UNIFORM_01,
+                                                "--set",
+                                                '{"points": [], "intervals": [[-1, 2]]}'])
+        assert (code, err) == (0, "")
+        assert payload["expectation"]["real"] == pytest.approx(0.5, rel=1e-12)
+        assert payload["variance"]["real"] == pytest.approx(1.0 / 12.0, rel=1e-12)
+
 
 TRAIN_CSV = "\n".join(["x1,x2,y"] + [
     f"{i * 0.1:.3f},{(i * 7 % 11) * 0.1:.3f},{i * 0.1 + 0.05:.3f}"
@@ -447,6 +457,13 @@ _FLOAT_TEXT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                         st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e308])).map(repr)
 _LIST_TEXT = st.one_of(st.lists(_NUMBERS, max_size=3).map(lambda v: ",".join(map(str, v))),
                        st.text(max_size=8))
+
+
+def test_mi_over_an_interval_wider_than_the_largest_float():
+    # found by test_mi_never_raises: hi - lo overflowed in the panel nodes
+    _assert_exits_cleanly(["mi", "--joint", ADDITIVE,
+                           "--set-x", '{"points": [], "intervals": [[0.0, 1.0]]}',
+                           "--set-y", '{"points": [], "intervals": [[-8e307, 1e308]]}'])
 
 
 class TestRandomDescriptors:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,7 +116,7 @@ class TestJointGaussianAdditive:
         j = joint_gaussian_additive(Gaussian(0, 1), Gaussian(0, 1))
         y_lo, y_hi = j.marginal_y.truncated_range()
         for x in (-1.0, 0.5, 1.5):
-            got = integrate_1d(lambda y: j.joint_pdf(x, y), y_lo, y_hi)
+            got = integrate_1d(lambda ys: np.array([j.joint_pdf(x, y) for y in ys]), y_lo, y_hi)
             assert math.isclose(got, j.marginal_x.pdf(x), rel_tol=1e-6)
 
 

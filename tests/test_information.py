@@ -1,5 +1,6 @@
 """Tests for soft entropy, cross entropy, KL divergence, and mutual information."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -13,6 +14,7 @@ from softprob.distributions import (
     Gaussian,
     JointModel,
     Uniform,
+    UserDefinedDistribution,
     joint_gaussian_additive,
 )
 from softprob.errors import DomainError
@@ -27,7 +29,7 @@ from softprob.information import (
     soft_kld,
     soft_mutual_information,
 )
-from softprob.moments import MixedSet
+from softprob.moments import MixedSet, soft_expectation, soft_variance
 from softprob.softnum import ExtendedSoftNumber, SoftNumber
 
 LN2 = math.log(2.0)
@@ -99,6 +101,17 @@ class TestEntropy:
     def test_gaussian_wide_interval_matches_closed_form(self):
         value = soft_entropy(Gaussian(0, 1), MixedSet([], [(-10.0, 10.0)]))
         assert value.real == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), abs=1e-8)
+
+    def test_wide_interval_finds_the_bulk(self):
+        # no Gauss node of the unsplit interval lands in the bulk, which made
+        # the entropy 0
+        value = soft_entropy(Gaussian(0, 1), MixedSet([], [(-1e6, 1e6)]))
+        assert value.real == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), rel=1e-12)
+
+    def test_far_tail_interval_is_split_not_clipped(self):
+        # (20, 30) lies outside the +/-10 sigma window; clipping to it gives 0
+        value = soft_entropy(Gaussian(0, 1), MixedSet([], [(20.0, 30.0)]))
+        assert value.real == pytest.approx(5.560020595838215e-87, rel=1e-12)
 
     def test_zero_density_at_point_rejected(self):
         with pytest.raises(DomainError):
@@ -233,6 +246,74 @@ class TestKld:
         bits = soft_kld(Uniform(0, 1), Uniform(0, 2), ms, BASE2)
         assert bits.soft == nats.soft / LN2
         assert bits.real == nats.real / LN2
+
+
+STD = Gaussian(0.0, 1.0)
+
+
+def _std_mass(a, b):
+    """P(a < X < b) for X ~ N(0, 1), and its second moment over (a, b)."""
+    phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    mass = 0.5 * (math.erfc(a / math.sqrt(2.0)) - math.erfc(b / math.sqrt(2.0)))
+    return mass, mass + a * phi(a) - b * phi(b)
+
+
+class TestPointwiseRule:
+    """Entropy, cross entropy and KLD use the pointwise rule of _mi_terms: a
+    weight below TINY_DENSITY gives 0, and a term is an error only where it
+    is not finite."""
+
+    # f(37.5) of N(0, 1) is about 1.7e-306: positive, but below TINY_DENSITY
+    FAR = MixedSet([37.5])
+
+    def test_far_tail_point_adds_nothing(self):
+        assert 0.0 < STD.pdf(37.5) < information.TINY_DENSITY
+        entropy = soft_entropy(STD, self.FAR)
+        assert entropy.soft == 0.0
+        assert entropy.zlogz == pytest.approx(-STD.pdf(37.5), rel=1e-12)
+        assert soft_cross_entropy(STD, Gaussian(1.0, 1.0), self.FAR).soft == 0.0
+        assert soft_kld(STD, Gaussian(1.0, 1.0), self.FAR) == SoftNumber(0.0, 0.0)
+
+    def test_far_tail_point_needs_no_reference_density(self):
+        assert soft_cross_entropy(STD, Uniform(0, 1), self.FAR).soft == 0.0
+        assert soft_kld(STD, Uniform(0, 1), self.FAR) == SoftNumber(0.0, 0.0)
+        with pytest.raises(DomainError):
+            soft_kld(STD, Uniform(0, 1), MixedSet([2.0]))
+
+    def test_tiny_reference_density_on_an_interval_is_not_an_error(self):
+        # over (2.64, 2.66), N(0, 0.005) falls from 1.2e-302 to 2.9e-307 while
+        # f stays near 0.012
+        a, b, v = 2.64, 2.66, 0.005
+        mass, second = _std_mass(a, b)
+        cross = second / (2.0 * v) + 0.5 * math.log(2.0 * math.pi * v) * mass
+        entropy = 0.5 * second + 0.5 * math.log(2.0 * math.pi) * mass
+        ms = MixedSet([], [(a, b)])
+        assert soft_cross_entropy(STD, Gaussian(0.0, v), ms).real == pytest.approx(
+            cross, rel=1e-12)
+        assert soft_kld(STD, Gaussian(0.0, v), ms).real == pytest.approx(
+            cross - entropy, rel=1e-12)
+        # where the reference density underflows to 0 the term is -inf
+        with pytest.raises(DomainError, match="non-finite"):
+            soft_cross_entropy(STD, Gaussian(0.0, v), MixedSet([], [(3.0, 3.1)]))
+
+
+def test_scalar_only_distribution_matches_the_gaussian_override():
+    def scalar_only(g):
+        return UserDefinedDistribution(g.pdf, g.cdf, location=g.mean, scale=g.sigma)
+
+    g, g_hat = Gaussian(0.3, 1.7), Gaussian(-0.4, 2.5)
+    u, u_hat = scalar_only(g), scalar_only(g_hat)
+    ms = MixedSet([-2.0, 0.5], [(-1.0, 0.25), (1.0, 4.0), (5.0, 40.0)])
+    pairs = [
+        (soft_entropy(u, ms), soft_entropy(g, ms)),
+        (soft_cross_entropy(u, u_hat, ms), soft_cross_entropy(g, g_hat, ms)),
+        (soft_kld(u, u_hat, ms), soft_kld(g, g_hat, ms)),
+        (soft_expectation(u, ms), soft_expectation(g, ms)),
+        (soft_variance(u, ms)[1], soft_variance(g, ms)[1]),
+    ]
+    for generic, fast in pairs:
+        got, want = dataclasses.astuple(generic), dataclasses.astuple(fast)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 STD_ADDITIVE = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
@@ -494,10 +575,40 @@ BENCHMARK_ROWS = (
      7.448982254606816e-108, 0.018353244284944975),
 )
 
-# High-precision value of the row-4 tail integral: mpmath tanh-sinh on 44
-# sub-intervals at 50 digits and scipy QUADPACK on the same 1-D reduction
-# agree on these digits to about 1e-11.
-ROW4_TAIL_TRUTH = 2.77001751507e-87
+# High-precision value of the row-4 tail integral, from the 1-D reduction of
+# test_row4_tail_truth_against_mpmath; scipy QUADPACK on the same reduction
+# agrees to about 2e-15.
+ROW4_TAIL_TRUTH = 2.77001751505055e-87
+
+
+def _row4_tail_by_mpmath(mp, pieces: int):
+    """The row-4 real part from the closed-form inner integral and mpmath.quad.
+
+    Under the additive model Y | X = x is N(x, 1) and Y is N(0, 2), so the
+    y-integral of f_{Y|X} log(f_{Y|X} / f_Y) over (10, 30) is a sum of
+    truncated normal moments; x runs over (20, 30).
+    """
+    def inner(x):
+        a, b = 10 - x, 30 - x
+        mass = mp.ncdf(b) - mp.ncdf(a)
+        m1 = mp.npdf(a) - mp.npdf(b)
+        m2 = mass + a * mp.npdf(a) - b * mp.npdf(b)
+        return mp.log(2) / 2 * mass - m2 / 2 + (m2 + 2 * x * m1 + x * x * mass) / 4
+
+    # mpmath.quad stops on an absolute error estimate, so f_X is integrated
+    # relative to f_X(20); at 1e-88 scale every estimate would pass at once
+    edges = mp.linspace(20, 30, pieces + 1)
+    return mp.npdf(20) * mp.fsum(
+        mp.quad(lambda x: mp.exp((400 - x * x) / 2) * inner(x), [lo, hi])
+        for lo, hi in zip(edges, edges[1:]))
+
+
+def test_row4_tail_truth_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        coarse, fine = _row4_tail_by_mpmath(mp, 5), _row4_tail_by_mpmath(mp, 20)
+    assert float(abs(coarse / fine - 1)) < 1e-20
+    assert float(fine) == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-12)
 
 
 class TestBenchmarkRegression:

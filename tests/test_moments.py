@@ -108,7 +108,7 @@ class TestSoftExpectation:
 
     def test_log_density_of_uniform_vanishes(self):
         got = soft_expectation_of(UNIT, MixedSet([0.9], [(0.25, 0.75)]),
-                                  lambda x: math.log(UNIT.pdf(x)))
+                                  lambda x: np.log(UNIT.pdf_array(x)))
         assert got.soft == 0.0
         assert abs(got.real) < 1e-15
 
@@ -118,7 +118,7 @@ class TestSoftExpectation:
 
     def test_linearity_in_g(self):
         ms = MixedSet([0.5], [(0.0, 0.25), (0.6, 0.9)])
-        g1 = math.sin
+        g1 = np.sin
         g2 = lambda x: x * x
         combined = soft_expectation_of(UNIT, ms, lambda x: 2.0 * g1(x) - 3.0 * g2(x))
         part1 = soft_expectation_of(UNIT, ms, g1)
@@ -181,3 +181,27 @@ class TestSoftVariance:
         pdf = np.exp(-0.5 * xs * xs) / np.sqrt(2 * np.pi)
         want = float(np.sum((rec.kappa - xs) ** 2 * pdf) * (1.0 / cells))
         assert value.real == pytest.approx(want, abs=1e-5)
+
+
+class TestBreakPoints:
+    """soft_sum splits each interval at the density's location and at the
+    ends of its truncation window, so one panel never straddles them."""
+
+    def test_narrow_peak_inside_a_wide_interval(self):
+        # no Gauss node of the unsplit interval comes near the peak, which
+        # made the integral 0
+        got = soft_expectation(Gaussian(3.0, 1e-4), MixedSet([], [(-1000.0, 1000.0)]))
+        assert got.real == pytest.approx(3.0, rel=1e-12)
+
+    def test_interval_holding_a_uniform_support_edge(self):
+        # the jump at lo inside (a, b) made the unsplit result -0.890306381288418
+        lo, hi = -3.6931839033103095, -0.20801534138919409
+        a, b = -3.757673493567282, -2.7265749564273003
+        got = soft_expectation(Uniform(lo, hi), MixedSet([], [(a, b)]))
+        assert got.real == pytest.approx((b * b - lo * lo) / (2.0 * (hi - lo)), rel=1e-12)
+
+    def test_interval_covering_the_whole_uniform_support(self):
+        # both support edges inside one interval; this was a ConvergenceError
+        value, rec = soft_variance(UNIT, MixedSet([], [(-1.0, 2.0)]))
+        assert rec.kappa == pytest.approx(0.5, rel=1e-12)
+        assert value.real == pytest.approx(1.0 / 12.0, rel=1e-12)

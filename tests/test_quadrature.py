@@ -1,6 +1,7 @@
 """Tests for the adaptive Gauss-Legendre integrators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from softprob.quadrature import (
 )
 
 
-def phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def phi(x):
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def riemann_1d(f, a: float, b: float, cells: int = 10 ** 6) -> float:
@@ -43,7 +44,7 @@ class TestIntegrate1D:
         assert abs(integrate_1d(lambda x: x * x, 0.0, 1.0) - 1.0 / 3.0) < 1e-12
 
     def test_constant(self):
-        assert integrate_1d(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert integrate_1d(np.ones_like, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_density_vs_riemann(self):
         got = integrate_1d(phi, 1.0, 2.0)
@@ -52,7 +53,7 @@ class TestIntegrate1D:
         assert abs(got - want) < 1e-6
 
     def test_linearity(self):
-        f = lambda x: math.sin(x)
+        f = np.sin
         g = lambda x: x ** 3
         lhs = integrate_1d(lambda x: 2.0 * f(x) + 3.0 * g(x), 0.0, 2.0)
         rhs = 2.0 * integrate_1d(f, 0.0, 2.0) + 3.0 * integrate_1d(g, 0.0, 2.0)
@@ -64,8 +65,8 @@ class TestIntegrate1D:
         assert math.isclose(whole, parts, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_deterministic_reruns(self):
-        first = integrate_1d(lambda x: math.exp(math.sin(3 * x)), 0.0, 5.0)
-        second = integrate_1d(lambda x: math.exp(math.sin(3 * x)), 0.0, 5.0)
+        first = integrate_1d(lambda x: np.exp(np.sin(3 * x)), 0.0, 5.0)
+        second = integrate_1d(lambda x: np.exp(np.sin(3 * x)), 0.0, 5.0)
         assert first == second
 
     def test_degenerate_bounds_rejected(self):
@@ -76,7 +77,47 @@ class TestIntegrate1D:
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DomainError):
-            integrate_1d(lambda x: float("nan"), 0.0, 1.0)
+            integrate_1d(lambda x: np.full_like(x, math.nan), 0.0, 1.0)
+
+    def test_non_finite_value_is_named(self):
+        # finite on the whole-interval nodes, NaN at the last refinement node
+        seen = []
+
+        def f(xs):
+            seen.append(xs)
+            values = np.ones_like(xs)
+            if len(seen) == 2:
+                values[-1] = math.nan
+            return values
+
+        with pytest.raises(DomainError) as err:
+            integrate_1d(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
+        assert len(seen[1]) == 32
+        assert f"nan at x={float(seen[1][-1])!r}" in str(err.value)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            integrate_1d(lambda xs: 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="shape"):
+            integrate_1d(lambda xs: np.ones((len(xs), 1)), 0.0, 1.0)
+
+    def test_one_call_per_refinement_step(self):
+        sizes = []
+
+        def f(xs):
+            sizes.append(len(xs))
+            return np.sin(20.0 * xs)
+
+        integrate_1d(f, 0.0, 4.0)
+        assert sizes[0] == 16
+        assert len(sizes) > 2 and set(sizes[1:]) == {32}
+
+    def test_interval_wider_than_the_largest_float(self):
+        # b - a overflows; midpoints and half-widths must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_1d(lambda xs: np.full_like(xs, 1e-300), -1e308, 1.5e308)
+        assert got == pytest.approx(2.5e8, rel=1e-12)
 
     def test_convergence_error_carries_best_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-15, max_depth=3)
@@ -92,10 +133,6 @@ def on_grid(f):
     return lambda xs, ys: np.broadcast_to(f(xs, ys[:, None]), (len(ys), len(xs)))
 
 
-def phi_array(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 class TestIntegrate2D:
     def test_separable_polynomial(self):
         got = integrate_2d(on_grid(lambda x, y: x * y), 0.0, 1.0, 0.0, 1.0)
@@ -106,7 +143,7 @@ class TestIntegrate2D:
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_product_factorizes(self):
-        got = integrate_2d(on_grid(lambda x, y: phi_array(x) * phi_array(y)),
+        got = integrate_2d(on_grid(lambda x, y: phi(x) * phi(y)),
                            1.0, 2.0, 1.0, 2.0)
         one_dim = integrate_1d(phi, 1.0, 2.0)
         assert math.isclose(got, one_dim * one_dim, rel_tol=1e-7)
@@ -151,6 +188,13 @@ class TestIntegrate2D:
         integrate_2d(f, 0.0, 4.0, 0.0, 1.0)
         assert shapes[0] == (16, 16)
         assert len(shapes) > 2 and set(shapes[1:]) == {(32, 32)}
+
+    def test_rectangle_wider_than_the_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_2d(lambda xs, ys: np.full((len(ys), len(xs)), 1e-300),
+                               0.0, 1.0, -1e308, 1.5e308)
+        assert got == pytest.approx(2.5e8, rel=1e-12)
 
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(DomainError):
