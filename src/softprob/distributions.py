@@ -2,8 +2,11 @@
 
 The abstract bases deliberately expose a small surface (pdf, cdf, support
 plus location/scale hints for truncating improper integrals). The Gaussian
-joint model overrides every generic quadrature path with closed forms; the
-generic paths remain available for user-supplied models.
+joint model overrides every generic quadrature path with closed forms, and
+adds one more: mi_y_integral, the y-integral of the mutual-information
+terms in truncated-normal moments. The generic paths remain available for
+user-supplied models, and soft mutual information integrates their
+pointwise terms in 2-D.
 
 Densities at many points at once come from the array methods (pdf_array,
 joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
@@ -24,6 +27,9 @@ from .quadrature import QuadratureConfig, integrate_1d, integrate_2d
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_FLOAT_MAX = float(np.finfo(float).max)
+# exp(-t*t/2) and erfc(t/sqrt(2)) are exactly 0 in double precision beyond this t
+_PHI_ZERO = 40.0
 
 # span of location +/- TRUNC_SCALES * scale bounds every improper integral
 TRUNC_SCALES = 10.0
@@ -136,7 +142,12 @@ class Uniform(ContinuousDistribution):
 
 
 class UserDefinedDistribution(ContinuousDistribution):
-    """Wrap caller-supplied pdf and cdf callables."""
+    """Wrap caller-supplied pdf and cdf callables.
+
+    On an infinite support, location and scale are required: they place
+    the truncated_range() window that every improper integral uses, and
+    no default could know where the mass lies.
+    """
 
     def __init__(self, pdf: Callable[[float], float], cdf: Callable[[float], float],
                  support: tuple[float, float] = (-math.inf, math.inf),
@@ -144,6 +155,9 @@ class UserDefinedDistribution(ContinuousDistribution):
         lo, hi = support
         if not lo < hi:
             raise DomainError(f"support must satisfy lo < hi, got {support!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)) and (location is None or scale is None):
+            raise DomainError(
+                f"support {support!r} is infinite, so location and scale are required")
         self._pdf = pdf
         self._cdf = cdf
         self._support = (float(lo), float(hi))
@@ -239,6 +253,12 @@ class JointModel(ABC):
                             x_lo, xu, self.quad_1d)
 
 
+def _upper_tail(t: np.ndarray) -> np.ndarray:
+    """1 - Phi(t) elementwise, from math.erfc so that it keeps its digits far out."""
+    tails = np.array(list(map(math.erfc, (t / _SQRT2).ravel().tolist())))
+    return 0.5 * tails.reshape(t.shape)
+
+
 class BivariateGaussianModel(JointModel):
     """Jointly Gaussian (X, Y) with correlation rho, |rho| < 1."""
 
@@ -258,7 +278,9 @@ class BivariateGaussianModel(JointModel):
         self._mx = Gaussian(mean_x, var_x)
         self._my = Gaussian(mean_y, var_y)
         self._cond_var = var_y * (1.0 - self.rho * self.rho)
+        self._cond_sd = math.sqrt(self._cond_var)
         self._cond_slope = self.rho * math.sqrt(var_y / var_x)
+        self._mi_log_term = -0.5 * math.log1p(-self.rho * self.rho)
         if not (math.isfinite(self._cond_slope) and self._cond_var > 0.0):
             raise DomainError(
                 f"variances ({var_x!r}, {var_y!r}) are too far apart for a conditional model")
@@ -311,6 +333,49 @@ class BivariateGaussianModel(JointModel):
             y - self.mean_y)
         z = (x - cond_mean) / math.sqrt(cond_var)
         return self._my.pdf(y) * 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+    def mi_y_integral(self, xs: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
+                      ) -> np.ndarray:
+        """f_X(x) * sum_k of the integral of f_{Y|X} log(f_{Y|X} / f_Y) over (y_lo[k], y_hi[k]).
+
+        The log ratio is a quadratic in y, so each y-integral is a sum of
+        truncated-normal moments (Tallis 1961). With s the conditional sd,
+        m(x) the conditional mean, delta = m - mean_y, a = (lo - m)/s and
+        b = (hi - m)/s:
+            P  = Phi(b) - Phi(a),  M1 = phi(a) - phi(b),
+            M2 = P + a*phi(a) - b*phi(b),
+            inner = (-log1p(-rho^2)/2 + delta^2/(2 var_y))*P - (rho^2/2)*M2
+                    + (s/var_y)*delta*M1.
+        P comes from the tails on the side of each end, M1 from the end
+        nearer 0 times an expm1 of (a + b)/2 and (b - a)/2 taken straight
+        from the ends, and a*phi(a) is 0 where phi(a) is, so that tails,
+        tiny rho and ends near the float limit keep their digits. rho = 0
+        gives exactly 0, and so does an x where f_X(x) is 0. This is exact
+        arithmetic on the model, not the pointwise w*log(num/den) rule of
+        the information module: neither TINY_DENSITY nor
+        UNIT_RATIO_TOLERANCE applies here.
+        """
+        s = self._cond_sd
+        delta = self._cond_slope * (xs - self.mean_x)
+        m = self.mean_y + delta
+        ends = np.array((y_lo, y_hi))[:, :, None]
+        # beyond +/-PHI_ZERO sds phi and both tails are exactly 0, so clipping
+        # there changes none of them and keeps t*phi(t) finite
+        a, b = t = np.minimum(np.maximum((ends - m) / s, -_PHI_ZERO), _PHI_ZERO)
+        phi_a, phi_b = np.exp(-0.5 * t * t) / _SQRT2PI
+        q_a, q_b = _upper_tail(np.abs(t))
+        mass = np.where(a >= 0.0, q_a - q_b, np.where(b <= 0.0, q_b - q_a, (1.0 - q_a) - q_b))
+        half_sum = (0.5 * ends[0] + 0.5 * ends[1] - m) / s
+        # an infinite width in sds is kept finite, so that half_sum = 0 gives 0, not inf*0
+        half_width = np.minimum((0.5 * ends[1] - 0.5 * ends[0]) / s, _FLOAT_MAX)
+        # phi(far) = phi(near) * exp(-2 * half_width * |half_sum|), and M1 has the sign of a + b
+        m1 = np.maximum(phi_a, phi_b) * -np.expm1(-2.0 * (half_width * np.abs(half_sum)))
+        m1 = np.copysign(m1, half_sum)
+        m2 = mass + (a * phi_a - b * phi_b)
+        inner = ((self._mi_log_term + delta * delta / (2.0 * self.var_y)) * mass
+                 - (0.5 * self.rho * self.rho) * m2 + (s / self.var_y) * delta * m1)
+        fx = self._mx.pdf_array(xs)
+        return np.where(fx > 0.0, fx * inner.sum(axis=0), 0.0)
 
     def joint_cdf(self, x: float, y: float) -> float:
         if self.rho == 0.0:

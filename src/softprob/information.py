@@ -7,7 +7,11 @@ the same shape, their difference (the KL divergence) has no 0log0~ part,
 and mutual information pairs points with points and intervals with
 intervals on a two-variable model. Every one of them is a term kernel
 w*log(num/den) under one pointwise rule (_log_terms); the 1-D ones are
-summed over points and intervals by moments.soft_sum.
+summed over points and intervals by moments.soft_sum. The one exception is
+the interval part of mutual information under a BivariateGaussianModel:
+its y-integral has a closed form (BivariateGaussianModel.mi_y_integral),
+so only x is integrated, in 1-D. Any other JointModel takes the generic
+path, 2-D quadrature of the pointwise terms.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -22,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ContinuousDistribution, JointModel
+from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
 from .errors import DomainError
-from .moments import MixedSet, soft_sum
-from .quadrature import DEFAULT_1D, DEFAULT_2D, QuadratureConfig, integrate_2d, sample_1d
-from .quadrature import integrate_1d  # noqa: F401  (unused; perfbench's tracer patches it here)
+from .moments import MixedSet, soft_sum, split_at
+from .quadrature import (DEFAULT_1D, DEFAULT_2D, QuadratureConfig, integrate_1d, integrate_2d,
+                         sample_1d)
 from .softnum import ExtendedSoftNumber, SoftNumber
 
 # a term whose weight is below this density is taken at the limit of
@@ -215,16 +219,30 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     definition. The ``symmetric`` form evaluates
     f_XY * log(f_XY / (f_X f_Y)); the ``conditional`` form evaluates the
     algebraically equal factorization f_{Y|X} f_X * log(f_{Y|X} / f_Y).
+
+    For a BivariateGaussianModel the real part is one 1-D integral per
+    x-interval, under cfg.quad_1d(), of the model's closed-form y-integral
+    over all y-intervals (mi_y_integral, which is the same function in
+    both forms). Each x-interval is split at the ends of
+    marginal_x.truncated_range() that lie inside it. Any other JointModel
+    integrates the pointwise terms over each rectangle with integrate_2d.
     """
     if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
         raise DomainError(f"unknown mutual-information form {form!r}")
     soft = _point_pair_sum(j, np.asarray(sx.points, dtype=float),
                            np.asarray(sy.points, dtype=float), form)
     real = 0.0
-    quad = cfg.quad_2d()
-    for ylo, yhi in sy.intervals:
-        for xlo, xhi in sx.intervals:
-            real += integrate_2d(lambda xs, ys: _mi_terms(j, xs, ys, form),
-                                 xlo, xhi, ylo, yhi, quad)
+    if not isinstance(j, BivariateGaussianModel):
+        for ylo, yhi in sy.intervals:
+            for xlo, xhi in sx.intervals:
+                real += integrate_2d(lambda xs, ys: _mi_terms(j, xs, ys, form),
+                                     xlo, xhi, ylo, yhi, cfg.quad_2d())
+    elif sy.intervals:
+        y_lo, y_hi = (np.array(ends) for ends in zip(*sy.intervals))
+        breaks = j.marginal_x.truncated_range()
+        for lo, hi in sx.intervals:
+            for a, b in split_at(lo, hi, breaks):
+                real += integrate_1d(lambda xs: j.mi_y_integral(xs, y_lo, y_hi), a, b,
+                                     cfg.quad_1d())
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)

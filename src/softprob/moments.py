@@ -123,10 +123,15 @@ def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray]
     breaks = (d.location, *d.truncated_range())
     interval_sum = 0.0
     for lo, hi in ms.intervals:
-        edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
-        for a, b in zip(edges, edges[1:]):
+        for a, b in split_at(lo, hi, breaks):
             interval_sum += integrate_1d(term, a, b, cfg)
     return point_sum, interval_sum
+
+
+def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float, float]]:
+    """The pieces of (lo, hi) between the breaks that lie strictly inside it, in order."""
+    edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
+    return list(zip(edges, edges[1:]))
 
 
 def _as_float(v) -> float:

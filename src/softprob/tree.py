@@ -200,7 +200,10 @@ class TreeConfig:
             raise DomainError(f"min_rows must be >= 2, got {self.min_rows!r}")
 
 
-def _column_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float, np.ndarray]:
+ColumnMoments = tuple[float, float, np.ndarray]
+
+
+def _column_moments(lo: np.ndarray, hi: np.ndarray) -> ColumnMoments:
     """Mean and variance of a column, plus each midpoint's deviation from the mean.
 
     Two-pass fsum sums: the variance is that of the midpoints plus the mean
@@ -230,13 +233,27 @@ def fit_joint_model(x: Column, y: Column) -> JointModel:
     n = len(x[0])
     if n != len(y[0]) or n < 2:
         raise DomainError("need two columns of equal length >= 2")
+    return _fit(x, _moments_or_nan(y))
+
+
+def _moments_or_nan(col: Column) -> ColumnMoments:
+    """_column_moments of the column, or NaNs where its sums overflow."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            mean_x, var_x, dev_x = _column_moments(*x)
-            mean_y, var_y, dev_y = _column_moments(*y)
-            cov = math.fsum((dev_x * dev_y).tolist()) / (n - 1)
-        finite = all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov)))
+            return _column_moments(*col)
     except (OverflowError, ValueError):  # fsum overflowing or meeting inf - inf
+        return math.nan, math.nan, np.full(len(col[0]), math.nan)
+
+
+def _fit(x: Column, y_moments: ColumnMoments) -> JointModel:
+    """fit_joint_model from the label column's moments, which a node computes once."""
+    mean_x, var_x, dev_x = _moments_or_nan(x)
+    mean_y, var_y, dev_y = y_moments
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = math.fsum((dev_x * dev_y).tolist()) / (len(dev_x) - 1)
+        finite = all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov)))
+    except (OverflowError, ValueError):
         finite = False
     if not finite:
         raise DomainError("column statistics are not finite; values too large to fit a model")
@@ -277,10 +294,11 @@ def build_mixed_sets(col: Column) -> MixedSet:
                     list(zip(merged_lo.tolist(), merged_hi.tolist())))
 
 
-def _gain(x: Column, y: Column, y_set: MixedSet, cfg: TreeConfig) -> SoftNumber:
-    """Gain of feature column x for label column y, whose MixedSet is given."""
+def _gain(x: Column, y_moments: ColumnMoments, y_set: MixedSet, cfg: TreeConfig
+          ) -> SoftNumber:
+    """Gain of feature column x for the label column with these moments and MixedSet."""
     try:
-        model = fit_joint_model(x, y)
+        model = _fit(x, y_moments)
     except DegenerateModelError:
         return SoftNumber.zero()
     return soft_mutual_information(model, build_mixed_sets(x), y_set, cfg.info)
@@ -289,9 +307,11 @@ def _gain(x: Column, y: Column, y_set: MixedSet, cfg: TreeConfig) -> SoftNumber:
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
     index = ds.feature_index(feature)
+    x = as_column(features[index] for features, _ in ds.rows)
     y = as_column(label for _, label in ds.rows)
-    return _gain(as_column(features[index] for features, _ in ds.rows), y,
-                 build_mixed_sets(y), cfg)
+    if len(x[0]) < 2:
+        raise DomainError("need two columns of equal length >= 2")
+    return _gain(x, _moments_or_nan(y), build_mixed_sets(y), cfg)
 
 
 def _median(values: np.ndarray) -> float:
@@ -330,11 +350,11 @@ def _grow(ds: Dataset, cfg: TreeConfig, lo: np.ndarray, hi: np.ndarray,
     if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
         return _leaf(mids[rows, label])
     y = (lo[rows, label], hi[rows, label])
-    y_set = build_mixed_sets(y)
+    y_moments, y_set = _moments_or_nan(y), build_mixed_sets(y)
     best_index = 0
-    best_gain = _gain((lo[rows, 0], hi[rows, 0]), y, y_set, cfg)
+    best_gain = _gain((lo[rows, 0], hi[rows, 0]), y_moments, y_set, cfg)
     for index in range(1, label):
-        gain = _gain((lo[rows, index], hi[rows, index]), y, y_set, cfg)
+        gain = _gain((lo[rows, index], hi[rows, index]), y_moments, y_set, cfg)
         if cmp(gain, best_gain) > 0:
             best_index, best_gain = index, gain
     if cmp(best_gain, cfg.min_gain) <= 0:

@@ -92,6 +92,31 @@ class TestUserDefined:
         assert d.pdf(0.5) == 1.0
         assert d.cdf(0.5) == 0.25
 
+    @pytest.mark.parametrize("support", [(-math.inf, math.inf), (0.0, math.inf),
+                                         (-math.inf, 0.0)])
+    @pytest.mark.parametrize("hints", [{}, {"location": 100.0}, {"scale": 1.0}])
+    def test_infinite_support_needs_location_and_scale(self, support, hints):
+        g = Gaussian(100.0, 1.0)
+        with pytest.raises(DomainError, match="location and scale"):
+            UserDefinedDistribution(g.pdf, g.cdf, support, **hints)
+
+    def test_hints_place_the_generic_joint_cdf_window(self):
+        # without the hints the window was (-10, 10) and joint_cdf(101, 101) was 0.0
+        g = Gaussian(100.0, 1.0)
+        d = UserDefinedDistribution(g.pdf, g.cdf, location=100.0, scale=1.0)
+
+        class Independent(JointModel):
+            marginal_x = marginal_y = d
+
+            def joint_pdf(self, x, y):
+                return d.pdf(x) * d.pdf(y)
+
+            def conditional_pdf(self, y, given_x):
+                return d.pdf(y)
+
+        assert Independent().joint_cdf(101.0, 101.0) == pytest.approx(g.cdf(101.0) ** 2,
+                                                                        rel=1e-8)
+
 
 class TestJointGaussianAdditive:
     def test_output_marginal_is_variance_sum(self):

@@ -30,6 +30,7 @@ from softprob.information import (
     soft_mutual_information,
 )
 from softprob.moments import MixedSet, soft_expectation, soft_variance
+from softprob.quadrature import QuadratureConfig
 from softprob.softnum import ExtendedSoftNumber, SoftNumber
 
 LN2 = math.log(2.0)
@@ -111,7 +112,7 @@ class TestEntropy:
     def test_far_tail_interval_is_split_not_clipped(self):
         # (20, 30) lies outside the +/-10 sigma window; clipping to it gives 0
         value = soft_entropy(Gaussian(0, 1), MixedSet([], [(20.0, 30.0)]))
-        assert value.real == pytest.approx(5.560020595838215e-87, rel=1e-12)
+        assert value.real == pytest.approx(5.560020595838215e-87, rel=1e-12, abs=0.0)
 
     def test_zero_density_at_point_rejected(self):
         with pytest.raises(DomainError):
@@ -270,7 +271,7 @@ class TestPointwiseRule:
         assert 0.0 < STD.pdf(37.5) < information.TINY_DENSITY
         entropy = soft_entropy(STD, self.FAR)
         assert entropy.soft == 0.0
-        assert entropy.zlogz == pytest.approx(-STD.pdf(37.5), rel=1e-12)
+        assert entropy.zlogz == pytest.approx(-STD.pdf(37.5), rel=1e-12, abs=0.0)
         assert soft_cross_entropy(STD, Gaussian(1.0, 1.0), self.FAR).soft == 0.0
         assert soft_kld(STD, Gaussian(1.0, 1.0), self.FAR) == SoftNumber(0.0, 0.0)
 
@@ -511,7 +512,8 @@ class TestPointPairSum:
 
 
 class TestIntervalGrid:
-    """The real part of MI integrates _mi_terms grids, one per refinement step."""
+    """For a generic JointModel the real part of MI integrates _mi_terms grids,
+    one per refinement step."""
 
     def test_table1_evaluation_counts(self, monkeypatch):
         evaluations = []
@@ -527,7 +529,7 @@ class TestIntervalGrid:
         monkeypatch.setattr(information, "integrate_2d", counting)
         for x0, y0, x_iv, y_iv, _, _ in BENCHMARK_ROWS:
             evaluations.append(0)
-            soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
+            soft_mutual_information(_ScalarOnly(STD_ADDITIVE), MixedSet([x0], [x_iv]),
                                     MixedSet([y0], [y_iv]), form=FORM_CONDITIONAL)
         assert evaluations == [1280, 1280, 1280, 75008, 1280]
         assert sum(evaluations) == 4 * 1280 + 75008
@@ -555,8 +557,14 @@ class TestIntervalGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite"):
-                soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
-            assert soft_mutual_information(j, box, box, form=FORM_CONDITIONAL).real > 0.0
+                soft_mutual_information(_ScalarOnly(j), box, box, form=FORM_SYMMETRIC)
+            assert soft_mutual_information(_ScalarOnly(j), box, box,
+                                           form=FORM_CONDITIONAL).real > 0.0
+            # the Gaussian model's closed form never forms f_X * f_Y
+            sym = soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
+            assert sym == soft_mutual_information(j, box, box, form=FORM_CONDITIONAL)
+        truth = CLOSED_FORM_TRUTHS["underflowing box"][3]
+        assert sym.real == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
 # Frozen outputs of the additive standard-Gaussian model on the five
@@ -581,34 +589,189 @@ BENCHMARK_ROWS = (
 ROW4_TAIL_TRUTH = 2.77001751505055e-87
 
 
-def _row4_tail_by_mpmath(mp, pieces: int):
-    """The row-4 real part from the closed-form inner integral and mpmath.quad.
+def _mi_rect_by_mpmath(mp, j: BivariateGaussianModel, x_iv, y_iv, pieces: int):
+    """The real MI of j over x_iv x y_iv: the y-integral in closed form, the x one by mpmath.
 
-    Under the additive model Y | X = x is N(x, 1) and Y is N(0, 2), so the
-    y-integral of f_{Y|X} log(f_{Y|X} / f_Y) over (10, 30) is a sum of
-    truncated normal moments; x runs over (20, 30).
+    Y | X = x is N(m(x), s^2) and Y is N(mean_y, var_y), so the y-integral
+    of f_{Y|X} log(f_{Y|X} / f_Y) over (c, d) is a sum of truncated normal
+    moments; mpmath.quad integrates f_X times it over x, in `pieces` equal
+    parts of the x-interval within 12 sds of mean_x and one part on each
+    side beyond. The model's float parameters are taken exactly.
     """
+    mean_x, mean_y, var_x, var_y, rho = (
+        mp.mpf(v) for v in (j.mean_x, j.mean_y, j.var_x, j.var_y, j.rho))
+    s = mp.sqrt(var_y * (1 - rho * rho))
+    slope = rho * mp.sqrt(var_y / var_x)
+    c, d = (mp.mpf(v) for v in y_iv)
+
     def inner(x):
-        a, b = 10 - x, 30 - x
-        mass = mp.ncdf(b) - mp.ncdf(a)
+        delta = slope * (x - mean_x)
+        a, b = (c - mean_y - delta) / s, (d - mean_y - delta) / s
+        # both ends in the upper tail take the upper tails, so that P keeps its digits
+        mass = mp.ncdf(-a) - mp.ncdf(-b) if a > 0 else mp.ncdf(b) - mp.ncdf(a)
         m1 = mp.npdf(a) - mp.npdf(b)
         m2 = mass + a * mp.npdf(a) - b * mp.npdf(b)
-        return mp.log(2) / 2 * mass - m2 / 2 + (m2 + 2 * x * m1 + x * x * mass) / 4
+        return ((-mp.log1p(-rho * rho) / 2 + delta * delta / (2 * var_y)) * mass
+                - rho * rho / 2 * m2 + s / var_y * delta * m1)
 
+    lo, hi = (mp.mpf(v) for v in x_iv)
+    sd = mp.sqrt(var_x)
+    core_lo, core_hi = max(lo, mean_x - 12 * sd), min(hi, mean_x + 12 * sd)
+    if core_lo < core_hi:
+        edges = ([lo] * (lo < core_lo) + list(mp.linspace(core_lo, core_hi, pieces + 1))
+                 + [hi] * (core_hi < hi))
+    else:
+        edges = list(mp.linspace(lo, hi, pieces + 1))
     # mpmath.quad stops on an absolute error estimate, so f_X is integrated
-    # relative to f_X(20); at 1e-88 scale every estimate would pass at once
-    edges = mp.linspace(20, 30, pieces + 1)
-    return mp.npdf(20) * mp.fsum(
-        mp.quad(lambda x: mp.exp((400 - x * x) / 2) * inner(x), [lo, hi])
-        for lo, hi in zip(edges, edges[1:]))
+    # relative to its value at ref; at 1e-88 scale every estimate would pass at once
+    ref = min(max(mean_x, lo), hi)
+    return mp.npdf(ref, mean_x, sd) * mp.fsum(
+        mp.quad(lambda x: mp.exp(((ref - mean_x) ** 2 - (x - mean_x) ** 2) / (2 * var_x))
+                * inner(x), [a, b])
+        for a, b in zip(edges, edges[1:]))
 
 
 def test_row4_tail_truth_against_mpmath():
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        coarse, fine = _row4_tail_by_mpmath(mp, 5), _row4_tail_by_mpmath(mp, 20)
+        coarse, fine = (_mi_rect_by_mpmath(mp, STD_ADDITIVE, (20, 30), (10, 30), pieces)
+                        for pieces in (5, 20))
     assert float(abs(coarse / fine - 1)) < 1e-20
-    assert float(fine) == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-12)
+    assert float(fine) == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-12, abs=0.0)
+
+
+# Real MI over rectangles that the 2-D grid path gets wrong or cannot
+# finish, and two whose y-interval lies in one tail of Y | X, where P needs
+# that tail's own erfc: (model, x-interval, y-interval, value of
+# _mi_rect_by_mpmath at 40 digits, which test_closed_form_truths_against_mpmath checks)
+_WIDE_Y = 0.07874861848452004169
+CLOSED_FORM_TRUTHS = {
+    "y over (0, 1e2)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1e2), _WIDE_Y),
+    "y over (0, 1e4)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1e4), _WIDE_Y),
+    "y over (0, 1e6)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1e6), _WIDE_Y),
+    "y over (0, 1.2e308)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1.2e308), _WIDE_Y),
+    "rho 1e-9": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-9),
+                 (-3.0, 3.0), (-3.0, 3.0), 4.714916345283468291e-19),
+    "rho 1e-5": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-5),
+                 (-9.0, 9.0), (-9.0, 9.0), 5.0000000002500006308e-11),
+    "underflowing box": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999),
+                         (29.9, 30.1), (29.9, 30.1), 2.2161841384618375602e-194),
+    "y end 1.7e308, var_y 0.01": (BivariateGaussianModel(0.0, 0.0, 1.0, 0.01, 0.5),
+                                  (0.0, 1.0), (0.0, 1.7e308), 0.041433956115413383305),
+    "upper tail": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.5),
+                   (0.0, 1.0), (6.0, 8.0), -2.5949606714828839733e-11),
+    "lower tail": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, -0.5),
+                   (0.0, 1.0), (-9.0, -7.0), -9.3173104722658719018e-15),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_TRUTHS)
+def test_closed_form_truths_against_mpmath(name):
+    mp = pytest.importorskip("mpmath")
+    j, x_iv, y_iv, truth = CLOSED_FORM_TRUTHS[name]
+    with mp.workdps(40):
+        value = _mi_rect_by_mpmath(mp, j, x_iv, y_iv, 4)
+    assert float(value) == pytest.approx(truth, rel=1e-15, abs=0.0)
+
+
+class _GridOnly(_ScalarOnly):
+    """A generic JointModel with the Gaussian model's density grids: the
+    _mi_terms grid path at numpy speed."""
+
+    def joint_pdf_grid(self, xs, ys):
+        return self.inner.joint_pdf_grid(xs, ys)
+
+    def conditional_pdf_grid(self, ys, given_xs):
+        return self.inner.conditional_pdf_grid(ys, given_xs)
+
+
+def _random_rectangle(rng: random.Random, rho: float):
+    """A random Gaussian model with correlation rho, and a rectangle whose
+    edges lie between -4 and +3 sds of each marginal."""
+    j = BivariateGaussianModel(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                               rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), rho)
+    x_iv = sorted(j.mean_x + math.sqrt(j.var_x) * rng.uniform(-4.0, 3.0) for _ in range(2))
+    y_iv = sorted(j.mean_y + math.sqrt(j.var_y) * rng.uniform(-4.0, 3.0) for _ in range(2))
+    return j, tuple(x_iv), tuple(y_iv)
+
+
+def _abs_terms_integral(j, x_iv, y_iv, n: int = 64) -> float:
+    """The integral of |MI terms| over x_iv x y_iv, roughly: one n x n Gauss grid.
+
+    |terms| has a kink where the log ratio is 0, so no relative tolerance
+    can be met on it, but one fixed grid gets its size to a few digits.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    hx, hy = (x_iv[1] - x_iv[0]) / 2, (y_iv[1] - y_iv[0]) / 2
+    xs, ys = x_iv[0] + hx * (nodes + 1), y_iv[0] + hy * (nodes + 1)
+    terms = np.abs(information._mi_terms(j, xs, ys, FORM_SYMMETRIC))
+    return hx * hy * float(weights @ terms @ weights)
+
+
+class TestGaussianClosedForm:
+    """The real MI of a BivariateGaussianModel integrates the closed-form
+    y-integral over x; the 2-D grid path is its oracle."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_TRUTHS)
+    def test_matches_high_precision_truth(self, name):
+        j, x_iv, y_iv, truth = CLOSED_FORM_TRUTHS[name]
+        value = soft_mutual_information(j, MixedSet([], [x_iv]), MixedSet([], [y_iv]))
+        assert value.real == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("j, end", [
+        (STD_ADDITIVE, 1e6),
+        # the conditional mean overflows at the far x nodes, where f_X is 0
+        (BivariateGaussianModel(0.0, 0.0, 0.01, 100.0, 0.9), 1.7e308)])
+    def test_wide_square_gives_the_whole_information(self, j, end):
+        # -log(1 - rho^2)/2, ln(2)/2 for the additive model; the mass beyond the ends is nothing
+        box = MixedSet([], [(-end, end)])
+        value = soft_mutual_information(j, box, box)
+        assert value.real == pytest.approx(-0.5 * math.log1p(-j.rho ** 2), rel=1e-12)
+        if j is STD_ADDITIVE:
+            assert value.real == pytest.approx(LN2 / 2, rel=1e-12)
+
+    def test_agrees_with_grid_path_on_random_rectangles(self):
+        # the grid path meets its tolerance panel by panel, so its error is
+        # relative to the integral of |terms|. At small |rho| terms of both
+        # signs cancel and that integral is far above the net value (the two
+        # paths were 2.4e-9 apart at rho = -0.0026, where mpmath sided with
+        # the closed form to 4e-14), and panels on the curve where the log
+        # ratio is 0 never meet a relative tolerance, hence the tiny abs_tol
+        rng = random.Random(2024)
+        for _ in range(300):
+            j, x_iv, y_iv = _random_rectangle(rng, rng.uniform(-0.99, 0.99))
+            scale = _abs_terms_integral(j, x_iv, y_iv)
+            quad = InfoConfig(quadrature=QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16 * scale))
+            sx, sy = MixedSet([], [x_iv]), MixedSet([], [y_iv])
+            fast = soft_mutual_information(j, sx, sy, quad).real
+            grid = soft_mutual_information(_GridOnly(j), sx, sy, quad).real
+            assert abs(fast - grid) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("rho", [-0.0026, 0.013, 0.5, -0.99])
+    def test_random_rectangles_against_mpmath(self, rho):
+        mp = pytest.importorskip("mpmath")
+        j, x_iv, y_iv = _random_rectangle(random.Random(rho), rho)
+        value = soft_mutual_information(j, MixedSet([], [x_iv]), MixedSet([], [y_iv]))
+        with mp.workdps(40):
+            truth = float(_mi_rect_by_mpmath(mp, j, x_iv, y_iv, 4))
+        assert value.real == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("y_intervals", [
+        [(-3.0, -0.9), (-0.5, 1.7e308)],
+        # (b - a)/2 overflows while (a + b)/2 is exactly 0
+        [(-1.7e308, 1.7e308)]])
+    def test_independent_model_is_exactly_zero(self, y_intervals):
+        j = BivariateGaussianModel(0.3, 0.0, 2.0, 0.5, 0.0)
+        sx = MixedSet([], [(-1e6, -1.0), (0.0, 0.5), (2.0, 1e300)])
+        assert soft_mutual_information(j, sx, MixedSet([], y_intervals)).real == 0.0
+
+    def test_forms_are_bit_equal(self):
+        j = BivariateGaussianModel(0.2, -0.4, 1.0, 2.0, -0.6)
+        sx = MixedSet([], [(-2.0, -0.5), (0.1, 1.3), (3.0, 40.0)])
+        sy = MixedSet([], [(-5.0, -1.0), (0.5, 0.75)])
+        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
+        assert sym.real > 0.0
+        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
 
 
 class TestBenchmarkRegression:
@@ -618,11 +781,11 @@ class TestBenchmarkRegression:
         value = soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
                                         MixedSet([y0], [y_iv]),
                                         form=FORM_CONDITIONAL)
-        assert value.soft == pytest.approx(soft_ref, rel=1e-9)
-        assert value.real == pytest.approx(real_ref, rel=1e-9)
+        assert value.soft == pytest.approx(soft_ref, rel=1e-9, abs=0.0)
+        assert value.real == pytest.approx(real_ref, rel=1e-9, abs=0.0)
 
     def test_tail_rectangle_matches_high_precision_truth(self):
         value = soft_mutual_information(
             STD_ADDITIVE, MixedSet([1.0], [(20.0, 30.0)]),
             MixedSet([0.0], [(10.0, 30.0)]), form=FORM_CONDITIONAL)
-        assert value.real == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-9)
+        assert value.real == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-9, abs=0.0)
