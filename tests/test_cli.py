@@ -219,6 +219,17 @@ class TestEntropyCommands:
         assert err == ""
         assert out.startswith("mi = ")
 
+    def test_mi_underflowing_marginal_product_at_a_point_pair_is_computed(self, capsys):
+        # f_X * f_Y underflows at (27.3, 27.3); the Gaussian pair sum never forms it
+        point = '{"points": [27.3]}'
+        code, out, err = _run(capsys, [
+            "mi", "--form", "symmetric", "--set-x", point, "--set-y", point, "--joint",
+            '{"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0, '
+            '"var_x": 1, "var_y": 1, "correlation": 0.999}'])
+        assert code == 0
+        assert err == ""
+        assert out.startswith("mi = ")
+
     def test_mi_reruns_byte_identical(self, capsys):
         args = ["mi", "--joint", ADDITIVE,
                 "--set-x", '{"points": [0], "intervals": [[1, 2]]}',

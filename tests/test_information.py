@@ -459,7 +459,9 @@ def _spread_points(rng: random.Random, n: int, sd: float) -> list[float]:
 
 class TestPointPairSum:
     N_X = 128
-    ROWS = POINT_BLOCK_PAIRS // N_X  # rows of y per block when X has N_X points
+    # rows of y per block of pointwise terms when X has N_X points; the Gaussian
+    # transform takes N_X rows of x per block up to this many y points, fewer above
+    ROWS = POINT_BLOCK_PAIRS // N_X
 
     @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
     @pytest.mark.parametrize("n_y", [1, ROWS - 1, ROWS, ROWS + 1, 300])
@@ -506,9 +508,139 @@ class TestPointPairSum:
     def test_underflowing_marginal_product_is_a_domain_error(self):
         # each marginal density is about 1e-162, so their product underflows
         # to zero while the joint density stays well above TINY_DENSITY
-        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999)
+        j, sx, sy, truth = POINT_PAIR_TRUTHS["underflowing marginal product"]
         with pytest.raises(DomainError):
-            soft_mutual_information(j, MixedSet([27.3]), MixedSet([27.3]))
+            soft_mutual_information(_ScalarOnly(j), sx, sy)
+        # the Gaussian transform never forms f_X * f_Y
+        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
+        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
+        assert sym.soft == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def _mi_pairs_by_mpmath(mp, j: BivariateGaussianModel, xs, ys):
+    """The point-pair sum of j's MI terms f_X f_{Y|X} log(f_{Y|X} / f_Y),
+    with the model's float parameters and the points taken exactly."""
+    mean_x, mean_y, var_x, var_y, rho = (
+        mp.mpf(v) for v in (j.mean_x, j.mean_y, j.var_x, j.var_y, j.rho))
+    q = 1 - rho * rho
+    terms = []
+    for x in xs:
+        u = (x - mean_x) / mp.sqrt(var_x)
+        f_x = mp.npdf(u) / mp.sqrt(var_x)
+        for y in ys:
+            v = (y - mean_y) / mp.sqrt(var_y)
+            log_ratio = (v * v - (v - rho * u) ** 2 / q - mp.log(q)) / 2
+            terms.append(f_x * mp.npdf(v - rho * u, 0, mp.sqrt(q)) / mp.sqrt(var_y) * log_ratio)
+    return mp.fsum(terms)
+
+
+def _near_independence(rho: float):
+    rng = random.Random(0)
+    xs = sorted(rng.gauss(0.0, 1.0) for _ in range(60))
+    ys = sorted(rng.gauss(0.0, 1.0) for _ in range(60))
+    return BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, rho), MixedSet(xs), MixedSet(ys)
+
+
+# Point-pair sums that the pointwise rule gets wrong or cannot form:
+# (model, X set, Y set, value of _mi_pairs_by_mpmath at 40 digits, which
+# test_point_pair_truths_against_mpmath checks)
+POINT_PAIR_TRUTHS = {
+    "rho 1e-6": (*_near_independence(1e-6), 1.7028745713411996532e-06),
+    "rho 1e-4": (*_near_independence(1e-4), 1.7095495593791544809e-04),
+    "underflowing marginal product": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999),
+                                      MixedSet([27.3]), MixedSet([27.3]),
+                                      1.6124031622206613566e-159),
+}
+
+
+@pytest.mark.parametrize("name", POINT_PAIR_TRUTHS)
+def test_point_pair_truths_against_mpmath(name):
+    mp = pytest.importorskip("mpmath")
+    j, sx, sy, truth = POINT_PAIR_TRUTHS[name]
+    with mp.workdps(40):
+        value = _mi_pairs_by_mpmath(mp, j, sx.points, sy.points)
+    assert float(value) == pytest.approx(truth, rel=1e-15, abs=0.0)
+
+
+class TestGaussianPairSum:
+    """A BivariateGaussianModel sums its point pairs as a Gauss transform; the
+    pointwise rule over _mi_terms grids is its oracle."""
+
+    @pytest.mark.parametrize("name", ["rho 1e-6", "rho 1e-4"])
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_near_independence_keeps_its_digits(self, name, form):
+        # the pointwise rule's log of a ratio near 1 is 4.0e-9 (rho 1e-6) and
+        # 1.5e-10 (rho 1e-4) off on these sums
+        j, sx, sy, truth = POINT_PAIR_TRUTHS[name]
+        value = soft_mutual_information(j, sx, sy, form=form)
+        assert value.soft == pytest.approx(truth, rel=1e-13, abs=0.0)
+
+    def test_agrees_with_pointwise_rule_on_random_models(self):
+        # the sets cross the block boundary of both sums, and at |rho| near 1
+        # far pairs fall below TINY_DENSITY
+        rng = random.Random(9)
+        for _ in range(250):
+            rho = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.999)
+            j = BivariateGaussianModel(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                                       10.0 ** rng.uniform(-2.0, 2.0),
+                                       10.0 ** rng.uniform(-2.0, 2.0), rho)
+            sx, sy = (
+                MixedSet(sorted({mean + math.sqrt(var) * rng.gauss(0.0, 1.5)
+                                 for _ in range(rng.randint(1, 300))}))
+                for mean, var in ((j.mean_x, j.var_x), (j.mean_y, j.var_y)))
+            xs, ys = np.array(sx.points), np.array(sy.points)
+            scale = float(np.abs(information._mi_terms(j, xs, ys, FORM_CONDITIONAL)).sum())
+            fast = soft_mutual_information(j, sx, sy).soft
+            for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+                grid = soft_mutual_information(_GridOnly(j), sx, sy, form=form).soft
+                assert abs(fast - grid) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_weights_below_tiny_density_add_exactly_nothing(self, form):
+        # under the additive model f_X(0) * f_{Y|X}(y | 0) = exp(-y^2/2) / (2 pi)
+        def y_at(weight):
+            return MixedSet([math.sqrt(-2.0 * math.log(2.0 * math.pi * weight))])
+
+        x = MixedSet([0.0])
+        below = soft_mutual_information(STD_ADDITIVE, x, y_at(0.5 * information.TINY_DENSITY),
+                                        form=form)
+        assert below == SoftNumber(0.0, 0.0)
+        above = y_at(2.0 * information.TINY_DENSITY)
+        value = soft_mutual_information(STD_ADDITIVE, x, above, form=form).soft
+        generic = soft_mutual_information(_ScalarOnly(STD_ADDITIVE), x, above, form=form).soft
+        assert value < 0.0
+        assert value == pytest.approx(generic, rel=1e-12, abs=0.0)
+
+    def test_forms_are_bit_equal(self):
+        rng = random.Random(5)
+        j = BivariateGaussianModel(0.4, -1.0, 2.0, 0.3, -0.93)
+        sx = MixedSet(_spread_points(rng, 200, 1.5))
+        sy = MixedSet(_spread_points(rng, 300, 0.6))
+        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
+        assert sym.soft > 0.0
+        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
+
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_never_takes_the_pointwise_terms(self, form, monkeypatch):
+        def pointwise(*args):
+            raise AssertionError("_mi_terms called for a BivariateGaussianModel")
+
+        monkeypatch.setattr(information, "_mi_terms", pointwise)
+        sx = MixedSet([-0.5, 0.25, 3.0], [(1.0, 2.0)])
+        sy = MixedSet([0.0, 40.0], [(1.0, 2.0)])
+        value = soft_mutual_information(STD_ADDITIVE, sx, sy, form=form)
+        assert value.soft > 0.0 and value.real > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [-0.999, 1e-300, 0.5, 0.999999])
+    def test_raises_no_numpy_warning(self, rho):
+        # far pairs, weights below TINY_DENSITY and an sd of X of 1e-150
+        j = BivariateGaussianModel(0.0, 1.0, 1e-300, 1e2, rho)
+        xs = np.array([-3.7e-149, -1e-150, 0.0, 2e-151, 3.7e-149])
+        ys = np.array([-300.0, -40.0, 1.0, 5.0, 380.0])
+        for _ in range(2):
+            assert math.isfinite(information._gaussian_pair_sum(j, xs, ys))
+            xs, ys = np.repeat(xs, 40), np.repeat(ys, 100)
 
 
 class TestIntervalGrid:
