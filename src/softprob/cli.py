@@ -28,7 +28,7 @@ from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_inter
 from .quadrature import QuadratureConfig
 from .softnum import ExtendedSoftNumber, SoftNumber, ext_to_dict, render_extended, \
     render_soft, soft_to_dict
-from .tree import Observation, TreeConfig, induce, parse_cell, parse_dataset, predict, \
+from .tree import Observation, TreeConfig, induce, parse_dataset, predict, read_table, \
     tree_from_dict, tree_to_dict
 
 # reference values for the additive standard-Gaussian channel:
@@ -301,27 +301,15 @@ def cmd_tree_train(args) -> int:
 
 def _rows_for_predict(feature_names: list[str], text: str,
                       delimiter: str) -> list[list[Observation]]:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+    header, rows = read_table(text, delimiter)
+    if not header:
         raise SoftProbError("prediction input is empty")
-    header = [h.strip() for h in lines[0].split(delimiter)]
     if header == feature_names:
-        drop_label = False
-    elif header[:-1] == feature_names:
-        drop_label = True
-    else:
-        raise SoftProbError(
-            f"input columns {header!r} do not match model features {feature_names!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(delimiter)]
-        if len(cells) != len(header):
-            raise SoftProbError(
-                f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        if drop_label:
-            cells = cells[:-1]
-        rows.append([parse_cell(c) for c in cells])
-    return rows
+        return list(rows)
+    if header[:-1] == feature_names:
+        return [row[:-1] for row in rows]
+    raise SoftProbError(
+        f"input columns {header!r} do not match model features {feature_names!r}")
 
 
 def cmd_tree_predict(args) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +47,6 @@ STUCK_PANEL_CAP = 128
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
-    points_per_panel: int = 16
     max_depth: int = 30
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
             raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if self.points_per_panel < 2:
-            raise DomainError("points_per_panel must be at least 2")
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
 
@@ -65,12 +61,8 @@ class QuadratureConfig:
 DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)
 DEFAULT_2D = QuadratureConfig(rel_tol=1e-7)
 
-
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+_NODES, _WEIGHTS = _legendre.leggauss(16)
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
 def _checked(f, args: tuple, shape: tuple[int, ...], where: Callable[[tuple], str]
@@ -146,20 +138,18 @@ def _mid(lo, hi):
     return 0.5 * lo + 0.5 * hi
 
 
-def _panel_nodes(edges: tuple[float, ...], nodes: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes of each panel between consecutive edges, and each panel's half-width."""
     pairs = tuple(zip(edges, edges[1:]))
     mid = np.array([_mid(lo, hi) for lo, hi in pairs])
     half = np.array([0.5 * hi - 0.5 * lo for lo, hi in pairs])
-    return (mid[:, None] + half[:, None] * nodes).ravel(), half
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
 
 
-def _panels(f, edges: tuple[float, ...], nodes: np.ndarray,
-            weights: np.ndarray) -> list[float]:
+def _panels(f, edges: tuple[float, ...]) -> list[float]:
     """Gauss-Legendre estimates of every panel between consecutive edges, from one call of f."""
-    xs, half = _panel_nodes(edges, nodes)
-    sums = sample_1d(f, xs).reshape(len(half), len(nodes)) @ weights
+    xs, half = _panel_nodes(edges)
+    sums = sample_1d(f, xs).reshape(len(half), len(_NODES)) @ _WEIGHTS
     sums *= half
     return sums.tolist()
 
@@ -175,32 +165,30 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         cfg = DEFAULT_1D
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
-    nodes, weights = _gauss_rule(cfg.points_per_panel)
 
     def refine(box):
         lo, hi = box
         mid = _mid(lo, hi)
-        left, right = _panels(f, (lo, mid, hi), nodes, weights)
+        left, right = _panels(f, (lo, mid, hi))
         return ((lo, mid), (mid, hi)), (left, right), left + right
 
-    [whole] = _panels(f, (a, b), nodes, weights)
+    [whole] = _panels(f, (a, b))
     return _adapt(refine, (a, b), whole, cfg)
 
 
-def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...],
-                 nodes: np.ndarray, weights: np.ndarray) -> list[float]:
+def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...]) -> list[float]:
     """Gauss-Legendre estimates of every panel of the tensor grid with these edges.
 
     f is called once on all the nodes. The estimates come back row by row,
     y panels outer and x panels inner.
     """
-    xs, xh = _panel_nodes(xedges, nodes)
-    ys, yh = _panel_nodes(yedges, nodes)
+    xs, xh = _panel_nodes(xedges)
+    ys, yh = _panel_nodes(yedges)
     grid = _checked(f, (xs, ys), (len(ys), len(xs)),
                     lambda k: f"({float(xs[k[1]])!r}, {float(ys[k[0]])!r})")
-    n = len(nodes)
+    n = len(_NODES)
     cells = grid.reshape(len(yh), n, len(xh), n)
-    sums = np.einsum("j,ajbi,i->ab", weights, cells, weights)
+    sums = np.einsum("j,ajbi,i->ab", _WEIGHTS, cells, _WEIGHTS)
     sums *= xh
     sums *= yh[:, None]
     return sums.ravel().tolist()
@@ -220,7 +208,6 @@ def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise DomainError(f"need finite x bounds with x_lo < x_hi, got ({x_lo!r}, {x_hi!r})")
     if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
         raise DomainError(f"need finite y bounds with y_lo < y_hi, got ({y_lo!r}, {y_hi!r})")
-    nodes, weights = _gauss_rule(cfg.points_per_panel)
 
     def refine(box):
         xlo, xhi, ylo, yhi = box
@@ -228,8 +215,8 @@ def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         ym = _mid(ylo, yhi)
         quads = ((xlo, xm, ylo, ym), (xm, xhi, ylo, ym),
                  (xlo, xm, ym, yhi), (xm, xhi, ym, yhi))
-        parts = _grid_panels(f, (xlo, xm, xhi), (ylo, ym, yhi), nodes, weights)
+        parts = _grid_panels(f, (xlo, xm, xhi), (ylo, ym, yhi))
         return quads, parts, (parts[0] + parts[1]) + (parts[2] + parts[3])
 
-    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi), nodes, weights)
+    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi))
     return _adapt(refine, (x_lo, x_hi, y_lo, y_hi), whole, cfg)

@@ -311,7 +311,7 @@ def soft_to_dict(s: SoftNumber) -> dict:
 def soft_from_dict(obj: dict) -> SoftNumber:
     try:
         return SoftNumber(float(obj["soft"]), float(obj["real"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(f"not a soft-number record: {obj!r}") from exc
 
 

@@ -6,11 +6,11 @@ into MixedSets, and scores the feature by soft mutual information; the
 soft-number total order then picks the winner, so interval evidence (real
 part) dominates and point evidence (soft part) breaks ties.
 
-Induction works on columns, not Observations. A column is a pair of float
-arrays (lo, hi): a point has lo == hi == its value and an interval keeps
-its endpoints, so lo < hi marks exactly the interval cells. `induce`
-converts the dataset once into two arrays of shape (rows, features + 1),
-the label last, and computes every cell's midpoint once; a node is an
+Datasets and induction work on columns, not Observations. A column is a
+pair of float arrays (lo, hi): a point has lo == hi == its value and an
+interval keeps its endpoints, so lo < hi marks exactly the interval cells.
+A Dataset holds its cells as two such arrays of shape (rows, features + 1),
+the label last. `induce` computes every cell's midpoint once; a node is an
 array of row indices, and its children keep the row order. Fits, merges,
 medians and leaf means are array work with the same arithmetic as the
 per-cell definitions: shifted-mean fsum sums, the median of the sorted
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class Observation:
     def midpoint(self) -> float:
         if self.kind == POINT:
             return self.value
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi
 
 
 Row = tuple[tuple[Observation, ...], Observation]
@@ -80,26 +80,25 @@ Row = tuple[tuple[Observation, ...], Observation]
 Column = tuple[np.ndarray, np.ndarray]
 
 
-def as_column(observations: Iterable[Observation]) -> Column:
-    """The (lo, hi) arrays of a sequence of observations."""
-    obs = list(observations)
-    lo = np.array([o.value if o.kind == POINT else o.lo for o in obs], dtype=float)
-    hi = np.array([o.value if o.kind == POINT else o.hi for o in obs], dtype=float)
-    return lo, hi
-
-
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Observation.midpoint of every cell.
 
-    A point keeps its value: 0.5 * (v + v) overflows for |v| above about 9e307.
+    Halving before adding keeps the midpoint of any finite interval finite.
+    A point keeps its value, because halving a subnormal value is inexact.
     """
-    return np.where(lo == hi, lo, 0.5 * (lo + hi))
+    return np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Rows of cells as two read-only float arrays lo and hi of shape (rows, features + 1).
+
+    The label is the last column, and a point cell has lo == hi.
+    """
+
     feature_names: tuple[str, ...]
-    rows: tuple[Row, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     label_name: str = "label"
 
     def __init__(self, feature_names: Sequence[str], rows: Sequence[Row],
@@ -107,17 +106,24 @@ class Dataset:
         names = tuple(str(n) for n in feature_names)
         if not names or len(set(names)) != len(names):
             raise DomainError(f"feature names must be nonempty and distinct: {names!r}")
-        packed = []
+        cells = []
         for features, label in rows:
             features = tuple(features)
             if len(features) != len(names):
                 raise DomainError(
                     f"row has {len(features)} features, expected {len(names)}")
-            packed.append((features, label))
-        if len(packed) < 2:
+            cells += features
+            cells.append(label)
+        n = len(cells) // (len(names) + 1)
+        if n < 2:
             raise DomainError("dataset needs at least 2 rows")
+        lo = np.array([c.value if c.kind == POINT else c.lo for c in cells], dtype=float)
+        hi = np.array([c.value if c.kind == POINT else c.hi for c in cells], dtype=float)
+        lo, hi = lo.reshape(n, -1), hi.reshape(n, -1)
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "rows", tuple(packed))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "label_name", str(label_name))
 
     def feature_index(self, feature: str) -> int:
@@ -142,28 +148,41 @@ def parse_cell(text: str) -> Observation:
         raise DomainError(f"malformed numeric cell {text!r}") from exc
 
 
+def read_table(text: str, delimiter: str = ",") -> tuple[list[str], Iterator[list[Observation]]]:
+    """Split delimited text into its header cells and an iterator over its rows of cells.
+
+    Blank lines are skipped, and blank text has an empty header and no rows.
+    Each row is checked and parsed as the iterator reaches it, so a caller
+    checks the header before any row; an error names its line of the text.
+    """
+    lines = [(lineno, line) for lineno, line in
+             enumerate((raw.strip() for raw in text.splitlines()), start=1) if line]
+    header = [h.strip() for h in lines[0][1].split(delimiter)] if lines else []
+    return header, (_parse_row(lineno, line, delimiter, len(header)) for lineno, line in lines[1:])
+
+
+def _parse_row(lineno: int, line: str, delimiter: str, width: int) -> list[Observation]:
+    """The cells of one table line, which must number width."""
+    cells = line.split(delimiter)
+    if len(cells) != width:
+        raise DomainError(f"line {lineno}: expected {width} cells, got {len(cells)}")
+    try:
+        return [parse_cell(c) for c in cells]
+    except DomainError as exc:
+        raise DomainError(f"line {lineno}: {exc}") from exc
+
+
 def parse_dataset(text: str, delimiter: str = ",") -> Dataset:
     """Parse delimited text: a header line, then one row per line.
 
     The last column is the label. Blank lines are skipped.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if len(lines) < 2:
-        raise DomainError("dataset text needs a header line and at least one row")
-    header = [h.strip() for h in lines[0].split(delimiter)]
-    if len(header) < 2:
+    header, rows = read_table(text, delimiter)
+    if len(header) == 1:
         raise DomainError("dataset needs at least one feature column and a label column")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(delimiter)]
-        if len(cells) != len(header):
-            raise DomainError(
-                f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        try:
-            obs = [parse_cell(c) for c in cells]
-        except DomainError as exc:
-            raise DomainError(f"line {lineno}: {exc}") from exc
-        rows.append((tuple(obs[:-1]), obs[-1]))
+    rows = [(row[:-1], row[-1]) for row in rows]
+    if not rows:
+        raise DomainError("dataset text needs a header line and at least one row")
     return Dataset(header[:-1], rows, label_name=header[-1])
 
 
@@ -171,6 +190,10 @@ def parse_dataset(text: str, delimiter: str = ",") -> Dataset:
 class Leaf:
     prediction: float
     count: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.prediction):
+            raise DomainError(f"leaf prediction must be finite, got {self.prediction!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +204,11 @@ class Split:
     gain: SoftNumber
     left: "TreeNode"
     right: "TreeNode"
+
+    def __post_init__(self):
+        if self.feature_index < 0 or not math.isfinite(self.threshold):
+            raise DomainError(f"split needs a feature index >= 0 and a finite threshold, "
+                              f"got {self.feature_index!r} and {self.threshold!r}")
 
 
 TreeNode = Union[Leaf, Split]
@@ -307,11 +335,9 @@ def _gain(x: Column, y_moments: ColumnMoments, y_set: MixedSet, cfg: TreeConfig
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
     index = ds.feature_index(feature)
-    x = as_column(features[index] for features, _ in ds.rows)
-    y = as_column(label for _, label in ds.rows)
-    if len(x[0]) < 2:
-        raise DomainError("need two columns of equal length >= 2")
-    return _gain(x, _moments_or_nan(y), build_mixed_sets(y), cfg)
+    y = (ds.lo[:, -1], ds.hi[:, -1])
+    return _gain((ds.lo[:, index], ds.hi[:, index]), _moments_or_nan(y),
+                 build_mixed_sets(y), cfg)
 
 
 def _median(values: np.ndarray) -> float:
@@ -325,7 +351,10 @@ def _median(values: np.ndarray) -> float:
 
 def _leaf(label_mids: np.ndarray) -> Leaf:
     n = len(label_mids)
-    return Leaf(prediction=math.fsum(label_mids.tolist()) / n, count=n)
+    try:
+        return Leaf(prediction=math.fsum(label_mids.tolist()) / n, count=n)
+    except OverflowError:
+        raise DomainError("label values are too large to average") from None
 
 
 def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
@@ -335,18 +364,13 @@ def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     does not exceed cfg.min_gain under cmp, or a split fails to separate
     the rows. Ties in gain go to the lowest feature index.
     """
-    width = len(ds.feature_names) + 1
-    lo, hi = as_column([cell for features, label in ds.rows for cell in features + (label,)])
-    lo, hi = lo.reshape(-1, width), hi.reshape(-1, width)
-    with np.errstate(over="ignore"):
-        mids = _midpoints(lo, hi)
-    return _grow(ds, cfg, lo, hi, mids, np.arange(len(lo)), 0)
+    return _grow(ds, cfg, _midpoints(ds.lo, ds.hi), np.arange(len(ds.lo)), 0)
 
 
-def _grow(ds: Dataset, cfg: TreeConfig, lo: np.ndarray, hi: np.ndarray,
-          mids: np.ndarray, rows: np.ndarray, depth: int) -> TreeNode:
-    """The subtree of the given rows of induce's cell arrays (label column last)."""
-    label = len(ds.feature_names)
+def _grow(ds: Dataset, cfg: TreeConfig, mids: np.ndarray, rows: np.ndarray,
+          depth: int) -> TreeNode:
+    """The subtree of the given rows of the dataset; mids holds its cells' midpoints."""
+    lo, hi, label = ds.lo, ds.hi, len(ds.feature_names)
     if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
         return _leaf(mids[rows, label])
     y = (lo[rows, label], hi[rows, label])
@@ -368,8 +392,8 @@ def _grow(ds: Dataset, cfg: TreeConfig, lo: np.ndarray, hi: np.ndarray,
                  feature_index=best_index,
                  threshold=threshold,
                  gain=best_gain,
-                 left=_grow(ds, cfg, lo, hi, mids, left, depth + 1),
-                 right=_grow(ds, cfg, lo, hi, mids, right, depth + 1))
+                 left=_grow(ds, cfg, mids, left, depth + 1),
+                 right=_grow(ds, cfg, mids, right, depth + 1))
 
 
 def predict(t: TreeNode, features: Sequence[Observation],
@@ -415,6 +439,6 @@ def tree_from_dict(obj: dict) -> TreeNode:
                          gain=soft_from_dict(obj["gain"]),
                          left=tree_from_dict(obj["left"]),
                          right=tree_from_dict(obj["right"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed tree record: {exc}") from exc
     raise DomainError(f"unknown tree node kind {obj['kind']!r}")

@@ -433,7 +433,7 @@ def test_criterion_6_quadrature_oracle():
 # 7. Tree behavior
 # --------------------------------------------------------------------------
 
-def _tree_dataset(seed: int, n: int = 200, interval_fraction: float = 0.0) -> Dataset:
+def _tree_rows(seed: int, n: int = 200, interval_fraction: float = 0.0) -> list:
     """y = x1 + noise with variance 0.25; x2 is independent noise."""
     rng = random.Random(seed)
 
@@ -449,7 +449,11 @@ def _tree_dataset(seed: int, n: int = 200, interval_fraction: float = 0.0) -> Da
         x2 = rng.gauss(0.0, 1.0)
         y = x1 + rng.gauss(0.0, 0.5)
         rows.append(((obs(x1), obs(x2)), obs(y)))
-    return Dataset(["x1", "x2"], rows, label_name="y")
+    return rows
+
+
+def _tree_dataset(seed: int, n: int = 200, interval_fraction: float = 0.0) -> Dataset:
+    return Dataset(["x1", "x2"], _tree_rows(seed, n, interval_fraction), label_name="y")
 
 
 def _oracle_point_mi(model, xs, ys) -> float:
@@ -484,7 +488,7 @@ def _assert_tree_bounds(node, depth: int, cfg: TreeConfig):
 
 
 def test_criterion_7_tree_behavior():
-    from softprob.tree import as_column, build_mixed_sets, fit_joint_model
+    from softprob.tree import build_mixed_sets, fit_joint_model
 
     cfg = TreeConfig(max_depth=1)
     for seed in range(20):
@@ -494,8 +498,8 @@ def test_criterion_7_tree_behavior():
 
         oracle_values = []
         for index in range(2):
-            feature_col = as_column(features[index] for features, _ in ds.rows)
-            label_col = as_column(label for _, label in ds.rows)
+            feature_col = (ds.lo[:, index], ds.hi[:, index])
+            label_col = (ds.lo[:, -1], ds.hi[:, -1])
             model = fit_joint_model(feature_col, label_col)
             sx = build_mixed_sets(feature_col)
             sy = build_mixed_sets(label_col)
@@ -515,12 +519,13 @@ def test_criterion_7_tree_behavior():
     bounds_cfg = TreeConfig(max_depth=3, min_rows=10)
     _assert_tree_bounds(induce(bounded, bounds_cfg), 0, bounds_cfg)
 
-    train = _tree_dataset(0)
-    held_out = _tree_dataset(100, n=100)
-    tree = induce(train, TreeConfig(max_depth=3, min_rows=8))
-    global_mean = statistics.fmean(label.midpoint for _, label in train.rows)
+    train = _tree_rows(0)
+    held_out = _tree_rows(100, n=100)
+    tree = induce(Dataset(["x1", "x2"], train, label_name="y"),
+                  TreeConfig(max_depth=3, min_rows=8))
+    global_mean = statistics.fmean(label.midpoint for _, label in train)
     sq_tree, sq_mean = [], []
-    for features, label in held_out.rows:
+    for features, label in held_out:
         truth = label.midpoint
         sq_tree.append((predict(tree, features) - truth) ** 2)
         sq_mean.append((global_mean - truth) ** 2)

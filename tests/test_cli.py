@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -293,6 +295,13 @@ TRAIN_CSV = "\n".join(["x1,x2,y"] + [
 ]) + "\n0.05..0.15,0.3,0.1\n"
 
 
+MODEL_LEAF = '{"kind": "leaf", "prediction": %s, "count": %s}'
+# feature_index, threshold and the gain's real part of a split over two leaves
+MODEL_SPLIT = ('{"kind": "split", "feature": "x1", "feature_index": %s, "threshold": %s, '
+               '"gain": {"soft": 0.0, "real": %s}, "left": ' + MODEL_LEAF % ("0.0", "1")
+               + ', "right": ' + MODEL_LEAF % ("1.0", "1") + '}')
+
+
 class TestTreeCommands:
     def test_train_predict_round_trip(self, capsys, tmp_path):
         data = tmp_path / "train.csv"
@@ -381,6 +390,39 @@ class TestTreeCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_predict_parse_error_names_the_physical_line(self, capsys, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text(TRAIN_CSV, encoding="utf-8")
+        model = tmp_path / "model.json"
+        _run(capsys, ["tree-train", "--data", str(data), "--out", str(model)])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2\n0.3,0.1\n\n0.5,zz\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["tree-predict", "--model", str(model),
+                                       "--data", str(bad)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 4: malformed numeric cell 'zz'\n"
+
+    @pytest.mark.parametrize("tree", [
+        MODEL_LEAF % ("0.5", "1e999"),
+        MODEL_LEAF % ("NaN", "3"),
+        MODEL_SPLIT % ("0", "1" + "0" * 400, "1.0"),
+        MODEL_SPLIT % ("0", "0.5", "1" + "0" * 400),
+        MODEL_SPLIT % ("-1", "0.5", "1.0"),
+    ], ids=["infinite-count", "nan-prediction", "huge-threshold", "huge-gain",
+            "negative-feature-index"])
+    def test_predict_rejects_out_of_range_model_records(self, capsys, tmp_path, tree):
+        model = tmp_path / "model.json"
+        model.write_text('{"feature_names": ["x1"], "tree": %s}' % tree, encoding="utf-8")
+        data = tmp_path / "rows.csv"
+        data.write_text("x1\n0.25\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["tree-predict", "--model", str(model),
+                                       "--data", str(data)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_missing_files_fail_cleanly(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["tree-train", "--data",
@@ -514,3 +556,83 @@ class TestRandomDescriptors:
     @given(dist=_json_ish(_DIST), ms=_json_ish(_SET))
     def test_moments_never_raises(self, dist, ms):
         _assert_exits_cleanly(["moments", f"--dist={dist}", f"--set={ms}"])
+
+
+# Random tables for tree-train and tree-predict: header names, delimiters and
+# numeric or interval cells, then up to two faults: a cell that is junk,
+# non-finite or too large for a float, or a row of the wrong length. Blank
+# lines go anywhere.
+_DELIMITERS = st.sampled_from([",", ";", "\t", " ", "|", "."])
+_GOOD_CELL = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-3, 3).map(str),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 5.0)).map(
+        lambda t: f"{t[0]!r}..{t[0] + t[1]!r}"))
+_BAD_CELL = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1.7e308", "5e-324", "1e308..1.7e308",
+                     "1" + "0" * 400, "3..1", "..", ""]),
+    st.text(alphabet=" ,;.|\t-+e019xy", max_size=5))
+_HEADER = st.one_of(st.sampled_from([["x1", "x2"], ["x1", "x2", "y"]]),
+                    st.lists(st.text(alphabet=" ,;.xy12", max_size=3), min_size=1, max_size=3))
+
+
+@st.composite
+def _tables(draw):
+    delimiter = draw(_DELIMITERS)
+    header = draw(_HEADER)
+    width = len(header)
+    rows = draw(st.lists(st.lists(_GOOD_CELL, min_size=width, max_size=width),
+                         min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows) - 1))
+        if rows[at] and draw(st.booleans()):
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(_BAD_CELL)
+        else:
+            rows[at] = draw(st.lists(_GOOD_CELL, max_size=4))
+    lines = [delimiter.join(header)] + [delimiter.join(r) for r in rows]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, "")
+    return delimiter, "\n".join(lines) + "\n"
+
+
+_LEAF_RECORD = st.fixed_dictionaries({"kind": st.just("leaf"), "prediction": _FIELD,
+                                      "count": _FIELD})
+_TREE_RECORD = st.recursive(
+    _LEAF_RECORD | _JSON,
+    lambda inner: st.fixed_dictionaries({
+        "kind": st.just("split"), "feature": st.sampled_from(["x1", "x2"]) | _FIELD,
+        "feature_index": st.integers(-2, 3) | _FIELD, "threshold": _FIELD,
+        "gain": st.fixed_dictionaries({"soft": _FIELD, "real": _FIELD}) | _JSON,
+        "left": inner, "right": inner}),
+    max_leaves=4)
+_MODEL = st.fixed_dictionaries({"feature_names": st.just(["x1", "x2"]) | _JSON,
+                                "tree": _TREE_RECORD}) | _JSON
+
+
+class TestRandomTables:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(table=_tables(), max_depth=st.integers(1, 3), min_rows=st.integers(2, 5))
+    def test_train_then_predict_never_raises(self, table, max_depth, min_rows):
+        delimiter, text = table
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model = Path(tmp, "data.csv"), Path(tmp, "model.json")
+            data.write_text(text, encoding="utf-8")
+            _assert_exits_cleanly(["tree-train", "--data", str(data), "--out", str(model),
+                                   "--delimiter", delimiter, "--max-depth", str(max_depth),
+                                   "--min-rows", str(min_rows)])
+            if model.exists():
+                _assert_exits_cleanly(["tree-predict", "--model", str(model),
+                                       "--data", str(data), "--delimiter", delimiter])
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model_text=_json_ish(_MODEL), table=_tables())
+    def test_predict_with_random_model_records_never_raises(self, model_text, table):
+        delimiter, text = table
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model = Path(tmp, "data.csv"), Path(tmp, "model.json")
+            data.write_text(text, encoding="utf-8")
+            model.write_text(model_text, encoding="utf-8")
+            _assert_exits_cleanly(["tree-predict", "--model", str(model),
+                                   "--data", str(data), "--delimiter", delimiter])

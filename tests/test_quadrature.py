@@ -34,8 +34,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(points_per_panel=1)
-        with pytest.raises(DomainError):
             QuadratureConfig(max_depth=0)
 
 

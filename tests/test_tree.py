@@ -4,7 +4,9 @@ import gc
 import math
 import random
 import statistics
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,20 +25,20 @@ from softprob.tree import (
     Observation,
     Split,
     TreeConfig,
-    as_column,
     build_mixed_sets,
     fit_joint_model,
     induce,
     parse_cell,
     parse_dataset,
     predict,
+    read_table,
     split_gain,
     tree_from_dict,
     tree_to_dict,
 )
 
 
-def _synthetic(seed: int, n: int = 200, interval_fraction: float = 0.0):
+def _synthetic_rows(seed: int, n: int = 200, interval_fraction: float = 0.0):
     """Rows with y = x1 + noise(sd 0.5) and an uninformative x2."""
     rng = random.Random(seed)
 
@@ -52,15 +54,30 @@ def _synthetic(seed: int, n: int = 200, interval_fraction: float = 0.0):
         x2 = rng.gauss(0.0, 1.0)
         y = x1 + rng.gauss(0.0, 0.5)
         rows.append(((obs(x1), obs(x2)), obs(y)))
+    return rows
+
+
+def _dataset(rows):
     return Dataset(["x1", "x2"], rows, label_name="y")
 
 
+def _synthetic(seed: int, n: int = 200, interval_fraction: float = 0.0):
+    return _dataset(_synthetic_rows(seed, n, interval_fraction))
+
+
+def _column(cells):
+    """The (lo, hi) arrays of a sequence of observations."""
+    cells = list(cells)
+    return (np.array([c.value if c.kind == POINT else c.lo for c in cells], dtype=float),
+            np.array([c.value if c.kind == POINT else c.hi for c in cells], dtype=float))
+
+
 def _fit(x, y):
-    return fit_joint_model(as_column(x), as_column(y))
+    return fit_joint_model(_column(x), _column(y))
 
 
 def _sets(col):
-    return build_mixed_sets(as_column(col))
+    return build_mixed_sets(_column(col))
 
 
 def _leaf_rows(node) -> int:
@@ -105,6 +122,17 @@ class TestObservation:
         with pytest.raises(DomainError):
             Observation("fuzzy", value=1.0)
 
+    def test_midpoint_of_a_huge_interval_is_finite(self):
+        o = Observation.interval(1e308, 1.7e308)
+        assert o.midpoint == 1.35e308
+        node = Split(feature="a", feature_index=0, threshold=1.4e308,
+                     gain=SoftNumber(0.0, 1.0),
+                     left=Leaf(prediction=-1.0, count=1),
+                     right=Leaf(prediction=1.0, count=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(node, [o]) == -1.0
+
 
 class TestParsing:
     def test_numeric_cell(self):
@@ -123,9 +151,9 @@ class TestParsing:
         ds = parse_dataset(text)
         assert ds.feature_names == ("x1", "x2")
         assert ds.label_name == "y"
-        assert len(ds.rows) == 3
-        assert ds.rows[1][0][0] == Observation.interval(0.5, 1.5)
-        assert ds.rows[2][1] == Observation.point(6.0)
+        assert len(ds.lo) == 3
+        assert (ds.lo[1, 0], ds.hi[1, 0]) == (0.5, 1.5)
+        assert ds.lo[2, -1] == ds.hi[2, -1] == 6.0
 
     def test_cell_count_mismatch_names_line(self):
         with pytest.raises(DomainError, match="line 3"):
@@ -134,6 +162,19 @@ class TestParsing:
     def test_malformed_cell_names_line(self):
         with pytest.raises(DomainError, match="line 2"):
             parse_dataset("a,b\nfoo,2\n")
+
+    def test_errors_name_the_physical_line_after_blank_lines(self):
+        with pytest.raises(DomainError, match="line 5: malformed numeric cell 'zz'"):
+            parse_dataset("x1,x2,y\n1,2,3\n\n\n2,zz,6\n")
+        with pytest.raises(DomainError, match="line 4: expected 3 cells, got 2"):
+            parse_dataset("x1,x2,y\n1,2,3\n\n4,5\n")
+
+    def test_read_table(self):
+        header, rows = read_table("\n a ; b \n\n1 ; 0..2\n", delimiter=";")
+        assert header == ["a", "b"]
+        assert list(rows) == [[Observation.point(1.0), Observation.interval(0.0, 2.0)]]
+        header, rows = read_table(" \n\n")
+        assert header == [] and list(rows) == []
 
     def test_header_only_rejected(self):
         with pytest.raises(DomainError):
@@ -145,7 +186,7 @@ class TestParsing:
 
     def test_alternate_delimiter(self):
         ds = parse_dataset("a;y\n1;2\n3;4\n", delimiter=";")
-        assert ds.rows[0][0][0] == Observation.point(1.0)
+        assert ds.lo[0, 0] == ds.hi[0, 0] == 1.0
 
 
 class TestDataset:
@@ -168,6 +209,15 @@ class TestDataset:
         assert ds.feature_index("b") == 1
         with pytest.raises(DomainError):
             ds.feature_index("missing")
+
+    def test_cells_are_read_only_arrays_with_the_label_last(self):
+        ds = Dataset(["a"], [((Observation.point(1),), Observation.interval(2, 3)),
+                             ((Observation.interval(-1, 0),), Observation.point(4))])
+        assert ds.lo.dtype == ds.hi.dtype == np.float64
+        assert ds.lo.tolist() == [[1.0, 2.0], [-1.0, 4.0]]
+        assert ds.hi.tolist() == [[1.0, 3.0], [0.0, 4.0]]
+        with pytest.raises(ValueError):
+            ds.lo[0, 0] = 5.0
 
 
 class TestFitJointModel:
@@ -365,12 +415,25 @@ class TestSplitGain:
 
 class TestInduce:
     def test_small_dataset_yields_single_leaf(self):
-        ds = _synthetic(3, n=3)
-        node = induce(ds, TreeConfig(min_rows=4))
+        rows = _synthetic_rows(3, n=3)
+        node = induce(_dataset(rows), TreeConfig(min_rows=4))
         assert isinstance(node, Leaf)
         assert node.count == 3
-        expected = statistics.fmean(label.midpoint for _, label in ds.rows)
+        expected = statistics.fmean(label.midpoint for _, label in rows)
         assert node.prediction == pytest.approx(expected)
+
+    def test_leaf_mean_of_a_huge_interval_label_is_finite(self):
+        ds = Dataset(["a"], [((Observation.point(0.0),), Observation.interval(1e308, 1.7e308)),
+                             ((Observation.point(1.0),), Observation.point(0.0))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert induce(ds, TreeConfig(min_rows=4)) == Leaf(prediction=6.75e307, count=2)
+
+    def test_overflowing_leaf_mean_is_a_domain_error(self):
+        ds = Dataset(["a"], [((Observation.point(float(i)),), Observation.point(1e308))
+                             for i in range(2)])
+        with pytest.raises(DomainError):
+            induce(ds, TreeConfig(min_rows=4))
 
     def test_depth_one_splits_at_most_once(self):
         ds = _synthetic(7, n=40)
@@ -387,9 +450,9 @@ class TestInduce:
         assert node.feature_index == 0
 
     def test_threshold_is_median_of_midpoints(self):
-        ds = _synthetic(7, n=40)
-        node = induce(ds, TreeConfig(max_depth=1))
-        mids = [features[node.feature_index].midpoint for features, _ in ds.rows]
+        rows = _synthetic_rows(7, n=40)
+        node = induce(_dataset(rows), TreeConfig(max_depth=1))
+        mids = [features[node.feature_index].midpoint for features, _ in rows]
         assert node.threshold == pytest.approx(statistics.median(mids))
 
     def test_determinism(self):
@@ -446,13 +509,13 @@ class TestPredict:
         assert predict(node, [Observation.point(-1.0)], feature_names=["a"]) == 0.0
 
     def test_rmse_beats_global_mean(self):
-        train = _synthetic(41, n=200)
-        test = _synthetic(42, n=100)
-        tree = induce(train, TreeConfig(max_depth=3, min_rows=8))
-        mean = statistics.fmean(label.midpoint for _, label in train.rows)
+        train = _synthetic_rows(41, n=200)
+        test = _synthetic_rows(42, n=100)
+        tree = induce(_dataset(train), TreeConfig(max_depth=3, min_rows=8))
+        mean = statistics.fmean(label.midpoint for _, label in train)
         err_tree = []
         err_mean = []
-        for features, label in test.rows:
+        for features, label in test:
             truth = label.midpoint
             err_tree.append((predict(tree, features) - truth) ** 2)
             err_mean.append((mean - truth) ** 2)
@@ -515,14 +578,13 @@ def _ref_sets(col):
                     merged)
 
 
-def _ref_induce(ds, cfg, rows=None, depth=0):
-    rows = ds.rows if rows is None else rows
+def _ref_induce(names, rows, cfg, depth=0):
     labels = [label for _, label in rows]
     leaf = Leaf(prediction=statistics.fmean(o.midpoint for o in labels), count=len(rows))
     if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
         return leaf
     best_index, best_gain = 0, None
-    for index in range(len(ds.feature_names)):
+    for index in range(len(names)):
         col = [features[index] for features, _ in rows]
         model = _ref_fit(col, labels)
         gain = (SoftNumber.zero() if model is None else soft_mutual_information(
@@ -536,18 +598,23 @@ def _ref_induce(ds, cfg, rows=None, depth=0):
     right = [r for r in rows if r[0][best_index].midpoint > threshold]
     if not left or not right:
         return leaf
-    return Split(feature=ds.feature_names[best_index], feature_index=best_index,
+    return Split(feature=names[best_index], feature_index=best_index,
                  threshold=threshold, gain=best_gain,
-                 left=_ref_induce(ds, cfg, left, depth + 1),
-                 right=_ref_induce(ds, cfg, right, depth + 1))
+                 left=_ref_induce(names, left, cfg, depth + 1),
+                 right=_ref_induce(names, right, cfg, depth + 1))
 
 
-def _column_dataset(*columns):
-    """A dataset from equal-length columns of cells, the last one the label."""
+def _column_rows(*columns):
+    """Rows of cells from equal-length columns, the last one the label."""
     def cell(c):
         return Observation.interval(*c) if isinstance(c, tuple) else Observation.point(c)
-    names = [f"x{i}" for i in range(len(columns) - 1)]
-    return Dataset(names, [(tuple(map(cell, r[:-1])), cell(r[-1])) for r in zip(*columns)])
+    return [(tuple(map(cell, r[:-1])), cell(r[-1])) for r in zip(*columns)]
+
+
+def _assert_matches_reference(rows, cfg):
+    ds = Dataset([f"x{i}" for i in range(len(rows[0][0]))], rows)
+    assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(
+        _ref_induce(ds.feature_names, rows, cfg)))
 
 
 _VALUES = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.sampled_from([0.1, 0.7]))
@@ -557,10 +624,10 @@ _CELLS = st.one_of(
 
 
 @st.composite
-def _mixed_datasets(draw):
+def _mixed_rows(draw):
     n = draw(st.integers(2, 12))
     columns = draw(st.lists(st.lists(_CELLS, min_size=n, max_size=n), min_size=2, max_size=3))
-    return _column_dataset(*columns)
+    return _column_rows(*columns)
 
 
 class TestColumnarInduction:
@@ -585,20 +652,18 @@ class TestColumnarInduction:
         ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [(i, i + 0.5) for i in (3, 1, 2, 0, 5, 4, 7, 6)]),
     ])
     def test_matches_reference_on_edge_cases(self, columns):
-        ds = _column_dataset(*columns)
+        rows = _column_rows(*columns)
         for cfg in (TreeConfig(max_depth=3, min_rows=2), TreeConfig(max_depth=1)):
-            assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+            _assert_matches_reference(rows, cfg)
 
     @settings(max_examples=60, deadline=None)
-    @given(ds=_mixed_datasets(), max_depth=st.integers(1, 3))
-    def test_matches_reference_on_random_mixed_data(self, ds, max_depth):
-        cfg = TreeConfig(max_depth=max_depth, min_rows=2)
-        assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+    @given(rows=_mixed_rows(), max_depth=st.integers(1, 3))
+    def test_matches_reference_on_random_mixed_data(self, rows, max_depth):
+        _assert_matches_reference(rows, TreeConfig(max_depth=max_depth, min_rows=2))
 
     def test_matches_reference_on_synthetic_data(self):
-        ds = _synthetic(43, n=120, interval_fraction=0.25)
-        cfg = TreeConfig(max_depth=3, min_rows=8)
-        assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(_ref_induce(ds, cfg)))
+        rows = _synthetic_rows(43, n=120, interval_fraction=0.25)
+        _assert_matches_reference(rows, TreeConfig(max_depth=3, min_rows=8))
 
     def test_induce_leaves_no_reference_cycles(self):
         ds = _synthetic(47, n=80, interval_fraction=0.25)
