@@ -5,12 +5,15 @@ kld, mi, moments (evaluate soft quantities from JSON descriptors), and
 tree-train / tree-predict (induce and apply a soft-MI decision tree).
 
 Output is deterministic: identical inputs produce byte-identical output in
-both the human format and the machine format.
+both the human format and the machine format. --stats adds one JSON line
+on stderr with the totals of the run's 1-D quadrature records (QuadStats)
+and leaves stdout as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -18,14 +21,14 @@ from typing import Optional
 
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
-from .errors import SoftProbError
+from .errors import DomainError, SoftProbError
 from .information import FORM_CONDITIONAL, FORM_SYMMETRIC, InfoConfig, soft_cross_entropy, \
     soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
 from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_interval, \
     ps_cond_point_given_point, ps_eq, ps_interval, ps_intersect_point_interval, ps_leq, \
     ps_lt, ps_neq, ps_points_intersection, ps_points_union, ps_union_point_interval
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, collect_stats, total_stats
 from .softnum import ExtendedSoftNumber, SoftNumber, ext_to_dict, render_extended, \
     render_soft, soft_to_dict
 from .tree import Observation, TreeConfig, induce, parse_dataset, predict, read_table, \
@@ -64,6 +67,8 @@ def _parse_json(text: str, what: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SoftProbError(f"malformed JSON for {what}: {exc}") from exc
+    except RecursionError:
+        raise DomainError(f"JSON for {what} is nested too deeply") from None
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -338,6 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the quadrature relative tolerance")
     common.add_argument("--format", choices=["human", "json-like"], default="human",
                         help="output format")
+    common.add_argument("--stats", action="store_true",
+                        help="write the totals of the 1-D quadrature runs to stderr as one "
+                             "JSON line")
 
     parser = argparse.ArgumentParser(
         prog="softprob",
@@ -422,14 +430,20 @@ HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return HANDLERS[args.command](args)
-    except SoftProbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with collect_stats() if args.stats else contextlib.nullcontext() as records:
+        try:
+            return HANDLERS[args.command](args)
+        except SoftProbError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            if args.stats:
+                totals = total_stats(records)._asdict()
+                print(json.dumps({"runs": len(records), **totals}, sort_keys=True),
+                      file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ import numpy as np
 
 from .distributions import ContinuousDistribution
 from .errors import DomainError
-from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_1d, sample_1d
+from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d
+from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
 
 
@@ -112,20 +113,18 @@ def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray]
 
     term(xs) returns the term at each of the points xs, usually a density
     of d times some function. point_sum adds it over ms.points, in order;
-    interval_sum integrates it over every interval. Each interval is split,
-    never clipped, at d.location and at the ends of d.truncated_range()
-    that lie strictly inside it, so that no panel straddles a narrow peak,
-    the bulk of a wide interval or a jump at a support edge. A non-finite
-    term is a DomainError that names its point.
+    interval_sum integrates it over every interval, all of them in one
+    integrate_pieces run. Each interval is split, never clipped, at
+    d.location and at the ends of d.truncated_range() that lie strictly
+    inside it, so that no panel straddles a narrow peak, the bulk of a
+    wide interval or a jump at a support edge. A non-finite term is a
+    DomainError that names its point.
     """
     cfg = quadrature if quadrature is not None else DEFAULT_1D
     point_sum = sum(sample_1d(term, np.array(ms.points, dtype=float)).tolist(), 0.0)
     breaks = (d.location, *d.truncated_range())
-    interval_sum = 0.0
-    for lo, hi in ms.intervals:
-        for a, b in split_at(lo, hi, breaks):
-            interval_sum += integrate_1d(term, a, b, cfg)
-    return point_sum, interval_sum
+    pieces = [piece for lo, hi in ms.intervals for piece in split_at(lo, hi, breaks)]
+    return point_sum, integrate_pieces(term, pieces, cfg)
 
 
 def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float, float]]:

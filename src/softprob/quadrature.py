@@ -1,46 +1,117 @@
 """Adaptive Gauss-Legendre quadrature in one and two dimensions.
 
-Panels are refined by bisection (quartering in 2-D) until the refined
-estimate agrees with the parent estimate to a relative tolerance, with an
-optional absolute floor. Termination is relative by default because the
-integrals this package cares about range over hundreds of orders of
-magnitude; an absolute cutoff would silently zero the tail cases.
-
 Integrands take arrays. The 1-D integrand f(xs) takes a 1-D array of
 nodes and returns the array of f at each of them. The 2-D integrand is a
 grid function: f(xs, ys) takes two 1-D arrays and returns the array
 [len(ys), len(xs)] with [j, i] = f(xs[i], ys[j]), the layout of
-JointModel.joint_pdf_grid. The first whole-interval estimate is one call
-on the 16 Gauss nodes (16x16 in 2-D), and each refinement step evaluates
-all its child panels with one call: 32 nodes for the two halves in 1-D,
-the 32x32 tensor grid for the four quarters in 2-D. A result of the wrong
-shape, or a non-finite value in it, is a DomainError that names the
-first bad point. The 1-D soft quantities reach integrate_1d through
-moments.soft_sum, which evaluates the same array kernel on a MixedSet's
-points with sample_1d and splits its intervals at the density's break
-points before integrating them.
+JointModel.joint_pdf_grid. A result of the wrong shape, or a non-finite
+value in it, is a DomainError that names the first bad point. Every
+estimate is the 16-node Gauss-Legendre rule on a panel.
 
-Everything here is pure and deterministic: panels are visited depth-first
-left to right and accepted values are combined with an exact running sum,
-so repeated calls return bit-identical results.
+1-D integrals run in rounds, after MATLAB's quadgk (Shampine, J. Comput.
+Appl. Math. 211, 2008), with the global error test of QUADPACK's QAG
+(Piessens et al. 1983). All the pieces of one integral start as the
+panels of one run (integrate_pieces; integrate_1d is the one-piece case),
+and each round is one call of the integrand. A panel's estimate is the
+sum of its halves and its error estimate |halves - whole|. The first
+round evaluates every piece's whole and halves, 48 nodes a piece. Until
+the summed error meets the budget max(rel_tol * sum|estimate|, abs_tol),
+each round bisects every panel whose error exceeds budget/len(panels)
+and evaluates the halves of the new panels, 64 nodes a split panel. The
+budget is relative by default because the integrals this package cares
+about range over hundreds of orders of magnitude; an absolute cutoff
+would silently zero the tail cases. Rounds double the panels of an
+integrand made of rounding noise, which no relative tolerance stops, so
+a run that would pass PANEL_CAP panels raises ConvergenceError, as does
+one whose remaining error sits in panels at max_depth. Each panel's 16
+values are summed on their own row, so a panel's estimate does not depend
+on the other panels in its call; the result is the math.fsum of the
+panel estimates. Each run reports a QuadStats record, which
+collect_stats gathers.
+
+moments.soft_sum evaluates its array kernel on a MixedSet's points with
+sample_1d and integrates it over all the pieces of its intervals in one
+run. 2-D integrals refine depth-first, until each panel meets the
+tolerance on its own; a call evaluates the 16x16 grid of the whole
+rectangle, then the 32x32 grid of one panel's four quarters.
+
+Everything here is pure and deterministic, so repeated calls return
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 import numpy.polynomial.legendre as _legendre
 
 from .errors import ConvergenceError, DomainError
 
+# A 1-D run that would hold more panels than this raises ConvergenceError.
+# An integrand made of rounding noise never meets a relative tolerance, and
+# each round doubles its panels; at the cap a call evaluates at most
+# 64 * PANEL_CAP / 2 nodes.
+PANEL_CAP = 1 << 12
+
 # An integrand made of rounding noise never meets a relative tolerance at
-# any depth. Once this many panels have bottomed out, refinement clearly
-# is not helping and the traversal stops early instead of exhausting the
-# whole refinement tree.
+# any depth. Once this many 2-D panels have bottomed out, refinement
+# clearly is not helping and the traversal stops early instead of
+# exhausting the whole refinement tree.
 STUCK_PANEL_CAP = 128
+
+
+class QuadStats(NamedTuple):
+    """What one 1-D run did, the (abserr, neval, ier) of QUADPACK.
+
+    A named tuple, so frozen, and defined without the code generation that
+    a dataclass runs at import.
+
+    nodes: integrand values computed. calls: integrand calls, one per
+    round. panels: panels at the end. max_depth: the deepest panel, a
+    piece being depth 1. error: the summed error estimate of the result.
+    stuck: panels at max_depth that still needed bisecting when the run
+    stopped (0 when it converged).
+    """
+
+    nodes: int
+    calls: int
+    panels: int
+    max_depth: int
+    error: float
+    stuck: int
+
+
+_RECORDS: ContextVar[Optional[list[QuadStats]]] = ContextVar("softprob_quad_stats",
+                                                               default=None)
+
+
+@contextmanager
+def collect_stats() -> Iterator[list[QuadStats]]:
+    """Collect the QuadStats of every 1-D run in the block, in order, into the list it yields.
+
+    Collectors are per context (contextvars); an inner one hides the outer
+    one until it closes.
+    """
+    records: list[QuadStats] = []
+    token = _RECORDS.set(records)
+    try:
+        yield records
+    finally:
+        _RECORDS.reset(token)
+
+
+def total_stats(records: Sequence[QuadStats]) -> QuadStats:
+    """One record for several runs: the deepest max_depth, the sums of the rest."""
+    return QuadStats(nodes=sum(r.nodes for r in records), calls=sum(r.calls for r in records),
+                     panels=sum(r.panels for r in records),
+                     max_depth=max((r.max_depth for r in records), default=0),
+                     error=math.fsum(r.error for r in records),
+                     stuck=sum(r.stuck for r in records))
 
 
 @dataclass(frozen=True)
@@ -99,12 +170,11 @@ def _describe(box: tuple[float, ...]) -> str:
 
 
 def _adapt(refine, root: tuple[float, ...], whole: float, cfg: QuadratureConfig) -> float:
-    """Refine the box root depth-first until every panel meets the tolerance.
+    """Refine the 2-D box root depth-first until every panel meets the tolerance.
 
-    A box is (lo, hi) in 1-D and (x_lo, x_hi, y_lo, y_hi) in 2-D.
-    refine(box) returns the child boxes, their estimates and the refined
-    estimate of box. Children are pushed last first, so that panels pop
-    in left-to-right order.
+    A box is (x_lo, x_hi, y_lo, y_hi). refine(box) returns the child
+    boxes, their estimates and the refined estimate of box. Children are
+    pushed last first, so that panels pop in left-to-right order.
     """
     accepted: list[float] = []
     stuck: list[tuple[tuple[float, ...], float]] = []
@@ -138,42 +208,113 @@ def _mid(lo, hi):
     return 0.5 * lo + 0.5 * hi
 
 
-def _panel_nodes(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes of each panel between consecutive edges, and each panel's half-width."""
-    pairs = tuple(zip(edges, edges[1:]))
-    mid = np.array([_mid(lo, hi) for lo, hi in pairs])
-    half = np.array([0.5 * hi - 0.5 * lo for lo, hi in pairs])
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes of each panel (lo[i], hi[i]), and each panel's half-width."""
+    mid = _mid(lo, hi)
+    half = 0.5 * hi - 0.5 * lo
     return (mid[:, None] + half[:, None] * _NODES).ravel(), half
 
 
-def _panels(f, edges: tuple[float, ...]) -> list[float]:
-    """Gauss-Legendre estimates of every panel between consecutive edges, from one call of f."""
-    xs, half = _panel_nodes(edges)
-    sums = sample_1d(f, xs).reshape(len(half), len(_NODES)) @ _WEIGHTS
-    sums *= half
-    return sums.tolist()
+def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre estimates of the panels (lo[i], hi[i]), from one call of f.
+
+    Each panel's row is reduced on its own: a matrix-vector product may
+    round a row differently with other rows beside it, so a panel's
+    estimate would depend on the batch it came in.
+    """
+    xs, half = _panel_nodes(lo, hi)
+    values = sample_1d(f, xs).reshape(len(half), len(_NODES))
+    return (values * _WEIGHTS).sum(axis=1) * half
+
+
+def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
+                     pieces: Sequence[tuple[float, float]],
+                     cfg: Optional[QuadratureConfig] = None) -> float:
+    """Integrate f over the disjoint pieces (a, b), a < b, both finite, in one run.
+
+    The run stops when sum|halves - whole| <= max(rel_tol * sum|halves|,
+    abs_tol) over all its panels. This L1 scale is the sum of the one-panel
+    tests |halves - whole| <= rel_tol * |halves|, and an integrand that
+    changes sign does not shrink it by cancelling. Rounds, bisection and
+    PANEL_CAP are as the module docstring describes. A run that cannot
+    meet the budget raises ConvergenceError with its best estimate and its
+    QuadStats; either way the QuadStats go to the open collect_stats
+    collector, if any. The result is the math.fsum of the panel estimates.
+
+    f(xs) returns the array of f at each of the nodes xs; a non-finite
+    value in it is a DomainError naming the first bad x. No pieces
+    integrate to 0.0 without a call.
+    """
+    if cfg is None:
+        cfg = DEFAULT_1D
+    for a, b in pieces:
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
+    if not pieces:
+        return 0.0
+    lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))
+    mid = _mid(lo, hi)
+    # one row per panel: lo, hi, whole, left half, right half
+    panels = np.column_stack([lo, hi, *_estimates(f, np.concatenate([lo, lo, mid]),
+                                                  np.concatenate([hi, mid, hi])
+                                                  ).reshape(3, len(lo))])
+    depth = np.ones(len(lo), dtype=int)
+    nodes, calls, converged = 3 * len(_NODES) * len(lo), 1, False
+    while True:
+        estimate = panels[:, 3] + panels[:, 4]
+        error = np.abs(estimate - panels[:, 2])
+        summed = float(error.sum())
+        budget = max(cfg.rel_tol * float(np.abs(estimate).sum()), cfg.abs_tol)
+        split = error > budget / len(panels)
+        # with no panel over its share the sum is within the budget but for rounding
+        if summed <= budget or not split.any():
+            converged = True
+            break
+        stuck = split & (depth >= cfg.max_depth)
+        split &= ~stuck
+        splits = int(split.sum())
+        if not splits or len(panels) + splits > PANEL_CAP:
+            break
+        lo, hi, _, left, right = panels[split].T
+        mid = _mid(lo, hi)
+        quarter_lo, quarter_hi = _mid(lo, mid), _mid(mid, hi)
+        quarters = _estimates(f, np.concatenate([lo, quarter_lo, mid, quarter_hi]),
+                              np.concatenate([quarter_lo, mid, quarter_hi, hi])
+                              ).reshape(4, splits)
+        nodes += 4 * len(_NODES) * splits
+        calls += 1
+        counts = 1 + split
+        first = (np.cumsum(counts) - counts)[split]
+        panels = np.repeat(panels, counts, axis=0)
+        panels[first] = np.column_stack([lo, mid, left, quarters[0], quarters[1]])
+        panels[first + 1] = np.column_stack([mid, hi, right, quarters[2], quarters[3]])
+        depth = np.repeat(depth, counts)
+        depth[first] += 1
+        depth[first + 1] += 1
+    stats = QuadStats(nodes=nodes, calls=calls, panels=len(panels), max_depth=int(depth.max()),
+                      error=summed, stuck=0 if converged else int(stuck.sum()))
+    records = _RECORDS.get()
+    if records is not None:
+        records.append(stats)
+    total = math.fsum(estimate.tolist())
+    if not converged:
+        where = ", ".join(_describe(piece) for piece in pieces)
+        if splits:
+            why = f"it needs more than {PANEL_CAP} panels"
+        else:
+            k = int(np.flatnonzero(stuck)[0])
+            why = (f"{stats.stuck} panel(s) need refining at depth {cfg.max_depth}, the first "
+                   f"{_describe(tuple(panels[k, :2].tolist()))} with error {float(error[k])!r}")
+        raise ConvergenceError(
+            f"integral over {where} did not converge: {why}; summed error {summed!r} "
+            f"exceeds the budget {budget!r}", best_estimate=total, stats=stats)
+    return total
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  cfg: Optional[QuadratureConfig] = None) -> float:
-    """Integrate f over (a, b), a < b, both finite.
-
-    f(xs) returns the array of f at each of the nodes xs; a non-finite
-    value in it is a DomainError naming the first bad x.
-    """
-    if cfg is None:
-        cfg = DEFAULT_1D
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
-
-    def refine(box):
-        lo, hi = box
-        mid = _mid(lo, hi)
-        left, right = _panels(f, (lo, mid, hi))
-        return ((lo, mid), (mid, hi)), (left, right), left + right
-
-    [whole] = _panels(f, (a, b))
-    return _adapt(refine, (a, b), whole, cfg)
+    """Integrate f over (a, b), a < b, both finite: integrate_pieces with one piece."""
+    return integrate_pieces(f, [(a, b)], cfg)
 
 
 def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...]) -> list[float]:
@@ -182,8 +323,8 @@ def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...]) -> lis
     f is called once on all the nodes. The estimates come back row by row,
     y panels outer and x panels inner.
     """
-    xs, xh = _panel_nodes(xedges)
-    ys, yh = _panel_nodes(yedges)
+    xs, xh = _panel_nodes(np.array(xedges[:-1]), np.array(xedges[1:]))
+    ys, yh = _panel_nodes(np.array(yedges[:-1]), np.array(yedges[1:]))
     grid = _checked(f, (xs, ys), (len(ys), len(xs)),
                     lambda k: f"({float(xs[k[1]])!r}, {float(ys[k[0]])!r})")
     n = len(_NODES)

@@ -427,6 +427,14 @@ def tree_to_dict(t: TreeNode) -> dict:
 
 
 def tree_from_dict(obj: dict) -> TreeNode:
+    """The tree of a tree_to_dict record; a malformed record is a DomainError."""
+    try:
+        return _node_from_dict(obj)
+    except RecursionError:
+        raise DomainError("tree record is nested too deeply") from None
+
+
+def _node_from_dict(obj: dict) -> TreeNode:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"tree record must be an object with a 'kind': {obj!r}")
     try:
@@ -437,8 +445,8 @@ def tree_from_dict(obj: dict) -> TreeNode:
                          feature_index=int(obj["feature_index"]),
                          threshold=float(obj["threshold"]),
                          gain=soft_from_dict(obj["gain"]),
-                         left=tree_from_dict(obj["left"]),
-                         right=tree_from_dict(obj["right"]))
+                         left=_node_from_dict(obj["left"]),
+                         right=_node_from_dict(obj["right"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed tree record: {exc}") from exc
     raise DomainError(f"unknown tree node kind {obj['kind']!r}")

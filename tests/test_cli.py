@@ -436,6 +436,33 @@ class TestTreeCommands:
         assert err.startswith("error:")
 
 
+class TestStatsFlag:
+    SET = '{"points": [0.5], "intervals": [[-50, 0], [1, 100]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--dist", GAUSSIAN_STD, "--set", SET],
+        ["moments", "--dist", GAUSSIAN_STD, "--set", SET],
+        ["mi", "--joint", ADDITIVE, "--set-x", '{"points": [0], "intervals": [[1, 2], [3, 4]]}',
+         "--set-y", '{"points": [1], "intervals": [[1, 3]]}'],
+    ])
+    @pytest.mark.parametrize("fmt", ["human", "json-like"])
+    def test_stdout_is_byte_identical(self, capsys, argv, fmt):
+        code, out, err = _run(capsys, argv + ["--format", fmt])
+        assert (code, err) == (0, "")
+        code, out_with_stats, err = _run(capsys, argv + ["--format", fmt, "--stats"])
+        assert code == 0 and out_with_stats == out
+        [line] = err.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == {"runs", "nodes", "calls", "panels", "max_depth", "error", "stuck"}
+        assert stats["runs"] >= 1 and stats["calls"] >= stats["runs"]
+        assert stats["nodes"] >= 48 * stats["runs"] and stats["stuck"] == 0
+
+    def test_table1_totals(self, capsys):
+        _, _, err = _run(capsys, ["table1", "--stats"])
+        stats = json.loads(err)
+        assert (stats["runs"], stats["calls"], stats["nodes"]) == (5, 8, 432)
+
+
 class TestErrorHandling:
     def test_bad_json_descriptor(self, capsys):
         code, _, err = _run(capsys, ["ps", "--op", "eq", "--dist", "{nope",
@@ -448,6 +475,35 @@ class TestErrorHandling:
                                      '{"kind": "cauchy"}', "--x", "0"])
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--dist", "--dist-hat", "--set", "--joint", "--set-x",
+                                      "--set-y", "--model"])
+    def test_deeply_nested_json_gives_one_error_line(self, capsys, tmp_path, flag):
+        deep = '{"a": ' * 1200 + "1" + "}" * 1200
+        one_point = '{"points": [0.5]}'
+        argv = {
+            "--dist": ["entropy", "--dist", deep, "--set", one_point],
+            "--dist-hat": ["kld", "--dist", GAUSSIAN_STD, "--dist-hat", deep, "--set", one_point],
+            "--set": ["entropy", "--dist", GAUSSIAN_STD, "--set", deep],
+            "--joint": ["mi", "--joint", deep, "--set-x", one_point, "--set-y", one_point],
+            "--set-x": ["mi", "--joint", ADDITIVE, "--set-x", deep, "--set-y", one_point],
+            "--set-y": ["mi", "--joint", ADDITIVE, "--set-x", one_point, "--set-y", deep],
+        }.get(flag)
+        if flag == "--model":
+            # a tree of 1,200 nested splits
+            leaf = MODEL_LEAF % ("1.0", "1")
+            node = ('{"kind": "split", "feature": "x1", "feature_index": 0, "threshold": 0.0, '
+                    '"gain": {"soft": 0.0, "real": 0.0}, "left": ' * 1200 + leaf
+                    + (', "right": ' + leaf + '}') * 1200)
+            model = tmp_path / "model.json"
+            model.write_text('{"feature_names": ["x1"], "tree": %s}' % node, encoding="utf-8")
+            data = tmp_path / "rows.csv"
+            data.write_text("x1\n0.5\n", encoding="utf-8")
+            argv = ["tree-predict", "--model", str(model), "--data", str(data)]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested too deeply" in err
 
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -30,7 +30,7 @@ from softprob.information import (
     soft_mutual_information,
 )
 from softprob.moments import MixedSet, soft_expectation, soft_variance
-from softprob.quadrature import QuadratureConfig
+from softprob.quadrature import QuadratureConfig, collect_stats, total_stats
 from softprob.softnum import ExtendedSoftNumber, SoftNumber
 
 LN2 = math.log(2.0)
@@ -108,6 +108,14 @@ class TestEntropy:
         # the entropy 0
         value = soft_entropy(Gaussian(0, 1), MixedSet([], [(-1e6, 1e6)]))
         assert value.real == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), rel=1e-12)
+
+    @pytest.mark.parametrize("interval, want", [((-50.0, 50.0), 1.4189385332046727),
+                                                 ((0.0, 100.0), 0.7094692666023363)])
+    def test_negligible_tails_converge(self, interval, want):
+        # TINY_DENSITY cuts the integrand off near +/-37.14; a per-panel
+        # test raised ConvergenceError on the panel holding that edge
+        value = soft_entropy(Gaussian(0, 1), MixedSet([], [interval]))
+        assert value.real == want
 
     def test_far_tail_interval_is_split_not_clipped(self):
         # (20, 30) lies outside the +/-10 sigma window; clipping to it gives 0
@@ -915,6 +923,15 @@ class TestBenchmarkRegression:
                                         form=FORM_CONDITIONAL)
         assert value.soft == pytest.approx(soft_ref, rel=1e-9, abs=0.0)
         assert value.real == pytest.approx(real_ref, rel=1e-9, abs=0.0)
+
+    def test_rows_take_eight_integrand_calls(self):
+        # one integrate_pieces run per row; only row 4's deep tail refines
+        with collect_stats() as records:
+            for x0, y0, x_iv, y_iv, _, _ in BENCHMARK_ROWS:
+                soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
+                                        MixedSet([y0], [y_iv]), form=FORM_CONDITIONAL)
+        assert [r.calls for r in records] == [1, 1, 1, 4, 1]
+        assert total_stats(records).calls == 8
 
     def test_tail_rectangle_matches_high_precision_truth(self):
         value = soft_mutual_information(

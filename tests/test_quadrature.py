@@ -10,9 +10,15 @@ from softprob.errors import ConvergenceError, DomainError
 from softprob.quadrature import (
     DEFAULT_1D,
     DEFAULT_2D,
+    PANEL_CAP,
     QuadratureConfig,
+    QuadStats,
+    _estimates,
+    collect_stats,
     integrate_1d,
     integrate_2d,
+    integrate_pieces,
+    total_stats,
 )
 
 
@@ -78,19 +84,19 @@ class TestIntegrate1D:
             integrate_1d(lambda x: np.full_like(x, math.nan), 0.0, 1.0)
 
     def test_non_finite_value_is_named(self):
-        # finite on the whole-interval nodes, NaN at the last refinement node
+        # finite in the first round, NaN at the last node of the second
         seen = []
 
         def f(xs):
             seen.append(xs)
-            values = np.ones_like(xs)
+            values = np.sin(20.0 * xs)
             if len(seen) == 2:
                 values[-1] = math.nan
             return values
 
         with pytest.raises(DomainError) as err:
-            integrate_1d(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
-        assert len(seen[1]) == 32
+            integrate_1d(f, 0.0, 4.0)
+        assert len(seen) == 2 and len(seen[1]) % 64 == 0
         assert f"nan at x={float(seen[1][-1])!r}" in str(err.value)
 
     def test_wrong_shape_rejected(self):
@@ -100,15 +106,21 @@ class TestIntegrate1D:
             integrate_1d(lambda xs: np.ones((len(xs), 1)), 0.0, 1.0)
 
     def test_one_call_per_refinement_step(self):
-        sizes = []
+        # the first round evaluates each piece's whole and both halves,
+        # every later one the halves of both children of each split panel
+        for pieces in ([(0.0, 4.0)], [(0.0, 1.0), (1.5, 4.0), (5.0, 9.0)]):
+            sizes = []
 
-        def f(xs):
-            sizes.append(len(xs))
-            return np.sin(20.0 * xs)
+            def f(xs):
+                sizes.append(len(xs))
+                return np.sin(20.0 * xs)
 
-        integrate_1d(f, 0.0, 4.0)
-        assert sizes[0] == 16
-        assert len(sizes) > 2 and set(sizes[1:]) == {32}
+            with collect_stats() as records:
+                integrate_pieces(f, pieces)
+            assert sizes[0] == 48 * len(pieces)
+            assert len(sizes) > 2 and all(n % 64 == 0 for n in sizes[1:])
+            [stats] = records
+            assert (stats.calls, stats.nodes) == (len(sizes), sum(sizes))
 
     def test_interval_wider_than_the_largest_float(self):
         # b - a overflows; midpoints and half-widths must not
@@ -124,6 +136,100 @@ class TestIntegrate1D:
             integrate_1d(lambda x: abs(x - math.pi / 8.0), 0.0, 1.0, cfg)
         exact = ((math.pi / 8) ** 2 + (1 - math.pi / 8) ** 2) / 2.0
         assert err.value.best_estimate == pytest.approx(exact, rel=1e-3)
+        stats = err.value.stats
+        assert stats.stuck >= 1 and stats.max_depth == 3
+        assert stats.error > 1e-15 * exact
+
+    def test_noise_hits_the_panel_cap(self):
+        # rounding noise around a total of 0 meets no relative tolerance:
+        # every round doubles the panels until the cap stops the run
+        rng = np.random.default_rng(7)
+        with pytest.raises(ConvergenceError, match="panels") as err:
+            integrate_1d(lambda xs: 1e-17 * rng.standard_normal(len(xs)), 0.0, 1.0)
+        stats = err.value.stats
+        assert abs(err.value.best_estimate) < 1e-15
+        assert stats.panels <= PANEL_CAP and stats.stuck == 0
+        assert stats.nodes <= 64 * PANEL_CAP and stats.calls <= 14
+
+
+class TestIntegratePieces:
+    # (integrand, pieces, exact value); the last two change sign
+    KNOWN = [
+        (lambda x: x * x, [(0.0, 1.0)], 1.0 / 3.0),
+        (phi, [(-3.0, 0.0), (0.0, 2.0)], 0.5 * (math.erf(2.0 / math.sqrt(2.0))
+                                               + math.erf(3.0 / math.sqrt(2.0)))),
+        (lambda x: np.exp(-x) / (1.0 + x), [(0.0, 0.5), (0.5, 30.0)], None),
+        (lambda x: 1.0 / x, [(1e-6, 1.0)], math.log(1e6)),
+        (np.sin, [(0.0, 40.0)], 1.0 - math.cos(40.0)),
+        (lambda x: np.cos(7.0 * x) * np.exp(-0.1 * x), [(0.0, 3.0), (3.0, 50.0)],
+         (0.1 - math.exp(-5.0) * (0.1 * math.cos(350.0) - 7.0 * math.sin(350.0))) / 49.01),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(KNOWN)))
+    def test_error_estimate_bounds_the_true_error(self, k):
+        f, pieces, exact = self.KNOWN[k]
+        if exact is None:
+            scipy_special = pytest.importorskip("scipy.special")
+            exact = math.e * float(scipy_special.exp1(1.0) - scipy_special.exp1(31.0))
+        for cfg in (QuadratureConfig(rel_tol=1e-5), DEFAULT_1D, QuadratureConfig(rel_tol=1e-13)):
+            with collect_stats() as records:
+                got = integrate_pieces(f, pieces, cfg)
+            [stats] = records
+            # a few ulps of slack: a first-round estimate can be exact
+            assert abs(got - exact) <= stats.error + 8 * 2.0 ** -52 * abs(exact)
+
+    def test_deterministic_reruns(self):
+        f = lambda x: np.exp(np.sin(3 * x))
+        pieces = [(0.0, 1.0), (1.0, 2.5), (4.0, 5.0)]
+        assert integrate_pieces(f, pieces) == integrate_pieces(f, pieces)
+
+    def test_panel_estimate_does_not_depend_on_its_batch(self):
+        lo = np.linspace(0.0, 3.0, 40)
+        hi = lo + np.linspace(0.1, 2.0, 40)
+        f = lambda x: np.exp(np.sin(3 * x)) / (1.0 + x * x)
+        lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1])[0]) for i in range(40)]
+        for k in (2, 3, 5, 7, 9, 17, 40):
+            assert _estimates(f, lo[:k], hi[:k]).tolist() == lone[:k]
+
+    def test_pieces_that_converge_at_once_sum_exactly(self):
+        # a cubic is exact on every panel, so no piece is refined and the
+        # run's result is the fsum of the lone runs'
+        f = lambda x: x ** 3 - 2.0 * x
+        pieces = [(-2.0, -1.0), (-0.5, 0.25), (0.25, 3.0)]
+        with collect_stats() as records:
+            got = integrate_pieces(f, pieces)
+        assert records[0].calls == 1
+        assert got == math.fsum(integrate_1d(f, a, b) for a, b in pieces)
+
+    def test_no_pieces_make_no_call(self):
+        with collect_stats() as records:
+            assert integrate_pieces(lambda xs: 1 / 0, []) == 0.0
+        assert records == []
+
+    def test_bad_piece_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_pieces(phi, [(0.0, 1.0), (2.0, 2.0)])
+        with pytest.raises(DomainError):
+            integrate_pieces(phi, [(0.0, math.inf)])
+
+
+class TestStats:
+    def test_collector_is_opt_in_and_nests(self):
+        integrate_1d(phi, 0.0, 1.0)  # no collector open: nothing to record
+        with collect_stats() as outer:
+            integrate_1d(phi, 0.0, 1.0)
+            with collect_stats() as inner:
+                integrate_1d(phi, 0.0, 2.0)
+            integrate_1d(phi, 0.0, 3.0)
+        assert len(outer) == 2 and len(inner) == 1
+        assert all(isinstance(r, QuadStats) for r in outer + inner)
+
+    def test_totals(self):
+        a = QuadStats(nodes=48, calls=1, panels=1, max_depth=1, error=0.25, stuck=0)
+        b = QuadStats(nodes=240, calls=4, panels=4, max_depth=4, error=0.5, stuck=1)
+        assert total_stats([a, b]) == QuadStats(nodes=288, calls=5, panels=5, max_depth=4,
+                                                error=0.75, stuck=1)
+        assert total_stats([]) == QuadStats(0, 0, 0, 0, 0.0, 0)
 
 
 def on_grid(f):

@@ -539,6 +539,14 @@ class TestSerialization:
             with pytest.raises(DomainError):
                 tree_from_dict(obj)
 
+    def test_record_nested_past_the_recursion_limit_rejected(self):
+        obj = {"kind": "leaf", "prediction": 1.0, "count": 1}
+        for _ in range(1200):
+            obj = {"kind": "split", "feature": "x1", "feature_index": 0, "threshold": 0.0,
+                   "gain": {"soft": 0.0, "real": 0.0}, "left": obj, "right": obj}
+        with pytest.raises(DomainError, match="nested too deeply"):
+            tree_from_dict(obj)
+
 
 # Pure-Python reference of the tree's statistics, one Observation at a time:
 # the oracle for induce's column arrays, which must give identical trees.
