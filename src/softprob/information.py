@@ -112,20 +112,6 @@ def _require_positive_density(d: ContinuousDistribution, points: np.ndarray, wha
         raise DomainError(f"{what} is {float(f[k])!r} at point {float(points[k])!r}")
 
 
-def _require_positive_gaussian(d: ContinuousDistribution, points: np.ndarray, z: np.ndarray,
-                               sd: float, what: str) -> None:
-    """_require_positive_density for a Gaussian d, given its standardised points z.
-
-    d's density exp(-z^2/2)/(sd*sqrt(2 pi)) is at least TINY_DENSITY, a
-    normal float and so surely positive, while z^2/2 + log(sd*sqrt(2 pi))
-    stays below -log(TINY_DENSITY). Only points beyond that need the
-    densities evaluated.
-    """
-    far = float(np.abs(z).max()) if len(z) else 0.0
-    if 0.5 * far * far + math.log(sd * math.sqrt(2.0 * math.pi)) >= -math.log(TINY_DENSITY):
-        _require_positive_density(d, points, what)
-
-
 def _entropy_axes(d: ContinuousDistribution, ms: MixedSet, point_sum: float,
                   interval_sum: float, cfg: InfoConfig) -> ExtendedSoftNumber:
     """-(sum f(x_i))*0log0~ - point_sum*0~ - interval_sum, in cfg's log base."""
@@ -221,8 +207,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     the weights W and the columns 1, v, v^2 of V: a Gauss transform with
     those source weights (Greengard & Strain 1991), here summed densely,
     one exp per pair and one matmul per block of x rows. rho = 0 gives
-    exactly 0. A marginal density that is not positive at a point is a
-    DomainError, checked on u and v (_require_positive_gaussian).
+    exactly 0.
 
     A weight below TINY_DENSITY counts as 0, as in the pointwise rule,
     judged as e < log(TINY_DENSITY). exp never sees such an e: an exp whose
@@ -240,15 +225,13 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     models with 0.01 <= |rho| <= 0.999 (eps/q <= 1.2e-13) and 1 to 300
     points a side.
     """
-    sd_x, sd_y = math.sqrt(j.var_x), math.sqrt(j.var_y)
-    u = (xs - j.mean_x) / sd_x
-    v = (ys - j.mean_y) / sd_y
-    _require_positive_gaussian(j.marginal_x, xs, u, sd_x, "marginal density of X")
-    _require_positive_gaussian(j.marginal_y, ys, v, sd_y, "marginal density of Y")
     rho = j.rho
     if rho == 0.0 or not (len(xs) and len(ys)):
         return 0.0
     q = 1.0 - rho * rho
+    sd_x, sd_y = math.sqrt(j.var_x), math.sqrt(j.var_y)
+    u = (xs - j.mean_x) / sd_x
+    v = (ys - j.mean_y) / sd_y
     # e = lead - (v_scaled - t)^2, with v and rho*u scaled by 1/sqrt(2q)
     scale = 1.0 / math.sqrt(2.0 * q)
     v_scaled, t = v * scale, (rho * scale) * u
@@ -280,16 +263,15 @@ def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) ->
 
     A marginal density that is not positive at a listed point is a
     DomainError, whatever the weight of its pairs. A BivariateGaussianModel
-    sums its pairs as a Gauss transform (_gaussian_pair_sum), which checks
-    its marginals on the standardised points; any other JointModel sums
-    the _mi_terms grids block by block.
+    sums its pairs as a Gauss transform (_gaussian_pair_sum); any other
+    JointModel sums the _mi_terms grids block by block.
     """
+    _require_positive_density(j.marginal_x, xs, "marginal density of X")
+    _require_positive_density(j.marginal_y, ys, "marginal density of Y")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(j, BivariateGaussianModel):
             total = _gaussian_pair_sum(j, xs, ys)
         else:
-            _require_positive_density(j.marginal_x, xs, "marginal density of X")
-            _require_positive_density(j.marginal_y, ys, "marginal density of Y")
             total = 0.0
             rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
             for start in range(0, len(ys), rows):
@@ -334,7 +316,15 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
         y_lo, y_hi = (np.array(ends) for ends in zip(*sy.intervals))
         breaks = j.marginal_x.truncated_range()
         pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
-        real = integrate_pieces(lambda xs: j.mi_y_integral(xs, y_lo, y_hi), pieces,
-                                cfg.quad_1d())
+        # x nodes a call of mi_y_integral: whole 16-node panels, about
+        # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its temporaries stay
+        # small however many intervals there are
+        rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(y_lo)))
+
+        def integrand(xs: np.ndarray) -> np.ndarray:
+            return np.concatenate([j.mi_y_integral(xs[k:k + rows], y_lo, y_hi)
+                                   for k in range(0, len(xs), rows)])
+
+        real = integrate_pieces(integrand, pieces, cfg.quad_1d())
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)

@@ -12,21 +12,24 @@ estimate is the 16-node Gauss-Legendre rule on a panel.
 Appl. Math. 211, 2008), with the global error test of QUADPACK's QAG
 (Piessens et al. 1983). All the pieces of one integral start as the
 panels of one run (integrate_pieces; integrate_1d is the one-piece case),
-and each round is one call of the integrand. A panel's estimate is the
-sum of its halves and its error estimate |halves - whole|. The first
-round evaluates every piece's whole and halves, 48 nodes a piece. Until
-the summed error meets the budget max(rel_tol * sum|estimate|, abs_tol),
-each round bisects every panel whose error exceeds budget/len(panels)
-and evaluates the halves of the new panels, 64 nodes a split panel. The
-budget is relative by default because the integrals this package cares
-about range over hundreds of orders of magnitude; an absolute cutoff
-would silently zero the tail cases. Rounds double the panels of an
-integrand made of rounding noise, which no relative tolerance stops, so
-a run that would pass PANEL_CAP panels raises ConvergenceError, as does
-one whose remaining error sits in panels at max_depth. Each panel's 16
-values are summed on their own row, so a panel's estimate does not depend
-on the other panels in its call; the result is the math.fsum of the
-panel estimates. Each run reports a QuadStats record, which
+and each round evaluates all its new panels together. A panel's estimate
+is the sum of its halves and its error estimate |halves - whole|. The
+first round evaluates every piece's whole and halves, 48 nodes a piece.
+Until the summed error meets the budget max(rel_tol * sum|estimate|,
+abs_tol), each round bisects every panel whose error exceeds
+budget/len(panels) and evaluates the halves of the new panels, 64 nodes a
+split panel. The budget is relative by default because the integrals this
+package cares about range over hundreds of orders of magnitude; an
+absolute cutoff would silently zero the tail cases. Rounds double the
+panels of an integrand made of rounding noise, which no relative
+tolerance stops, so a run that would pass PANEL_CAP panels plus
+PIECE_PANELS a piece raises ConvergenceError, as does one whose remaining
+error sits in panels at max_depth. A round is one call of the integrand
+unless it holds more than CALL_PANELS panels, which go CALL_PANELS to a
+call, so that what one call holds does not grow with the pieces. Each
+panel's 16 values are summed on their own row, so a panel's estimate does
+not depend on the other panels in its call; the result is the math.fsum
+of the panel estimates. Each run reports a QuadStats record, which
 collect_stats gathers.
 
 moments.soft_sum evaluates its array kernel on a MixedSet's points with
@@ -52,11 +55,18 @@ import numpy.polynomial.legendre as _legendre
 
 from .errors import ConvergenceError, DomainError
 
-# A 1-D run that would hold more panels than this raises ConvergenceError.
-# An integrand made of rounding noise never meets a relative tolerance, and
-# each round doubles its panels; at the cap a call evaluates at most
-# 64 * PANEL_CAP / 2 nodes.
+# A 1-D run that would hold more than PANEL_CAP panels plus PIECE_PANELS a
+# piece raises ConvergenceError. An integrand made of rounding noise never
+# meets a relative tolerance, and each round doubles its panels. A piece's
+# share is room to bisect toward one point down to the default max_depth,
+# two panels a level.
 PANEL_CAP = 1 << 12
+PIECE_PANELS = 64
+
+# One call of a 1-D integrand evaluates at most this many panels, 16 nodes
+# each, so that each array of a call holds at most 16,384 floats (128 KiB)
+# however many pieces or panels a run has.
+CALL_PANELS = 1 << 10
 
 # An integrand made of rounding noise never meets a relative tolerance at
 # any depth. Once this many 2-D panels have bottomed out, refinement
@@ -72,9 +82,10 @@ class QuadStats(NamedTuple):
     a dataclass runs at import.
 
     nodes: integrand values computed. calls: integrand calls, one per
-    round. panels: panels at the end. max_depth: the deepest panel, a
-    piece being depth 1. error: the summed error estimate of the result.
-    stuck: panels at max_depth that still needed bisecting when the run
+    round unless a round holds more than CALL_PANELS panels. panels:
+    panels at the end. max_depth: the deepest panel, a piece being
+    depth 1. error: the summed error estimate of the result. stuck:
+    panels at max_depth that still needed bisecting when the run
     stopped (0 when it converged).
     """
 
@@ -216,15 +227,24 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimates of the panels (lo[i], hi[i]), from one call of f.
+    """Gauss-Legendre estimates of the panels (lo[i], hi[i]), CALL_PANELS to a call of f.
 
     Each panel's row is reduced on its own: a matrix-vector product may
     round a row differently with other rows beside it, so a panel's
     estimate would depend on the batch it came in.
     """
-    xs, half = _panel_nodes(lo, hi)
-    values = sample_1d(f, xs).reshape(len(half), len(_NODES))
-    return (values * _WEIGHTS).sum(axis=1) * half
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), CALL_PANELS):
+        stop = start + CALL_PANELS
+        xs, half = _panel_nodes(lo[start:stop], hi[start:stop])
+        values = sample_1d(f, xs).reshape(len(half), len(_NODES))
+        out[start:stop] = (values * _WEIGHTS).sum(axis=1) * half
+    return out
+
+
+def _calls(panels: int) -> int:
+    """Calls of f that _estimates makes for this many panels."""
+    return -(-panels // CALL_PANELS)
 
 
 def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
@@ -235,11 +255,12 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     The run stops when sum|halves - whole| <= max(rel_tol * sum|halves|,
     abs_tol) over all its panels. This L1 scale is the sum of the one-panel
     tests |halves - whole| <= rel_tol * |halves|, and an integrand that
-    changes sign does not shrink it by cancelling. Rounds, bisection and
-    PANEL_CAP are as the module docstring describes. A run that cannot
-    meet the budget raises ConvergenceError with its best estimate and its
-    QuadStats; either way the QuadStats go to the open collect_stats
-    collector, if any. The result is the math.fsum of the panel estimates.
+    changes sign does not shrink it by cancelling. Rounds, bisection, the
+    panel cap and CALL_PANELS are as the module docstring describes. A run
+    that cannot meet the budget raises ConvergenceError with its best
+    estimate and its QuadStats; either way the QuadStats go to the open
+    collect_stats collector, if any. The result is the math.fsum of the
+    panel estimates.
 
     f(xs) returns the array of f at each of the nodes xs; a non-finite
     value in it is a DomainError naming the first bad x. No pieces
@@ -259,7 +280,8 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
                                                   np.concatenate([hi, mid, hi])
                                                   ).reshape(3, len(lo))])
     depth = np.ones(len(lo), dtype=int)
-    nodes, calls, converged = 3 * len(_NODES) * len(lo), 1, False
+    nodes, calls, converged = 3 * len(_NODES) * len(lo), _calls(3 * len(lo)), False
+    cap = PANEL_CAP + PIECE_PANELS * len(lo)
     while True:
         estimate = panels[:, 3] + panels[:, 4]
         error = np.abs(estimate - panels[:, 2])
@@ -273,7 +295,7 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         stuck = split & (depth >= cfg.max_depth)
         split &= ~stuck
         splits = int(split.sum())
-        if not splits or len(panels) + splits > PANEL_CAP:
+        if not splits or len(panels) + splits > cap:
             break
         lo, hi, _, left, right = panels[split].T
         mid = _mid(lo, hi)
@@ -282,7 +304,7 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
                               np.concatenate([quarter_lo, mid, quarter_hi, hi])
                               ).reshape(4, splits)
         nodes += 4 * len(_NODES) * splits
-        calls += 1
+        calls += _calls(4 * splits)
         counts = 1 + split
         first = (np.cumsum(counts) - counts)[split]
         panels = np.repeat(panels, counts, axis=0)
@@ -298,9 +320,11 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         records.append(stats)
     total = math.fsum(estimate.tolist())
     if not converged:
-        where = ", ".join(_describe(piece) for piece in pieces)
+        where = ", ".join(_describe(piece) for piece in pieces[:3])
+        if len(pieces) > 3:
+            where += f" and {len(pieces) - 3} more pieces"
         if splits:
-            why = f"it needs more than {PANEL_CAP} panels"
+            why = f"it needs more than {cap} panels"
         else:
             k = int(np.flatnonzero(stuck)[0])
             why = (f"{stats.stuck} panel(s) need refining at depth {cfg.max_depth}, the first "

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -524,6 +526,21 @@ class TestPointPairSum:
         assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
         assert sym.soft == pytest.approx(truth, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("z", [39.0, 40.0, 42.5])
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_zero_density_of_a_narrow_marginal_is_a_domain_error(self, axis, z):
+        # with sd 1e-100, exp(-z^2/2) underflows to 0 at these z although
+        # z^2/2 + log(sd * sqrt(2 pi)) is below -log(TINY_DENSITY)
+        point = z * 1e-100
+        narrow, wide = (MixedSet([point]), MixedSet([0.0]))
+        if axis == "X":
+            j, sx, sy = BivariateGaussianModel(0.0, 0.0, 1e-200, 1.0, 0.5), narrow, wide
+        else:
+            j, sx, sy = BivariateGaussianModel(0.0, 0.0, 1.0, 1e-200, 0.5), wide, narrow
+        message = f"marginal density of {axis} is 0.0 at point {point!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            soft_mutual_information(j, sx, sy)
+
 
 def _mi_pairs_by_mpmath(mp, j: BivariateGaussianModel, xs, ys):
     """The point-pair sum of j's MI terms f_X f_{Y|X} log(f_{Y|X} / f_Y),
@@ -904,6 +921,40 @@ class TestGaussianClosedForm:
         j = BivariateGaussianModel(0.3, 0.0, 2.0, 0.5, 0.0)
         sx = MixedSet([], [(-1e6, -1.0), (0.0, 0.5), (2.0, 1e300)])
         assert soft_mutual_information(j, sx, MixedSet([], y_intervals)).real == 0.0
+
+    def test_many_intervals_keep_each_call_small(self):
+        # every x node meets every y-interval in mi_y_integral, so 1,000
+        # x-intervals against 1,000 y-intervals go in blocks of whole panels
+        # of at most POINT_BLOCK_PAIRS pairs, not 48,000 x nodes at once
+        calls = []
+
+        class Counting(BivariateGaussianModel):
+            def mi_y_integral(self, xs, y_lo, y_hi):
+                calls.append((len(xs), len(y_lo)))
+                return np.zeros(len(xs))
+
+        intervals = [(0.01 * k, 0.01 * k + 0.004) for k in range(-500, 500)]
+        ms = MixedSet([], intervals)
+        assert len(ms.intervals) == 1000
+        value = soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), ms, ms)
+        assert value.real == 0.0
+        assert sum(n for n, _ in calls) == 48 * 1000
+        assert all(n % 16 == 0 and n * m <= POINT_BLOCK_PAIRS for n, m in calls)
+
+    def test_many_intervals_keep_memory_small(self):
+        j = BivariateGaussianModel(0.3, -0.2, 1.3, 0.8, 0.6)
+        sx = MixedSet([], [(0.05 * k, 0.05 * k + 0.02) for k in range(-5, 5)])
+        sy = MixedSet([], [(0.01 * k, 0.01 * k + 0.004) for k in range(-200, 200)])
+        tracemalloc.start()
+        try:
+            value = soft_mutual_information(j, sx, sy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.real > 0.0
+        # a first call of all 480 x nodes against 400 y-intervals would hold
+        # 1.5 MiB in each temporary, 32 MiB at the peak
+        assert peak < 8 * 2 ** 20
 
     def test_forms_are_bit_equal(self):
         j = BivariateGaussianModel(0.2, -0.4, 1.0, 2.0, -0.6)

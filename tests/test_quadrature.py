@@ -10,7 +10,9 @@ from softprob.errors import ConvergenceError, DomainError
 from softprob.quadrature import (
     DEFAULT_1D,
     DEFAULT_2D,
+    CALL_PANELS,
     PANEL_CAP,
+    PIECE_PANELS,
     QuadratureConfig,
     QuadStats,
     _estimates,
@@ -144,12 +146,49 @@ class TestIntegrate1D:
         # rounding noise around a total of 0 meets no relative tolerance:
         # every round doubles the panels until the cap stops the run
         rng = np.random.default_rng(7)
+        sizes = []
+
+        def noise(xs):
+            sizes.append(len(xs))
+            return 1e-17 * rng.standard_normal(len(xs))
+
         with pytest.raises(ConvergenceError, match="panels") as err:
-            integrate_1d(lambda xs: 1e-17 * rng.standard_normal(len(xs)), 0.0, 1.0)
+            integrate_1d(noise, 0.0, 1.0)
         stats = err.value.stats
         assert abs(err.value.best_estimate) < 1e-15
-        assert stats.panels <= PANEL_CAP and stats.stuck == 0
-        assert stats.nodes <= 64 * PANEL_CAP and stats.calls <= 14
+        assert stats.panels <= PANEL_CAP + PIECE_PANELS and stats.stuck == 0
+        assert stats.nodes <= 64 * (PANEL_CAP + PIECE_PANELS)
+        assert (stats.calls, stats.nodes) == (len(sizes), sum(sizes))
+        assert max(sizes) <= 16 * CALL_PANELS
+
+    def test_error_names_the_first_pieces_only(self):
+        pieces = [(float(k), k + 0.5) for k in range(1000)]
+        cfg = QuadratureConfig(max_depth=1)
+        with pytest.raises(ConvergenceError) as err:
+            integrate_pieces(lambda xs: np.sin(120.0 * xs), pieces, cfg)
+        message = str(err.value)
+        assert "over (0.0, 0.5), (1.0, 1.5), (2.0, 2.5) and 997 more pieces" in message
+        assert len(message) < 300
+
+    def test_many_pieces_that_need_refining_converge(self):
+        # more pieces than PANEL_CAP, every one refined: the cap grows with
+        # the pieces, and no call evaluates more than CALL_PANELS panels
+        pieces = [(float(k), k + 0.9) for k in range(PANEL_CAP + 1000)]
+        sizes = []
+
+        def f(xs):
+            sizes.append(len(xs))
+            return np.sin(120.0 * xs)
+
+        with collect_stats() as records:
+            got = integrate_pieces(f, pieces)
+        [stats] = records
+        assert stats.panels > 4 * len(pieces) and stats.max_depth >= 3
+        assert (stats.calls, stats.nodes) == (len(sizes), sum(sizes))
+        assert max(sizes) <= 16 * CALL_PANELS
+        exact = math.fsum((math.cos(120.0 * a) - math.cos(120.0 * b)) / 120.0
+                          for a, b in pieces)
+        assert abs(got - exact) <= stats.error + 1e-15
 
 
 class TestIntegratePieces:
@@ -190,6 +229,9 @@ class TestIntegratePieces:
         lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1])[0]) for i in range(40)]
         for k in (2, 3, 5, 7, 9, 17, 40):
             assert _estimates(f, lo[:k], hi[:k]).tolist() == lone[:k]
+        # and past CALL_PANELS, where a round takes several calls
+        many = np.tile(lo, CALL_PANELS // 20), np.tile(hi, CALL_PANELS // 20)
+        assert _estimates(f, *many).tolist() == lone * (CALL_PANELS // 20)
 
     def test_pieces_that_converge_at_once_sum_exactly(self):
         # a cubic is exact on every panel, so no piece is refined and the
