@@ -5,8 +5,9 @@ plus location/scale hints for truncating improper integrals). The Gaussian
 joint model overrides every generic quadrature path with closed forms, and
 adds one more: mi_y_integral, the y-integral of the mutual-information
 terms in truncated-normal moments. The generic paths remain available for
-user-supplied models, and soft mutual information integrates their
-pointwise terms in 2-D.
+user-supplied models: the joint cdf is an iterated integral of the joint
+density (quadrature.integrate_2d), and soft mutual information integrates
+their pointwise terms over y at each x node (quadrature.y_integral).
 
 Densities at many points at once come from the array methods (pdf_array,
 joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
@@ -198,7 +199,6 @@ class JointModel(ABC):
     """
 
     quad_1d = QuadratureConfig(rel_tol=1e-10)
-    quad_2d = QuadratureConfig(rel_tol=1e-8)
 
     @abstractmethod
     def joint_pdf(self, x: float, y: float) -> float: ...
@@ -232,7 +232,7 @@ class JointModel(ABC):
         xu, yu = min(x, x_hi), min(y, y_hi)
         if xu <= x_lo or yu <= y_lo:
             return 0.0
-        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu, self.quad_2d)
+        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu, self.quad_1d)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""

@@ -13,8 +13,8 @@ class ConvergenceError(SoftProbError, RuntimeError):
     """Adaptive refinement hit its subdivision limit before converging.
 
     The best estimate assembled so far is kept on the exception so callers
-    can inspect how far off the run ended. A 1-D run also keeps its
-    quadrature.QuadStats record as stats; it is None for a 2-D run.
+    can inspect how far off the run ended, and the run's
+    quadrature.QuadStats record is kept as stats.
     """
 
     def __init__(self, message: str, best_estimate: float, stats=None):

@@ -11,9 +11,10 @@ summed over points and intervals by moments.soft_sum. The exception is
 mutual information under a BivariateGaussianModel, whose log ratio is a
 quadratic: its point pairs are summed as a dense Gauss transform
 (_gaussian_pair_sum), and its y-integral has a closed form
-(BivariateGaussianModel.mi_y_integral), so only x is integrated, in 1-D.
-Any other JointModel takes the generic path: the pointwise terms summed
-over the point pairs and integrated by 2-D quadrature over the rectangles.
+(BivariateGaussianModel.mi_y_integral). Any other JointModel takes the
+generic path: the pointwise terms summed over the point pairs, and
+integrated over the y-intervals by quadrature.y_integral. Either way the
+real part is one 1-D run over the x-intervals.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -31,9 +32,9 @@ import numpy as np
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
 from .errors import DomainError
 from .moments import MixedSet, soft_sum, split_at
-from .quadrature import (DEFAULT_1D, DEFAULT_2D, QuadratureConfig, integrate_2d, integrate_pieces,
-                         sample_1d)
+from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import ExtendedSoftNumber, SoftNumber
 
 # a term whose weight is below this density is taken at the limit of
@@ -56,8 +57,8 @@ class InfoConfig:
 
     ``log_base`` rescales results (natural log by default). ``zlogz_mode``
     chooses whether entropy keeps its 0log0~ coefficient ("axis") or zeroes
-    it ("collapse"). ``quadrature`` overrides the integration settings for
-    both 1-D and 2-D integrals; None keeps the per-dimension defaults.
+    it ("collapse"). ``quadrature`` overrides the integration settings of
+    every integral, DEFAULT_1D when None.
     """
 
     log_base: float = math.e
@@ -77,9 +78,6 @@ class InfoConfig:
 
     def quad_1d(self) -> QuadratureConfig:
         return self.quadrature if self.quadrature is not None else DEFAULT_1D
-
-    def quad_2d(self) -> QuadratureConfig:
-        return self.quadrature if self.quadrature is not None else DEFAULT_2D
 
 
 _DEFAULT = InfoConfig()
@@ -281,6 +279,28 @@ def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) ->
     return total
 
 
+def _mi_y_integrand(j: JointModel, y_intervals: list[tuple[float, float]], form: str,
+                    quad: QuadratureConfig):
+    """xs -> the y-integral of the MI terms over all the y-intervals at each x of xs.
+
+    A BivariateGaussianModel has it in closed form (mi_y_integral, the same
+    function in both forms). Any other JointModel integrates the _mi_terms
+    columns with y_integral under quad, each y-interval split at the ends
+    of marginal_y.truncated_range() that lie inside it.
+    """
+    if not isinstance(j, BivariateGaussianModel):
+        breaks = j.marginal_y.truncated_range()
+        y_pieces = [piece for lo, hi in y_intervals for piece in split_at(lo, hi, breaks)]
+        return y_integral(lambda xs, ys: _mi_terms(j, xs, ys, form), y_pieces, quad)
+    y_lo, y_hi = (np.array(ends) for ends in zip(*y_intervals))
+    # x nodes a call of mi_y_integral: whole 16-node panels, about
+    # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its temporaries stay
+    # small however many intervals there are
+    rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(y_lo)))
+    return lambda xs: np.concatenate([j.mi_y_integral(xs[k:k + rows], y_lo, y_hi)
+                                      for k in range(0, len(xs), rows)])
+
+
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                             cfg: InfoConfig = _DEFAULT,
                             form: str = FORM_SYMMETRIC) -> SoftNumber:
@@ -294,37 +314,21 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     algebraically equal factorization f_{Y|X} f_X * log(f_{Y|X} / f_Y).
 
     For a BivariateGaussianModel the soft coefficient is a Gauss transform
-    of the point pairs (_gaussian_pair_sum), and the real part one
-    integrate_pieces run over all x-intervals, under cfg.quad_1d(), of the
-    model's closed-form y-integral over all y-intervals (mi_y_integral,
-    which is the same function in both forms). Each x-interval is split at
-    the ends of marginal_x.truncated_range() that lie inside it. Any other
-    JointModel integrates the pointwise terms over each rectangle with
-    integrate_2d.
+    of the point pairs (_gaussian_pair_sum). For every model the real part
+    is one integrate_pieces run, under cfg.quad_1d(), over all x-intervals,
+    each split at the ends of marginal_x.truncated_range() that lie inside
+    it, of the y-integral over all y-intervals (_mi_y_integrand).
     """
     if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
         raise DomainError(f"unknown mutual-information form {form!r}")
     soft = _point_pair_sum(j, np.asarray(sx.points, dtype=float),
                            np.asarray(sy.points, dtype=float), form)
     real = 0.0
-    if not isinstance(j, BivariateGaussianModel):
-        for ylo, yhi in sy.intervals:
-            for xlo, xhi in sx.intervals:
-                real += integrate_2d(lambda xs, ys: _mi_terms(j, xs, ys, form),
-                                     xlo, xhi, ylo, yhi, cfg.quad_2d())
-    elif sy.intervals:
-        y_lo, y_hi = (np.array(ends) for ends in zip(*sy.intervals))
+    if sy.intervals:
         breaks = j.marginal_x.truncated_range()
-        pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
-        # x nodes a call of mi_y_integral: whole 16-node panels, about
-        # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its temporaries stay
-        # small however many intervals there are
-        rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(y_lo)))
-
-        def integrand(xs: np.ndarray) -> np.ndarray:
-            return np.concatenate([j.mi_y_integral(xs[k:k + rows], y_lo, y_hi)
-                                   for k in range(0, len(xs), rows)])
-
-        real = integrate_pieces(integrand, pieces, cfg.quad_1d())
+        x_pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
+        quad = cfg.quad_1d()
+        real = integrate_pieces(_mi_y_integrand(j, sy.intervals, form, quad), x_pieces, quad)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
+

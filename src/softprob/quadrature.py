@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature in one and two dimensions.
+"""Adaptive Gauss-Legendre quadrature, in one dimension and iterated in two.
 
 Integrands take arrays. The 1-D integrand f(xs) takes a 1-D array of
 nodes and returns the array of f at each of them. The 2-D integrand is a
@@ -32,11 +32,14 @@ not depend on the other panels in its call; the result is the math.fsum
 of the panel estimates. Each run reports a QuadStats record, which
 collect_stats gathers.
 
+2-D integrals are iterated 1-D ones, the "iterated" method of Shampine's
+quad2d (Appl. Math. Comput. 202, 2008): y_integral(f, y_pieces) is the
+x-integrand whose value at each x node is one integrate_pieces run over
+the y-pieces, on the single column f(x, ys), and an integrate_pieces run
+over the x-pieces integrates it (integrate_2d is the one-rectangle case).
 moments.soft_sum evaluates its array kernel on a MixedSet's points with
 sample_1d and integrates it over all the pieces of its intervals in one
-run. 2-D integrals refine depth-first, until each panel meets the
-tolerance on its own; a call evaluates the 16x16 grid of the whole
-rectangle, then the 32x32 grid of one panel's four quarters.
+run.
 
 Everything here is pure and deterministic, so repeated calls return
 bit-identical results.
@@ -67,12 +70,6 @@ PIECE_PANELS = 64
 # each, so that each array of a call holds at most 16,384 floats (128 KiB)
 # however many pieces or panels a run has.
 CALL_PANELS = 1 << 10
-
-# An integrand made of rounding noise never meets a relative tolerance at
-# any depth. Once this many 2-D panels have bottomed out, refinement
-# clearly is not helping and the traversal stops early instead of
-# exhausting the whole refinement tree.
-STUCK_PANEL_CAP = 128
 
 
 class QuadStats(NamedTuple):
@@ -141,7 +138,6 @@ class QuadratureConfig:
 
 
 DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)
-DEFAULT_2D = QuadratureConfig(rel_tol=1e-7)
 
 _NODES, _WEIGHTS = _legendre.leggauss(16)
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
@@ -171,59 +167,13 @@ def sample_1d(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarr
     return _checked(f, (xs,), xs.shape, lambda k: f"x={float(xs[k[0]])!r}")
 
 
-def _accept(refined: float, whole: float, cfg: QuadratureConfig) -> bool:
-    return abs(refined - whole) <= max(cfg.rel_tol * abs(refined), cfg.abs_tol)
-
-
-def _describe(box: tuple[float, ...]) -> str:
-    """(lo, hi) in 1-D, (x_lo, x_hi) x (y_lo, y_hi) in 2-D."""
-    return " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(box[::2], box[1::2]))
-
-
-def _adapt(refine, root: tuple[float, ...], whole: float, cfg: QuadratureConfig) -> float:
-    """Refine the 2-D box root depth-first until every panel meets the tolerance.
-
-    A box is (x_lo, x_hi, y_lo, y_hi). refine(box) returns the child
-    boxes, their estimates and the refined estimate of box. Children are
-    pushed last first, so that panels pop in left-to-right order.
-    """
-    accepted: list[float] = []
-    stuck: list[tuple[tuple[float, ...], float]] = []
-    stack = [(root, whole, 1)]
-    while stack:
-        box, whole, depth = stack.pop()
-        children, parts, refined = refine(box)
-        if _accept(refined, whole, cfg):
-            accepted.append(refined)
-            continue
-        if depth >= cfg.max_depth:
-            stuck.append((box, abs(refined - whole)))
-            accepted.append(refined)
-            if len(stuck) >= STUCK_PANEL_CAP:
-                break
-            continue
-        for child, part in zip(reversed(children), reversed(parts)):
-            stack.append((child, part, depth + 1))
-    total = math.fsum(accepted) + math.fsum(item[1] for item in stack)
-    if stuck:
-        box, gap = stuck[0]
-        raise ConvergenceError(
-            f"integral over {_describe(root)} did not converge in {len(stuck)} "
-            f"panel(s) at depth {cfg.max_depth}; first stuck panel {_describe(box)} "
-            f"moved by {gap!r} on the last refinement", best_estimate=total)
-    return float(total)
+def _describe(piece: tuple[float, float]) -> str:
+    return "({!r}, {!r})".format(*piece)
 
 
 def _mid(lo, hi):
     """(lo + hi) / 2, halving first so that no finite lo, hi overflow."""
     return 0.5 * lo + 0.5 * hi
-
-
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes of each panel (lo[i], hi[i]), and each panel's half-width."""
-    mid = _mid(lo, hi)
-    half = 0.5 * hi - 0.5 * lo
-    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
 
 
 def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -236,7 +186,9 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     out = np.empty(len(lo))
     for start in range(0, len(lo), CALL_PANELS):
         stop = start + CALL_PANELS
-        xs, half = _panel_nodes(lo[start:stop], hi[start:stop])
+        a, b = lo[start:stop], hi[start:stop]
+        half = 0.5 * b - 0.5 * a
+        xs = (_mid(a, b)[:, None] + half[:, None] * _NODES).ravel()
         values = sample_1d(f, xs).reshape(len(half), len(_NODES))
         out[start:stop] = (values * _WEIGHTS).sum(axis=1) * half
     return out
@@ -341,22 +293,28 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return integrate_pieces(f, [(a, b)], cfg)
 
 
-def _grid_panels(f, xedges: tuple[float, ...], yedges: tuple[float, ...]) -> list[float]:
-    """Gauss-Legendre estimates of every panel of the tensor grid with these edges.
+def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               y_pieces: Sequence[tuple[float, float]],
+               cfg: Optional[QuadratureConfig] = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The x-integrand of the iterated integral of the grid function f over y_pieces.
 
-    f is called once on all the nodes. The estimates come back row by row,
-    y panels outer and x panels inner.
+    Its value at each x of xs is one integrate_pieces run, under cfg, of
+    the column f([x], ys) over the y-pieces. A column of the wrong shape,
+    or a non-finite value in it, is a DomainError naming the bad (x, y). A
+    column run that does not converge raises its ConvergenceError, naming
+    its x; the best estimate and stats on it are that column's.
     """
-    xs, xh = _panel_nodes(np.array(xedges[:-1]), np.array(xedges[1:]))
-    ys, yh = _panel_nodes(np.array(yedges[:-1]), np.array(yedges[1:]))
-    grid = _checked(f, (xs, ys), (len(ys), len(xs)),
-                    lambda k: f"({float(xs[k[1]])!r}, {float(ys[k[0]])!r})")
-    n = len(_NODES)
-    cells = grid.reshape(len(yh), n, len(xh), n)
-    sums = np.einsum("j,ajbi,i->ab", _WEIGHTS, cells, _WEIGHTS)
-    sums *= xh
-    sums *= yh[:, None]
-    return sums.ravel().tolist()
+    def column_integral(x: float) -> float:
+        def column(ys: np.ndarray) -> np.ndarray:
+            return _checked(f, (np.array([x]), ys), (len(ys), 1),
+                            lambda k: f"({x!r}, {float(ys[k[0]])!r})")[:, 0]
+
+        try:
+            return integrate_pieces(column, y_pieces, cfg)
+        except ConvergenceError as err:
+            raise ConvergenceError(f"at x={x!r}, {err}", err.best_estimate, err.stats) from None
+
+    return lambda xs: np.array([column_integral(x) for x in xs.tolist()])
 
 
 def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -366,22 +324,7 @@ def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     f(xs, ys) returns the array [len(ys), len(xs)] of f(xs[i], ys[j]); a
     non-finite value in it is a DomainError naming the first bad (x, y).
+    The iterated integral with one piece a side: an integrate_pieces run
+    over x of y_integral, every run under cfg.
     """
-    if cfg is None:
-        cfg = DEFAULT_2D
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
-        raise DomainError(f"need finite x bounds with x_lo < x_hi, got ({x_lo!r}, {x_hi!r})")
-    if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
-        raise DomainError(f"need finite y bounds with y_lo < y_hi, got ({y_lo!r}, {y_hi!r})")
-
-    def refine(box):
-        xlo, xhi, ylo, yhi = box
-        xm = _mid(xlo, xhi)
-        ym = _mid(ylo, yhi)
-        quads = ((xlo, xm, ylo, ym), (xm, xhi, ylo, ym),
-                 (xlo, xm, ym, yhi), (xm, xhi, ym, yhi))
-        parts = _grid_panels(f, (xlo, xm, xhi), (ylo, ym, yhi))
-        return quads, parts, (parts[0] + parts[1]) + (parts[2] + parts[3])
-
-    [whole] = _grid_panels(f, (x_lo, x_hi), (y_lo, y_hi))
-    return _adapt(refine, (x_lo, x_hi, y_lo, y_hi), whole, cfg)
+    return integrate_pieces(y_integral(f, [(y_lo, y_hi)], cfg), [(x_lo, x_hi)], cfg)

@@ -19,7 +19,7 @@ from softprob.distributions import (
     UserDefinedDistribution,
     joint_gaussian_additive,
 )
-from softprob.errors import DomainError
+from softprob.errors import ConvergenceError, DomainError
 from softprob.information import (
     FORM_CONDITIONAL,
     FORM_SYMMETRIC,
@@ -67,15 +67,13 @@ class TestInfoConfig:
             InfoConfig(zlogz_mode="drop")
 
     def test_quadrature_override_used_for_both_dimensions(self):
-        from softprob.quadrature import DEFAULT_1D, DEFAULT_2D, QuadratureConfig
+        from softprob.quadrature import DEFAULT_1D, QuadratureConfig
 
         override = QuadratureConfig(rel_tol=1e-4)
         cfg = InfoConfig(quadrature=override)
         assert cfg.quad_1d() is override
-        assert cfg.quad_2d() is override
         plain = InfoConfig()
         assert plain.quad_1d() is DEFAULT_1D
-        assert plain.quad_2d() is DEFAULT_2D
 
 
 class TestEntropy:
@@ -668,62 +666,6 @@ class TestGaussianPairSum:
             xs, ys = np.repeat(xs, 40), np.repeat(ys, 100)
 
 
-class TestIntervalGrid:
-    """For a generic JointModel the real part of MI integrates _mi_terms grids,
-    one per refinement step."""
-
-    def test_table1_evaluation_counts(self, monkeypatch):
-        evaluations = []
-        integrate = information.integrate_2d
-
-        def counting(f, *args):
-            def grid(xs, ys):
-                values = f(xs, ys)
-                evaluations[-1] += values.size
-                return values
-            return integrate(grid, *args)
-
-        monkeypatch.setattr(information, "integrate_2d", counting)
-        for x0, y0, x_iv, y_iv, _, _ in BENCHMARK_ROWS:
-            evaluations.append(0)
-            soft_mutual_information(_ScalarOnly(STD_ADDITIVE), MixedSet([x0], [x_iv]),
-                                    MixedSet([y0], [y_iv]), form=FORM_CONDITIONAL)
-        assert evaluations == [1280, 1280, 1280, 75008, 1280]
-        assert sum(evaluations) == 4 * 1280 + 75008
-
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
-    def test_default_grid_matches_gaussian_override_on_rectangle(self, form):
-        sx, sy = MixedSet([], [(2.0, 3.0)]), MixedSet([], [(1.0, 3.0)])
-        fast = soft_mutual_information(STD_ADDITIVE, sx, sy, form=form)
-        generic = soft_mutual_information(_ScalarOnly(STD_ADDITIVE), sx, sy, form=form)
-        assert fast.real > 0.0
-        assert generic.real == pytest.approx(fast.real, rel=1e-12)
-
-    def test_generic_joint_cdf_default_grid_matches_gaussian_override(self):
-        j = BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.6)
-        for x, y in ((0.3, -0.2), (-1.0, 1.5)):
-            fast = JointModel.joint_cdf(j, x, y)
-            assert fast == pytest.approx(j.joint_cdf(x, y), rel=1e-6)
-            assert _ScalarOnly(j).joint_cdf(x, y) == pytest.approx(fast, rel=1e-12)
-
-    def test_underflowing_marginal_product_on_rectangle_is_a_domain_error(self):
-        # f_X * f_Y underflows to zero on the whole rectangle while the joint
-        # density is about 1e-195; this was a ZeroDivisionError
-        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999)
-        box = MixedSet([], [(29.9, 30.1)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="non-finite"):
-                soft_mutual_information(_ScalarOnly(j), box, box, form=FORM_SYMMETRIC)
-            assert soft_mutual_information(_ScalarOnly(j), box, box,
-                                           form=FORM_CONDITIONAL).real > 0.0
-            # the Gaussian model's closed form never forms f_X * f_Y
-            sym = soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
-            assert sym == soft_mutual_information(j, box, box, form=FORM_CONDITIONAL)
-        truth = CLOSED_FORM_TRUTHS["underflowing box"][3]
-        assert sym.real == pytest.approx(truth, rel=1e-12, abs=0.0)
-
-
 # Frozen outputs of the additive standard-Gaussian model on the five
 # benchmark point/interval combinations, captured from a verified run and
 # held to tight relative tolerance to catch accidental drift.
@@ -797,10 +739,11 @@ def test_row4_tail_truth_against_mpmath():
     assert float(fine) == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-12, abs=0.0)
 
 
-# Real MI over rectangles that the 2-D grid path gets wrong or cannot
-# finish, and two whose y-interval lies in one tail of Y | X, where P needs
-# that tail's own erfc: (model, x-interval, y-interval, value of
-# _mi_rect_by_mpmath at 40 digits, which test_closed_form_truths_against_mpmath checks)
+# Real MI over rectangles much wider than the density, near independence,
+# on a ridge and in the far tail, and two whose y-interval lies in one tail
+# of Y | X, where P needs that tail's own erfc: (model, x-interval,
+# y-interval, value of _mi_rect_by_mpmath at 40 digits, which
+# test_closed_form_truths_against_mpmath checks)
 _WIDE_Y = 0.07874861848452004169
 CLOSED_FORM_TRUTHS = {
     "y over (0, 1e2)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1e2), _WIDE_Y),
@@ -809,8 +752,12 @@ CLOSED_FORM_TRUTHS = {
     "y over (0, 1.2e308)": (STD_ADDITIVE, (0.0, 1.0), (0.0, 1.2e308), _WIDE_Y),
     "rho 1e-9": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-9),
                  (-3.0, 3.0), (-3.0, 3.0), 4.714916345283468291e-19),
+    "rho 1e-6": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-6),
+                 (-3.0, 3.0), (-3.0, 3.0), 4.714916345286019199e-13),
     "rho 1e-5": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-5),
                  (-9.0, 9.0), (-9.0, 9.0), 5.0000000002500006308e-11),
+    "rho 0.999": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999),
+                  (-3.0, 3.0), (-3.0, 3.0), 3.0848520199616025952),
     "underflowing box": (BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999),
                          (29.9, 30.1), (29.9, 30.1), 2.2161841384618375602e-194),
     "y end 1.7e308, var_y 0.01": (BivariateGaussianModel(0.0, 0.0, 1.0, 0.01, 0.5),
@@ -865,9 +812,76 @@ def _abs_terms_integral(j, x_iv, y_iv, n: int = 64) -> float:
     return hx * hy * float(weights @ terms @ weights)
 
 
+class TestIntervalGrid:
+    """For a generic JointModel the real part of MI is an iterated integral:
+    at each x node of the x run, one y run over the _mi_terms column."""
+
+    @pytest.mark.parametrize("name", ["y over (0, 1e2)", "y over (0, 1e4)", "y over (0, 1e6)",
+                                      "y over (0, 1.2e308)", "rho 0.999"])
+    def test_matches_high_precision_truth(self, name):
+        # y-intervals far wider than the density, and a ridge along y = x
+        j, x_iv, y_iv, truth = CLOSED_FORM_TRUTHS[name]
+        value = soft_mutual_information(_GridOnly(j), MixedSet([], [x_iv]), MixedSet([], [y_iv]))
+        assert value.real == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("row", range(5))
+    def test_table1_rows_match_the_closed_form(self, row):
+        x0, y0, x_iv, y_iv, _, _ = BENCHMARK_ROWS[row]
+        sx, sy = MixedSet([x0], [x_iv]), MixedSet([y0], [y_iv])
+        closed = soft_mutual_information(STD_ADDITIVE, sx, sy, form=FORM_CONDITIONAL)
+        generic = soft_mutual_information(_GridOnly(STD_ADDITIVE), sx, sy, form=FORM_CONDITIONAL)
+        assert generic.real == pytest.approx(closed.real, rel=1e-15, abs=0.0)
+
+    def test_near_independence_never_returns_a_wrong_value(self):
+        # log ratios of order 1e-6 keep only about ten digits under the
+        # pointwise rule, so the column runs may not converge; they must
+        # not return a value off the truth
+        j, x_iv, y_iv, truth = CLOSED_FORM_TRUTHS["rho 1e-6"]
+        try:
+            value = soft_mutual_information(_GridOnly(j), MixedSet([], [x_iv]),
+                                            MixedSet([], [y_iv])).real
+        except ConvergenceError as err:
+            assert math.isfinite(err.best_estimate)
+        else:
+            assert value == pytest.approx(truth, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_default_grid_matches_gaussian_override_on_rectangle(self, form):
+        sx, sy = MixedSet([], [(2.0, 3.0)]), MixedSet([], [(1.0, 3.0)])
+        fast = soft_mutual_information(STD_ADDITIVE, sx, sy, form=form)
+        generic = soft_mutual_information(_ScalarOnly(STD_ADDITIVE), sx, sy, form=form)
+        assert fast.real > 0.0
+        assert generic.real == pytest.approx(fast.real, rel=1e-12)
+
+    def test_generic_joint_cdf_default_grid_matches_gaussian_override(self):
+        j = BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.6)
+        for x, y in ((0.3, -0.2), (-1.0, 1.5)):
+            fast = JointModel.joint_cdf(j, x, y)
+            assert fast == pytest.approx(j.joint_cdf(x, y), rel=1e-6)
+            assert _ScalarOnly(j).joint_cdf(x, y) == pytest.approx(fast, rel=1e-12)
+
+    def test_underflowing_marginal_product_on_rectangle_is_a_domain_error(self):
+        # f_X * f_Y underflows to zero on the whole rectangle while the joint
+        # density is about 1e-195; this was a ZeroDivisionError
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.999)
+        box = MixedSet([], [(29.9, 30.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                soft_mutual_information(_ScalarOnly(j), box, box, form=FORM_SYMMETRIC)
+            assert soft_mutual_information(_ScalarOnly(j), box, box,
+                                           form=FORM_CONDITIONAL).real > 0.0
+            # the Gaussian model's closed form never forms f_X * f_Y
+            sym = soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
+            assert sym == soft_mutual_information(j, box, box, form=FORM_CONDITIONAL)
+        truth = CLOSED_FORM_TRUTHS["underflowing box"][3]
+        assert sym.real == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
 class TestGaussianClosedForm:
     """The real MI of a BivariateGaussianModel integrates the closed-form
-    y-integral over x; the 2-D grid path is its oracle."""
+    y-integral over x; the generic grid path, which integrates the pointwise
+    terms over y as well, is its oracle."""
 
     @pytest.mark.parametrize("name", CLOSED_FORM_TRUTHS)
     def test_matches_high_precision_truth(self, name):
@@ -888,12 +902,11 @@ class TestGaussianClosedForm:
             assert value.real == pytest.approx(LN2 / 2, rel=1e-12)
 
     def test_agrees_with_grid_path_on_random_rectangles(self):
-        # the grid path meets its tolerance panel by panel, so its error is
-        # relative to the integral of |terms|. At small |rho| terms of both
-        # signs cancel and that integral is far above the net value (the two
-        # paths were 2.4e-9 apart at rho = -0.0026, where mpmath sided with
-        # the closed form to 4e-14), and panels on the curve where the log
-        # ratio is 0 never meet a relative tolerance, hence the tiny abs_tol
+        # the grid path's runs meet a budget relative to the summed |panel
+        # estimates|, so its error is relative to the integral of |terms|.
+        # At small |rho| terms of both signs cancel and that integral is far
+        # above the net value, and a column whose terms cancel to nearly 0
+        # never meets a relative budget, hence the tiny abs_tol
         rng = random.Random(2024)
         for _ in range(300):
             j, x_iv, y_iv = _random_rectangle(rng, rng.uniform(-0.99, 0.99))
