@@ -116,7 +116,7 @@ def _entropy_axes(d: ContinuousDistribution, ms: MixedSet, point_sum: float,
     lnb = cfg.ln_base
     h1 = 0.0
     if cfg.zlogz_mode == ZLOGZ_AXIS:
-        density = sample_1d(d.pdf_array, np.array(ms.points, dtype=float))
+        density = sample_1d(d.pdf_array, ms.point_array)
         h1 = (0.0 - sum(density.tolist(), 0.0)) / lnb
     return ExtendedSoftNumber(h1, (0.0 - point_sum) / lnb, (0.0 - interval_sum) / lnb)
 
@@ -129,7 +129,7 @@ def soft_entropy(d: ContinuousDistribution, ms: MixedSet,
     integrals of f log f. Zero density at a listed point is a domain error;
     inside intervals f -> 0 is handled by the limit f log f -> 0.
     """
-    _require_positive_density(d, np.array(ms.points, dtype=float), "density")
+    _require_positive_density(d, ms.point_array, "density")
 
     def flogf(xs: np.ndarray) -> np.ndarray:
         f = d.pdf_array(xs)
@@ -279,9 +279,8 @@ def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) ->
     return total
 
 
-def _mi_y_integrand(j: JointModel, y_intervals: list[tuple[float, float]], form: str,
-                    quad: QuadratureConfig):
-    """xs -> the y-integral of the MI terms over all the y-intervals at each x of xs.
+def _mi_y_integrand(j: JointModel, sy: MixedSet, form: str, quad: QuadratureConfig):
+    """xs -> the y-integral of the MI terms over all the intervals of sy at each x of xs.
 
     A BivariateGaussianModel has it in closed form (mi_y_integral, the same
     function in both forms). Any other JointModel integrates the _mi_terms
@@ -290,14 +289,13 @@ def _mi_y_integrand(j: JointModel, y_intervals: list[tuple[float, float]], form:
     """
     if not isinstance(j, BivariateGaussianModel):
         breaks = j.marginal_y.truncated_range()
-        y_pieces = [piece for lo, hi in y_intervals for piece in split_at(lo, hi, breaks)]
+        y_pieces = [piece for lo, hi in sy.intervals for piece in split_at(lo, hi, breaks)]
         return y_integral(lambda xs, ys: _mi_terms(j, xs, ys, form), y_pieces, quad)
-    y_lo, y_hi = (np.array(ends) for ends in zip(*y_intervals))
     # x nodes a call of mi_y_integral: whole 16-node panels, about
     # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its temporaries stay
     # small however many intervals there are
-    rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(y_lo)))
-    return lambda xs: np.concatenate([j.mi_y_integral(xs[k:k + rows], y_lo, y_hi)
+    rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(sy.lo)))
+    return lambda xs: np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
                                       for k in range(0, len(xs), rows)])
 
 
@@ -321,14 +319,13 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     """
     if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
         raise DomainError(f"unknown mutual-information form {form!r}")
-    soft = _point_pair_sum(j, np.asarray(sx.points, dtype=float),
-                           np.asarray(sy.points, dtype=float), form)
+    soft = _point_pair_sum(j, sx.point_array, sy.point_array, form)
     real = 0.0
-    if sy.intervals:
+    if sy.lo.size:
         breaks = j.marginal_x.truncated_range()
         x_pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
         quad = cfg.quad_1d()
-        real = integrate_pieces(_mi_y_integrand(j, sy.intervals, form, quad), x_pieces, quad)
+        real = integrate_pieces(_mi_y_integrand(j, sy, form, quad), x_pieces, quad)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
 

@@ -26,7 +26,7 @@ from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps t
 from .softnum import SoftNumber
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MixedSet:
     """Disjoint union of isolated points and open intervals.
 
@@ -34,10 +34,17 @@ class MixedSet:
     Construction validates disjointness: intervals may not overlap each
     other, and no point may lie strictly inside an interval. A point at an
     open endpoint is allowed; the interval does not contain it.
+
+    The set is stored as three read-only float arrays: point_array, the
+    points in order, and lo and hi, the ends of the intervals in order.
+    `points` and `intervals` read them back as tuples. _from_canonical
+    stores arrays that are already in canonical form without the checks;
+    its one caller is tree.build_mixed_sets, whose merge produces that form.
     """
 
-    points: tuple[float, ...]
-    intervals: tuple[tuple[float, float], ...]
+    point_array: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
@@ -66,17 +73,49 @@ class MixedSet:
             if k < len(ivs) and ivs[k][0] < p:
                 lo, hi = ivs[k]
                 raise DomainError(f"point {p!r} lies inside interval ({lo!r}, {hi!r})")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "intervals", tuple(ivs))
+        self._store(np.array(pts, dtype=float), np.array([lo for lo, _ in ivs], dtype=float),
+                    np.array([hi for _, hi in ivs], dtype=float))
+
+    @classmethod
+    def _from_canonical(cls, points: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                        ) -> "MixedSet":
+        """The set of float arrays already in canonical form, which it does not check."""
+        ms = object.__new__(cls)
+        ms._store(points, lo, hi)
+        return ms
+
+    def _store(self, points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        for name, values in (("point_array", points), ("lo", lo), ("hi", hi)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @property
+    def points(self) -> tuple[float, ...]:
+        return tuple(self.point_array.tolist())
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MixedSet):
+            return NotImplemented
+        return self.points == other.points and self.intervals == other.intervals
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.intervals))
+
+    def __repr__(self) -> str:
+        return f"MixedSet(points={self.points!r}, intervals={self.intervals!r})"
 
     @classmethod
     def with_closed_intervals(cls, points: Sequence[float] = (),
                               closed_intervals: Sequence[Sequence[float]] = ()) -> "MixedSet":
         """Normalize closed intervals: interiors stay intervals, endpoints become points."""
-        pts = set(float(p) for p in points)
+        pts = set(_as_float(p) for p in points)
         ivs = []
         for iv in closed_intervals:
-            lo, hi = (float(v) for v in iv)
+            lo, hi = (_as_float(v) for v in iv)
             ivs.append((lo, hi))
             pts.add(lo)
             pts.add(hi)
@@ -84,10 +123,10 @@ class MixedSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.points and not self.intervals
+        return not (self.point_array.size or self.lo.size)
 
     def to_dict(self) -> dict:
-        return {"points": list(self.points),
+        return {"points": self.point_array.tolist(),
                 "intervals": [list(iv) for iv in self.intervals]}
 
     @classmethod
@@ -121,7 +160,7 @@ def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray]
     DomainError that names its point.
     """
     cfg = quadrature if quadrature is not None else DEFAULT_1D
-    point_sum = sum(sample_1d(term, np.array(ms.points, dtype=float)).tolist(), 0.0)
+    point_sum = sum(sample_1d(term, ms.point_array).tolist(), 0.0)
     breaks = (d.location, *d.truncated_range())
     pieces = [piece for lo, hi in ms.intervals for piece in split_at(lo, hi, breaks)]
     return point_sum, integrate_pieces(term, pieces, cfg)

@@ -12,9 +12,13 @@ interval keeps its endpoints, so lo < hi marks exactly the interval cells.
 A Dataset holds its cells as two such arrays of shape (rows, features + 1),
 the label last. `induce` computes every cell's midpoint once; a node is an
 array of row indices, and its children keep the row order. Fits, merges,
-medians and leaf means are array work with the same arithmetic as the
-per-cell definitions: shifted-mean fsum sums, the median of the sorted
-midpoints and fsum(midpoints) / n.
+medians and leaf means are array work. The column statistics are numpy's
+pairwise np.sum over the shifted midpoints and their products, whose error
+is O(u log n) times the sum of the magnitudes of the terms (Higham 2002,
+section 4.2); the covariance, which cancels where the columns are nearly
+independent, first splits its terms error-free (_split_sum). The
+threshold is the median of the sorted midpoints, and a leaf predicts
+fsum(midpoints) / n.
 """
 
 from __future__ import annotations
@@ -231,23 +235,50 @@ class TreeConfig:
 ColumnMoments = tuple[float, float, np.ndarray]
 
 
-def _column_moments(lo: np.ndarray, hi: np.ndarray) -> ColumnMoments:
-    """Mean and variance of a column, plus each midpoint's deviation from the mean.
+def _column_moments(lo: np.ndarray, hi: np.ndarray, mids: np.ndarray) -> ColumnMoments:
+    """Mean and variance of a column with these midpoints, and each midpoint's deviation.
 
-    Two-pass fsum sums: the variance is that of the midpoints plus the mean
-    spread variance (width^2/12, zero for points) of the cells. The mean is
-    taken relative to the first midpoint, so a constant column has a mean
-    equal to its value and deviations of exactly zero.
+    The variance is that of the midpoints plus the mean spread variance
+    (width^2/12, zero for points) of the cells. Each sum is numpy's
+    pairwise np.sum, whose error is O(u log n) times the sum of the
+    magnitudes of its terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2), and whose order, unlike a BLAS dot
+    product's, does not depend on the CPU. The mean is taken relative to
+    the first midpoint, so a constant column has a mean equal to its value
+    and deviations of exactly zero. A sum that overflows gives inf or NaN.
     """
-    mids = _midpoints(lo, hi)
     n = len(mids)
     base = float(mids[0])
-    mean = base + math.fsum((mids - base).tolist()) / n
-    devs = mids - mean
-    width = hi - lo
-    var = (math.fsum((devs * devs).tolist()) / (n - 1)
-           + math.fsum((width * width / 12.0).tolist()) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = base + float(np.sum(mids - base)) / n
+        devs = mids - mean
+        width = hi - lo
+        var = (float(np.sum(devs * devs)) / (n - 1)
+               + float(np.sum(width * width / 12.0)) / n)
     return mean, var, devs
+
+
+def _split_sum(terms: np.ndarray) -> float:
+    """The sum of the terms, kept accurate where it cancels.
+
+    One error-free split (ExtractVector of Rump, Ogita and Oishi, Accurate
+    floating-point summation part I, SIAM J. Sci. Comput. 31, 2008) at
+    sigma = 2^k >= (n + 2) * max|terms| cuts each term into a multiple of
+    ulp(sigma), whose sum is exact in any order, and an exact remainder
+    below ulp(sigma). Only the remainders' pairwise np.sum rounds, so the
+    error bound is np.sum's times about 2n * 2^-53, 4.4e-13 at n = 2,000.
+    The covariance of nearly independent columns cancels by factors of
+    1e4 and more, and np.sum alone would pass its error, so magnified, on
+    to the gain. Terms that are not finite, or so large that sigma would
+    overflow, take the plain np.sum.
+    """
+    top = float(np.max(np.abs(terms)))
+    k = math.frexp(top)[1] + (len(terms) + 2).bit_length()
+    if not (0.0 < top < math.inf and k < 1024):
+        return float(np.sum(terms))
+    sigma = math.ldexp(1.0, k)
+    high = (sigma + terms) - sigma
+    return float(np.sum(high)) + float(np.sum(terms - high))
 
 
 def fit_joint_model(x: Column, y: Column) -> JointModel:
@@ -261,29 +292,19 @@ def fit_joint_model(x: Column, y: Column) -> JointModel:
     n = len(x[0])
     if n != len(y[0]) or n < 2:
         raise DomainError("need two columns of equal length >= 2")
-    return _fit(x, _moments_or_nan(y))
+    return _fit(_column_moments(*x, _midpoints(*x)), _column_moments(*y, _midpoints(*y)))
 
 
-def _moments_or_nan(col: Column) -> ColumnMoments:
-    """_column_moments of the column, or NaNs where its sums overflow."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _column_moments(*col)
-    except (OverflowError, ValueError):  # fsum overflowing or meeting inf - inf
-        return math.nan, math.nan, np.full(len(col[0]), math.nan)
+def _fit(x_moments: ColumnMoments, y_moments: ColumnMoments) -> JointModel:
+    """fit_joint_model from the columns' moments; a node computes the label's once.
 
-
-def _fit(x: Column, y_moments: ColumnMoments) -> JointModel:
-    """fit_joint_model from the label column's moments, which a node computes once."""
-    mean_x, var_x, dev_x = _moments_or_nan(x)
+    The covariance is the _split_sum of the deviation products.
+    """
+    mean_x, var_x, dev_x = x_moments
     mean_y, var_y, dev_y = y_moments
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = math.fsum((dev_x * dev_y).tolist()) / (len(dev_x) - 1)
-        finite = all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov)))
-    except (OverflowError, ValueError):
-        finite = False
-    if not finite:
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _split_sum(dev_x * dev_y) / (len(dev_x) - 1)
+    if not all(map(math.isfinite, (mean_x, var_x, mean_y, var_y, cov))):
         raise DomainError("column statistics are not finite; values too large to fit a model")
     if var_x <= 0.0 or var_y <= 0.0:
         raise DegenerateModelError(
@@ -298,7 +319,8 @@ def build_mixed_sets(col: Column) -> MixedSet:
 
     Interval cells merge into maximal open intervals (touching ones
     included), duplicate points collapse, and points falling inside or on a
-    merged interval are absorbed into it.
+    merged interval are absorbed into it. The result is in canonical form,
+    so it skips MixedSet's checks.
     """
     lo, hi = col
     is_interval = lo < hi
@@ -318,15 +340,14 @@ def build_mixed_sets(col: Column) -> MixedSet:
     k = np.searchsorted(merged_hi, points)  # first merged interval not wholly left
     inside = k < len(merged_hi)
     inside[inside] = merged_lo[k[inside]] <= points[inside]
-    return MixedSet(points[~inside].tolist(),
-                    list(zip(merged_lo.tolist(), merged_hi.tolist())))
+    return MixedSet._from_canonical(points[~inside], merged_lo, merged_hi)
 
 
-def _gain(x: Column, y_moments: ColumnMoments, y_set: MixedSet, cfg: TreeConfig
-          ) -> SoftNumber:
-    """Gain of feature column x for the label column with these moments and MixedSet."""
+def _gain(x: Column, x_mids: np.ndarray, y_moments: ColumnMoments, y_set: MixedSet,
+          cfg: TreeConfig) -> SoftNumber:
+    """Gain of feature column x, midpoints x_mids, for the label with these moments and set."""
     try:
-        model = _fit(x, y_moments)
+        model = _fit(_column_moments(*x, x_mids), y_moments)
     except DegenerateModelError:
         return SoftNumber.zero()
     return soft_mutual_information(model, build_mixed_sets(x), y_set, cfg.info)
@@ -335,8 +356,9 @@ def _gain(x: Column, y_moments: ColumnMoments, y_set: MixedSet, cfg: TreeConfig
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
     index = ds.feature_index(feature)
+    x = (ds.lo[:, index], ds.hi[:, index])
     y = (ds.lo[:, -1], ds.hi[:, -1])
-    return _gain((ds.lo[:, index], ds.hi[:, index]), _moments_or_nan(y),
+    return _gain(x, _midpoints(*x), _column_moments(*y, _midpoints(*y)),
                  build_mixed_sets(y), cfg)
 
 
@@ -374,11 +396,12 @@ def _grow(ds: Dataset, cfg: TreeConfig, mids: np.ndarray, rows: np.ndarray,
     if len(rows) < cfg.min_rows or depth >= cfg.max_depth:
         return _leaf(mids[rows, label])
     y = (lo[rows, label], hi[rows, label])
-    y_moments, y_set = _moments_or_nan(y), build_mixed_sets(y)
+    y_moments, y_set = _column_moments(*y, mids[rows, label]), build_mixed_sets(y)
     best_index = 0
-    best_gain = _gain((lo[rows, 0], hi[rows, 0]), y_moments, y_set, cfg)
+    best_gain = _gain((lo[rows, 0], hi[rows, 0]), mids[rows, 0], y_moments, y_set, cfg)
     for index in range(1, label):
-        gain = _gain((lo[rows, index], hi[rows, index]), y_moments, y_set, cfg)
+        gain = _gain((lo[rows, index], hi[rows, index]), mids[rows, index], y_moments,
+                     y_set, cfg)
         if cmp(gain, best_gain) > 0:
             best_index, best_gain = index, gain
     if cmp(best_gain, cfg.min_gain) <= 0:

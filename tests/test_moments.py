@@ -80,6 +80,33 @@ class TestMixedSet:
     def test_empty_set(self):
         assert MixedSet().is_empty
 
+    def test_stored_as_read_only_float_arrays(self):
+        ms = MixedSet([0.9, 0.1], [(0.5, 0.6), (0.2, 0.3)])
+        assert ms.point_array.tolist() == [0.1, 0.9]
+        assert ms.lo.tolist() == [0.2, 0.5]
+        assert ms.hi.tolist() == [0.3, 0.6]
+        for values in (ms.point_array, ms.lo, ms.hi):
+            assert values.dtype == np.float64
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_equality_hash_and_repr_follow_the_tuples(self):
+        ms = MixedSet([1, 0], [(2, 3)])
+        assert ms == MixedSet([0.0, 1.0], [[2.0, 3.0]])
+        assert hash(ms) == hash(MixedSet([0.0, 1.0], [[2.0, 3.0]]))
+        assert ms != MixedSet([0.0], [(2.0, 3.0)])
+        assert repr(ms) == "MixedSet(points=(0.0, 1.0), intervals=((2.0, 3.0),))"
+
+    @pytest.mark.parametrize("build", [
+        lambda: MixedSet([10 ** 400]),
+        lambda: MixedSet([], [(0, 10 ** 400)]),
+        lambda: MixedSet.with_closed_intervals([10 ** 400]),
+        lambda: MixedSet.with_closed_intervals([], [(0, 10 ** 400)]),
+    ])
+    def test_integer_too_large_for_a_float_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="number too large to represent as a float"):
+            build()
+
 
 class TestSoftExpectation:
     def test_uniform_point_and_interval(self):

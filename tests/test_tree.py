@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from softprob.tree import (
     Observation,
     Split,
     TreeConfig,
+    _split_sum,
     build_mixed_sets,
     fit_joint_model,
     induce,
@@ -38,15 +40,19 @@ from softprob.tree import (
 )
 
 
-def _synthetic_rows(seed: int, n: int = 200, interval_fraction: float = 0.0):
-    """Rows with y = x1 + noise(sd 0.5) and an uninformative x2."""
+def _synthetic_rows(seed: int, n: int = 200, interval_fraction: float = 0.0,
+                    point=Observation.point, interval=Observation.interval):
+    """Rows with y = x1 + noise(sd 0.5) and an uninformative x2.
+
+    Cells are point(value) and interval(lo, hi).
+    """
     rng = random.Random(seed)
 
-    def obs(value: float) -> Observation:
+    def obs(value: float):
         if rng.random() < interval_fraction:
             half = rng.uniform(0.1, 0.4)
-            return Observation.interval(value - half, value + half)
-        return Observation.point(value)
+            return interval(value - half, value + half)
+        return point(value)
 
     rows = []
     for _ in range(n):
@@ -78,6 +84,17 @@ def _fit(x, y):
 
 def _sets(col):
     return build_mixed_sets(_column(col))
+
+
+def _cell(c):
+    """An interval Observation of a (lo, hi) tuple, a point Observation of a number."""
+    return Observation.interval(*c) if isinstance(c, tuple) else Observation.point(c)
+
+
+_VALUES = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.sampled_from([0.1, 0.7]))
+_CELLS = st.one_of(
+    _VALUES,
+    st.tuples(_VALUES, st.sampled_from([0.5, 1.0, 2.0])).map(lambda t: (t[0], t[0] + t[1])))
 
 
 def _leaf_rows(node) -> int:
@@ -267,7 +284,7 @@ class TestFitJointModel:
 
     @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 6), (1e-100, 5)])
     def test_inexact_mean_constant_column_is_degenerate(self, value, n):
-        # fsum([value] * n) / n differs from value by an ulp for these.
+        # the unshifted mean sum([value] * n) / n is an ulp off for 0.1 and 0.7
         const = [Observation.point(value)] * n
         varied = [Observation.point(float(v)) for v in range(1, n + 1)]
         with pytest.raises(DegenerateModelError):
@@ -296,6 +313,30 @@ class TestFitJointModel:
         tiny = _fit([Observation.point(v * 1e-100) for v in xs],
                                [Observation.point(v * 1e-100) for v in ys])
         assert tiny.rho == pytest.approx(unit.rho, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 9, 300, 2000])
+    def test_covariance_sum_keeps_its_digits_where_it_cancels(self, n):
+        # terms that cancel to about 1e-9 of their magnitude, as the deviation
+        # products of nearly independent columns do, to a lesser degree
+        rng = random.Random(n)
+        half = [rng.gauss(0.0, 1.0) for _ in range(n // 2)]
+        terms = half + [-t * (1.0 + rng.uniform(-1e-9, 1e-9)) for t in half] + [1e-300] * (n % 2)
+        rng.shuffle(terms)
+        exact = float(sum(map(Fraction, terms)))
+        assert abs(_split_sum(np.array(terms)) - exact) <= math.ulp(exact)
+
+    @pytest.mark.parametrize("terms, total", [
+        ([1e307, -1e307, 1.0], 1.0),  # the largest terms the split takes
+        ([1.5e308, -1.5e308, 1.0], 1.0),  # beyond them: the plain sum
+        ([0.0, -0.0], 0.0),
+        ([math.inf, 1.0], math.inf),
+        ([math.inf, -math.inf], math.nan),
+        ([math.nan, 1.0], math.nan),
+    ])
+    def test_covariance_sum_of_extreme_terms(self, terms, total):
+        with np.errstate(invalid="ignore"):
+            got = _split_sum(np.array(terms))
+        assert got == total or math.isnan(got) and math.isnan(total)
 
     def test_too_short_columns_rejected(self):
         one = [Observation.point(1.0)]
@@ -365,6 +406,40 @@ class TestBuildMixedSets:
         ms = _sets([])
         assert ms.points == ()
         assert ms.intervals == ()
+
+    @pytest.mark.parametrize("n, interval_fraction, inputs", [(800, 0.0, 8), (2000, 0.25, 128)],
+                             ids=["tree_points", "tree_mixed"])
+    @pytest.mark.parametrize("seed", [1, 2201])
+    def test_benchmark_root_sets_pass_the_public_checks(self, n, interval_fraction, inputs,
+                                                        seed):
+        # the root columns of the benchmark's tree datasets, drawn as its
+        # workloads draw them: one seed per input from random.Random(seed)
+        rng = random.Random(seed)
+        for input_seed in [rng.randrange(2 ** 32) for _ in range(inputs)]:
+            rows = _synthetic_rows(input_seed, n, interval_fraction,
+                                   point=lambda v: (v, v), interval=lambda lo, hi: (lo, hi))
+            cells = [(*features, label) for features, label in rows]
+            for j in range(3):
+                _assert_canonical(build_mixed_sets(
+                    tuple(np.array([c[j][end] for c in cells]) for end in (0, 1))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(_CELLS, max_size=12))
+    def test_sets_of_random_columns_pass_the_public_checks(self, cells):
+        _assert_canonical(_sets(map(_cell, cells)))
+
+
+def _assert_canonical(ms):
+    """ms, built without MixedSet's checks, passes them and is in merged canonical form."""
+    assert MixedSet(ms.points, ms.intervals) == ms
+    points, lo, hi = ms.point_array, ms.lo, ms.hi
+    assert points.dtype == lo.dtype == hi.dtype == np.float64
+    assert np.all(points[1:] > points[:-1])  # sorted and distinct
+    assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])  # sorted, disjoint and not touching
+    assert not np.any((lo[:, None] <= points) & (points <= hi[:, None]))  # none in or on one
+    for values in (points, lo, hi):
+        with pytest.raises(ValueError):
+            values[...] = 0.0
 
 
 class TestSplitGain:
@@ -548,25 +623,26 @@ class TestSerialization:
             tree_from_dict(obj)
 
 
-# Pure-Python reference of the tree's statistics, one Observation at a time:
-# the oracle for induce's column arrays, which must give identical trees.
+# Reference of the tree's statistics, built one Observation at a time with
+# the same sums: the oracle for induce's column arrays, which must give
+# identical trees.
 
 def _ref_column_stats(col):
-    mids = [o.midpoint for o in col]
+    mids = np.array([o.midpoint for o in col])
     n = len(mids)
-    base = mids[0]
-    mean = base + math.fsum(m - base for m in mids) / n
-    devs = [m - mean for m in mids]
-    widths = [o.hi - o.lo if o.kind == INTERVAL else 0.0 for o in col]
-    var = (math.fsum(d * d for d in devs) / (n - 1)
-           + math.fsum(w * w / 12.0 for w in widths) / n)
+    base = float(mids[0])
+    mean = base + float(np.sum(mids - base)) / n
+    devs = mids - mean
+    widths = np.array([o.hi - o.lo if o.kind == INTERVAL else 0.0 for o in col])
+    var = (float(np.sum(devs * devs)) / (n - 1)
+           + float(np.sum(widths * widths / 12.0)) / n)
     return mean, var, devs
 
 
 def _ref_fit(x, y):
     mean_x, var_x, dev_x = _ref_column_stats(x)
     mean_y, var_y, dev_y = _ref_column_stats(y)
-    cov = math.fsum(dx * dy for dx, dy in zip(dev_x, dev_y)) / (len(x) - 1)
+    cov = _split_sum(dev_x * dev_y) / (len(x) - 1)
     if var_x <= 0.0 or var_y <= 0.0:
         return None
     rho = cov / (math.sqrt(var_x) * math.sqrt(var_y))
@@ -614,21 +690,13 @@ def _ref_induce(names, rows, cfg, depth=0):
 
 def _column_rows(*columns):
     """Rows of cells from equal-length columns, the last one the label."""
-    def cell(c):
-        return Observation.interval(*c) if isinstance(c, tuple) else Observation.point(c)
-    return [(tuple(map(cell, r[:-1])), cell(r[-1])) for r in zip(*columns)]
+    return [(tuple(map(_cell, r[:-1])), _cell(r[-1])) for r in zip(*columns)]
 
 
 def _assert_matches_reference(rows, cfg):
     ds = Dataset([f"x{i}" for i in range(len(rows[0][0]))], rows)
     assert repr(tree_to_dict(induce(ds, cfg))) == repr(tree_to_dict(
         _ref_induce(ds.feature_names, rows, cfg)))
-
-
-_VALUES = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.sampled_from([0.1, 0.7]))
-_CELLS = st.one_of(
-    _VALUES,
-    st.tuples(_VALUES, st.sampled_from([0.5, 1.0, 2.0])).map(lambda t: (t[0], t[0] + t[1])))
 
 
 @st.composite
@@ -643,7 +711,7 @@ class TestColumnarInduction:
         # ties at the median
         ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
         ([0.5, 1.0, 1.0, 1.0, 3.0, 4.0, 1.0, 2.0], [1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 0.0, 1.0]),
-        # constant columns whose fsum mean is inexact
+        # constant columns whose unshifted mean is inexact
         ([0.1] * 3, [1.0, 2.0, 3.0]),
         ([0.7] * 6, [1e8 + i * 1e-5 for i in range(6)]),
         ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.7] * 6),
