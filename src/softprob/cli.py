@@ -200,8 +200,6 @@ def cmd_ps(args) -> int:
         ratio = ps_cond_point_given_point(d, _need_x(args), args.y)
         _emit(args, {"value": ratio}, [f"value = {ratio!r}"])
         return 0
-    if args.op not in PS_OPS:
-        raise SoftProbError(f"unknown ps operation {args.op!r}")
     value = PS_OPS[args.op](d, args)
     _emit(args, {"value": soft_to_dict(value)}, _soft_lines("value", value))
     return 0
@@ -358,9 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ps", parents=[common], help="soft probability of an event")
     p.add_argument("--op", required=True,
-                   choices=["eq", "lt", "leq", "neq", "interval", "points-union",
-                            "points-intersect", "union", "intersect",
-                            "cond-interval", "cond-point", "ps2"])
+                   choices=[*PS_OPS, "cond-point", "ps2"])
     p.add_argument("--dist", help="distribution descriptor (JSON)")
     p.add_argument("--joint", help="joint model descriptor (JSON), for ps2")
     p.add_argument("--x", type=float, help="point of interest")
@@ -433,10 +429,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     with collect_stats() if args.stats else contextlib.nullcontext() as records:
         try:
             return HANDLERS[args.command](args)
-        except SoftProbError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
+        except (SoftProbError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         finally:

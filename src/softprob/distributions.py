@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_float
 from .quadrature import QuadratureConfig, integrate_1d, integrate_2d
 
 _SQRT2 = math.sqrt(2.0)
@@ -79,11 +79,10 @@ class Gaussian(ContinuousDistribution):
     """Normal distribution with the given mean and variance."""
 
     def __init__(self, mean: float, variance: float):
-        if not (math.isfinite(mean) and math.isfinite(variance)) or variance <= 0.0:
-            raise DomainError(
-                f"need finite mean and positive variance, got ({mean!r}, {variance!r})")
-        self.mean = float(mean)
-        self.variance = float(variance)
+        self.mean = finite_float(mean, "mean")
+        self.variance = finite_float(variance, "variance")
+        if self.variance <= 0.0:
+            raise DomainError(f"variance must be positive, got {self.variance!r}")
         self.sigma = math.sqrt(self.variance)
 
     def pdf(self, x: float) -> float:
@@ -118,10 +117,10 @@ class Uniform(ContinuousDistribution):
     """Uniform distribution on the open interval (lo, hi); pdf is 0 at the endpoints."""
 
     def __init__(self, lo: float, hi: float):
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise DomainError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = finite_float(lo, "lo")
+        self.hi = finite_float(hi, "hi")
+        if not self.lo < self.hi:
+            raise DomainError(f"need lo < hi, got ({self.lo!r}, {self.hi!r})")
         self._density = 1.0 / (self.hi - self.lo)
 
     def pdf(self, x: float) -> float:
@@ -153,7 +152,7 @@ class UserDefinedDistribution(ContinuousDistribution):
     def __init__(self, pdf: Callable[[float], float], cdf: Callable[[float], float],
                  support: tuple[float, float] = (-math.inf, math.inf),
                  location: Optional[float] = None, scale: Optional[float] = None):
-        lo, hi = support
+        lo, hi = (finite_float(end, "support end", allow_inf=True) for end in support)
         if not lo < hi:
             raise DomainError(f"support must satisfy lo < hi, got {support!r}")
         if not (math.isfinite(lo) and math.isfinite(hi)) and (location is None or scale is None):
@@ -161,11 +160,11 @@ class UserDefinedDistribution(ContinuousDistribution):
                 f"support {support!r} is infinite, so location and scale are required")
         self._pdf = pdf
         self._cdf = cdf
-        self._support = (float(lo), float(hi))
-        self._location = location
-        self._scale = scale
-        if scale is not None and not scale > 0.0:
-            raise DomainError(f"scale must be positive, got {scale!r}")
+        self._support = (lo, hi)
+        self._location = None if location is None else finite_float(location, "location")
+        self._scale = None if scale is None else finite_float(scale, "scale")
+        if self._scale is not None and not self._scale > 0.0:
+            raise DomainError(f"scale must be positive, got {self._scale!r}")
 
     def pdf(self, x: float) -> float:
         return float(self._pdf(x))
@@ -264,19 +263,17 @@ class BivariateGaussianModel(JointModel):
 
     def __init__(self, mean_x: float, mean_y: float, var_x: float, var_y: float,
                  correlation: float):
-        if not all(map(math.isfinite, (mean_x, mean_y, var_x, var_y, correlation))):
-            raise DomainError("parameters must be finite")
+        self.mean_x = finite_float(mean_x, "mean_x")
+        self.mean_y = finite_float(mean_y, "mean_y")
+        self.var_x = var_x = finite_float(var_x, "var_x")
+        self.var_y = var_y = finite_float(var_y, "var_y")
+        self.rho = finite_float(correlation, "correlation")
         if var_x <= 0.0 or var_y <= 0.0:
             raise DomainError(f"variances must be positive, got ({var_x!r}, {var_y!r})")
-        if not abs(correlation) < 1.0:
-            raise DomainError(f"|correlation| must be < 1, got {correlation!r}")
-        self.mean_x = float(mean_x)
-        self.mean_y = float(mean_y)
-        self.var_x = float(var_x)
-        self.var_y = float(var_y)
-        self.rho = float(correlation)
-        self._mx = Gaussian(mean_x, var_x)
-        self._my = Gaussian(mean_y, var_y)
+        if not abs(self.rho) < 1.0:
+            raise DomainError(f"|correlation| must be < 1, got {self.rho!r}")
+        self._mx = Gaussian(self.mean_x, var_x)
+        self._my = Gaussian(self.mean_y, var_y)
         self._cond_var = var_y * (1.0 - self.rho * self.rho)
         self._cond_sd = math.sqrt(self._cond_var)
         self._cond_slope = self.rho * math.sqrt(var_y / var_x)

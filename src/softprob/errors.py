@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a caller's number.
+
+Every number a caller passes in (a point, an interval end, a model
+parameter, a tolerance) goes through finite_float, so bad input is a
+DomainError and never a bare TypeError, ValueError or OverflowError: an
+integer too large for a float, a value float() cannot convert, and an
+infinity or NaN where a finite number is needed all raise it. Range checks
+(a positive variance, lo < hi) stay with each constructor.
+"""
+
+import math
 
 
 class SoftProbError(Exception):
@@ -7,6 +17,23 @@ class SoftProbError(Exception):
 
 class DomainError(SoftProbError, ValueError):
     """An input lies outside the domain of the requested operation."""
+
+
+def finite_float(value, what: str, *, allow_inf: bool = False) -> float:
+    """float(value), which must be finite; anything else is a DomainError naming what.
+
+    allow_inf skips the finiteness test, for a caller whose own range
+    check (such as lo < hi) rejects NaN.
+    """
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError("number too large to represent as a float") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a number, got {value!r}") from None
+    if not (allow_inf or math.isfinite(x)):
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 class ConvergenceError(SoftProbError, RuntimeError):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
-from .errors import DomainError
+from .errors import DomainError, finite_float
 from .moments import MixedSet, soft_sum, split_at
 from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -66,8 +66,8 @@ class InfoConfig:
     quadrature: Optional[QuadratureConfig] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.log_base) and self.log_base > 0.0
-                and self.log_base != 1.0):
+        object.__setattr__(self, "log_base", finite_float(self.log_base, "log_base"))
+        if not (self.log_base > 0.0 and self.log_base != 1.0):
             raise DomainError(f"log_base must be positive and != 1, got {self.log_base!r}")
         if self.zlogz_mode not in (ZLOGZ_AXIS, ZLOGZ_COLLAPSE):
             raise DomainError(f"unknown zlogz_mode {self.zlogz_mode!r}")

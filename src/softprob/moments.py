@@ -13,14 +13,13 @@ kernels over the same helper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import ContinuousDistribution
-from .errors import DomainError
+from .errors import DomainError, finite_float
 from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
@@ -48,18 +47,15 @@ class MixedSet:
 
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
-        pts = tuple(sorted(_as_float(p) for p in points))
-        for p in pts:
-            if not math.isfinite(p):
-                raise DomainError(f"points must be finite, got {p!r}")
+        pts = tuple(sorted(finite_float(p, "point") for p in points))
         for prev, nxt in zip(pts, pts[1:]):
             if prev == nxt:
                 raise DomainError(f"duplicate point {prev!r}")
         ivs = []
         for iv in intervals:
-            lo, hi = (_as_float(v) for v in iv)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise DomainError(f"interval needs finite lo < hi, got ({lo!r}, {hi!r})")
+            lo, hi = (finite_float(v, "interval end") for v in iv)
+            if not lo < hi:
+                raise DomainError(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
             ivs.append((lo, hi))
         ivs.sort()
         for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
@@ -112,10 +108,10 @@ class MixedSet:
     def with_closed_intervals(cls, points: Sequence[float] = (),
                               closed_intervals: Sequence[Sequence[float]] = ()) -> "MixedSet":
         """Normalize closed intervals: interiors stay intervals, endpoints become points."""
-        pts = set(_as_float(p) for p in points)
+        pts = set(finite_float(p, "point") for p in points)
         ivs = []
         for iv in closed_intervals:
-            lo, hi = (_as_float(v) for v in iv)
+            lo, hi = (finite_float(v, "interval end") for v in iv)
             ivs.append((lo, hi))
             pts.add(lo)
             pts.add(hi)
@@ -170,13 +166,6 @@ def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float,
     """The pieces of (lo, hi) between the breaks that lie strictly inside it, in order."""
     edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
     return list(zip(edges, edges[1:]))
-
-
-def _as_float(v) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        raise DomainError("number too large to represent as a float") from None
 
 
 def _is_number(v) -> bool:

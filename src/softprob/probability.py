@@ -10,12 +10,11 @@ form covers joint models.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .distributions import ContinuousDistribution, JointModel
-from .errors import DomainError
+from .errors import DomainError, finite_float
 from .softnum import SoftNumber, div
 
 
@@ -32,10 +31,7 @@ class PointSetEvent:
     points: tuple[float, ...]
 
     def __init__(self, points: Sequence[float]):
-        values = tuple(sorted(float(p) for p in points))
-        for p in values:
-            if not math.isfinite(p):
-                raise DomainError(f"points must be finite, got {p!r}")
+        values = tuple(sorted(finite_float(p, "point") for p in points))
         for prev, nxt in zip(values, values[1:]):
             if prev == nxt:
                 raise DomainError(f"duplicate point {prev!r} in point set")
@@ -44,15 +40,15 @@ class PointSetEvent:
 
 @dataclass(frozen=True)
 class IntervalEvent:
-    """The event a < X < b (strict) or a <= X <= b (non-strict)."""
+    """The event a < X < b (strict) or a <= X <= b (non-strict), with float ends."""
 
     lo: float
     hi: float
     strict: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("interval endpoints must be finite")
+        object.__setattr__(self, "lo", finite_float(self.lo, "interval end"))
+        object.__setattr__(self, "hi", finite_float(self.hi, "interval end"))
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got ({self.lo!r}, {self.hi!r})")
 
@@ -60,13 +56,6 @@ class IntervalEvent:
         if self.strict:
             return self.lo < x < self.hi
         return self.lo <= x <= self.hi
-
-
-def _check_finite_point(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"point must be finite, got {x!r}")
-    return x
 
 
 def _reject_endpoint(x: float, iv: IntervalEvent) -> None:
@@ -77,23 +66,23 @@ def _reject_endpoint(x: float, iv: IntervalEvent) -> None:
 
 def ps_eq(d: ContinuousDistribution, x: float) -> SoftNumber:
     """Ps(X = x) = f(x)*0~."""
-    return SoftNumber(d.pdf(_check_finite_point(x)), 0.0)
+    return SoftNumber(d.pdf(finite_float(x, "point")), 0.0)
 
 
 def ps_lt(d: ContinuousDistribution, x: float) -> SoftNumber:
     """Ps(X < x) = F(x), purely real."""
-    return SoftNumber(0.0, d.cdf(_check_finite_point(x)))
+    return SoftNumber(0.0, d.cdf(finite_float(x, "point")))
 
 
 def ps_leq(d: ContinuousDistribution, x: float) -> SoftNumber:
     """Ps(X <= x) = f(x)*0~ + F(x)."""
-    x = _check_finite_point(x)
+    x = finite_float(x, "point")
     return SoftNumber(d.pdf(x), d.cdf(x))
 
 
 def ps_neq(d: ContinuousDistribution, x: float) -> SoftNumber:
     """Ps(X != x) = -f(x)*0~ + 1, the complement of ps_eq."""
-    return SoftNumber(-d.pdf(_check_finite_point(x)), 1.0)
+    return SoftNumber(-d.pdf(finite_float(x, "point")), 1.0)
 
 
 def ps_interval(d: ContinuousDistribution, iv: IntervalEvent) -> SoftNumber:
@@ -126,7 +115,7 @@ def ps_points_intersection(d: ContinuousDistribution,
     Nonempty only when every listed point is the same value; duplicates are
     meaningful here, unlike in a union.
     """
-    values = [_check_finite_point(p) for p in points]
+    values = [finite_float(p, "point") for p in points]
     if values and all(v == values[0] for v in values):
         return SoftNumber(d.pdf(values[0]), 0.0)
     return SoftNumber.zero()
@@ -135,7 +124,7 @@ def ps_points_intersection(d: ContinuousDistribution,
 def ps_union_point_interval(d: ContinuousDistribution, x: float,
                             iv: IntervalEvent) -> SoftNumber:
     """Ps({X = x} or X in iv); x may not sit on an endpoint."""
-    x = _check_finite_point(x)
+    x = finite_float(x, "point")
     _reject_endpoint(x, iv)
     real = d.cdf(iv.hi) - d.cdf(iv.lo)
     outside = 0.0 if iv.contains(x) else d.pdf(x)
@@ -147,7 +136,7 @@ def ps_union_point_interval(d: ContinuousDistribution, x: float,
 def ps_intersect_point_interval(d: ContinuousDistribution, x: float,
                                 iv: IntervalEvent) -> SoftNumber:
     """Ps({X = x} and X in iv); x may not sit on an endpoint."""
-    x = _check_finite_point(x)
+    x = finite_float(x, "point")
     _reject_endpoint(x, iv)
     return SoftNumber(d.pdf(x) if iv.contains(x) else 0.0, 0.0)
 
@@ -155,7 +144,7 @@ def ps_intersect_point_interval(d: ContinuousDistribution, x: float,
 def ps_cond_point_given_interval(d: ContinuousDistribution, x: float,
                                  iv: IntervalEvent) -> SoftNumber:
     """Ps(X = x | X in iv), defined when the interval has positive mass."""
-    x = _check_finite_point(x)
+    x = finite_float(x, "point")
     _reject_endpoint(x, iv)
     mass = d.cdf(iv.hi) - d.cdf(iv.lo)
     if not mass > 0.0:
@@ -168,8 +157,8 @@ def ps_cond_point_given_interval(d: ContinuousDistribution, x: float,
 def ps_cond_point_given_point(d: ContinuousDistribution, x: float,
                               y: float) -> float:
     """Ps(X = x | X = y): the ratio of two soft zeros, a plain real."""
-    x = _check_finite_point(x)
-    y = _check_finite_point(y)
+    x = finite_float(x, "point")
+    y = finite_float(y, "point")
     fy = d.pdf(y)
     if not fy > 0.0:
         raise DomainError(f"conditioning point {y!r} has zero density")
@@ -189,8 +178,8 @@ def ps2(j: JointModel, x: float, y: float, rx: Relation, ry: Relation) -> SoftNu
     pieces: (LT,LT) is the joint cdf, (EQ,LT) and (LT,EQ) are its partial
     derivatives on the soft axis, and (EQ,EQ) is the joint density.
     """
-    x = _check_finite_point(x)
-    y = _check_finite_point(y)
+    x = finite_float(x, "point")
+    y = finite_float(y, "point")
     if not isinstance(rx, Relation) or not isinstance(ry, Relation):
         raise DomainError(f"relations must be Relation members, got ({rx!r}, {ry!r})")
     soft = 0.0

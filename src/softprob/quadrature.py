@@ -56,7 +56,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 import numpy.polynomial.legendre as _legendre
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite_float
 
 # A 1-D run that would hold more than PANEL_CAP panels plus PIECE_PANELS a
 # piece raises ConvergenceError. An integrand made of rounding noise never
@@ -129,9 +129,11 @@ class QuadratureConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+        object.__setattr__(self, "rel_tol", finite_float(self.rel_tol, "rel_tol"))
+        object.__setattr__(self, "abs_tol", finite_float(self.abs_tol, "abs_tol"))
+        if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
+        if not self.abs_tol >= 0.0:
             raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
@@ -220,9 +222,10 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     """
     if cfg is None:
         cfg = DEFAULT_1D
+    pieces = [(finite_float(a, "bound"), finite_float(b, "bound")) for a, b in pieces]
     for a, b in pieces:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise DomainError(f"need finite bounds with a < b, got ({a!r}, {b!r})")
+        if not a < b:
+            raise DomainError(f"need bounds a < b, got ({a!r}, {b!r})")
     if not pieces:
         return 0.0
     lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))

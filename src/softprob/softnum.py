@@ -9,21 +9,13 @@ return type of nearly every quantity in this package.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import DomainError
+from .errors import DomainError, finite_float
 
 Scalar = Union[int, float]
-
-
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _order_key(s: "SoftNumber") -> tuple[float, float]:
@@ -48,8 +40,8 @@ class SoftNumber:
     real: float
 
     def __post_init__(self):
-        object.__setattr__(self, "soft", _check_finite("soft", self.soft))
-        object.__setattr__(self, "real", _check_finite("real", self.real))
+        object.__setattr__(self, "soft", finite_float(self.soft, "soft"))
+        object.__setattr__(self, "real", finite_float(self.real, "real"))
 
     @classmethod
     def zero(cls) -> "SoftNumber":
@@ -130,7 +122,7 @@ def _coerce(value) -> SoftNumber:
     if isinstance(value, SoftNumber):
         return value
     if isinstance(value, (int, float)):
-        return SoftNumber(0.0, float(value))
+        return SoftNumber(0.0, value)
     return NotImplemented
 
 
@@ -158,9 +150,8 @@ def lift(f: Callable[[float], float], df: Callable[[float], float],
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(
             f"function undefined at {s.real!r}: {exc}") from exc
-    if not (math.isfinite(y) and math.isfinite(dy)):
-        raise DomainError(
-            f"function or derivative not finite at {s.real!r}: f={y!r}, df={dy!r}")
+    y = finite_float(y, f"function value at {s.real!r}")
+    dy = finite_float(dy, f"derivative at {s.real!r}")
     return SoftNumber(s.soft * dy, y)
 
 
@@ -241,9 +232,7 @@ def to_sp(s: SoftNumber) -> SymmetricPair:
 
 def from_sp(p: SymmetricPair) -> SoftNumber:
     """Convert back from (height, width); width must lie in [0, 1]."""
-    a, b = float(p.height), float(p.width)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("symmetric-pair coordinates must be finite")
+    a, b = finite_float(p.height, "height"), finite_float(p.width, "width")
     if not 0.0 <= b <= 1.0:
         raise DomainError(f"width must lie in [0, 1], got {b!r}")
     return SoftNumber((1.0 - b) * a, b * a)
@@ -263,9 +252,9 @@ class ExtendedSoftNumber:
     real: float
 
     def __post_init__(self):
-        object.__setattr__(self, "zlogz", _check_finite("zlogz", self.zlogz))
-        object.__setattr__(self, "soft", _check_finite("soft", self.soft))
-        object.__setattr__(self, "real", _check_finite("real", self.real))
+        object.__setattr__(self, "zlogz", finite_float(self.zlogz, "zlogz"))
+        object.__setattr__(self, "soft", finite_float(self.soft, "soft"))
+        object.__setattr__(self, "real", finite_float(self.real, "real"))
 
     def __add__(self, other) -> "ExtendedSoftNumber":
         if not isinstance(other, ExtendedSoftNumber):
@@ -321,7 +310,6 @@ def ext_to_dict(e: ExtendedSoftNumber) -> dict:
 
 def ext_from_dict(obj: dict) -> ExtendedSoftNumber:
     try:
-        return ExtendedSoftNumber(float(obj["zlogz"]), float(obj["soft"]),
-                                  float(obj["real"]))
+        return ExtendedSoftNumber(obj["zlogz"], obj["soft"], obj["real"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"not an extended record: {obj!r}") from exc

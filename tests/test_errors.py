@@ -1,0 +1,99 @@
+"""Every number a caller passes in is checked by one helper, errors.finite_float."""
+
+import math
+
+import numpy as np
+import pytest
+
+import softprob as sp
+from softprob.errors import DomainError, finite_float
+
+N01 = sp.Gaussian(0.0, 1.0)
+IV = sp.IntervalEvent(-1.0, 1.0)
+MODEL = sp.BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.5)
+ZERO = sp.SoftNumber.zero()
+LEAF = sp.Leaf(0.0, 1)
+
+# one caller's number v passed to each public entry point
+ENTRY_POINTS = {
+    "ps_eq": lambda v: sp.ps_eq(N01, v),
+    "ps_lt": lambda v: sp.ps_lt(N01, v),
+    "ps_leq": lambda v: sp.ps_leq(N01, v),
+    "ps_neq": lambda v: sp.ps_neq(N01, v),
+    "ps_points_intersection": lambda v: sp.ps_points_intersection(N01, [v, v]),
+    "ps_union_point_interval": lambda v: sp.ps_union_point_interval(N01, v, IV),
+    "ps_intersect_point_interval": lambda v: sp.ps_intersect_point_interval(N01, v, IV),
+    "ps_cond_point_given_interval": lambda v: sp.ps_cond_point_given_interval(N01, v, IV),
+    "ps_cond_point_given_point": lambda v: sp.ps_cond_point_given_point(N01, 0.0, v),
+    "ps2": lambda v: sp.ps2(MODEL, v, 0.0, sp.Relation.EQ, sp.Relation.LT),
+    "ps_points_union": lambda v: sp.ps_points_union(N01, [0.0, v]),
+    "IntervalEvent": lambda v: sp.IntervalEvent(0.0, v),
+    "Gaussian": lambda v: sp.Gaussian(v, 1.0),
+    "Uniform": lambda v: sp.Uniform(0.0, v),
+    "UserDefinedDistribution": lambda v: sp.UserDefinedDistribution(
+        N01.pdf, N01.cdf, support=(0.0, v)),
+    "BivariateGaussianModel": lambda v: sp.BivariateGaussianModel(0.0, 0.0, 1.0, v, 0.5),
+    "Observation": lambda v: sp.Observation("point", value=v),
+    "Observation.point": lambda v: sp.Observation.point(v),
+    "Observation.interval": lambda v: sp.Observation.interval(0.0, v),
+    "Leaf": lambda v: sp.Leaf(v, 1),
+    "Split": lambda v: sp.Split("x", 0, v, ZERO, LEAF, LEAF),
+    "SoftNumber": lambda v: sp.SoftNumber(v, 0.0),
+    "ExtendedSoftNumber": lambda v: sp.ExtendedSoftNumber(v, 0.0, 0.0),
+    "SoftNumber.__add__": lambda v: ZERO + v,
+    "from_sp": lambda v: sp.from_sp(sp.SymmetricPair(v, 0.5)),
+    "lift": lambda v: sp.lift(lambda x: v, lambda x: 1.0, ZERO),
+    "ext_from_dict": lambda v: sp.ext_from_dict({"zlogz": v, "soft": 0.0, "real": 0.0}),
+    "QuadratureConfig": lambda v: sp.QuadratureConfig(rel_tol=v),
+    "InfoConfig": lambda v: sp.InfoConfig(log_base=v),
+    "integrate_1d": lambda v: sp.integrate_1d(np.exp, 0.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [10 ** 400, math.inf, math.nan], ids=["1e400", "inf", "nan"])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_number_no_float_holds_is_a_domain_error(name, value):
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[name](value)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_accepts_a_finite_number(name):
+    # so that the DomainError above comes from the value, not from a malformed call
+    ENTRY_POINTS[name](2)
+
+
+def test_numbers_are_stored_as_floats():
+    iv = sp.IntervalEvent(0, 1)
+    obs = sp.Observation.interval(0, 1)
+    stored = (iv.lo, iv.hi, obs.lo, obs.hi, sp.Observation.point(1).value,
+              sp.Leaf(1, 1).prediction, sp.QuadratureConfig(rel_tol=1).rel_tol,
+              sp.InfoConfig(log_base=2).log_base)
+    assert all(type(v) is float for v in stored)
+
+
+class TestFiniteFloat:
+    def test_returns_the_float(self):
+        assert finite_float(3, "x") == 3.0 and type(finite_float(3, "x")) is float
+        assert finite_float(np.float32(0.5), "x") == 0.5
+        assert finite_float("1.5", "x") == 1.5
+
+    def test_overflow_keeps_its_message(self):
+        with pytest.raises(DomainError, match="^number too large to represent as a float$"):
+            finite_float(-10 ** 400, "x")
+
+    @pytest.mark.parametrize("value", [None, "abc", [1.0], 1j])
+    def test_a_value_float_cannot_convert_names_what(self, value):
+        with pytest.raises(DomainError, match="^mean must be a number, got "):
+            finite_float(value, "mean")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_value_names_what(self, value):
+        with pytest.raises(DomainError, match=f"^mean must be finite, got {value!r}$"):
+            finite_float(value, "mean")
+
+    def test_allow_inf_passes_infinities_and_nan_on(self):
+        assert finite_float(-math.inf, "end", allow_inf=True) == -math.inf
+        assert math.isnan(finite_float(math.nan, "end", allow_inf=True))
+        with pytest.raises(DomainError, match="too large"):
+            finite_float(10 ** 400, "end", allow_inf=True)
