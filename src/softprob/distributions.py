@@ -11,8 +11,9 @@ their pointwise terms over y at each x node (quadrature.y_integral).
 
 Densities at many points at once come from the array methods (pdf_array,
 joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
-methods point by point; the Gaussian models override them with numpy
-broadcasts of the same formulas.
+methods point by point; the Gaussian models write each density once, as a
+numpy broadcast whose scalar methods are views at one point, and take
+every cdf and interval mass from one upper-tail function (_upper_tail).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class ContinuousDistribution(ABC):
         """Density at each of the points xs."""
         return np.array([self.pdf(float(x)) for x in xs], dtype=float)
 
+    def mass(self, lo: float, hi: float) -> float:
+        """P(lo < X < hi) for lo <= hi."""
+        return self.cdf(hi) - self.cdf(lo)
+
     @property
     @abstractmethod
     def support(self) -> tuple[float, float]: ...
@@ -75,6 +80,25 @@ class ContinuousDistribution(ABC):
         return lo, hi
 
 
+def _at(f: Callable[..., np.ndarray], *point: float) -> float:
+    """The elementwise array function f at one point, without numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(f(*(np.array([v], dtype=float) for v in point))[0])
+
+
+def _upper_tail(t: np.ndarray) -> np.ndarray:
+    """1 - Phi(t) elementwise, from math.erfc so that it keeps its digits far out."""
+    tails = np.array(list(map(math.erfc, (t / _SQRT2).ravel().tolist())))
+    return 0.5 * tails.reshape(t.shape)
+
+
+def _std_mass(t: np.ndarray) -> np.ndarray:
+    """Phi(b) - Phi(a) for stacked ends t = (a, b), a <= b, each tail read on its own side."""
+    a, b = t
+    q_a, q_b = _upper_tail(np.abs(t))
+    return np.where(a >= 0.0, q_a - q_b, np.where(b <= 0.0, q_b - q_a, (1.0 - q_a) - q_b))
+
+
 class Gaussian(ContinuousDistribution):
     """Normal distribution with the given mean and variance."""
 
@@ -86,16 +110,17 @@ class Gaussian(ContinuousDistribution):
         self.sigma = math.sqrt(self.variance)
 
     def pdf(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
+        return _at(self.pdf_array, x)
 
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
         z = (xs - self.mean) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
     def cdf(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return 0.5 * (1.0 + math.erf(z / _SQRT2))
+        return _at(_upper_tail, (self.mean - x) / self.sigma)
+
+    def mass(self, lo: float, hi: float) -> float:
+        return _at(lambda *ends: _std_mass((np.array(ends) - self.mean) / self.sigma), lo, hi)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -252,12 +277,6 @@ class JointModel(ABC):
                             x_lo, xu, self.quad_1d)
 
 
-def _upper_tail(t: np.ndarray) -> np.ndarray:
-    """1 - Phi(t) elementwise, from math.erfc so that it keeps its digits far out."""
-    tails = np.array(list(map(math.erfc, (t / _SQRT2).ravel().tolist())))
-    return 0.5 * tails.reshape(t.shape)
-
-
 class BivariateGaussianModel(JointModel):
     """Jointly Gaussian (X, Y) with correlation rho, |rho| < 1."""
 
@@ -297,9 +316,7 @@ class BivariateGaussianModel(JointModel):
         return self._mx.pdf(x) * self.conditional_pdf(y, x)
 
     def conditional_pdf(self, y: float, given_x: float) -> float:
-        z = y - self._cond_mean(given_x)
-        return math.exp(-0.5 * z * z / self._cond_var) / math.sqrt(
-            2.0 * math.pi * self._cond_var)
+        return _at(lambda ys, xs: self.conditional_pdf_grid(ys, xs)[0], y, given_x)
 
     def joint_pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         grid = self.conditional_pdf_grid(ys, xs)
@@ -307,9 +324,8 @@ class BivariateGaussianModel(JointModel):
         return grid
 
     def conditional_pdf_grid(self, ys: np.ndarray, given_xs: np.ndarray) -> np.ndarray:
-        cond_mean = self.mean_y + self._cond_slope * (given_xs - self.mean_x)
-        # the scalar formula, evaluated in place on one temporary
-        z = ys[:, None] - cond_mean
+        # evaluated in place on one temporary
+        z = ys[:, None] - self._cond_mean(given_xs)
         z *= -0.5 * z
         z /= self._cond_var
         np.exp(z, out=z)
@@ -317,19 +333,17 @@ class BivariateGaussianModel(JointModel):
         return z
 
     def conditional_cdf(self, y: float, given_x: float) -> float:
-        z = (y - self._cond_mean(given_x)) / math.sqrt(self._cond_var)
-        return 0.5 * (1.0 + math.erf(z / _SQRT2))
+        return _at(_upper_tail, (self._cond_mean(given_x) - y) / self._cond_sd)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         return self._mx.pdf(x) * self.conditional_cdf(y, x)
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         # by symmetry, condition X on Y = y
-        cond_var = self.var_x * (1.0 - self.rho * self.rho)
+        cond_sd = math.sqrt(self.var_x * (1.0 - self.rho * self.rho))
         cond_mean = self.mean_x + self.rho * math.sqrt(self.var_x / self.var_y) * (
             y - self.mean_y)
-        z = (x - cond_mean) / math.sqrt(cond_var)
-        return self._my.pdf(y) * 0.5 * (1.0 + math.erf(z / _SQRT2))
+        return self._my.pdf(y) * _at(_upper_tail, (cond_mean - x) / cond_sd)
 
     def mi_y_integral(self, xs: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
                       ) -> np.ndarray:
@@ -360,8 +374,7 @@ class BivariateGaussianModel(JointModel):
         # there changes none of them and keeps t*phi(t) finite
         a, b = t = np.minimum(np.maximum((ends - m) / s, -_PHI_ZERO), _PHI_ZERO)
         phi_a, phi_b = np.exp(-0.5 * t * t) / _SQRT2PI
-        q_a, q_b = _upper_tail(np.abs(t))
-        mass = np.where(a >= 0.0, q_a - q_b, np.where(b <= 0.0, q_b - q_a, (1.0 - q_a) - q_b))
+        mass = _std_mass(t)
         half_sum = (0.5 * ends[0] + 0.5 * ends[1] - m) / s
         # an infinite width in sds is kept finite, so that half_sum = 0 gives 0, not inf*0
         half_width = np.minimum((0.5 * ends[1] - 0.5 * ends[0]) / s, _FLOAT_MAX)
@@ -383,8 +396,7 @@ class BivariateGaussianModel(JointModel):
             return 0.0
 
         def integrand(ts: np.ndarray) -> np.ndarray:
-            cdf = [self.conditional_cdf(y, t) for t in ts.tolist()]
-            return self._mx.pdf_array(ts) * cdf
+            return self._mx.pdf_array(ts) * _upper_tail((self._cond_mean(ts) - y) / self._cond_sd)
 
         return integrate_1d(integrand, x_lo, xu, self.quad_1d)
 

@@ -224,7 +224,7 @@ def soft_variance(d: ContinuousDistribution, ms: MixedSet,
         return delta * delta * d.pdf_array(xs)
 
     gamma1_sq, lambda_sq = soft_sum(d, spread, ms, quadrature)
-    coverage = sum((d.cdf(hi) - d.cdf(lo) for lo, hi in ms.intervals), 0.0)
+    coverage = sum((d.mass(lo, hi) for lo, hi in ms.intervals), 0.0)
     gamma2 = -kappa * (1.0 - coverage)
     gamma = gamma1_sq + 2.0 * nu * gamma2
     record = SoftMoments(nu=nu, kappa=kappa, gamma1_sq=gamma1_sq, gamma2=gamma2,

@@ -1,10 +1,11 @@
 """Soft probabilities of events on continuous random variables.
 
 Equality events have classical probability zero; here they carry their
-density as a soft-zero coefficient instead, so Ps(X = x) = f(x)*0~ and
-Ps(X <= x) = f(x)*0~ + F(x). Unions, intersections, and conditionals
-combine point and interval events under the same rules, and the two-variable
-form covers joint models.
+density as a soft-zero coefficient instead. Every event is soft-number
+algebra on two primitives, Ps(X = x) = f(x)*0~ and Ps(X < x) = F(x), the
+latter with its interval form ContinuousDistribution.mass: Ps(X <= x) is
+their sum, a closed interval the open one plus its endpoints, and the
+two-variable form sums the same atoms of a joint model.
 """
 
 from __future__ import annotations
@@ -75,37 +76,27 @@ def ps_lt(d: ContinuousDistribution, x: float) -> SoftNumber:
 
 
 def ps_leq(d: ContinuousDistribution, x: float) -> SoftNumber:
-    """Ps(X <= x) = f(x)*0~ + F(x)."""
-    x = finite_float(x, "point")
-    return SoftNumber(d.pdf(x), d.cdf(x))
+    """Ps(X <= x) = Ps(X < x) + Ps(X = x) = f(x)*0~ + F(x)."""
+    return ps_lt(d, x) + ps_eq(d, x)
 
 
 def ps_neq(d: ContinuousDistribution, x: float) -> SoftNumber:
-    """Ps(X != x) = -f(x)*0~ + 1, the complement of ps_eq."""
-    return SoftNumber(-d.pdf(finite_float(x, "point")), 1.0)
+    """Ps(X != x) = 1 - Ps(X = x) = -f(x)*0~ + 1."""
+    return 1.0 - ps_eq(d, x)
 
 
 def ps_interval(d: ContinuousDistribution, iv: IntervalEvent) -> SoftNumber:
-    """Ps of a bare interval event.
-
-    Strict intervals carry only the classical mass F(b) - F(a); non-strict
-    ones add the endpoint densities on the soft axis.
-    """
-    real = d.cdf(iv.hi) - d.cdf(iv.lo)
-    if iv.strict:
-        return SoftNumber(0.0, real)
-    return SoftNumber(d.pdf(iv.lo) + d.pdf(iv.hi), real)
+    """Ps(a < X < b) = d.mass(a, b); a closed interval adds the union of its two ends."""
+    open_part = SoftNumber(0.0, d.mass(iv.lo, iv.hi))
+    return open_part if iv.strict else open_part + ps_points_union(d, (iv.lo, iv.hi))
 
 
 def ps_points_union(d: ContinuousDistribution,
                     e: Union[PointSetEvent, Sequence[float]]) -> SoftNumber:
-    """Ps of a union of distinct equality events: (sum of densities)*0~."""
+    """Ps of a union of distinct equality events: the sum of their ps_eq."""
     if not isinstance(e, PointSetEvent):
         e = PointSetEvent(e)
-    acc = 0.0
-    for p in e.points:
-        acc += d.pdf(p)
-    return SoftNumber(acc, 0.0)
+    return sum((ps_eq(d, p) for p in e.points), SoftNumber.zero())
 
 
 def ps_points_intersection(d: ContinuousDistribution,
@@ -117,20 +108,17 @@ def ps_points_intersection(d: ContinuousDistribution,
     """
     values = [finite_float(p, "point") for p in points]
     if values and all(v == values[0] for v in values):
-        return SoftNumber(d.pdf(values[0]), 0.0)
+        return ps_eq(d, values[0])
     return SoftNumber.zero()
 
 
 def ps_union_point_interval(d: ContinuousDistribution, x: float,
                             iv: IntervalEvent) -> SoftNumber:
-    """Ps({X = x} or X in iv); x may not sit on an endpoint."""
+    """Ps(X in iv), plus Ps(X = x) for x outside iv; x may not sit on an endpoint."""
     x = finite_float(x, "point")
     _reject_endpoint(x, iv)
-    real = d.cdf(iv.hi) - d.cdf(iv.lo)
-    outside = 0.0 if iv.contains(x) else d.pdf(x)
-    if iv.strict:
-        return SoftNumber(outside, real)
-    return SoftNumber(outside + (d.pdf(iv.lo) + d.pdf(iv.hi)), real)
+    union = ps_interval(d, iv)
+    return union if iv.contains(x) else union + ps_eq(d, x)
 
 
 def ps_intersect_point_interval(d: ContinuousDistribution, x: float,
@@ -138,7 +126,7 @@ def ps_intersect_point_interval(d: ContinuousDistribution, x: float,
     """Ps({X = x} and X in iv); x may not sit on an endpoint."""
     x = finite_float(x, "point")
     _reject_endpoint(x, iv)
-    return SoftNumber(d.pdf(x) if iv.contains(x) else 0.0, 0.0)
+    return ps_eq(d, x) if iv.contains(x) else SoftNumber.zero()
 
 
 def ps_cond_point_given_interval(d: ContinuousDistribution, x: float,
@@ -146,7 +134,7 @@ def ps_cond_point_given_interval(d: ContinuousDistribution, x: float,
     """Ps(X = x | X in iv), defined when the interval has positive mass."""
     x = finite_float(x, "point")
     _reject_endpoint(x, iv)
-    mass = d.cdf(iv.hi) - d.cdf(iv.lo)
+    mass = d.mass(iv.lo, iv.hi)
     if not mass > 0.0:
         raise DomainError(f"conditioning interval has zero probability: {iv!r}")
     if not iv.contains(x):
@@ -159,16 +147,21 @@ def ps_cond_point_given_point(d: ContinuousDistribution, x: float,
     """Ps(X = x | X = y): the ratio of two soft zeros, a plain real."""
     x = finite_float(x, "point")
     y = finite_float(y, "point")
-    fy = d.pdf(y)
-    if not fy > 0.0:
+    given = ps_eq(d, y)
+    if not given.soft > 0.0:
         raise DomainError(f"conditioning point {y!r} has zero density")
-    numerator = SoftNumber(d.pdf(x) if x == y else 0.0, 0.0)
-    return div(numerator, SoftNumber(fy, 0.0)).real
+    return div(ps_eq(d, x) if x == y else SoftNumber.zero(), given).real
 
 
 _COMPONENTS = {Relation.LT: (Relation.LT,),
                Relation.EQ: (Relation.EQ,),
                Relation.LEQ: (Relation.LT, Relation.EQ)}
+
+# the four atomic events (X rx x, Y ry y) with rx, ry in {LT, EQ}
+_ATOMS = {(Relation.LT, Relation.LT): lambda j, x, y: SoftNumber(0.0, j.joint_cdf(x, y)),
+          (Relation.EQ, Relation.LT): lambda j, x, y: SoftNumber(j.cdf_partial_x(x, y), 0.0),
+          (Relation.LT, Relation.EQ): lambda j, x, y: SoftNumber(j.cdf_partial_y(x, y), 0.0),
+          (Relation.EQ, Relation.EQ): lambda j, x, y: SoftNumber(j.joint_pdf(x, y), 0.0)}
 
 
 def ps2(j: JointModel, x: float, y: float, rx: Relation, ry: Relation) -> SoftNumber:
@@ -182,16 +175,5 @@ def ps2(j: JointModel, x: float, y: float, rx: Relation, ry: Relation) -> SoftNu
     y = finite_float(y, "point")
     if not isinstance(rx, Relation) or not isinstance(ry, Relation):
         raise DomainError(f"relations must be Relation members, got ({rx!r}, {ry!r})")
-    soft = 0.0
-    real = 0.0
-    for cx in _COMPONENTS[rx]:
-        for cy in _COMPONENTS[ry]:
-            if cx is Relation.LT and cy is Relation.LT:
-                real += j.joint_cdf(x, y)
-            elif cx is Relation.EQ and cy is Relation.LT:
-                soft += j.cdf_partial_x(x, y)
-            elif cx is Relation.LT and cy is Relation.EQ:
-                soft += j.cdf_partial_y(x, y)
-            else:
-                soft += j.joint_pdf(x, y)
-    return SoftNumber(soft, real)
+    return sum((_ATOMS[cx, cy](j, x, y) for cx in _COMPONENTS[rx] for cy in _COMPONENTS[ry]),
+               SoftNumber.zero())

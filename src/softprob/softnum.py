@@ -134,7 +134,10 @@ def pow_nat(s: SoftNumber, n: int) -> SoftNumber:
         return SoftNumber(0.0, 1.0)
     if n == 1:
         return s
-    return SoftNumber(n * s.soft * s.real ** (n - 1), s.real ** n)
+    try:
+        return SoftNumber(n * s.soft * s.real ** (n - 1), s.real ** n)
+    except OverflowError:
+        raise DomainError(f"power {n} of the real part {s.real!r} overflows") from None
 
 
 def lift(f: Callable[[float], float], df: Callable[[float], float],
@@ -224,7 +227,7 @@ class SymmetricPair:
 
 def to_sp(s: SoftNumber) -> SymmetricPair:
     """Convert to (height, width) coordinates; component sum 0 is an error."""
-    h = s.soft + s.real
+    h = finite_float(s.soft + s.real, "height")
     if h == 0.0:
         raise DomainError("height is zero, width coordinate undefined")
     return SymmetricPair(h, s.real / h)
@@ -299,8 +302,8 @@ def soft_to_dict(s: SoftNumber) -> dict:
 
 def soft_from_dict(obj: dict) -> SoftNumber:
     try:
-        return SoftNumber(float(obj["soft"]), float(obj["real"]))
-    except (KeyError, TypeError, OverflowError) as exc:
+        return SoftNumber(obj["soft"], obj["real"])
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"not a soft-number record: {obj!r}") from exc
 
 

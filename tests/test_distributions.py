@@ -1,6 +1,7 @@
 """Tests for the distribution and joint-model layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from softprob.errors import DomainError
 from softprob.quadrature import integrate_1d, integrate_2d
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _rel(want: float, rel: float = 1e-12):
+    """want within a relative error rel, with no absolute slack for tiny tails."""
+    return pytest.approx(want, rel=rel, abs=0.0)
 
 
 class TestGaussian:
@@ -50,6 +56,24 @@ class TestGaussian:
         h = 1e-6
         slope = (d.cdf(x + h) - d.cdf(x - h)) / (2 * h)
         assert math.isclose(d.pdf(x), slope, rel_tol=1e-5, abs_tol=1e-5)
+
+    def test_scalar_pdf_is_the_array_density_at_one_point(self):
+        d = Gaussian(0.3, 2.5)
+        xs = np.random.default_rng(0).uniform(-50.0, 5.0, 2000)
+        assert [d.pdf(x) for x in xs.tolist()] == d.pdf_array(xs).tolist()
+
+    def test_far_points_give_zero_density_and_tails_without_warnings(self):
+        d = Gaussian(0.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.pdf(1e300) == 0.0
+            assert d.cdf(1e300) == 1.0 and d.cdf(-1e300) == 0.0
+            assert d.mass(-1e308, 1e308) == 1.0
+
+    def test_cdf_keeps_the_lower_tail(self):
+        # 0.5 * (1 + erf(z / sqrt(2))) is exactly 0 here
+        assert Gaussian(0, 1).cdf(-10.0) == _rel(7.6198530241605261e-24)
+        assert Gaussian(2.0, 4.0).cdf(-38.0) == _rel(2.7536241186062337e-89)
 
 
 class TestUniform:
@@ -178,6 +202,24 @@ class TestBivariateGaussianModel:
                                 rel_tol=1e-6, abs_tol=1e-9)
             assert math.isclose(j.joint_cdf(x, y), g.joint_cdf(x, y),
                                 rel_tol=1e-6, abs_tol=1e-9)
+
+    def test_scalar_conditional_pdf_is_the_grid_at_one_point(self):
+        j = BivariateGaussianModel(0.3, -1.2, 2.0, 0.5, 0.6)
+        xs, ys = np.random.default_rng(0).normal(0.0, 3.0, (2, 2000))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            grid = j.conditional_pdf_grid(np.array([y]), np.array([x]))[0, 0]
+            assert j.conditional_pdf(y, x) == grid
+            assert j.joint_pdf(x, y) == j.joint_pdf_grid(np.array([x]), np.array([y]))[0, 0]
+
+    def test_tail_cdfs_keep_their_digits(self):
+        # mpmath at 30-40 digits: closed forms, and the joint cdf as a 600-panel
+        # quadrature of f_X(t) Phi((y - m(t)) / s); with 0.5*(1 + erf) the joint cdf
+        # raised ConvergenceError and the other three were 0
+        j = BivariateGaussianModel(0.5, -1.0, 2.0, 0.5, -0.7)
+        assert j.joint_cdf(-1.3, -9.0) == _rel(8.6029909336024913e-68, 1e-10)
+        assert j.cdf_partial_x(-1.3, -9.0) == _rel(1.1064346268026165e-66)
+        assert j.cdf_partial_y(-1.3, -9.0) == _rel(2.9305213063286956e-66)
+        assert j.conditional_cdf(-9.0, -1.3) == _rel(8.8167641050199394e-66)
 
     def test_variances_too_far_apart_rejected(self):
         # the conditional slope rho * sqrt(var_y / var_x) overflows

@@ -97,3 +97,26 @@ class TestFiniteFloat:
         assert math.isnan(finite_float(math.nan, "end", allow_inf=True))
         with pytest.raises(DomainError, match="too large"):
             finite_float(10 ** 400, "end", allow_inf=True)
+
+
+class TestOverflowingResults:
+    """A result too large for a float is a DomainError, not a bare OverflowError."""
+
+    def test_pow_nat_real_part_overflow(self):
+        with pytest.raises(DomainError, match="^power 2000 of the real part 2.0 overflows$"):
+            sp.pow_nat(sp.SoftNumber(1.0, 2.0), 2000)
+
+    def test_to_sp_height_overflow(self):
+        with pytest.raises(DomainError, match="^height must be finite, got inf$"):
+            sp.to_sp(sp.SoftNumber(1e308, 1e308))
+
+    @pytest.mark.parametrize("record", [{"soft": "x", "real": 0}, {"soft": 0, "real": None},
+                                        {"soft": 10 ** 400, "real": 0}])
+    def test_soft_from_dict_checks_each_number(self, record):
+        with pytest.raises(DomainError):
+            sp.soft_from_dict(record)
+        assert sp.soft_from_dict({"soft": 1, "real": "2.5"}) == sp.SoftNumber(1.0, 2.5)
+
+    def test_soft_from_dict_names_the_field(self):
+        with pytest.raises(DomainError, match="^soft must be a number, got 'x'$"):
+            sp.soft_from_dict({"soft": "x", "real": 0})

@@ -210,6 +210,22 @@ class TestSoftVariance:
         assert value.real == pytest.approx(want, abs=1e-5)
 
 
+    def test_far_tail_interval_against_mpmath(self):
+        # 0.5 * (1 + erf(z / sqrt(2))) gave the coverage mass(20, 30) as exactly 0
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        _, rec = soft_variance(STD, MixedSet([], [(20.0, 30.0)]))
+        coverage = mp.ncdf(-20) - mp.ncdf(-30)
+        first = mp.npdf(20) - mp.npdf(30)
+        second = coverage + 20 * mp.npdf(20) - 30 * mp.npdf(30)
+        kappa = first  # the integral of x f(x) over the interval
+        want = {"kappa": kappa, "gamma2": -kappa * (1 - coverage),
+                "lambda_sq": kappa * kappa * coverage - 2 * kappa * first + second}
+        for name, value in want.items():
+            assert getattr(rec, name) == pytest.approx(float(value), rel=1e-12, abs=0.0)
+        assert STD.mass(20.0, 30.0) == pytest.approx(float(coverage), rel=1e-12, abs=0.0)
+        assert STD.mass(20.0, 30.0) > 0.0
+
 class TestBreakPoints:
     """soft_sum splits each interval at the density's location and at the
     ends of its truncation window, so one panel never straddles them."""

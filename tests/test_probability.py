@@ -3,12 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from softprob.distributions import BivariateGaussianModel, Gaussian, Uniform
 from softprob.errors import DomainError
+from softprob.information import soft_entropy
+from softprob.moments import MixedSet
 from softprob.probability import (
     IntervalEvent,
     PointSetEvent,
@@ -308,3 +311,90 @@ class TestPs2:
     def test_relation_type_checked(self):
         with pytest.raises(DomainError):
             ps2(INDEP, 0.0, 0.0, "lt", Relation.LT)
+
+
+class TestTwoPrimitives:
+    """Every event is soft-number algebra on ps_eq and ps_lt (with d.mass), bit for bit."""
+
+    @given(xs)
+    def test_leq_is_lt_plus_eq(self, x):
+        for d in (STD, UNIT, Gaussian(1.5, 0.3)):
+            assert ps_leq(d, x) == ps_lt(d, x) + ps_eq(d, x)
+
+    @given(xs)
+    def test_neq_is_one_minus_eq(self, x):
+        for d in (STD, UNIT):
+            assert ps_neq(d, x) == 1.0 - ps_eq(d, x)
+
+    def test_neq_outside_a_support_has_a_positive_zero_soft_part(self):
+        value = ps_neq(UNIT, 3.0)
+        assert value == SoftNumber(0.0, 1.0) and math.copysign(1.0, value.soft) == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.2, 0.9), (20.0, 30.0), (-3.0, -2.0)])
+    def test_closed_interval_is_open_plus_its_endpoints(self, lo, hi):
+        for d in (STD, UNIT):
+            closed = ps_interval(d, IntervalEvent(lo, hi, strict=False))
+            assert closed == ps_interval(d, IntervalEvent(lo, hi)) + ps_points_union(d, [lo, hi])
+
+    def test_union_with_an_outside_point_adds_its_eq(self):
+        iv = IntervalEvent(-1.0, 1.0, strict=False)
+        assert ps_union_point_interval(STD, 2.5, iv) == ps_interval(STD, iv) + ps_eq(STD, 2.5)
+        assert ps_union_point_interval(STD, 0.5, iv) == ps_interval(STD, iv)
+
+    def test_points_union_is_the_sum_of_eq(self):
+        points = [-1.0, 0.25, 2.0]
+        want = ps_eq(STD, -1.0) + ps_eq(STD, 0.25) + ps_eq(STD, 2.0)
+        assert ps_points_union(STD, points) == want
+
+    def test_eq_entropy_and_array_density_agree_bit_for_bit(self):
+        # the scalar and array Gaussian densities differed by an ulp here
+        x = 1.8844673057094008
+        entropy = soft_entropy(STD, MixedSet([x]))
+        assert ps_eq(STD, x).soft == -entropy.zlogz == STD.pdf_array(np.array([x]))[0]
+
+
+class TestTails:
+    """Far-tail probabilities keep their digits (mpmath oracle, relative error 1e-12)."""
+
+    @staticmethod
+    def _mp():
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        return mp
+
+    def test_lt_far_below_the_mean(self):
+        mp = self._mp()
+        got = ps_lt(STD, -10.0)
+        assert got.soft == 0.0
+        assert got.real == pytest.approx(float(mp.ncdf(-10)), rel=1e-12, abs=0.0)
+        assert got.real == pytest.approx(7.6198530241605261e-24, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_interval_of_table_one_row_four(self, strict):
+        mp = self._mp()
+        got = ps_interval(STD, IntervalEvent(20.0, 30.0, strict=strict))
+        mass = mp.ncdf(-20) - mp.ncdf(-30)
+        assert got.real == pytest.approx(float(mass), rel=1e-12, abs=0.0)
+        assert got.real == pytest.approx(2.7536241186062337e-89, rel=1e-12, abs=0.0)
+        soft = 0.0 if strict else float(mp.npdf(20) + mp.npdf(30))
+        assert got.soft == pytest.approx(soft, rel=1e-12, abs=0.0)
+
+    def test_point_given_a_far_interval(self):
+        mp = self._mp()
+        got = ps_cond_point_given_interval(STD, 25.0, IntervalEvent(20.0, 30.0))
+        want = mp.npdf(25) / (mp.ncdf(-20) - mp.ncdf(-30))
+        assert got.real == 0.0
+        assert got.soft == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert got.soft == pytest.approx(2.7795840705715068e-48, rel=1e-12, abs=0.0)
+        outside = ps_cond_point_given_interval(STD, 5.0, IntervalEvent(20.0, 30.0))
+        assert outside == SoftNumber.zero()
+
+    def test_mass_reads_each_tail_on_its_side(self):
+        mp = self._mp()
+        d = Gaussian(1.5, 0.3)
+        sd = mp.sqrt(mp.mpf(0.3))
+        for lo, hi in ((-3.0, -2.0), (-3.0, 1.5), (0.0, 4.0), (9.0, 12.0), (1.5, 40.0)):
+            a, b = (mp.mpf(lo) - 1.5) / sd, (mp.mpf(hi) - 1.5) / sd
+            want = mp.ncdf(-a) - mp.ncdf(-b) if a >= 0 else mp.ncdf(b) - mp.ncdf(a)
+            assert d.mass(lo, hi) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert d.mass(-1e300, 1e300) == 1.0
