@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -22,15 +23,14 @@ from typing import Optional
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
 from .errors import DomainError, SoftProbError
-from .information import FORM_CONDITIONAL, FORM_SYMMETRIC, InfoConfig, soft_cross_entropy, \
-    soft_entropy, soft_kld, soft_mutual_information
+from .information import FORM_CONDITIONAL, FORM_SYMMETRIC, ZLOGZ_AXIS, InfoConfig, \
+    soft_cross_entropy, soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
 from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_interval, \
     ps_cond_point_given_point, ps_eq, ps_interval, ps_intersect_point_interval, ps_leq, \
     ps_lt, ps_neq, ps_points_intersection, ps_points_union, ps_union_point_interval
 from .quadrature import QuadratureConfig, collect_stats, total_stats
-from .softnum import ExtendedSoftNumber, SoftNumber, ext_to_dict, render_extended, \
-    render_soft, soft_to_dict
+from .softnum import ExtendedSoftNumber, SoftNumber, ext_to_dict, soft_to_dict
 from .tree import Observation, TreeConfig, induce, parse_dataset, predict, read_table, \
     tree_from_dict, tree_to_dict
 
@@ -54,12 +54,13 @@ TABLE1_ROWS = (
 LOG_BASES = {"e": math.e, "2": 2.0, "10": 10.0}
 
 
-def _info_config(args) -> InfoConfig:
-    quad = None
-    if args.rel_tol is not None:
-        quad = QuadratureConfig(rel_tol=args.rel_tol)
-    return InfoConfig(log_base=LOG_BASES[args.log_base], zlogz_mode=args.zlogz,
-                      quadrature=quad)
+def _quadrature(args) -> Optional[QuadratureConfig]:
+    return None if args.rel_tol is None else QuadratureConfig(rel_tol=args.rel_tol)
+
+
+def _info_config(args, zlogz_mode: str = ZLOGZ_AXIS) -> InfoConfig:
+    return InfoConfig(log_base=LOG_BASES[args.log_base], zlogz_mode=zlogz_mode,
+                      quadrature=_quadrature(args))
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -71,25 +72,32 @@ def _parse_json(text: str, what: str) -> dict:
         raise DomainError(f"JSON for {what} is nested too deeply") from None
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
+# the JSON record of each soft type; str() gives its human form
+SOFT_RECORDS = {SoftNumber: soft_to_dict, ExtendedSoftNumber: ext_to_dict}
+
+
+def _emit(args, record: dict, human_lines: Optional[list[str]] = None) -> None:
+    """Print record as one JSON object with sorted keys, or in the human format.
+
+    The human format is human_lines when given, else "name = value" lines:
+    a soft value's human form, then, for it and for a dict, one
+    "name.field = value" line per field of its JSON record.
+    """
+    data = {name: SOFT_RECORDS[type(v)](v) if type(v) in SOFT_RECORDS else v
+            for name, v in record.items()}
     if args.format == "json-like":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _soft_lines(name: str, s: SoftNumber) -> list[str]:
-    return [f"{name} = {render_soft(s)}",
-            f"{name}.soft = {s.soft!r}",
-            f"{name}.real = {s.real!r}"]
-
-
-def _ext_lines(name: str, e: ExtendedSoftNumber) -> list[str]:
-    return [f"{name} = {render_extended(e)}",
-            f"{name}.zlogz = {e.zlogz!r}",
-            f"{name}.soft = {e.soft!r}",
-            f"{name}.real = {e.real!r}"]
+        human_lines = [json.dumps(data, sort_keys=True)]
+    elif human_lines is None:
+        human_lines = []
+        for name, value in record.items():
+            if type(value) in SOFT_RECORDS:
+                human_lines.append(f"{name} = {value}")
+            if isinstance(data[name], dict):
+                human_lines += [f"{name}.{field} = {v!r}" for field, v in data[name].items()]
+            else:
+                human_lines.append(f"{name} = {value!r}")
+    for line in human_lines:
+        print(line)
 
 
 def _within(computed: float, reference: float, tol: tuple[str, float]) -> tuple[bool, float]:
@@ -155,28 +163,30 @@ def _points_list(args) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-def _need_x(args) -> float:
-    if args.x is None:
-        raise SoftProbError("this operation needs --x")
-    return args.x
+def _need(args, name: str) -> float:
+    if (value := getattr(args, name)) is None:
+        raise SoftProbError(f"this operation needs --{name}")
+    return value
 
 
 # ps operations on one distribution d; each lambda looks its ps_* function
 # and argument helpers up when it runs, so wrappers installed on this
 # module's names see every call
 PS_OPS = {
-    "eq": lambda d, args: ps_eq(d, _need_x(args)),
-    "lt": lambda d, args: ps_lt(d, _need_x(args)),
-    "leq": lambda d, args: ps_leq(d, _need_x(args)),
-    "neq": lambda d, args: ps_neq(d, _need_x(args)),
+    "eq": lambda d, args: ps_eq(d, _need(args, "x")),
+    "lt": lambda d, args: ps_lt(d, _need(args, "x")),
+    "leq": lambda d, args: ps_leq(d, _need(args, "x")),
+    "neq": lambda d, args: ps_neq(d, _need(args, "x")),
     "interval": lambda d, args: ps_interval(d, _interval_event(args)),
     "points-union": lambda d, args: ps_points_union(d, _points_list(args)),
     "points-intersect": lambda d, args: ps_points_intersection(d, _points_list(args)),
-    "union": lambda d, args: ps_union_point_interval(d, _need_x(args), _interval_event(args)),
+    "union": lambda d, args: ps_union_point_interval(d, _need(args, "x"), _interval_event(args)),
     "intersect": lambda d, args: ps_intersect_point_interval(
-        d, _need_x(args), _interval_event(args)),
+        d, _need(args, "x"), _interval_event(args)),
     "cond-interval": lambda d, args: ps_cond_point_given_interval(
-        d, _need_x(args), _interval_event(args)),
+        d, _need(args, "x"), _interval_event(args)),
+    "cond-point": lambda d, args: ps_cond_point_given_point(d, _need(args, "x"),
+                                                            _need(args, "y")),
 }
 
 
@@ -187,21 +197,13 @@ def cmd_ps(args) -> int:
         model = parse_joint(_parse_json(args.joint, "--joint"))
         if args.rx is None or args.ry is None:
             raise SoftProbError("ps2 needs --rx and --ry")
-        value = ps2(model, _need_x(args), args.y if args.y is not None else 0.0,
+        value = ps2(model, _need(args, "x"), args.y if args.y is not None else 0.0,
                     Relation(args.rx), Relation(args.ry))
-        _emit(args, {"value": soft_to_dict(value)}, _soft_lines("value", value))
-        return 0
-    if args.dist is None:
-        raise SoftProbError(f"operation {args.op!r} needs --dist")
-    d = parse_distribution(_parse_json(args.dist, "--dist"))
-    if args.op == "cond-point":
-        if args.y is None:
-            raise SoftProbError("cond-point needs --y")
-        ratio = ps_cond_point_given_point(d, _need_x(args), args.y)
-        _emit(args, {"value": ratio}, [f"value = {ratio!r}"])
-        return 0
-    value = PS_OPS[args.op](d, args)
-    _emit(args, {"value": soft_to_dict(value)}, _soft_lines("value", value))
+    else:
+        if args.dist is None:
+            raise SoftProbError(f"operation {args.op!r} needs --dist")
+        value = PS_OPS[args.op](parse_distribution(_parse_json(args.dist, "--dist")), args)
+    _emit(args, {"value": value})
     return 0
 
 
@@ -214,7 +216,7 @@ def _mixed_set(text: Optional[str], flag: str) -> MixedSet:
 def cmd_entropy(args) -> int:
     d = parse_distribution(_parse_json(args.dist, "--dist"))
     ms = _mixed_set(args.set, "--set")
-    cfg = _info_config(args)
+    cfg = _info_config(args, args.zlogz)
     if args.dist_hat is not None:
         d_hat = parse_distribution(_parse_json(args.dist_hat, "--dist-hat"))
         value = soft_cross_entropy(d, d_hat, ms, cfg)
@@ -222,7 +224,7 @@ def cmd_entropy(args) -> int:
     else:
         value = soft_entropy(d, ms, cfg)
         name = "entropy"
-    _emit(args, {name: ext_to_dict(value)}, _ext_lines(name, value))
+    _emit(args, {name: value})
     return 0
 
 
@@ -231,7 +233,7 @@ def cmd_kld(args) -> int:
     d_hat = parse_distribution(_parse_json(args.dist_hat, "--dist-hat"))
     ms = _mixed_set(args.set, "--set")
     value = soft_kld(d, d_hat, ms, _info_config(args))
-    _emit(args, {"kld": soft_to_dict(value)}, _soft_lines("kld", value))
+    _emit(args, {"kld": value})
     return 0
 
 
@@ -240,32 +242,18 @@ def cmd_mi(args) -> int:
     sx = _mixed_set(args.set_x, "--set-x")
     sy = _mixed_set(args.set_y, "--set-y")
     value = soft_mutual_information(model, sx, sy, _info_config(args), form=args.form)
-    _emit(args, {"mi": soft_to_dict(value)}, _soft_lines("mi", value))
+    _emit(args, {"mi": value})
     return 0
 
 
 def cmd_moments(args) -> int:
     d = parse_distribution(_parse_json(args.dist, "--dist"))
     ms = _mixed_set(args.set, "--set")
-    quad = _info_config(args).quadrature
+    quad = _quadrature(args)
     expectation = soft_expectation(d, ms, quad)
     variance, rec = soft_variance(d, ms, quad)
-    payload = {
-        "expectation": soft_to_dict(expectation),
-        "variance": soft_to_dict(variance),
-        "components": {"nu": rec.nu, "kappa": rec.kappa, "gamma1_sq": rec.gamma1_sq,
-                       "gamma2": rec.gamma2, "lambda_sq": rec.lambda_sq,
-                       "gamma": rec.gamma},
-    }
-    lines = _soft_lines("expectation", expectation)
-    lines += _soft_lines("variance", variance)
-    lines += [f"components.nu = {rec.nu!r}",
-              f"components.kappa = {rec.kappa!r}",
-              f"components.gamma1_sq = {rec.gamma1_sq!r}",
-              f"components.gamma2 = {rec.gamma2!r}",
-              f"components.lambda_sq = {rec.lambda_sq!r}",
-              f"components.gamma = {rec.gamma!r}"]
-    _emit(args, payload, lines)
+    _emit(args, {"expectation": expectation, "variance": variance,
+                 "components": dataclasses.asdict(rec)})
     return 0
 
 
@@ -326,24 +314,26 @@ def cmd_tree_predict(args) -> int:
     feature_names = [str(n) for n in feature_names]
     rows = _rows_for_predict(feature_names, _read_text(args.data, "dataset"), args.delimiter)
     predictions = [predict(root, row, feature_names) for row in rows]
-    _emit(args, {"predictions": predictions},
-          [f"{p!r}" for p in predictions])
+    _emit(args, {"predictions": predictions}, [f"{p!r}" for p in predictions])
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--log-base", choices=sorted(LOG_BASES), default="e",
-                        help="logarithm base for information quantities")
-    common.add_argument("--zlogz", choices=["axis", "collapse"], default="axis",
-                        help="keep or zero the 0log0~ coefficient of entropies")
-    common.add_argument("--rel-tol", type=float, default=None,
-                        help="override the quadrature relative tolerance")
-    common.add_argument("--format", choices=["human", "json-like"], default="human",
-                        help="output format")
-    common.add_argument("--stats", action="store_true",
-                        help="write the totals of the 1-D quadrature runs to stderr as one "
-                             "JSON line")
+    # flags shared by several subcommands; each subcommand takes the parents
+    # whose flags it reads, so that no flag is accepted and then ignored
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true",
+                       help="write the totals of the 1-D quadrature runs to stderr as one "
+                            "JSON line")
+    shown = argparse.ArgumentParser(add_help=False, parents=[stats])
+    shown.add_argument("--format", choices=["human", "json-like"], default="human",
+                       help="output format")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--rel-tol", type=float, default=None,
+                     help="override the quadrature relative tolerance")
+    info = argparse.ArgumentParser(add_help=False, parents=[tol])
+    info.add_argument("--log-base", choices=sorted(LOG_BASES), default="e",
+                      help="logarithm base for information quantities")
 
     parser = argparse.ArgumentParser(
         prog="softprob",
@@ -351,12 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", parents=[common],
+    sub.add_parser("table1", parents=[shown, info],
                    help="evaluate the Gaussian mutual-information reference table")
 
-    p = sub.add_parser("ps", parents=[common], help="soft probability of an event")
-    p.add_argument("--op", required=True,
-                   choices=[*PS_OPS, "cond-point", "ps2"])
+    p = sub.add_parser("ps", parents=[shown], help="soft probability of an event")
+    p.add_argument("--op", required=True, choices=[*PS_OPS, "ps2"])
     p.add_argument("--dist", help="distribution descriptor (JSON)")
     p.add_argument("--joint", help="joint model descriptor (JSON), for ps2")
     p.add_argument("--x", type=float, help="point of interest")
@@ -368,30 +357,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx", choices=["lt", "leq", "eq"], help="relation on X for ps2")
     p.add_argument("--ry", choices=["lt", "leq", "eq"], help="relation on Y for ps2")
 
-    p = sub.add_parser("entropy", parents=[common],
+    p = sub.add_parser("entropy", parents=[shown, info],
                        help="soft entropy (or cross entropy with --dist-hat)")
+    p.add_argument("--zlogz", choices=["axis", "collapse"], default="axis",
+                   help="keep or zero the 0log0~ coefficient of entropies")
     p.add_argument("--dist", required=True)
     p.add_argument("--dist-hat", default=None)
     p.add_argument("--set", required=True, help="MixedSet (JSON)")
 
-    p = sub.add_parser("kld", parents=[common], help="soft KL divergence")
+    p = sub.add_parser("kld", parents=[shown, info], help="soft KL divergence")
     p.add_argument("--dist", required=True)
     p.add_argument("--dist-hat", required=True)
     p.add_argument("--set", required=True)
 
-    p = sub.add_parser("mi", parents=[common], help="soft mutual information")
+    p = sub.add_parser("mi", parents=[shown, info], help="soft mutual information")
     p.add_argument("--joint", required=True)
     p.add_argument("--set-x", required=True)
     p.add_argument("--set-y", required=True)
     p.add_argument("--form", choices=[FORM_SYMMETRIC, FORM_CONDITIONAL],
                    default=FORM_SYMMETRIC)
 
-    p = sub.add_parser("moments", parents=[common],
+    p = sub.add_parser("moments", parents=[shown, tol],
                        help="soft expectation and variance over a MixedSet")
     p.add_argument("--dist", required=True)
     p.add_argument("--set", required=True)
 
-    p = sub.add_parser("tree-train", parents=[common],
+    p = sub.add_parser("tree-train", parents=[stats, info],
                        help="induce a decision tree from a delimited dataset")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", default=None, help="model output file (default: stdout)")
@@ -401,13 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the model document; induction is deterministic")
 
-    p = sub.add_parser("tree-predict", parents=[common],
+    p = sub.add_parser("tree-predict", parents=[shown],
                        help="apply a trained tree to new rows")
     p.add_argument("--model", required=True, help="model file from tree-train")
     p.add_argument("--data", required=True, help="rows to predict")
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for symmetry; prediction is deterministic")
 
     return parser
 

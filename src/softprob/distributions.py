@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, finite_float
-from .quadrature import QuadratureConfig, integrate_1d, integrate_2d
+from .errors import DomainError, finite_float, is_number
+from .quadrature import integrate_1d, integrate_2d
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -222,8 +222,6 @@ class JointModel(ABC):
     should override them.
     """
 
-    quad_1d = QuadratureConfig(rel_tol=1e-10)
-
     @abstractmethod
     def joint_pdf(self, x: float, y: float) -> float: ...
 
@@ -256,7 +254,7 @@ class JointModel(ABC):
         xu, yu = min(x, x_hi), min(y, y_hi)
         if xu <= x_lo or yu <= y_lo:
             return 0.0
-        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu, self.quad_1d)
+        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""
@@ -264,8 +262,7 @@ class JointModel(ABC):
         yu = min(y, y_hi)
         if yu <= y_lo:
             return 0.0
-        return integrate_1d(lambda ts: self.joint_pdf_grid(np.array([x]), ts)[:, 0],
-                            y_lo, yu, self.quad_1d)
+        return integrate_1d(lambda ts: self.joint_pdf_grid(np.array([x]), ts)[:, 0], y_lo, yu)
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         """d/dy of the joint cdf: integral of joint_pdf(t, y) for t <= x."""
@@ -273,8 +270,7 @@ class JointModel(ABC):
         xu = min(x, x_hi)
         if xu <= x_lo:
             return 0.0
-        return integrate_1d(lambda ts: self.joint_pdf_grid(ts, np.array([y]))[0],
-                            x_lo, xu, self.quad_1d)
+        return integrate_1d(lambda ts: self.joint_pdf_grid(ts, np.array([y]))[0], x_lo, xu)
 
 
 class BivariateGaussianModel(JointModel):
@@ -398,7 +394,7 @@ class BivariateGaussianModel(JointModel):
         def integrand(ts: np.ndarray) -> np.ndarray:
             return self._mx.pdf_array(ts) * _upper_tail((self._cond_mean(ts) - y) / self._cond_sd)
 
-        return integrate_1d(integrand, x_lo, xu, self.quad_1d)
+        return integrate_1d(integrand, x_lo, xu)
 
     def __repr__(self) -> str:
         return (f"BivariateGaussianModel(mean_x={self.mean_x!r}, mean_y={self.mean_y!r}, "
@@ -420,17 +416,18 @@ def joint_gaussian_additive(signal: Gaussian, noise: Gaussian) -> BivariateGauss
 def _numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
     """The named fields of a descriptor as floats.
 
-    A missing field, or one float() cannot convert (a list, null, an integer
-    too large for a float), is a DomainError.
+    A missing field, or one that is not a JSON number (errors.is_number) a
+    float holds (a bool, a string, a list, null, an integer too large for a
+    float), is a DomainError.
     """
     values = []
     for name in names:
         if name not in obj:
             raise DomainError(f"{what} is missing field {name!r}")
-        try:
-            values.append(float(obj[name]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{what} field {name!r} is not a number: {exc}") from None
+        value = obj[name]
+        if not is_number(value) or isinstance(value, int) and abs(value) > _FLOAT_MAX:
+            raise DomainError(f"{what} field {name!r} is not a number: {value!r}")
+        values.append(float(value))
     return values
 
 

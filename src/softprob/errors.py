@@ -5,7 +5,9 @@ parameter, a tolerance) goes through finite_float, so bad input is a
 DomainError and never a bare TypeError, ValueError or OverflowError: an
 integer too large for a float, a value float() cannot convert, and an
 infinity or NaN where a finite number is needed all raise it. Range checks
-(a positive variance, lo < hi) stay with each constructor.
+(a positive variance, lo < hi) stay with each constructor. A number read
+from a JSON record must also pass is_number, so that a boolean or a string
+never stands in for one.
 """
 
 import math
@@ -34,6 +36,11 @@ def finite_float(value, what: str, *, allow_inf: bool = False) -> float:
     if not (allow_inf or math.isfinite(x)):
         raise DomainError(f"{what} must be finite, got {x!r}")
     return x
+
+
+def is_number(value) -> bool:
+    """True for an int or float that is not a bool: a JSON number, as json.loads returns it."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ConvergenceError(SoftProbError, RuntimeError):

@@ -32,7 +32,7 @@ import numpy as np
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
 from .errors import DomainError, finite_float
 from .moments import MixedSet, soft_sum, split_at
-from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d, y_integral
+from .quadrature import QuadratureConfig, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import ExtendedSoftNumber, SoftNumber
@@ -58,7 +58,7 @@ class InfoConfig:
     ``log_base`` rescales results (natural log by default). ``zlogz_mode``
     chooses whether entropy keeps its 0log0~ coefficient ("axis") or zeroes
     it ("collapse"). ``quadrature`` overrides the integration settings of
-    every integral, DEFAULT_1D when None.
+    every integral; None leaves integrate_pieces its default.
     """
 
     log_base: float = math.e
@@ -67,17 +67,15 @@ class InfoConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "log_base", finite_float(self.log_base, "log_base"))
-        if not (self.log_base > 0.0 and self.log_base != 1.0):
-            raise DomainError(f"log_base must be positive and != 1, got {self.log_base!r}")
+        # a base in (0, 1) has ln(base) < 0 and would flip the sign of every result
+        if not self.log_base > 1.0:
+            raise DomainError(f"log_base must be greater than 1, got {self.log_base!r}")
         if self.zlogz_mode not in (ZLOGZ_AXIS, ZLOGZ_COLLAPSE):
             raise DomainError(f"unknown zlogz_mode {self.zlogz_mode!r}")
 
     @property
     def ln_base(self) -> float:
         return math.log(self.log_base)
-
-    def quad_1d(self) -> QuadratureConfig:
-        return self.quadrature if self.quadrature is not None else DEFAULT_1D
 
 
 _DEFAULT = InfoConfig()
@@ -135,7 +133,7 @@ def soft_entropy(d: ContinuousDistribution, ms: MixedSet,
         f = d.pdf_array(xs)
         return _log_terms(f, f, 1.0)
 
-    return _entropy_axes(d, ms, *soft_sum(d, flogf, ms, cfg.quad_1d()), cfg)
+    return _entropy_axes(d, ms, *soft_sum(d, flogf, ms, cfg.quadrature), cfg)
 
 
 def soft_cross_entropy(d: ContinuousDistribution, d_hat: ContinuousDistribution,
@@ -148,7 +146,7 @@ def soft_cross_entropy(d: ContinuousDistribution, d_hat: ContinuousDistribution,
     def flogq(xs: np.ndarray) -> np.ndarray:
         return _log_terms(d.pdf_array(xs), d_hat.pdf_array(xs), 1.0)
 
-    return _entropy_axes(d, ms, *soft_sum(d, flogq, ms, cfg.quad_1d()), cfg)
+    return _entropy_axes(d, ms, *soft_sum(d, flogq, ms, cfg.quadrature), cfg)
 
 
 def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
@@ -163,7 +161,7 @@ def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
         f = d.pdf_array(xs)
         return _log_terms(f, f, d_hat.pdf_array(xs))
 
-    soft, real = soft_sum(d, flogratio, ms, cfg.quad_1d())
+    soft, real = soft_sum(d, flogratio, ms, cfg.quadrature)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
 
@@ -279,7 +277,7 @@ def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) ->
     return total
 
 
-def _mi_y_integrand(j: JointModel, sy: MixedSet, form: str, quad: QuadratureConfig):
+def _mi_y_integrand(j: JointModel, sy: MixedSet, form: str, quad: Optional[QuadratureConfig]):
     """xs -> the y-integral of the MI terms over all the intervals of sy at each x of xs.
 
     A BivariateGaussianModel has it in closed form (mi_y_integral, the same
@@ -313,7 +311,7 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
 
     For a BivariateGaussianModel the soft coefficient is a Gauss transform
     of the point pairs (_gaussian_pair_sum). For every model the real part
-    is one integrate_pieces run, under cfg.quad_1d(), over all x-intervals,
+    is one integrate_pieces run, under cfg.quadrature, over all x-intervals,
     each split at the ends of marginal_x.truncated_range() that lie inside
     it, of the y-integral over all y-intervals (_mi_y_integrand).
     """
@@ -324,8 +322,8 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     if sy.lo.size:
         breaks = j.marginal_x.truncated_range()
         x_pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
-        quad = cfg.quad_1d()
-        real = integrate_pieces(_mi_y_integrand(j, sy, form, quad), x_pieces, quad)
+        real = integrate_pieces(_mi_y_integrand(j, sy, form, cfg.quadrature), x_pieces,
+                                cfg.quadrature)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
 

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution
-from .errors import DomainError, finite_float
-from .quadrature import DEFAULT_1D, QuadratureConfig, integrate_pieces, sample_1d
+from .errors import DomainError, finite_float, is_number
+from .quadrature import QuadratureConfig, integrate_pieces, sample_1d
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
 
@@ -131,10 +131,10 @@ class MixedSet:
             raise DomainError(f"mixed-set record must be an object, got {obj!r}")
         points = obj.get("points", [])
         intervals = obj.get("intervals", [])
-        if not (isinstance(points, list) and all(map(_is_number, points))):
+        if not (isinstance(points, list) and all(map(is_number, points))):
             raise DomainError(f"mixed-set points must be a list of numbers, got {points!r}")
         if not (isinstance(intervals, list) and all(
-                isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv))
+                isinstance(iv, list) and len(iv) == 2 and all(map(is_number, iv))
                 for iv in intervals)):
             raise DomainError(
                 f"mixed-set intervals must be a list of [lo, hi] pairs, got {intervals!r}")
@@ -155,21 +155,16 @@ def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray]
     wide interval or a jump at a support edge. A non-finite term is a
     DomainError that names its point.
     """
-    cfg = quadrature if quadrature is not None else DEFAULT_1D
     point_sum = sum(sample_1d(term, ms.point_array).tolist(), 0.0)
     breaks = (d.location, *d.truncated_range())
     pieces = [piece for lo, hi in ms.intervals for piece in split_at(lo, hi, breaks)]
-    return point_sum, integrate_pieces(term, pieces, cfg)
+    return point_sum, integrate_pieces(term, pieces, quadrature)
 
 
 def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float, float]]:
     """The pieces of (lo, hi) between the breaks that lie strictly inside it, in order."""
     edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
     return list(zip(edges, edges[1:]))
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
-from .errors import DegenerateModelError, DomainError, finite_float
+from .errors import DegenerateModelError, DomainError, finite_float, is_number
 from .information import InfoConfig, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
@@ -462,15 +462,21 @@ def _node_from_dict(obj: dict) -> TreeNode:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"tree record must be an object with a 'kind': {obj!r}")
     try:
-        if obj["kind"] == "leaf":
-            return Leaf(prediction=float(obj["prediction"]), count=int(obj["count"]))
-        if obj["kind"] == "split":
-            return Split(feature=str(obj["feature"]),
-                         feature_index=int(obj["feature_index"]),
-                         threshold=float(obj["threshold"]),
-                         gain=soft_from_dict(obj["gain"]),
+        if obj["kind"] == "leaf" and is_number(obj["prediction"]) and _is_count(obj["count"]):
+            return Leaf(prediction=obj["prediction"], count=obj["count"])
+        if (obj["kind"] == "split" and isinstance(obj["feature"], str)
+                and _is_count(obj["feature_index"]) and is_number(obj["threshold"])):
+            return Split(feature=obj["feature"], feature_index=obj["feature_index"],
+                         threshold=obj["threshold"], gain=soft_from_dict(obj["gain"]),
                          left=_node_from_dict(obj["left"]),
                          right=_node_from_dict(obj["right"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed tree record: {exc}") from exc
-    raise DomainError(f"unknown tree node kind {obj['kind']!r}")
+    except KeyError as exc:
+        raise DomainError(f"tree record is missing field {exc}") from None
+    if obj["kind"] not in ("leaf", "split"):
+        raise DomainError(f"unknown tree node kind {obj['kind']!r}")
+    raise DomainError(f"malformed {obj['kind']} record: count and feature_index must be "
+                      "non-negative integers, feature a string, prediction and threshold numbers")
+
+
+def _is_count(value) -> bool:
+    return is_number(value) and isinstance(value, int) and value >= 0

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from softprob.cli import main
+from softprob.cli import _build_parser, main
+from softprob.softnum import ext_from_dict, soft_from_dict
 
 UNIFORM_01 = '{"kind": "uniform", "lo": 0, "hi": 1}'
 UNIFORM_02 = '{"kind": "uniform", "lo": 0, "hi": 2}'
@@ -410,8 +412,17 @@ class TestTreeCommands:
         MODEL_SPLIT % ("0", "1" + "0" * 400, "1.0"),
         MODEL_SPLIT % ("0", "0.5", "1" + "0" * 400),
         MODEL_SPLIT % ("-1", "0.5", "1.0"),
+        MODEL_SPLIT % ("true", "0.5", "1.0"),
+        MODEL_LEAF % ("0.5", "2.7"),
+        MODEL_LEAF % ("0.5", "-3"),
+        MODEL_SPLIT.replace('"x1"', "null") % ("0", "0.5", "1.0"),
+        MODEL_LEAF % ('"0.5"', "1"),
+        MODEL_SPLIT % ("0", "true", "1.0"),
+        MODEL_SPLIT % ("0", "0.5", '"1"'),
     ], ids=["infinite-count", "nan-prediction", "huge-threshold", "huge-gain",
-            "negative-feature-index"])
+            "negative-feature-index", "boolean-feature-index", "fractional-count",
+            "negative-count", "null-feature", "string-prediction", "boolean-threshold",
+            "string-gain"])
     def test_predict_rejects_out_of_range_model_records(self, capsys, tmp_path, tree):
         model = tmp_path / "model.json"
         model.write_text('{"feature_names": ["x1"], "tree": %s}' % tree, encoding="utf-8")
@@ -508,6 +519,109 @@ class TestErrorHandling:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["table1", "--format", "bogus"])
+
+
+def _human_form(record: dict) -> str:
+    if set(record) == {"soft", "real"}:
+        return str(soft_from_dict(record))
+    return str(ext_from_dict(record))
+
+
+def _flattened(record: dict, prefix: str = "") -> list[str]:
+    """"name = value" lines of a JSON record, a nested field named name.field."""
+    lines = []
+    for name, value in record.items():
+        if isinstance(value, dict):
+            lines += _flattened(value, f"{prefix}{name}.")
+        else:
+            lines.append(f"{prefix}{name} = {value!r}")
+    return lines
+
+
+class TestOutputFormats:
+    MIXED = '{"points": [0.3], "intervals": [[1, 2]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["ps", "--op", "leq", "--dist", GAUSSIAN_STD, "--x", "0.3"],
+        ["ps", "--op", "cond-point", "--dist", GAUSSIAN_STD, "--x", "0", "--y", "1"],
+        ["ps", "--op", "ps2", "--joint", ADDITIVE, "--x", "0.2", "--y", "-0.1",
+         "--rx", "leq", "--ry", "eq"],
+        ["entropy", "--dist", GAUSSIAN_STD, "--set", MIXED],
+        ["entropy", "--dist", GAUSSIAN_STD, "--dist-hat", UNIFORM_02, "--set",
+         '{"points": [0.3], "intervals": [[0.5, 1.5]]}'],
+        ["kld", "--dist", GAUSSIAN_STD, "--dist-hat", GAUSSIAN_STD.replace("1}", "2}"),
+         "--set", MIXED],
+        ["mi", "--joint", ADDITIVE, "--set-x", MIXED, "--set-y", MIXED],
+        ["moments", "--dist", GAUSSIAN_STD, "--set", MIXED],
+    ], ids=["ps", "cond-point", "ps2", "entropy", "cross-entropy", "kld", "mi", "moments"])
+    def test_human_lines_are_the_flattened_json_record(self, capsys, argv):
+        code, human, _ = _run(capsys, argv)
+        assert code == 0
+        _, record, _ = _run_json(capsys, argv)
+        # each soft value also shows its human form on a line of its own
+        headlines = [f"{name} = {_human_form(value)}" for name, value in record.items()
+                     if isinstance(value, dict) and {"soft", "real"} <= set(value)]
+        assert sorted(human.splitlines()) == sorted(_flattened(record) + headlines)
+
+
+# flags a subcommand never reads, with a value for each
+REFUSED_FLAGS = {
+    "ps": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse")],
+    "kld": [("--zlogz", "collapse")],
+    "mi": [("--zlogz", "collapse")],
+    "moments": [("--log-base", "2"), ("--zlogz", "collapse")],
+    "table1": [("--zlogz", "collapse")],
+    "tree-train": [("--zlogz", "collapse"), ("--format", "json-like")],
+    "tree-predict": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse"),
+                     ("--seed", "7")],
+}
+# a command line each subcommand accepts
+ACCEPTED_ARGV = {
+    "ps": ["ps", "--op", "ps2", "--joint", ADDITIVE, "--x", "0.2", "--y", "-0.1",
+           "--rx", "leq", "--ry", "leq"],
+    "kld": ["kld", "--dist", GAUSSIAN_STD, "--dist-hat", GAUSSIAN_STD, "--set", '{"points": [0]}'],
+    "mi": ["mi", "--joint", ADDITIVE, "--set-x", '{"points": [0]}', "--set-y", '{"points": [0]}'],
+    "moments": ["moments", "--dist", GAUSSIAN_STD, "--set", '{"points": [0]}'],
+    "table1": ["table1"],
+    "tree-train": ["tree-train", "--data", "absent.csv"],
+    "tree-predict": ["tree-predict", "--model", "absent.json", "--data", "absent.csv"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, flags in REFUSED_FLAGS.items()
+        for flag, value in flags])
+    def test_a_flag_the_command_never_reads_is_a_usage_error(self, capsys, command, flag,
+                                                             value):
+        with pytest.raises(SystemExit) as exc:
+            main(ACCEPTED_ARGV[command] + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        # a flag added to a shared parent parser shows up here for every
+        # subcommand that takes that parent
+        [sub] = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        accepted = {name: sorted(p._option_string_actions) for name, p in sub.choices.items()}
+        shown = ["--format", "--help", "--stats", "-h"]
+        info = ["--log-base", "--rel-tol"]
+        assert accepted == {
+            "table1": sorted(shown + info),
+            "ps": sorted(shown + ["--closed", "--dist", "--interval", "--joint", "--op",
+                                  "--points", "--rx", "--ry", "--x", "--y"]),
+            "entropy": sorted(shown + info + ["--dist", "--dist-hat", "--set", "--zlogz"]),
+            "kld": sorted(shown + info + ["--dist", "--dist-hat", "--set"]),
+            "mi": sorted(shown + info + ["--form", "--joint", "--set-x", "--set-y"]),
+            "moments": sorted(shown + ["--dist", "--rel-tol", "--set"]),
+            "tree-train": sorted(["--help", "--stats", "-h"] + info
+                                 + ["--data", "--delimiter", "--max-depth", "--min-rows",
+                                    "--out", "--seed"]),
+            "tree-predict": sorted(shown + ["--data", "--delimiter", "--model"]),
+        }
 
 
 # Random JSON-ish descriptors for the mi command: mostly well-formed models

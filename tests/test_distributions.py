@@ -268,7 +268,7 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_distribution({"kind": "gaussian", "mean": 0.0})
 
-    @pytest.mark.parametrize("bad", [None, [1.0], {"v": 1}, "one", 10 ** 400])
+    @pytest.mark.parametrize("bad", [None, [1.0], {"v": 1}, "one", 10 ** 400, True, "2"])
     def test_non_numeric_field_rejected(self, bad):
         with pytest.raises(DomainError, match="'variance' is not a number"):
             parse_distribution({"kind": "gaussian", "mean": 0.0, "variance": bad})

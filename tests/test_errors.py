@@ -111,11 +111,12 @@ class TestOverflowingResults:
             sp.to_sp(sp.SoftNumber(1e308, 1e308))
 
     @pytest.mark.parametrize("record", [{"soft": "x", "real": 0}, {"soft": 0, "real": None},
-                                        {"soft": 10 ** 400, "real": 0}])
+                                        {"soft": 10 ** 400, "real": 0},
+                                        {"soft": "1", "real": True}, {"soft": 1, "real": "2.5"}])
     def test_soft_from_dict_checks_each_number(self, record):
         with pytest.raises(DomainError):
             sp.soft_from_dict(record)
-        assert sp.soft_from_dict({"soft": 1, "real": "2.5"}) == sp.SoftNumber(1.0, 2.5)
+        assert sp.soft_from_dict({"soft": 1, "real": 2.5}) == sp.SoftNumber(1.0, 2.5)
 
     def test_soft_from_dict_names_the_field(self):
         with pytest.raises(DomainError, match="^soft must be a number, got 'x'$"):

@@ -57,7 +57,7 @@ class TestInfoConfig:
         assert cfg.log_base == math.e
         assert cfg.ln_base == 1.0
 
-    @pytest.mark.parametrize("base", [0.0, -2.0, 1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("base", [0.0, -2.0, 1.0, math.nan, math.inf, 0.5])
     def test_bad_log_base_rejected(self, base):
         with pytest.raises(DomainError):
             InfoConfig(log_base=base)
@@ -66,14 +66,24 @@ class TestInfoConfig:
         with pytest.raises(DomainError):
             InfoConfig(zlogz_mode="drop")
 
-    def test_quadrature_override_used_for_both_dimensions(self):
-        from softprob.quadrature import DEFAULT_1D, QuadratureConfig
-
-        override = QuadratureConfig(rel_tol=1e-4)
-        cfg = InfoConfig(quadrature=override)
-        assert cfg.quad_1d() is override
-        plain = InfoConfig()
-        assert plain.quad_1d() is DEFAULT_1D
+    def test_quadrature_override_reaches_every_run(self):
+        # at the default tolerance each case refines some run past its first
+        # round; under a loose override none of its runs does, so a run that
+        # ignored the override would show depth 2
+        loose = InfoConfig(quadrature=QuadratureConfig(rel_tol=1e-3))
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 2.0, 0.6)
+        sx = MixedSet([0.7], [(-9.0, 0.5), (1.0, 9.0)])
+        sy = MixedSet([0.2], [(-9.0, -1.0), (0.5, 9.0)])
+        cases = {"gaussian mi": lambda cfg: soft_mutual_information(j, sx, sy, cfg),
+                 "generic mi": lambda cfg: soft_mutual_information(_GridOnly(j), sx, sy, cfg),
+                 "entropy": lambda cfg: soft_entropy(Gaussian(0.0, 1.0), sx, cfg)}
+        for name, run in cases.items():
+            with collect_stats() as default:
+                run(InfoConfig())
+            with collect_stats() as override:
+                run(loose)
+            assert max(r.max_depth for r in default) >= 2, name
+            assert override and {r.max_depth for r in override} == {1}, name
 
 
 class TestEntropy:

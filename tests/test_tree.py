@@ -608,11 +608,21 @@ class TestSerialization:
         assert tree_from_dict(tree_to_dict(leaf)) == leaf
 
     def test_malformed_records_rejected(self):
+        leaf = {"kind": "leaf", "prediction": 0.5, "count": 1}
+        split = {"kind": "split", "feature": "a", "feature_index": 0, "threshold": 0.5,
+                 "gain": {"soft": 0.0, "real": 1.0}, "left": leaf, "right": leaf}
         for obj in [None, {}, {"kind": "branch"},
                     {"kind": "leaf", "prediction": "x"},
-                    {"kind": "split", "feature": "a"}]:
+                    {"kind": "split", "feature": "a"},
+                    {**leaf, "prediction": "0.5"}, {**leaf, "count": 2.7},
+                    {**leaf, "count": -3}, {**leaf, "count": True},
+                    {**split, "feature": None}, {**split, "feature_index": True},
+                    {**split, "threshold": True},
+                    {**split, "gain": {"soft": "1", "real": 0}}]:
             with pytest.raises(DomainError):
                 tree_from_dict(obj)
+        assert tree_from_dict(split) == Split("a", 0, 0.5, SoftNumber(0.0, 1.0),
+                                              Leaf(0.5, 1), Leaf(0.5, 1))
 
     def test_record_nested_past_the_recursion_limit_rejected(self):
         obj = {"kind": "leaf", "prediction": 1.0, "count": 1}
