@@ -350,8 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", help="joint model descriptor (JSON), for ps2")
     p.add_argument("--x", type=float, help="point of interest")
     p.add_argument("--y", type=float, help="second point (cond-point) or y for ps2")
-    p.add_argument("--points", help="comma-separated points for set operations")
-    p.add_argument("--interval", help="interval as \"lo,hi\"")
+    p.add_argument("--points", help="comma-separated points for set operations; join a "
+                   "list that starts with '-' with '=', as in --points=-1,2")
+    p.add_argument("--interval", help="interval as \"lo,hi\"; join a negative lo with '=', "
+                   "as in --interval=-0.5,1.5")
     p.add_argument("--closed", action="store_true",
                    help="treat the interval as closed (non-strict)")
     p.add_argument("--rx", choices=["lt", "leq", "eq"], help="relation on X for ps2")

@@ -9,12 +9,14 @@ intervals on a two-variable model. Every one of them is a term kernel
 w*log(num/den) under one pointwise rule (_log_terms); the 1-D ones are
 summed over points and intervals by moments.soft_sum. The exception is
 mutual information under a BivariateGaussianModel, whose log ratio is a
-quadratic: its point pairs are summed as a dense Gauss transform
-(_gaussian_pair_sum), and its y-integral has a closed form
-(BivariateGaussianModel.mi_y_integral). Any other JointModel takes the
-generic path: the pointwise terms summed over the point pairs, and
-integrated over the y-intervals by quadrature.y_integral. Either way the
-real part is one 1-D run over the x-intervals.
+quadratic: its point pairs are summed as a Gauss transform
+(_gaussian_pair_sum), densely or, where a cost model finds it cheaper, by
+a one-level Chebyshev interpolation of its kernel (_gauss_sums), and its
+y-integral has a closed form (BivariateGaussianModel.mi_y_integral). Any
+other JointModel takes the generic path: the pointwise terms summed over
+the point pairs, and integrated over the y-intervals by
+quadrature.y_integral. Either way the real part is one 1-D run over the
+x-intervals.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -170,10 +172,22 @@ FORM_SYMMETRIC = "symmetric"
 FORM_CONDITIONAL = "conditional"
 
 # pairs per block of the point-pair sum: whole rows (of y for the pointwise
-# terms, of x for the Gaussian transform) are taken until a block holds about
-# this many pairs, so that each temporary array of a block (128 KiB at this
-# size) stays in cache however many points there are
+# terms, of x or of Chebyshev nodes for the Gaussian transform, of x against
+# its panel's nodes for the interpolation) are taken until a block holds
+# about this many pairs, so that each temporary array of a block (128 KiB at
+# this size) stays in cache however many points there are
 POINT_BLOCK_PAIRS = 1 << 14
+
+_LOG_TINY = math.log(TINY_DENSITY)
+
+# first-kind Chebyshev nodes per panel of the point-pair transform, their
+# positions in [-1, 1] and their barycentric weights (_chebyshev_interpolate)
+_PANEL_NODES = 20
+_CHEB_ANGLES = (np.arange(_PANEL_NODES) + 0.5) * (math.pi / _PANEL_NODES)
+_CHEB_NODES = np.cos(_CHEB_ANGLES)
+_CHEB_WEIGHTS = np.where(np.arange(_PANEL_NODES) % 2, -1.0, 1.0) * np.sin(_CHEB_ANGLES)
+# the farthest a target of the transform may lie from its nearest source
+_SOURCE_REACH = 2.0
 
 
 def _mi_terms(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> np.ndarray:
@@ -190,8 +204,161 @@ def _mi_terms(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> np.nd
     return _log_terms(w, num, den)
 
 
+def _dense_gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
+                      v_powers: np.ndarray) -> np.ndarray:
+    """G[i] = sum_k exp(e_ik) * v_powers[k], with e_ik = lead_i - (w_k - t_i)^2.
+
+    Summed densely, one exp per pair and one matmul per block of rows. A
+    weight below TINY_DENSITY counts as 0, as in the pointwise rule, judged
+    as e < log(TINY_DENSITY). exp never sees such an e: an exp whose result
+    is subnormal or 0 costs 10-100 times one whose result is normal.
+    """
+    rows = max(1, POINT_BLOCK_PAIRS // len(w))
+    g = np.empty((len(t), v_powers.shape[1]))
+    for start in range(0, len(t), rows):
+        block = slice(start, start + rows)
+        e = w - t[block, None]
+        e *= e
+        np.subtract(lead[block, None], e, out=e)
+        if e.min() < _LOG_TINY:
+            tiny = e < _LOG_TINY
+            weights = np.exp(np.maximum(e, _LOG_TINY, out=e), out=e)
+            weights[tiny] = 0.0
+        else:
+            weights = np.exp(e, out=e)
+        np.matmul(weights, v_powers, out=g[block])
+    return g
+
+
+def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
+                           panels: int) -> np.ndarray:
+    """The values kernel(t), interpolated from Chebyshev nodes on panels.
+
+    [lo, lo + panels*width] is cut into ``panels`` panels of the given
+    width. kernel(nodes), an array of shape (len(nodes), m), is called once,
+    at the _PANEL_NODES first-kind Chebyshev nodes of every panel, and each
+    target takes the interpolant of its panel, by the barycentric formula
+    with the weights (-1)^k sin((2k+1) pi / (2P)) (Berrut & Trefethen, SIAM
+    Review 46, 2004, eq. 5.3). Targets are mapped to [-1, 1] within their
+    panel, where no node is nearer 0 than sin(pi/(2P)), so a difference to
+    a node is 0 or above 1e-17 and no weight overflows; a target on a node
+    takes that node's value.
+
+    Error bound (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, Thms 8.1 and 8.2): if a component of the kernel is
+    analytic in the Bernstein ellipse E_r (r > 1) of a panel and at most
+    M there, its interpolant on that panel is off by at most
+    4 M r^(1 - P) / (r - 1), with P = _PANEL_NODES. ATAP states this for
+    second-kind points; for first-kind points each coefficient of degree
+    above P - 1 aliases onto at most one of degree below P, so the same
+    argument gives the same bound. The barycentric sum adds rounding of at
+    most about (3P + 4) * eps * Lambda times the largest node value
+    (Higham, IMA J. Numer. Anal. 24, 2004), where the Lebesgue constant
+    Lambda is below 2/pi*log(P) + 1 (2.9 at P = 20).
+    """
+    nodes = lo + (np.arange(panels)[:, None] + 0.5 * (_CHEB_NODES + 1.0)) * width
+    f = kernel(nodes.ravel()).reshape(panels, _PANEL_NODES, -1)
+    # a column of ones carries the barycentric denominator through the same sum
+    f = np.concatenate((f, np.ones((panels, _PANEL_NODES, 1))), axis=2)
+    # targets in ascending order, so that each panel's targets are one slice
+    order = np.argsort(t, kind="stable")
+    x = (t[order] - lo) / width
+    panel = np.minimum(x.astype(np.intp), panels - 1)
+    s = 2.0 * (x - panel) - 1.0
+    edges = np.searchsorted(panel, np.arange(panels + 1)).tolist()
+    r = np.empty((len(t), f.shape[2]))
+    rows = max(1, POINT_BLOCK_PAIRS // _PANEL_NODES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(panels):
+            for start in range(edges[p], edges[p + 1], rows):
+                block = slice(start, min(start + rows, edges[p + 1]))
+                np.matmul(_CHEB_WEIGHTS / (s[block, None] - _CHEB_NODES), f[p], out=r[block])
+    # a target on a node has an infinite weight there and takes the node's value
+    on_node = np.flatnonzero(~np.isfinite(r[:, -1]))
+    for i in on_node.tolist():
+        r[i] = f[panel[i], np.argmin(np.abs(s[i] - _CHEB_NODES))]
+    out = np.empty((len(t), f.shape[2] - 1))
+    out[order] = r[:, :-1] / r[:, -1:]
+    return out
+
+
+def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
+                v_powers: np.ndarray) -> np.ndarray:
+    """G[i] = sum_k exp(lead_i - (w_k - t_i)^2) * v_powers[k], the Gauss transform
+    of the point-pair sum: by Chebyshev interpolation where that is cheaper
+    and safe, densely (_dense_gauss_sums) otherwise.
+
+    The transform writes G_i = exp(lead_i - L) * K(t_i), with L = max lead
+    and the kernel K(s) = sum_k exp(L - (w_k - s)^2) * v_powers[k]. K is
+    entire and varies on a scale of 1 in s, so _chebyshev_interpolate
+    takes it from panels at most 1 wide over [min t, max t], with K
+    evaluated densely at their nodes (_dense_gauss_sums, blocked like the
+    dense sum). The transform is taken when all of these hold; each reads
+    sizes and values the call already has, and there is no option:
+
+    - It is cheaper. Dense, a call cost 16 us plus 3.6 ns a pair; the
+      transform 77 us a call, 4.8 us a panel, 3.7 ns a (node, source) pair
+      and 4.0 ns a (target, node) pair (timeit, 2-core x86 host, 50 to
+      1,600 points a side, 1 to 16 panels). In units of one dense pair
+      that is P*(len(w) + 64) a panel, P a target and 16,000 a call more
+      than the dense len(t)*len(w), which caps the panels; so one or two
+      points a side take the dense sum before any numpy call, and at 200
+      points a side rho = 0.894 (8 panels) stays dense.
+    - No pair's weight falls below TINY_DENSITY, checked in O(n) as
+      min_i(lead_i - max((max w - t_i)^2, (min w - t_i)^2)) >=
+      log(TINY_DENSITY). So the transform sums exactly the pairs the
+      dense rule sums. The node values then stay above TINY_DENSITY too,
+      since no node lies farther from a source than the farthest target.
+    - No factor exp(lead_i - L) falls below TINY_DENSITY, so neither factor
+      of a weight is subnormal. Factoring out L keeps the node values from
+      underflowing where the dense weights do not, as exp(-(w - s)^2)
+      alone would for lead > 0, that is sd_x*sd_y*sqrt(q) < 1/(2 pi).
+    - No target lies farther than _SOURCE_REACH = 2 from its nearest
+      source. One source's term exp(-(w - s)^2) grows like exp(a*x) over
+      a panel, x in [-1, 1], with a = h*|w - c| for the panel's width h
+      and centre c, and the interpolant of exp(a*x) is off by up to
+      1.2e-15 (a = 2), 3.3e-15 (a = 2.5) or 5.6e-14 (a = 3) of its value,
+      measured at 40,000 points. A target within 2 of a source has a <= 2.5
+      for that source, and a source farther off weighs less by a Gaussian
+      factor. Without this rule, 1,500 x points on (-3, 3) against 300 y
+      points on (-6, -5.8) at rho = 0.97 came out 8.2e-10 of sum|terms|
+      off the dense sum.
+
+    Error bound: for r > 1, the bound of _chebyshev_interpolate holds on a
+    panel of width h with M_j = exp((h (r - 1/r)/4)^2) *
+    sum_k |v_k|^j exp(L - dist(w_k, S)^2), S the panel widened by
+    h (r + 1/r)/4 on both sides, because |exp(-(w - s)^2)| =
+    exp(-(w - Re s)^2 + (Im s)^2) on the ellipse. At h = 1 and r = 8 the
+    bound is 1.9e-16 * M_j, with S 2.03 wider on each side, so
+    interpolation adds about as much as rounding does where sources lie
+    near the panel. The bound is relative to the kernel on S, not at t_i,
+    which is why the reach rule above is needed.
+    """
+    n_t, n_s = len(t), len(w)
+    # the cost model, in units of one dense pair: the transform costs
+    # P*(n_s + 64) a panel, P a target and 16,000 a call more than the dense
+    # n_t*n_s, so it is cheaper on at most max_panels panels
+    max_panels = (n_t * n_s - _PANEL_NODES * n_t - 16_000) // (_PANEL_NODES * (n_s + 64))
+    if max_panels > 0:
+        lo, top = t.min(), lead.max()
+        span = t.max() - lo
+        if 0.0 < span <= max_panels and lead.min() - top >= _LOG_TINY:
+            ws = np.sort(w)
+            k = np.searchsorted(ws, t).clip(1, n_s - 1)
+            near = np.minimum(np.abs(t - ws[k - 1]), np.abs(ws[k] - t))
+            far = np.maximum(np.square(ws[-1] - t), np.square(ws[0] - t))
+            if near.max() <= _SOURCE_REACH and (lead - far).min() >= _LOG_TINY:
+                panels = math.ceil(span)
+                g = _chebyshev_interpolate(
+                    lambda s: _dense_gauss_sums(np.full(len(s), top), s, w, v_powers),
+                    t, lo, span / panels, panels)
+                g *= np.exp(lead - top)[:, None]
+                return g
+    return _dense_gauss_sums(lead, t, w, v_powers)
+
+
 def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    """The point-pair sum of a BivariateGaussianModel, as a dense Gauss transform.
+    """The point-pair sum of a BivariateGaussianModel, as a Gauss transform.
 
     With u = (x - mean_x)/sd_x, v = (y - mean_y)/sd_y and q = 1 - rho^2,
     the weight f_X f_{Y|X} of the pair (x_i, y_k) is exp(e_ik), where
@@ -201,25 +368,27 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     c1 = -rho^2/(2q) and c2 = rho/q. So the sum is
     sum_i (c0 + c1*u_i^2)*G_i0 + c2*u_i*G_i1 + c1*G_i2, where G = W V for
     the weights W and the columns 1, v, v^2 of V: a Gauss transform with
-    those source weights (Greengard & Strain 1991), here summed densely,
-    one exp per pair and one matmul per block of x rows. rho = 0 gives
-    exactly 0.
+    those source weights (Greengard & Strain 1991). _gauss_sums computes it
+    by a one-level Chebyshev interpolation of its kernel in rho*u where
+    that is cheaper, and densely, one exp per pair, where it is not.
+    rho = 0 gives exactly 0.
 
-    A weight below TINY_DENSITY counts as 0, as in the pointwise rule,
-    judged as e < log(TINY_DENSITY). exp never sees such an e: an exp whose
-    result is subnormal or 0 costs 10-100 times one whose result is
-    normal. UNIT_RATIO_TOLERANCE does not apply, because no ratio is
-    formed, so sums near independence keep the digits that the log of a
-    ratio near 1 loses.
+    A weight below TINY_DENSITY counts as 0, as in the pointwise rule; the
+    interpolation is taken only where no weight is that small.
+    UNIT_RATIO_TOLERANCE does not apply, because no ratio is formed, so
+    sums near independence keep the digits that the log of a ratio near 1
+    loses.
 
     Error bound: with eps = 2^-52 and sum|terms| the sum of
     |w log(f_{Y|X}/f_Y)| over the pairs, the error is of order
     eps/q * sum|terms|. The weights carry the rounding of (v - rho*u)/sqrt(q),
     as the pointwise rule's densities do, and each row's combination
-    cancels monomials up to about 1/q times its log ratio. The tests hold
-    the result to 1e-12 * sum|terms| of the pointwise rule's sum on random
-    models with 0.01 <= |rho| <= 0.999 (eps/q <= 1.2e-13) and 1 to 300
-    points a side.
+    cancels monomials up to about 1/q times its log ratio. The
+    interpolation adds an error of the order of rounding (_gauss_sums).
+    The tests hold the result to 1e-12 * sum|terms| of the pointwise
+    rule's sum on random models with 0.01 <= |rho| <= 0.999
+    (eps/q <= 1.2e-13) and 1 to 300 points a side, and the transform to
+    the same bound of the dense sum with up to 2,000 points a side.
     """
     rho = j.rho
     if rho == 0.0 or not (len(xs) and len(ys)):
@@ -232,22 +401,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     scale = 1.0 / math.sqrt(2.0 * q)
     v_scaled, t = v * scale, (rho * scale) * u
     lead = -0.5 * u * u - math.log(2.0 * math.pi * sd_x * sd_y * math.sqrt(q))
-    v_powers = v[:, None] ** np.arange(3.0)
-    log_tiny = math.log(TINY_DENSITY)
-    rows = max(1, POINT_BLOCK_PAIRS // len(ys))
-    g = np.empty((len(xs), 3))
-    for start in range(0, len(xs), rows):
-        block = slice(start, start + rows)
-        e = v_scaled - t[block, None]
-        e *= e
-        np.subtract(lead[block, None], e, out=e)
-        if e.min() < log_tiny:
-            tiny = e < log_tiny
-            w = np.exp(np.maximum(e, log_tiny, out=e), out=e)
-            w[tiny] = 0.0
-        else:
-            w = np.exp(e, out=e)
-        np.matmul(w, v_powers, out=g[block])
+    g = _gauss_sums(lead, t, v_scaled, v[:, None] ** np.arange(3.0))
     c0 = -0.5 * math.log1p(-rho * rho)
     c1 = -0.5 * rho * rho / q
     terms = (c0 + c1 * u * u) * g[:, 0] + (rho / q * u) * g[:, 1] + c1 * g[:, 2]

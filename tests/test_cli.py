@@ -94,6 +94,34 @@ class TestPs:
                                            "--closed"])
         assert payload["value"] == {"soft": 2.0, "real": 0.5}
 
+    def test_negative_interval_and_points_join_their_flag_with_equals(self, capsys):
+        code, payload, err = _run_json(capsys, ["ps", "--op", "interval", "--dist", GAUSSIAN_STD,
+                                                "--interval=-0.5,1.5"])
+        assert code == 0 and err == ""
+        assert payload["value"]["real"] == pytest.approx(0.624655260005155, rel=1e-12)
+        code, payload, err = _run_json(capsys, ["ps", "--op", "points-union", "--dist",
+                                                GAUSSIAN_STD, "--points=-1,2"])
+        assert code == 0 and err == ""
+        assert payload["value"]["soft"] > 0.0
+
+    @pytest.mark.parametrize("flag, value", [("--interval", "-0.5,1.5"), ("--points", "-1,2")])
+    def test_negative_value_after_a_space_is_a_usage_error(self, capsys, flag, value):
+        op = "interval" if flag == "--interval" else "points-union"
+        with pytest.raises(SystemExit) as exc:
+            main(["ps", "--op", op, "--dist", GAUSSIAN_STD, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: softprob ps")
+        assert f"argument {flag}: expected one argument" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_help_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ps", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--interval=-0.5,1.5" in out and "--points=-1,2" in out
+
     def test_points_union_and_intersection(self, capsys):
         _, payload, _ = _run_json(capsys, ["ps", "--op", "points-union", "--dist",
                                            UNIFORM_01, "--points", "0.1,0.2,0.3"])

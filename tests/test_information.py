@@ -676,6 +676,205 @@ class TestGaussianPairSum:
             xs, ys = np.repeat(xs, 40), np.repeat(ys, 100)
 
 
+def _abs_pair_terms(j, xs: np.ndarray, ys: np.ndarray) -> float:
+    """sum |w log(f_{Y|X}/f_Y)| over the point pairs, by the pointwise rule,
+    in blocks of y rows."""
+    return sum(float(np.abs(information._mi_terms(j, xs, ys[k:k + 100], FORM_CONDITIONAL)).sum())
+               for k in range(0, len(ys), 100))
+
+
+def _dense_pair_sum(j, xs, ys, monkeypatch) -> float:
+    """_gaussian_pair_sum with the Gauss transform forced dense."""
+    with monkeypatch.context() as m:
+        m.setattr(information, "_gauss_sums", information._dense_gauss_sums)
+        return information._gaussian_pair_sum(j, xs, ys)
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The panel counts of every Chebyshev transform run while the test runs."""
+    calls = []
+    interpolate = information._chebyshev_interpolate
+
+    def spy(kernel, t, lo, width, panels):
+        calls.append(panels)
+        return interpolate(kernel, t, lo, width, panels)
+
+    monkeypatch.setattr(information, "_chebyshev_interpolate", spy)
+    return calls
+
+
+def _interpolation_bound(w, v_powers, lo: float, width: float, panels: int,
+                         targets: np.ndarray) -> np.ndarray:
+    """The a-priori bound of _gauss_sums on |K_j - interpolant| at each target,
+    with L = 0, minimised over r, plus 1e-13 of the kernel's size on the panel
+    for rounding."""
+    panel = np.minimum(((targets - lo) / width).astype(int), panels - 1)
+    centre = lo + (panel + 0.5) * width
+    gap = np.abs(w[None, :] - centre[:, None])
+    weights = np.abs(v_powers)
+    best = np.full((len(targets), weights.shape[1]), np.inf)
+    for r in np.linspace(1.5, 30.0, 58):
+        growth = (width * (r - 1.0 / r) / 4.0) ** 2
+        if growth > 700.0:
+            break
+        dist = np.maximum(gap - width * (r + 1.0 / r) / 4.0, 0.0)
+        m = math.exp(growth) * (np.exp(-dist * dist) @ weights)
+        best = np.minimum(best, 4.0 * m * r ** (1 - information._PANEL_NODES) / (r - 1.0))
+    on_panel = np.maximum(gap - width / 2.0, 0.0)
+    return best + 1e-13 * (np.exp(-on_panel * on_panel) @ weights)
+
+
+class TestChebyshevTransform:
+    """_gauss_sums interpolates the Gauss transform's kernel from Chebyshev
+    nodes where its cost model says so; the dense sum is its oracle."""
+
+    def test_agrees_with_dense_sum_on_random_models(self, monkeypatch, transform_calls):
+        rng = random.Random(17)
+
+        def points(mean, var):
+            # one side in four has at most 50 points, the others up to 2,000
+            n = rng.randint(1, rng.choice((50, 2000, 2000, 2000)))
+            return np.array(sorted({mean + math.sqrt(var) * rng.gauss(0.0, 1.5)
+                                    for _ in range(n)}))
+
+        for _ in range(30):
+            rho = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(0.999))
+            j = BivariateGaussianModel(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                                       10.0 ** rng.uniform(-2.0, 2.0),
+                                       10.0 ** rng.uniform(-2.0, 2.0), rho)
+            xs, ys = points(j.mean_x, j.var_x), points(j.mean_y, j.var_y)
+            fast = information._gaussian_pair_sum(j, xs, ys)
+            dense = _dense_pair_sum(j, xs, ys, monkeypatch)
+            assert abs(fast - dense) <= 1e-12 * _abs_pair_terms(j, xs, ys)
+        assert len(transform_calls) >= 10
+
+    @staticmethod
+    def _takes(j, xs, ys, monkeypatch, transform_calls) -> bool:
+        """Whether the pair sum takes the transform; where it does, it must
+        agree with the dense sum to 1e-12 * sum|terms|."""
+        before = len(transform_calls)
+        value = information._gaussian_pair_sum(j, xs, ys)
+        dense = _dense_pair_sum(j, xs, ys, monkeypatch)
+        if len(transform_calls) == before:
+            assert value == dense
+            return False
+        assert abs(value - dense) <= 1e-12 * _abs_pair_terms(j, xs, ys)
+        return True
+
+    def test_each_cost_model_branch_runs(self, monkeypatch, transform_calls):
+        takes = lambda j, xs, ys: self._takes(j, xs, ys, monkeypatch, transform_calls)
+        rng = np.random.default_rng(3)
+        normal = lambda n, sd=1.0: np.sort(rng.normal(0.0, sd, n))
+        # table1's 1 x 1 sums, and two points a side
+        assert not takes(STD_ADDITIVE, np.array([1.0]), np.array([0.0]))
+        assert not takes(STD_ADDITIVE, np.array([0.0, 20.0]), np.array([0.0, 30.0]))
+        # too many panels for the targets: 200 a side at rho = 0.894 needs 8
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.894)
+        assert not takes(j, normal(200), normal(200))
+        # cheaper: 800 a side at rho = 0.3 needs ceil(span of rho*u/sqrt(2q)) panels
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.3)
+        xs = normal(800)
+        assert takes(j, xs, normal(800))
+        span = 0.3 / math.sqrt(2.0 * 0.91) * (xs[-1] - xs[0])
+        assert transform_calls[-1] == math.ceil(span) > 1
+        # one x point, at 20 sds, lies more than 2 from every source in the
+        # scaled variable (rho*u and v over sqrt(2q)), the others do not
+        ys = normal(800)
+        assert not takes(j, np.append(xs, 20.0), ys)
+        # a cluster of y points far from every x point
+        assert not takes(j, xs, np.sort(rng.uniform(5.0, 5.5, 400)))
+
+    def test_pairs_below_tiny_density_stay_dense(self, monkeypatch, transform_calls):
+        # the pairs of the last y point with the lowest x points weigh below
+        # TINY_DENSITY while both marginal densities stay positive
+        rng = np.random.default_rng(4)
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.3)
+        xs = np.sort(rng.normal(0.0, 1.0, 800))
+        ys = np.sort(rng.normal(0.0, 1.0, 800))
+        assert self._takes(j, xs, ys, monkeypatch, transform_calls)
+        # y points every 1.5 from 3 to 36.5 keep every target within reach
+        ys = np.append(ys, np.arange(3.0, 37.0, 1.5))
+        weight = lambda x, y: j.marginal_x.pdf(x) * j.conditional_pdf(y, x)
+        assert weight(xs[0], ys[-1]) < information.TINY_DENSITY < weight(xs[-1], ys[-1])
+        assert j.marginal_y.pdf(ys[-1]) > 0.0
+        assert not self._takes(j, xs, ys, monkeypatch, transform_calls)
+
+    def test_tiny_sds_factor_out_the_largest_lead(self, monkeypatch, transform_calls):
+        # with sd 1e-60 a side, lead = -u^2/2 - log(2 pi sd^2 sqrt(q)) is up to 274.6
+        sd, rho = 1e-60, 0.5
+        j = BivariateGaussianModel(0.0, 0.0, sd * sd, sd * sd, rho)
+        q = 1.0 - rho * rho
+
+        def log_weight(u, v):
+            return (-0.5 * u * u - math.log(2.0 * math.pi * sd * sd * math.sqrt(q))
+                    - (v - rho * u) ** 2 / (2.0 * q))
+
+        # the farthest pair's exp(-(w - t)^2) alone underflows, while its
+        # weight stays above TINY_DENSITY
+        u, v = np.linspace(-2.0, 2.0, 400), np.linspace(-2.0, 36.0, 600)
+        assert math.exp(-(v[-1] - rho * u[0]) ** 2 / (2.0 * q)) == 0.0
+        assert log_weight(u[0], v[-1]) > math.log(information.TINY_DENSITY)
+        assert self._takes(j, sd * u, sd * v, monkeypatch, transform_calls)
+        # x points 0 to 37.5 sds apart differ in lead by more than
+        # -log(TINY_DENSITY), so exp(lead_i - max lead) would fall below it;
+        # every pair's weight stays above it
+        u, v = np.linspace(0.0, 37.5, 1000), np.linspace(1.84, 17.1, 1000)
+        assert 37.5 ** 2 / 2.0 > -math.log(information.TINY_DENSITY)
+        assert min(log_weight(u[-1], v[0]), log_weight(u[0], v[-1])) > math.log(
+            information.TINY_DENSITY)
+        assert not self._takes(j, sd * u, sd * v, monkeypatch, transform_calls)
+        assert self._takes(j, sd * u[u < 36.0], sd * v, monkeypatch, transform_calls)
+
+    def test_rho_zero_is_exactly_zero_and_repeats_give_the_same_bits(self, transform_calls):
+        rng = np.random.default_rng(5)
+        xs, ys = np.sort(rng.normal(0.0, 1.0, 1000)), np.sort(rng.normal(0.0, 1.0, 900))
+        independent = BivariateGaussianModel(0.2, -0.1, 1.5, 0.7, 0.0)
+        assert information._gaussian_pair_sum(independent, xs, ys) == 0.0
+        j = BivariateGaussianModel(0.2, -0.1, 1.5, 0.7, -0.6)
+        first = information._gaussian_pair_sum(j, xs, ys)
+        assert transform_calls
+        assert all(information._gaussian_pair_sum(j, xs, ys) == first for _ in range(3))
+        # targets in any order give the same sum up to rounding
+        shuffled = rng.permutation(xs)
+        assert information._gaussian_pair_sum(j, shuffled, ys) == pytest.approx(first, rel=1e-14)
+
+    @pytest.mark.parametrize("width", [0.5, 1.0, 2.0, 3.0, 4.0])
+    def test_interpolation_error_within_a_priori_bound(self, width):
+        rng = np.random.default_rng(int(10 * width))
+        lo, panels = -1.0, 3
+        w = np.sort(rng.uniform(lo - 3.0, lo + panels * width + 3.0, 300))
+        v_powers = (w - 0.4)[:, None] ** np.arange(3.0)
+        targets = np.concatenate(([lo, lo + panels * width],
+                                  rng.uniform(lo, lo + panels * width, 3000)))
+
+        def kernel(s):
+            return information._dense_gauss_sums(np.zeros(len(s)), s, w, v_powers)
+
+        got = information._chebyshev_interpolate(kernel, targets, lo, width, panels)
+        err = np.abs(got - kernel(targets))
+        assert np.all(err <= _interpolation_bound(w, v_powers, lo, width, panels, targets))
+        if width >= 3.0:
+            # wide panels leave truncation that the bound must cover, not rounding
+            assert err.max() > 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_targets_on_nodes_take_the_node_values(self):
+        # on [0, 1], a node s_k <= -0.5 maps to t = (s_k + 1)/2 and back exactly
+        nodes = information._CHEB_NODES
+        targets = np.concatenate(((nodes[nodes <= -0.5] + 1.0) / 2.0, [0.0, 0.5, 1.0]))
+        w = np.linspace(-2.0, 3.0, 50)
+        v_powers = w[:, None] ** np.arange(3.0)
+
+        def kernel(s):
+            return information._dense_gauss_sums(np.zeros(len(s)), s, w, v_powers)
+
+        got = information._chebyshev_interpolate(kernel, targets, 0.0, 1.0, 1)
+        k = np.sum(nodes <= -0.5)
+        assert np.array_equal(got[:k], kernel((nodes + 1.0) / 2.0)[nodes <= -0.5])
+        assert np.allclose(got[k:], kernel(targets[k:]), rtol=1e-12, atol=0.0)
+
+
 # Frozen outputs of the additive standard-Gaussian model on the five
 # benchmark point/interval combinations, captured from a verified run and
 # held to tight relative tolerance to catch accidental drift.

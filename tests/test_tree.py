@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softprob.information as information
 from softprob.distributions import BivariateGaussianModel
 from softprob.errors import DegenerateModelError, DomainError
 from softprob.information import soft_mutual_information
@@ -550,6 +551,36 @@ class TestInduce:
             TreeConfig(max_depth=0)
         with pytest.raises(DomainError):
             TreeConfig(min_rows=1)
+
+    def test_point_tree_is_the_same_with_the_gauss_transform_forced_dense(self, monkeypatch):
+        def shape(node):
+            if isinstance(node, Leaf):
+                return node
+            return (node.feature, node.threshold, shape(node.left), shape(node.right))
+
+        def gains(node):
+            if isinstance(node, Leaf):
+                return []
+            return [node.gain] + gains(node.left) + gains(node.right)
+
+        panels = []
+        interpolate = information._chebyshev_interpolate
+
+        def spy(kernel, t, lo, width, n):
+            panels.append(n)
+            return interpolate(kernel, t, lo, width, n)
+
+        ds = _synthetic(29, n=800)
+        cfg = TreeConfig(max_depth=3, min_rows=8)
+        monkeypatch.setattr(information, "_chebyshev_interpolate", spy)
+        fast = induce(ds, cfg)
+        assert len(panels) >= 2
+        monkeypatch.setattr(information, "_gauss_sums", information._dense_gauss_sums)
+        dense = induce(ds, cfg)
+        assert shape(fast) == shape(dense)
+        for a, b in zip(gains(fast), gains(dense), strict=True):
+            assert a.real == b.real == 0.0
+            assert a.soft == pytest.approx(b.soft, rel=1e-12, abs=0.0)
 
 
 class TestPredict:
