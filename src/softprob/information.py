@@ -185,6 +185,8 @@ _LOG_TINY = math.log(TINY_DENSITY)
 _PANEL_NODES = 20
 _CHEB_ANGLES = (np.arange(_PANEL_NODES) + 0.5) * (math.pi / _PANEL_NODES)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)
+# the nodes' positions in [0, 1], the unit panel
+_CHEB_OFFSETS = 0.5 * (_CHEB_NODES + 1.0)
 _CHEB_WEIGHTS = np.where(np.arange(_PANEL_NODES) % 2, -1.0, 1.0) * np.sin(_CHEB_ANGLES)
 # the farthest a target of the transform may lie from its nearest source
 _SOURCE_REACH = 2.0
@@ -230,6 +232,51 @@ def _dense_gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
     return g
 
 
+def _node_gauss_sums(top: float, s: np.ndarray, w: np.ndarray,
+                     v_powers: np.ndarray) -> np.ndarray:
+    """K[j] = sum_k exp(top - (w_k - s_j)^2) * v_powers[k], the transform's
+    kernel at the nodes s, blocked like _dense_gauss_sums.
+
+    It has no TINY_DENSITY test: _gauss_sums admits only calls where no
+    exponent here falls below log(TINY_DENSITY).
+    """
+    rows = max(1, POINT_BLOCK_PAIRS // len(w))
+    k = np.empty((len(s), v_powers.shape[1]))
+    for start in range(0, len(s), rows):
+        block = slice(start, start + rows)
+        e = w - s[block, None]
+        e *= e
+        np.subtract(top, e, out=e)
+        np.matmul(np.exp(e, out=e), v_powers, out=k[block])
+    return k
+
+
+def _within_reach(ws: np.ndarray, t: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every target t lies within _SOURCE_REACH of its nearest source.
+
+    ws holds the sources in ascending order, and lo and hi are min t and
+    max t. The rule is stated as coverage by the sources: the targets lie
+    in [ws[0] - 2, ws[-1] + 2] and outside every gap between neighbouring
+    sources wider than 4, so a call whose sources leave no such gap costs
+    one subtraction and one comparison. It takes the same differences,
+    target minus source, as the nearest-source form min_k |t_i - w_k| <= 2
+    and admits exactly what that form admits: a gap whose rounded width
+    is below 4 is below 4 exactly, so each of its targets is within 2 of
+    one end, and the targets of the other gaps are checked against both
+    ends of their gap.
+    """
+    if ws[0] - lo > _SOURCE_REACH or hi - ws[-1] > _SOURCE_REACH:
+        return False
+    wide = np.flatnonzero(ws[1:] - ws[:-1] >= 2.0 * _SOURCE_REACH)
+    if not wide.size:
+        return True
+    left, right = ws[wide], ws[wide + 1]
+    # the last wide gap starting at or below each target; a target below
+    # the first one gets the last gap (index -1), which it lies left of
+    k = np.searchsorted(left, t, side="right") - 1
+    return not ((t - left[k] > _SOURCE_REACH) & (right[k] - t > _SOURCE_REACH)).any()
+
+
 def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
                            panels: int) -> np.ndarray:
     """The values kernel(t), interpolated from Chebyshev nodes on panels.
@@ -256,7 +303,7 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
     (Higham, IMA J. Numer. Anal. 24, 2004), where the Lebesgue constant
     Lambda is below 2/pi*log(P) + 1 (2.9 at P = 20).
     """
-    nodes = lo + (np.arange(panels)[:, None] + 0.5 * (_CHEB_NODES + 1.0)) * width
+    nodes = lo + (np.arange(panels)[:, None] + _CHEB_OFFSETS) * width
     f = kernel(nodes.ravel()).reshape(panels, _PANEL_NODES, -1)
     # a column of ones carries the barycentric denominator through the same sum
     f = np.concatenate((f, np.ones((panels, _PANEL_NODES, 1))), axis=2)
@@ -269,10 +316,13 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
     r = np.empty((len(t), f.shape[2]))
     rows = max(1, POINT_BLOCK_PAIRS // _PANEL_NODES)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p in range(panels):
-            for start in range(edges[p], edges[p + 1], rows):
-                block = slice(start, min(start + rows, edges[p + 1]))
-                np.matmul(_CHEB_WEIGHTS / (s[block, None] - _CHEB_NODES), f[p], out=r[block])
+        for start in range(0, len(t), rows):
+            stop = min(start + rows, len(t))
+            weights = np.subtract.outer(s[start:stop], _CHEB_NODES)
+            np.divide(_CHEB_WEIGHTS, weights, out=weights)
+            for p in range(panel[start], panel[stop - 1] + 1):
+                a, b = max(edges[p], start), min(edges[p + 1], stop)
+                np.matmul(weights[a - start:b - start], f[p], out=r[a:b])
     # a target on a node has an infinite weight there and takes the node's value
     on_node = np.flatnonzero(~np.isfinite(r[:, -1]))
     for i in on_node.tolist():
@@ -292,31 +342,40 @@ def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
     and the kernel K(s) = sum_k exp(L - (w_k - s)^2) * v_powers[k]. K is
     entire and varies on a scale of 1 in s, so _chebyshev_interpolate
     takes it from panels at most 1 wide over [min t, max t], with K
-    evaluated densely at their nodes (_dense_gauss_sums, blocked like the
+    evaluated densely at their nodes (_node_gauss_sums, blocked like the
     dense sum). The transform is taken when all of these hold; each reads
     sizes and values the call already has, and there is no option:
 
-    - It is cheaper. Dense, a call cost 16 us plus 3.6 ns a pair; the
-      transform 77 us a call, 4.8 us a panel, 3.7 ns a (node, source) pair
-      and 4.0 ns a (target, node) pair (timeit, 2-core x86 host, 50 to
-      1,600 points a side, 1 to 16 panels). In units of one dense pair
-      that is P*(len(w) + 64) a panel, P a target and 16,000 a call more
-      than the dense len(t)*len(w), which caps the panels; so one or two
-      points a side take the dense sum before any numpy call, and at 200
-      points a side rho = 0.894 (8 panels) stays dense.
+    - It is cheaper. Timed against each other in the same second (timeit,
+      2-core x86 host, 100 to 400 points a side, 1 to 12 panels, where
+      the choice is close), the dense sum cost 1.4 us a call and 3.5 ns a
+      pair; the transform 41 us a call, 0.6 us a panel, 3.3 ns a (node,
+      source) pair and 8.2 ns a (target, node) pair. In units of one dense
+      pair that is about P*(len(w) + 10) a panel, 2.4*P = 48 a target and
+      12,000 a call more than the dense len(t)*len(w), which caps the
+      panels; so one or two points a side take the dense sum before any
+      numpy call. At 200 points a side the cap is 4 panels: the
+      benchmark's calls of that size took 0.98 times the dense time on
+      the transform at 4 panels and 1.13 times at 5.
     - No pair's weight falls below TINY_DENSITY, checked in O(n) as
       min_i(lead_i - max((max w - t_i)^2, (min w - t_i)^2)) >=
       log(TINY_DENSITY). So the transform sums exactly the pairs the
-      dense rule sums. The node values then stay above TINY_DENSITY too,
-      since no node lies farther from a source than the farthest target.
+      dense rule sums. No node exponent L - (w_k - s)^2 falls below it
+      either, so _node_gauss_sums has no TINY_DENSITY test: max_k
+      (w_k - s)^2 is convex in s, so over the nodes it is largest at an
+      end of [min t, max t], which is a target, and L is at least that
+      target's lead.
     - No factor exp(lead_i - L) falls below TINY_DENSITY, so neither factor
       of a weight is subnormal. Factoring out L keeps the node values from
       underflowing where the dense weights do not, as exp(-(w - s)^2)
       alone would for lead > 0, that is sd_x*sd_y*sqrt(q) < 1/(2 pi).
     - No target lies farther than _SOURCE_REACH = 2 from its nearest
-      source. One source's term exp(-(w - s)^2) grows like exp(a*x) over
-      a panel, x in [-1, 1], with a = h*|w - c| for the panel's width h
-      and centre c, and the interpolant of exp(a*x) is off by up to
+      source, checked as coverage by the sorted sources (_within_reach):
+      the targets lie in [min w - 2, max w + 2] and outside every gap
+      wider than 4 between neighbouring sources. One source's term
+      exp(-(w - s)^2) grows like exp(a*x) over a panel, x in [-1, 1], with
+      a = h*|w - c| for the panel's width h and centre c, and the
+      interpolant of exp(a*x) is off by up to
       1.2e-15 (a = 2), 3.3e-15 (a = 2.5) or 5.6e-14 (a = 3) of its value,
       measured at 40,000 points. A target within 2 of a source has a <= 2.5
       for that source, and a source farther off weighs less by a Gaussian
@@ -336,22 +395,19 @@ def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
     """
     n_t, n_s = len(t), len(w)
     # the cost model, in units of one dense pair: the transform costs
-    # P*(n_s + 64) a panel, P a target and 16,000 a call more than the dense
-    # n_t*n_s, so it is cheaper on at most max_panels panels
-    max_panels = (n_t * n_s - _PANEL_NODES * n_t - 16_000) // (_PANEL_NODES * (n_s + 64))
+    # P*(n_s + 10) a panel, 48 a target and 12,000 a call more than the
+    # dense n_t*n_s, so it is cheaper on at most max_panels panels
+    max_panels = (n_t * n_s - 48 * n_t - 12_000) // (_PANEL_NODES * (n_s + 10))
     if max_panels > 0:
-        lo, top = t.min(), lead.max()
-        span = t.max() - lo
+        lo, hi, top = t.min(), t.max(), lead.max()
+        span = hi - lo
         if 0.0 < span <= max_panels and lead.min() - top >= _LOG_TINY:
             ws = np.sort(w)
-            k = np.searchsorted(ws, t).clip(1, n_s - 1)
-            near = np.minimum(np.abs(t - ws[k - 1]), np.abs(ws[k] - t))
             far = np.maximum(np.square(ws[-1] - t), np.square(ws[0] - t))
-            if near.max() <= _SOURCE_REACH and (lead - far).min() >= _LOG_TINY:
+            if _within_reach(ws, t, lo, hi) and (lead - far).min() >= _LOG_TINY:
                 panels = math.ceil(span)
-                g = _chebyshev_interpolate(
-                    lambda s: _dense_gauss_sums(np.full(len(s), top), s, w, v_powers),
-                    t, lo, span / panels, panels)
+                g = _chebyshev_interpolate(lambda s: _node_gauss_sums(top, s, w, v_powers),
+                                           t, lo, span / panels, panels)
                 g *= np.exp(lead - top)[:, None]
                 return g
     return _dense_gauss_sums(lead, t, w, v_powers)
@@ -368,13 +424,19 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     c1 = -rho^2/(2q) and c2 = rho/q. So the sum is
     sum_i (c0 + c1*u_i^2)*G_i0 + c2*u_i*G_i1 + c1*G_i2, where G = W V for
     the weights W and the columns 1, v, v^2 of V: a Gauss transform with
-    those source weights (Greengard & Strain 1991). _gauss_sums computes it
-    by a one-level Chebyshev interpolation of its kernel in rho*u where
-    that is cheaper, and densely, one exp per pair, where it is not.
-    rho = 0 gives exactly 0.
+    those source weights (Greengard & Strain 1991); V is filled column by
+    column, with v^2 as the correctly rounded v*v. _gauss_sums computes G
+    by a one-level Chebyshev interpolation of its kernel in rho*u where its
+    cost model finds that cheaper (about 12,000 dense pairs a call, 48 a
+    target and P*(len(ys) + 10) a panel more), and densely, one exp per
+    pair, where it is not. rho = 0 gives exactly 0.
 
     A weight below TINY_DENSITY counts as 0, as in the pointwise rule; the
-    interpolation is taken only where no weight is that small.
+    interpolation is taken only where no weight is that small and every
+    target lies within 2 of a source, a reach checked as coverage by the
+    sorted sources (_within_reach). Those rules also keep every weight at
+    the interpolation nodes above TINY_DENSITY, so the node sums
+    (_node_gauss_sums) run without that test.
     UNIT_RATIO_TOLERANCE does not apply, because no ratio is formed, so
     sums near independence keep the digits that the log of a ratio near 1
     loses.
@@ -401,7 +463,12 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     scale = 1.0 / math.sqrt(2.0 * q)
     v_scaled, t = v * scale, (rho * scale) * u
     lead = -0.5 * u * u - math.log(2.0 * math.pi * sd_x * sd_y * math.sqrt(q))
-    g = _gauss_sums(lead, t, v_scaled, v[:, None] ** np.arange(3.0))
+    # the source columns 1, v, v^2; v*v is correctly rounded, v**2 goes through pow
+    v_powers = np.empty((len(v), 3))
+    v_powers[:, 0] = 1.0
+    v_powers[:, 1] = v
+    np.multiply(v, v, out=v_powers[:, 2])
+    g = _gauss_sums(lead, t, v_scaled, v_powers)
     c0 = -0.5 * math.log1p(-rho * rho)
     c1 = -0.5 * rho * rho / q
     terms = (c0 + c1 * u * u) * g[:, 0] + (rho / q * u) * g[:, 1] + c1 * g[:, 2]

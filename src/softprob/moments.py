@@ -215,8 +215,10 @@ def soft_variance(d: ContinuousDistribution, ms: MixedSet,
     nu, kappa = expectation.soft, expectation.real
 
     def spread(xs: np.ndarray) -> np.ndarray:
+        # delta*delta overflows to inf for |delta| > 1.3e154, where the
+        # density is 0 and the term is 0; inf*0 would be NaN
         delta = kappa - xs
-        return delta * delta * d.pdf_array(xs)
+        return delta * (delta * d.pdf_array(xs))
 
     gamma1_sq, lambda_sq = soft_sum(d, spread, ms, quadrature)
     coverage = sum((d.mass(lo, hi) for lo, hi in ms.intervals), 0.0)

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softprob.information as information
 from softprob.distributions import (
@@ -595,6 +597,30 @@ def test_point_pair_truths_against_mpmath(name):
     assert float(value) == pytest.approx(truth, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+def test_pointwise_rule_near_independence_loses_digits_in_the_densities(form):
+    # the pointwise rule is 4.0e-9 off the rho 1e-6 truth. The log is not
+    # where the digits go: summed with every log taken exactly from the same
+    # float densities, the terms are as far off, because each density
+    # carries its own rounding and the log ratio is only about 1e-6
+    mp = pytest.importorskip("mpmath")
+    j, sx, sy, truth = POINT_PAIR_TRUTHS["rho 1e-6"]
+    generic = soft_mutual_information(_GridOnly(j), sx, sy, form=form).soft
+    assert generic == pytest.approx(truth, rel=1e-8, abs=0.0)
+    xs, ys = sx.point_array, sy.point_array
+    fx, fy = j.marginal_x.pdf_array(xs), j.marginal_y.pdf_array(ys)[:, None]
+    if form == FORM_SYMMETRIC:
+        w = num = j.joint_pdf_grid(xs, ys)
+        den = fx * fy
+    else:
+        num = j.conditional_pdf_grid(ys, xs)
+        w, den = num * fx, np.broadcast_to(fy, num.shape)
+    with mp.workdps(40):
+        exact_logs = mp.fsum(mp.mpf(a) * mp.log(mp.mpf(b) / mp.mpf(c)) for a, b, c in
+                             zip(w.ravel().tolist(), num.ravel().tolist(), den.ravel().tolist()))
+    assert generic == pytest.approx(float(exact_logs), rel=1e-9, abs=0.0)
+
+
 class TestGaussianPairSum:
     """A BivariateGaussianModel sums its point pairs as a Gauss transform; the
     pointwise rule over _mi_terms grids is its oracle."""
@@ -725,29 +751,92 @@ def _interpolation_bound(w, v_powers, lo: float, width: float, panels: int,
     return best + 1e-13 * (np.exp(-on_panel * on_panel) @ weights)
 
 
+def _random_transform_models():
+    """30 random models with point sets of 1 to 2,000 points a side and
+    0.01 <= |rho| <= 0.999, as (model, xs, ys)."""
+    rng = random.Random(17)
+
+    def points(mean, var):
+        # one side in four has at most 50 points, the others up to 2,000
+        n = rng.randint(1, rng.choice((50, 2000, 2000, 2000)))
+        return np.array(sorted({mean + math.sqrt(var) * rng.gauss(0.0, 1.5)
+                                for _ in range(n)}))
+
+    for _ in range(30):
+        rho = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(0.999))
+        j = BivariateGaussianModel(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                                   10.0 ** rng.uniform(-2.0, 2.0),
+                                   10.0 ** rng.uniform(-2.0, 2.0), rho)
+        yield j, points(j.mean_x, j.var_x), points(j.mean_y, j.var_y)
+
+
+def _nearest_source_admits(t: np.ndarray, w: np.ndarray) -> bool:
+    """The reach rule in its nearest-source form: every target within
+    _SOURCE_REACH of the nearest source."""
+    ws = np.sort(w)
+    k = np.searchsorted(ws, t).clip(1, len(ws) - 1)
+    near = np.minimum(np.abs(t - ws[k - 1]), np.abs(ws[k] - t))
+    return bool(near.max() <= information._SOURCE_REACH)
+
+
+# offsets from a source at and around the reach, and gaps at and around twice it
+_REACH_OFFSETS = (0.0, 1.0, 2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 2.5, 7.0)
+_GAPS = (0.0, 0.5, 3.9, 4.0, math.nextafter(4.0, 0.0), math.nextafter(4.0, 5.0), 4.5, 9.0)
+
+
+@st.composite
+def _sources_and_targets(draw):
+    """Sources from a random start and gaps, some wider than 4, in shuffled
+    order, and targets anywhere around them: inside gaps, beyond the ends,
+    and at and around the reach of a source."""
+    start = draw(st.floats(-30.0, 30.0))
+    steps = draw(st.lists(st.one_of(st.sampled_from(_GAPS), st.floats(0.0, 12.0)),
+                          max_size=12))
+    w = start + np.cumsum([0.0, *steps])
+    near = st.tuples(st.sampled_from(w.tolist()), st.sampled_from(_REACH_OFFSETS),
+                     st.sampled_from((-1.0, 1.0))).map(lambda c: c[0] + c[1] * c[2])
+    t = draw(st.lists(st.one_of(near, st.floats(-60.0, 120.0)), min_size=1, max_size=20))
+    return draw(st.permutations(w.tolist())), t
+
+
 class TestChebyshevTransform:
     """_gauss_sums interpolates the Gauss transform's kernel from Chebyshev
     nodes where its cost model says so; the dense sum is its oracle."""
 
     def test_agrees_with_dense_sum_on_random_models(self, monkeypatch, transform_calls):
-        rng = random.Random(17)
-
-        def points(mean, var):
-            # one side in four has at most 50 points, the others up to 2,000
-            n = rng.randint(1, rng.choice((50, 2000, 2000, 2000)))
-            return np.array(sorted({mean + math.sqrt(var) * rng.gauss(0.0, 1.5)
-                                    for _ in range(n)}))
-
-        for _ in range(30):
-            rho = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(0.999))
-            j = BivariateGaussianModel(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
-                                       10.0 ** rng.uniform(-2.0, 2.0),
-                                       10.0 ** rng.uniform(-2.0, 2.0), rho)
-            xs, ys = points(j.mean_x, j.var_x), points(j.mean_y, j.var_y)
+        for j, xs, ys in _random_transform_models():
             fast = information._gaussian_pair_sum(j, xs, ys)
             dense = _dense_pair_sum(j, xs, ys, monkeypatch)
             assert abs(fast - dense) <= 1e-12 * _abs_pair_terms(j, xs, ys)
         assert len(transform_calls) >= 10
+
+    def test_node_exponents_stay_above_tiny_density(self, monkeypatch):
+        # _node_gauss_sums has no TINY_DENSITY test; the admission rules
+        # must keep every exponent it takes at or above log(TINY_DENSITY)
+        lowest = []
+        node_sums = information._node_gauss_sums
+
+        def spy(top, s, w, v_powers):
+            lowest.append(float((top - np.square(w - s[:, None])).min()))
+            return node_sums(top, s, w, v_powers)
+
+        monkeypatch.setattr(information, "_node_gauss_sums", spy)
+        for j, xs, ys in _random_transform_models():
+            information._gaussian_pair_sum(j, xs, ys)
+        assert len(lowest) >= 10
+        assert min(lowest) >= math.log(information.TINY_DENSITY)
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_sources_and_targets())
+    # t - w rounds to 2.0 where the source shifted by 2, w + 2, rounds below t
+    @example(case=([-3 * 2.0 ** -54], [2.0]))
+    @example(case=([3 * 2.0 ** -54], [-2.0]))
+    @example(case=([-3 * 2.0 ** -54, 9.0], [2.0]))
+    def test_reach_rule_admits_what_the_nearest_source_form_admits(self, case):
+        w, t = np.array(case[0]), np.array(case[1])
+        ws = np.sort(w)
+        admitted = information._within_reach(ws, t, t.min(), t.max())
+        assert admitted == _nearest_source_admits(t, w)
 
     @staticmethod
     def _takes(j, xs, ys, monkeypatch, transform_calls) -> bool:

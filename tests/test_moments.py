@@ -200,6 +200,24 @@ class TestSoftVariance:
         coverage = 0.5
         assert rec.gamma2 == pytest.approx(-rec.kappa * (1.0 - coverage), abs=1e-12)
 
+    @pytest.mark.parametrize("far", [1e160, -1e160, 1e200, 1e308, -1e308])
+    def test_far_point_where_the_density_is_zero_adds_nothing(self, far):
+        # (kappa - x)^2 overflows to inf there, and inf * 0 made the term NaN
+        near = soft_variance(STD, MixedSet([0.5, -1.25], [(1.0, 2.0)]))
+        assert soft_variance(STD, MixedSet([0.5, -1.25, far], [(1.0, 2.0)])) == near
+
+    def test_far_point_of_a_wide_gaussian_adds_nothing(self):
+        wide = Gaussian(0.0, 1e306)
+        assert wide.pdf(1e155) == 0.0
+        near = soft_variance(wide, MixedSet([3e152]))
+        assert near[0].soft > 0.0
+        assert soft_variance(wide, MixedSet([3e152, 1e155])) == near
+
+    def test_far_interval_where_the_density_is_zero_adds_nothing(self):
+        value, rec = soft_variance(STD, MixedSet([], [(1e160, 1e161)]))
+        assert value == SoftNumber(0.0, 0.0)
+        assert rec.kappa == 0.0
+
     def test_lambda_matches_riemann_oracle(self):
         ms = MixedSet([], [(0.5, 1.5)])
         value, rec = soft_variance(STD, ms)

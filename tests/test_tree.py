@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softprob.information as information
+import softprob.tree as tree
 from softprob.distributions import BivariateGaussianModel
 from softprob.errors import DegenerateModelError, DomainError
 from softprob.information import soft_mutual_information
@@ -429,6 +430,23 @@ class TestBuildMixedSets:
     def test_sets_of_random_columns_pass_the_public_checks(self, cells):
         _assert_canonical(_sets(map(_cell, cells)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5]),
+        st.floats(-1e300, 1e300)), max_size=40))
+    def test_point_column_gives_the_points_of_the_merge(self, values):
+        # one interval cell below every point sends the same points through
+        # the interval merge; equal points (0.0 and -0.0) keep the same sign
+        lo = np.array(values, dtype=float)
+        fast = build_mixed_sets((lo, lo.copy()))
+        merged = build_mixed_sets((np.append(lo, -1.5e308), np.append(lo, -1.2e308)))
+        assert merged.intervals == ((-1.5e308, -1.2e308),)
+        for got, want in ((fast.point_array, merged.point_array),
+                          (fast.lo, merged.lo[:0]), (fast.hi, merged.hi[:0])):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
 
 def _assert_canonical(ms):
     """ms, built without MixedSet's checks, passes them and is in merged canonical form."""
@@ -551,6 +569,42 @@ class TestInduce:
             TreeConfig(max_depth=0)
         with pytest.raises(DomainError):
             TreeConfig(min_rows=1)
+
+    @pytest.mark.parametrize("seed", [1, 2201])
+    def test_benchmark_point_trees_take_the_transform_at_the_top(self, seed, monkeypatch):
+        # the benchmark's tree_points datasets: 800 point rows, one seed per
+        # input from random.Random(seed); the x1 gains of the root and of
+        # both depth-1 nodes are the big pair sums, and a cost model that
+        # sent them dense would add about 2 ms to a 6 ms induce
+        taken, node = [], {}
+        grow, gain = tree._grow, tree._gain
+        interpolate = information._chebyshev_interpolate
+        panels = []
+
+        def grow_spy(ds, cfg, mids, rows, depth):
+            node.update(depth=depth, feature=0)
+            return grow(ds, cfg, mids, rows, depth)
+
+        def gain_spy(*args):
+            before = len(panels)
+            value = gain(*args)
+            taken.append((node["depth"], node["feature"], len(panels) > before))
+            node["feature"] += 1
+            return value
+
+        def interpolate_spy(kernel, t, lo, width, n):
+            panels.append(n)
+            return interpolate(kernel, t, lo, width, n)
+
+        monkeypatch.setattr(tree, "_grow", grow_spy)
+        monkeypatch.setattr(tree, "_gain", gain_spy)
+        monkeypatch.setattr(information, "_chebyshev_interpolate", interpolate_spy)
+        rng = random.Random(seed)
+        for input_seed in [rng.randrange(2 ** 32) for _ in range(8)]:
+            taken.clear()
+            induce(_synthetic(input_seed, n=800), TreeConfig(max_depth=3, min_rows=8))
+            top = [path for depth, feature, path in taken if depth <= 1 and feature == 0]
+            assert top == [True, True, True]
 
     def test_point_tree_is_the_same_with_the_gauss_transform_forced_dense(self, monkeypatch):
         def shape(node):
