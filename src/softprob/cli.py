@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from typing import Optional
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
 from .errors import DomainError, SoftProbError
-from .information import FORM_CONDITIONAL, FORM_SYMMETRIC, ZLOGZ_AXIS, InfoConfig, \
+from .information import FORM_CONDITIONAL, ZLOGZ_AXIS, InfoConfig, \
     soft_cross_entropy, soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
 from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_interval, \
@@ -110,7 +111,8 @@ def _within(computed: float, reference: float, tol: tuple[str, float]) -> tuple[
 
 
 def cmd_table1(args) -> int:
-    cfg = _info_config(args)
+    # the references are in nats, so the table has no --log-base
+    cfg = InfoConfig(quadrature=_quadrature(args))
     model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
     rows_out = []
     lines = []
@@ -241,7 +243,8 @@ def cmd_mi(args) -> int:
     model = parse_joint(_parse_json(args.joint, "--joint"))
     sx = _mixed_set(args.set_x, "--set-x")
     sy = _mixed_set(args.set_y, "--set-y")
-    value = soft_mutual_information(model, sx, sy, _info_config(args), form=args.form)
+    # both joint kinds are Gaussian, where the two MI forms are the same function
+    value = soft_mutual_information(model, sx, sy, _info_config(args))
     _emit(args, {"mi": value})
     return 0
 
@@ -339,9 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="softprob",
         description="Soft-number arithmetic and soft probability toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # whole flags only, so that a removed flag is never read as a longer one
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
-    sub.add_parser("table1", parents=[shown, info],
+    sub.add_parser("table1", parents=[shown, tol],
                    help="evaluate the Gaussian mutual-information reference table")
 
     p = sub.add_parser("ps", parents=[shown], help="soft probability of an event")
@@ -376,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", required=True)
     p.add_argument("--set-x", required=True)
     p.add_argument("--set-y", required=True)
-    p.add_argument("--form", choices=[FORM_SYMMETRIC, FORM_CONDITIONAL],
-                   default=FORM_SYMMETRIC)
 
     p = sub.add_parser("moments", parents=[shown, tol],
                        help="soft expectation and variance over a MixedSet")

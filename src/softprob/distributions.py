@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, finite_float, is_number
+from .errors import DomainError, finite_float, record_numbers
 from .quadrature import integrate_1d, integrate_2d
 
 _SQRT2 = math.sqrt(2.0)
@@ -413,42 +413,23 @@ def joint_gaussian_additive(signal: Gaussian, noise: Gaussian) -> BivariateGauss
                                   signal.variance, var_y, rho)
 
 
-def _numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
-    """The named fields of a descriptor as floats.
-
-    A missing field, or one that is not a JSON number (errors.is_number) a
-    float holds (a bool, a string, a list, null, an integer too large for a
-    float), is a DomainError.
-    """
-    values = []
-    for name in names:
-        if name not in obj:
-            raise DomainError(f"{what} is missing field {name!r}")
-        value = obj[name]
-        if not is_number(value) or isinstance(value, int) and abs(value) > _FLOAT_MAX:
-            raise DomainError(f"{what} field {name!r} is not a number: {value!r}")
-        values.append(float(value))
-    return values
-
-
 def parse_distribution(obj: dict) -> ContinuousDistribution:
     """Build a distribution from a descriptor like {"kind": "gaussian", ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"distribution descriptor must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
     if kind == "gaussian":
-        return Gaussian(*_numbers(obj, ("mean", "variance"), f"descriptor for {kind!r}"))
+        return Gaussian(*record_numbers(obj, ("mean", "variance"), f"descriptor for {kind!r}"))
     if kind == "uniform":
-        return Uniform(*_numbers(obj, ("lo", "hi"), f"descriptor for {kind!r}"))
+        return Uniform(*record_numbers(obj, ("lo", "hi"), f"descriptor for {kind!r}"))
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
 def _parse_gaussian_params(obj: dict, role: str) -> Gaussian:
-    if not isinstance(obj, dict):
-        raise DomainError(f"{role} must be an object with mean and variance: {obj!r}")
-    if "kind" in obj and obj["kind"] != "gaussian":
+    mean, variance = record_numbers(obj, ("mean", "variance"), f"{role} descriptor")
+    if obj.get("kind", "gaussian") != "gaussian":
         raise DomainError(f"{role} must be gaussian, got kind {obj['kind']!r}")
-    return Gaussian(*_numbers(obj, ("mean", "variance"), f"{role} descriptor"))
+    return Gaussian(mean, variance)
 
 
 def parse_joint(obj: dict) -> JointModel:
@@ -464,6 +445,6 @@ def parse_joint(obj: dict) -> JointModel:
             raise DomainError(f"joint descriptor is missing field {exc}") from exc
         return joint_gaussian_additive(signal, noise)
     if kind == "bivariate_gaussian":
-        return BivariateGaussianModel(*_numbers(
+        return BivariateGaussianModel(*record_numbers(
             obj, ("mean_x", "mean_y", "var_x", "var_y", "correlation"), "joint descriptor"))
     raise DomainError(f"unknown joint model kind {kind!r}")

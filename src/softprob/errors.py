@@ -7,10 +7,12 @@ integer too large for a float, a value float() cannot convert, and an
 infinity or NaN where a finite number is needed all raise it. Range checks
 (a positive variance, lo < hi) stay with each constructor. A number read
 from a JSON record must also pass is_number, so that a boolean or a string
-never stands in for one.
+never stands in for one (record_numbers), and an integer must pass is_count.
 """
 
 import math
+import numbers
+import sys
 
 
 class SoftProbError(Exception):
@@ -41,6 +43,28 @@ def finite_float(value, what: str, *, allow_inf: bool = False) -> float:
 def is_number(value) -> bool:
     """True for an int or float that is not a bool: a JSON number, as json.loads returns it."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """True for a non-negative integer that is not a bool: a JSON count, or a numpy integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def record_numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
+    """The named fields of the JSON record obj, which what names, as floats.
+
+    A record that is not an object, a missing field, or a field that is not
+    a JSON number a float holds is a DomainError naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be an object, got {obj!r}")
+    for name in names:
+        if name not in obj:
+            raise DomainError(f"{what} is missing field {name!r}")
+        value = obj[name]
+        if not is_number(value) or isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise DomainError(f"{what} field {name!r} is not a number: {value!r}")
+    return [float(obj[name]) for name in names]
 
 
 class ConvergenceError(SoftProbError, RuntimeError):

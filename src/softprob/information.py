@@ -251,38 +251,39 @@ def _node_gauss_sums(top: float, s: np.ndarray, w: np.ndarray,
     return k
 
 
-def _within_reach(ws: np.ndarray, t: np.ndarray, lo: float, hi: float) -> bool:
+def _within_reach(w: np.ndarray, t: np.ndarray) -> bool:
     """Whether every target t lies within _SOURCE_REACH of its nearest source.
 
-    ws holds the sources in ascending order, and lo and hi are min t and
-    max t. The rule is stated as coverage by the sources: the targets lie
-    in [ws[0] - 2, ws[-1] + 2] and outside every gap between neighbouring
-    sources wider than 4, so a call whose sources leave no such gap costs
-    one subtraction and one comparison. It takes the same differences,
-    target minus source, as the nearest-source form min_k |t_i - w_k| <= 2
-    and admits exactly what that form admits: a gap whose rounded width
-    is below 4 is below 4 exactly, so each of its targets is within 2 of
-    one end, and the targets of the other gaps are checked against both
-    ends of their gap.
+    w holds the sources in ascending order, and t the targets sorted
+    either way (_gaussian_pair_sum). The rule is stated as coverage by the
+    sources: the targets lie in [w[0] - 2, w[-1] + 2] and outside every gap
+    between neighbouring sources wider than 4, so a call whose sources
+    leave no such gap costs one subtraction and one comparison. It takes
+    the same differences, target minus source, as the nearest-source form
+    min_k |t_i - w_k| <= 2 and admits exactly what that form admits: a gap
+    whose rounded width is below 4 is below 4 exactly, so each of its
+    targets is within 2 of one end, and the targets of the other gaps are
+    checked against both ends of their gap.
     """
-    if ws[0] - lo > _SOURCE_REACH or hi - ws[-1] > _SOURCE_REACH:
+    lo, hi = (t[0], t[-1]) if t[0] <= t[-1] else (t[-1], t[0])
+    if w[0] - lo > _SOURCE_REACH or hi - w[-1] > _SOURCE_REACH:
         return False
-    wide = np.flatnonzero(ws[1:] - ws[:-1] >= 2.0 * _SOURCE_REACH)
+    wide = np.flatnonzero(w[1:] - w[:-1] >= 2.0 * _SOURCE_REACH)
     if not wide.size:
         return True
-    left, right = ws[wide], ws[wide + 1]
+    left, right = w[wide], w[wide + 1]
     # the last wide gap starting at or below each target; a target below
     # the first one gets the last gap (index -1), which it lies left of
     k = np.searchsorted(left, t, side="right") - 1
     return not ((t - left[k] > _SOURCE_REACH) & (right[k] - t > _SOURCE_REACH)).any()
 
 
-def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
-                           panels: int) -> np.ndarray:
+def _chebyshev_interpolate(kernel, t: np.ndarray, panels: int) -> np.ndarray:
     """The values kernel(t), interpolated from Chebyshev nodes on panels.
 
-    [lo, lo + panels*width] is cut into ``panels`` panels of the given
-    width. kernel(nodes), an array of shape (len(nodes), m), is called once,
+    The span of the targets t, in ascending or descending order, is cut
+    into ``panels`` equal panels, each panel's targets one slice of t.
+    kernel(nodes), an array of shape (len(nodes), m), is called once,
     at the _PANEL_NODES first-kind Chebyshev nodes of every panel, and each
     target takes the interpolant of its panel, by the barycentric formula
     with the weights (-1)^k sin((2k+1) pi / (2P)) (Berrut & Trefethen, SIAM
@@ -303,13 +304,14 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
     (Higham, IMA J. Numer. Anal. 24, 2004), where the Lebesgue constant
     Lambda is below 2/pi*log(P) + 1 (2.9 at P = 20).
     """
+    if t[0] > t[-1]:
+        return _chebyshev_interpolate(kernel, t[::-1], panels)[::-1]
+    lo, width = t[0], (t[-1] - t[0]) / panels
     nodes = lo + (np.arange(panels)[:, None] + _CHEB_OFFSETS) * width
     f = kernel(nodes.ravel()).reshape(panels, _PANEL_NODES, -1)
     # a column of ones carries the barycentric denominator through the same sum
     f = np.concatenate((f, np.ones((panels, _PANEL_NODES, 1))), axis=2)
-    # targets in ascending order, so that each panel's targets are one slice
-    order = np.argsort(t, kind="stable")
-    x = (t[order] - lo) / width
+    x = (t - lo) / width
     panel = np.minimum(x.astype(np.intp), panels - 1)
     s = 2.0 * (x - panel) - 1.0
     edges = np.searchsorted(panel, np.arange(panels + 1)).tolist()
@@ -327,9 +329,7 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, lo: float, width: float,
     on_node = np.flatnonzero(~np.isfinite(r[:, -1]))
     for i in on_node.tolist():
         r[i] = f[panel[i], np.argmin(np.abs(s[i] - _CHEB_NODES))]
-    out = np.empty((len(t), f.shape[2] - 1))
-    out[order] = r[:, :-1] / r[:, -1:]
-    return out
+    return r[:, :-1] / r[:, -1:]
 
 
 def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
@@ -343,8 +343,9 @@ def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
     entire and varies on a scale of 1 in s, so _chebyshev_interpolate
     takes it from panels at most 1 wide over [min t, max t], with K
     evaluated densely at their nodes (_node_gauss_sums, blocked like the
-    dense sum). The transform is taken when all of these hold; each reads
-    sizes and values the call already has, and there is no option:
+    dense sum). w and t come sorted (_gaussian_pair_sum), so no rule below
+    scans for an extreme. The transform is taken when all of these hold;
+    each reads sizes and values the call already has, and there is no option:
 
     - It is cheaper. Timed against each other in the same second (timeit,
       2-core x86 host, 100 to 400 points a side, 1 to 12 panels, where
@@ -399,15 +400,12 @@ def _gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
     # dense n_t*n_s, so it is cheaper on at most max_panels panels
     max_panels = (n_t * n_s - 48 * n_t - 12_000) // (_PANEL_NODES * (n_s + 10))
     if max_panels > 0:
-        lo, hi, top = t.min(), t.max(), lead.max()
-        span = hi - lo
+        top, span = lead.max(), abs(t[-1] - t[0])
         if 0.0 < span <= max_panels and lead.min() - top >= _LOG_TINY:
-            ws = np.sort(w)
-            far = np.maximum(np.square(ws[-1] - t), np.square(ws[0] - t))
-            if _within_reach(ws, t, lo, hi) and (lead - far).min() >= _LOG_TINY:
-                panels = math.ceil(span)
+            far = np.maximum(np.square(w[-1] - t), np.square(w[0] - t))
+            if _within_reach(w, t) and (lead - far).min() >= _LOG_TINY:
                 g = _chebyshev_interpolate(lambda s: _node_gauss_sums(top, s, w, v_powers),
-                                           t, lo, span / panels, panels)
+                                           t, math.ceil(span))
                 g *= np.exp(lead - top)[:, None]
                 return g
     return _dense_gauss_sums(lead, t, w, v_powers)
@@ -429,7 +427,9 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     by a one-level Chebyshev interpolation of its kernel in rho*u where its
     cost model finds that cheaper (about 12,000 dense pairs a call, 48 a
     target and P*(len(ys) + 10) a panel more), and densely, one exp per
-    pair, where it is not. rho = 0 gives exactly 0.
+    pair, where it is not. rho = 0 gives exactly 0. The points are sorted
+    once (a MixedSet's already are), so that the transform reads v
+    ascending and rho*u monotone; the sum does not depend on their order.
 
     A weight below TINY_DENSITY counts as 0, as in the pointwise rule; the
     interpolation is taken only where no weight is that small and every
@@ -455,6 +455,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     rho = j.rho
     if rho == 0.0 or not (len(xs) and len(ys)):
         return 0.0
+    xs, ys = np.sort(xs), np.sort(ys)
     q = 1.0 - rho * rho
     sd_x, sd_y = math.sqrt(j.var_x), math.sqrt(j.var_y)
     u = (xs - j.mean_x) / sd_x

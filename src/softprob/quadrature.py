@@ -56,7 +56,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 import numpy.polynomial.legendre as _legendre
 
-from .errors import ConvergenceError, DomainError, finite_float
+from .errors import ConvergenceError, DomainError, finite_float, is_count
 
 # A 1-D run that would hold more than PANEL_CAP panels plus PIECE_PANELS a
 # piece raises ConvergenceError. An integrand made of rounding noise never
@@ -135,8 +135,8 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if not self.abs_tol >= 0.0:
             raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+        if not (is_count(self.max_depth) and self.max_depth >= 1):
+            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
 
 
 DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import DomainError, finite_float, is_number
+from .errors import DomainError, finite_float, record_numbers
 
 Scalar = Union[int, float]
 
@@ -300,20 +300,8 @@ def soft_to_dict(s: SoftNumber) -> dict:
     return {"soft": s.soft, "real": s.real}
 
 
-def _record_numbers(obj: dict, *names: str) -> list:
-    """The named fields of a JSON record, each a number (errors.is_number)."""
-    try:
-        values = [obj[name] for name in names]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"not a record of {', '.join(names)}: {obj!r}") from exc
-    for name, value in zip(names, values):
-        if not is_number(value):
-            raise DomainError(f"{name} must be a number, got {value!r}")
-    return values
-
-
 def soft_from_dict(obj: dict) -> SoftNumber:
-    return SoftNumber(*_record_numbers(obj, "soft", "real"))
+    return SoftNumber(*record_numbers(obj, ("soft", "real"), "soft number record"))
 
 
 def ext_to_dict(e: ExtendedSoftNumber) -> dict:
@@ -321,4 +309,5 @@ def ext_to_dict(e: ExtendedSoftNumber) -> dict:
 
 
 def ext_from_dict(obj: dict) -> ExtendedSoftNumber:
-    return ExtendedSoftNumber(*_record_numbers(obj, "zlogz", "soft", "real"))
+    return ExtendedSoftNumber(*record_numbers(obj, ("zlogz", "soft", "real"),
+                                              "extended soft number record"))

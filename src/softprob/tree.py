@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
-from .errors import DegenerateModelError, DomainError, finite_float, is_number
+from .errors import DegenerateModelError, DomainError, finite_float, is_count, is_number
 from .information import InfoConfig, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
@@ -210,8 +210,8 @@ class Split:
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", finite_float(self.threshold, "split threshold"))
-        if self.feature_index < 0:
-            raise DomainError(f"split needs a feature index >= 0, got {self.feature_index!r}")
+        if not is_count(self.feature_index):
+            raise DomainError(f"feature_index must be an integer >= 0, got {self.feature_index!r}")
 
 
 TreeNode = Union[Leaf, Split]
@@ -225,10 +225,14 @@ class TreeConfig:
     info: InfoConfig = field(default_factory=InfoConfig)
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.min_rows < 2:
-            raise DomainError(f"min_rows must be >= 2, got {self.min_rows!r}")
+        if not (is_count(self.max_depth) and self.max_depth >= 1):
+            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
+        if not (is_count(self.min_rows) and self.min_rows >= 2):
+            raise DomainError(f"min_rows must be an integer >= 2, got {self.min_rows!r}")
+        if not isinstance(self.min_gain, SoftNumber):
+            raise DomainError(f"min_gain must be a SoftNumber, got {self.min_gain!r}")
+        if not isinstance(self.info, InfoConfig):
+            raise DomainError(f"info must be an InfoConfig, got {self.info!r}")
 
 
 ColumnMoments = tuple[float, float, np.ndarray]
@@ -471,10 +475,10 @@ def _node_from_dict(obj: dict) -> TreeNode:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"tree record must be an object with a 'kind': {obj!r}")
     try:
-        if obj["kind"] == "leaf" and is_number(obj["prediction"]) and _is_count(obj["count"]):
+        if obj["kind"] == "leaf" and is_number(obj["prediction"]) and is_count(obj["count"]):
             return Leaf(prediction=obj["prediction"], count=obj["count"])
         if (obj["kind"] == "split" and isinstance(obj["feature"], str)
-                and _is_count(obj["feature_index"]) and is_number(obj["threshold"])):
+                and is_count(obj["feature_index"]) and is_number(obj["threshold"])):
             return Split(feature=obj["feature"], feature_index=obj["feature_index"],
                          threshold=obj["threshold"], gain=soft_from_dict(obj["gain"]),
                          left=_node_from_dict(obj["left"]),
@@ -485,7 +489,3 @@ def _node_from_dict(obj: dict) -> TreeNode:
         raise DomainError(f"unknown tree node kind {obj['kind']!r}")
     raise DomainError(f"malformed {obj['kind']} record: count and feature_index must be "
                       "non-negative integers, feature a string, prediction and threshold numbers")
-
-
-def _is_count(value) -> bool:
-    return is_number(value) and isinstance(value, int) and value >= 0

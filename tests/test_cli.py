@@ -13,8 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from softprob.cli import _build_parser, main
-from softprob.softnum import ext_from_dict, soft_from_dict
+from softprob.cli import TABLE1_ROWS, _build_parser, main
+from softprob.distributions import Gaussian, joint_gaussian_additive
+from softprob.information import FORM_CONDITIONAL, FORM_SYMMETRIC, InfoConfig, \
+    soft_mutual_information
+from softprob.moments import MixedSet
+from softprob.quadrature import QuadratureConfig
+from softprob.softnum import ext_from_dict, soft_from_dict, soft_to_dict
 
 UNIFORM_01 = '{"kind": "uniform", "lo": 0, "hi": 1}'
 UNIFORM_02 = '{"kind": "uniform", "lo": 0, "hi": 2}'
@@ -60,6 +65,18 @@ class TestTable1:
         _, first, _ = _run(capsys, ["table1", "--format", "json-like"])
         _, second, _ = _run(capsys, ["table1", "--format", "json-like"])
         assert first == second
+
+    def test_rel_tol_still_acts(self, capsys):
+        # row 4's deep-tail real part stops earlier at a loose tolerance
+        _, default, _ = _run_json(capsys, ["table1"])
+        _, loose, _ = _run_json(capsys, ["table1", "--rel-tol", "1e-3"])
+        x0, y0, xiv, yiv = TABLE1_ROWS[3][:4]
+        value = soft_mutual_information(
+            joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)),
+            MixedSet([x0], [xiv]), MixedSet([y0], [yiv]),
+            InfoConfig(quadrature=QuadratureConfig(rel_tol=1e-3)))
+        assert loose["rows"][3]["computed"] == soft_to_dict(value)
+        assert loose["rows"][3]["computed"] != default["rows"][3]["computed"]
 
 
 class TestPs:
@@ -221,20 +238,21 @@ class TestEntropyCommands:
         assert payload["kld"]["real"] == pytest.approx(1.0, rel=1e-9)
 
     def test_mi_benchmark_row_and_forms(self, capsys):
-        args = ["mi", "--joint", ADDITIVE,
-                "--set-x", '{"points": [0], "intervals": [[1, 2]]}',
-                "--set-y", '{"points": [0], "intervals": [[1, 2]]}']
-        _, sym, _ = _run_json(capsys, args + ["--form", "symmetric"])
-        _, cond, _ = _run_json(capsys, args + ["--form", "conditional"])
-        assert cond["mi"]["soft"] == pytest.approx(0.055159, abs=1e-5)
-        assert cond["mi"]["real"] == pytest.approx(0.042381, abs=1e-5)
-        assert sym["mi"]["soft"] == pytest.approx(cond["mi"]["soft"], abs=1e-8)
-        assert sym["mi"]["real"] == pytest.approx(cond["mi"]["real"], abs=1e-6)
+        # the CLI's joint models are Gaussian, where both forms give the same bits
+        ms = '{"points": [0], "intervals": [[1, 2]]}'
+        _, payload, _ = _run_json(capsys, ["mi", "--joint", ADDITIVE, "--set-x", ms,
+                                           "--set-y", ms])
+        assert payload["mi"]["soft"] == pytest.approx(0.055159, abs=1e-5)
+        assert payload["mi"]["real"] == pytest.approx(0.042381, abs=1e-5)
+        model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+        sets = MixedSet([0.0], [(1.0, 2.0)]), MixedSet([0.0], [(1.0, 2.0)])
+        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+            value = soft_mutual_information(model, *sets, form=form)
+            assert payload["mi"] == soft_to_dict(value)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("form", ["symmetric", "conditional"])
-    def test_mi_far_point_fails_without_warnings(self, capsys, form):
-        code, _, err = _run(capsys, ["mi", "--joint", ADDITIVE, "--form", form,
+    def test_mi_far_point_fails_without_warnings(self, capsys):
+        code, _, err = _run(capsys, ["mi", "--joint", ADDITIVE,
                                      "--set-x", '{"points": [1e200]}',
                                      "--set-y", '{"points": [0]}'])
         assert code == 1
@@ -244,7 +262,7 @@ class TestEntropyCommands:
         # f_X * f_Y underflows on this box; the Gaussian closed form never forms it
         box = '{"intervals": [[29.9, 30.1]]}'
         code, out, err = _run(capsys, [
-            "mi", "--form", "symmetric", "--set-x", box, "--set-y", box, "--joint",
+            "mi", "--set-x", box, "--set-y", box, "--joint",
             '{"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0, '
             '"var_x": 1, "var_y": 1, "correlation": 0.999}'])
         assert code == 0
@@ -255,7 +273,7 @@ class TestEntropyCommands:
         # f_X * f_Y underflows at (27.3, 27.3); the Gaussian pair sum never forms it
         point = '{"points": [27.3]}'
         code, out, err = _run(capsys, [
-            "mi", "--form", "symmetric", "--set-x", point, "--set-y", point, "--joint",
+            "mi", "--set-x", point, "--set-y", point, "--joint",
             '{"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0, '
             '"var_x": 1, "var_y": 1, "correlation": 0.999}'])
         assert code == 0
@@ -596,9 +614,9 @@ class TestOutputFormats:
 REFUSED_FLAGS = {
     "ps": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse")],
     "kld": [("--zlogz", "collapse")],
-    "mi": [("--zlogz", "collapse")],
+    "mi": [("--zlogz", "collapse"), ("--form", "symmetric")],
     "moments": [("--log-base", "2"), ("--zlogz", "collapse")],
-    "table1": [("--zlogz", "collapse")],
+    "table1": [("--zlogz", "collapse"), ("--log-base", "2")],
     "tree-train": [("--zlogz", "collapse"), ("--format", "json-like")],
     "tree-predict": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse"),
                      ("--seed", "7")],
@@ -638,12 +656,12 @@ class TestFlags:
         shown = ["--format", "--help", "--stats", "-h"]
         info = ["--log-base", "--rel-tol"]
         assert accepted == {
-            "table1": sorted(shown + info),
+            "table1": sorted(shown + ["--rel-tol"]),
             "ps": sorted(shown + ["--closed", "--dist", "--interval", "--joint", "--op",
                                   "--points", "--rx", "--ry", "--x", "--y"]),
             "entropy": sorted(shown + info + ["--dist", "--dist-hat", "--set", "--zlogz"]),
             "kld": sorted(shown + info + ["--dist", "--dist-hat", "--set"]),
-            "mi": sorted(shown + info + ["--form", "--joint", "--set-x", "--set-y"]),
+            "mi": sorted(shown + info + ["--joint", "--set-x", "--set-y"]),
             "moments": sorted(shown + ["--dist", "--rel-tol", "--set"]),
             "tree-train": sorted(["--help", "--stats", "-h"] + info
                                  + ["--data", "--delimiter", "--max-depth", "--min-rows",
@@ -721,11 +739,10 @@ def test_mi_over_an_interval_wider_than_the_largest_float():
 class TestRandomDescriptors:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(joint=_json_ish(_JOINT), set_x=_json_ish(_SET), set_y=_json_ish(_SET),
-           form=st.sampled_from(["symmetric", "conditional"]))
-    def test_mi_never_raises(self, joint, set_x, set_y, form):
+    @given(joint=_json_ish(_JOINT), set_x=_json_ish(_SET), set_y=_json_ish(_SET))
+    def test_mi_never_raises(self, joint, set_x, set_y):
         _assert_exits_cleanly(["mi", f"--joint={joint}", f"--set-x={set_x}",
-                               f"--set-y={set_y}", f"--form={form}"])
+                               f"--set-y={set_y}"])
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

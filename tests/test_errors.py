@@ -1,12 +1,14 @@
 """Every number a caller passes in is checked by one helper, errors.finite_float."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import softprob as sp
-from softprob.errors import DomainError, finite_float
+from softprob.distributions import parse_distribution, parse_joint
+from softprob.errors import DomainError, finite_float, is_count
 
 N01 = sp.Gaussian(0.0, 1.0)
 IV = sp.IntervalEvent(-1.0, 1.0)
@@ -119,5 +121,87 @@ class TestOverflowingResults:
         assert sp.soft_from_dict({"soft": 1, "real": 2.5}) == sp.SoftNumber(1.0, 2.5)
 
     def test_soft_from_dict_names_the_field(self):
-        with pytest.raises(DomainError, match="^soft must be a number, got 'x'$"):
+        with pytest.raises(DomainError,
+                           match="^soft number record field 'soft' is not a number: 'x'$"):
             sp.soft_from_dict({"soft": "x", "real": 0})
+
+
+# every kind of JSON record whose number fields errors.record_numbers reads:
+# its reader, a valid record, and the record's name in messages
+RECORDS = {
+    "gaussian": (parse_distribution, {"kind": "gaussian", "mean": 0, "variance": 1},
+                 "descriptor for 'gaussian'"),
+    "uniform": (parse_distribution, {"kind": "uniform", "lo": 0, "hi": 1},
+                "descriptor for 'uniform'"),
+    "bivariate_gaussian": (parse_joint, {"kind": "bivariate_gaussian", "mean_x": 0,
+                                         "mean_y": 0, "var_x": 1, "var_y": 1,
+                                         "correlation": 0.5}, "joint descriptor"),
+    "additive noise": (lambda noise: parse_joint({"kind": "joint_gaussian_additive",
+                                                  "input": {"mean": 0, "variance": 1},
+                                                  "noise": noise}),
+                       {"mean": 0, "variance": 1}, "noise descriptor"),
+    "soft number": (sp.soft_from_dict, {"soft": 0, "real": 1}, "soft number record"),
+    "extended soft number": (sp.ext_from_dict, {"zlogz": 0, "soft": 0, "real": 1},
+                             "extended soft number record"),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+@pytest.mark.parametrize("field", [0, -1], ids=["first", "last"])
+def test_a_missing_record_field_is_named(kind, field):
+    read, record, what = RECORDS[kind]
+    read(record)
+    name = [k for k in record if k != "kind"][field]
+    with pytest.raises(DomainError, match=f"^{re.escape(what)} is missing field '{name}'$"):
+        read({k: v for k, v in record.items() if k != name})
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+@pytest.mark.parametrize("bad", [True, "1", 10 ** 400], ids=["bool", "string", "1e400"])
+def test_a_record_field_that_is_no_float_is_named(kind, bad):
+    read, record, what = RECORDS[kind]
+    name = [k for k in record if k != "kind"][-1]
+    with pytest.raises(DomainError, match=f"^{re.escape(what)} field '{name}' is not a "
+                                          f"number: {re.escape(repr(bad))}$"):
+        read({**record, name: bad})
+
+
+@pytest.mark.parametrize("kind", ["soft number", "extended soft number"])
+@pytest.mark.parametrize("record", [None, [0, 1], "soft", 1.0])
+def test_a_soft_record_that_is_not_an_object_is_a_domain_error(kind, record):
+    read, _, what = RECORDS[kind]
+    with pytest.raises(DomainError, match=f"^{re.escape(what)} must be an object, got "):
+        read(record)
+
+
+# config fields of the wrong type, each a DomainError at construction
+BAD_CONFIGS = {
+    "quad max_depth str": lambda: sp.QuadratureConfig(max_depth="3"),
+    "quad max_depth None": lambda: sp.QuadratureConfig(max_depth=None),
+    "quad max_depth float": lambda: sp.QuadratureConfig(max_depth=2.5),
+    "quad max_depth bool": lambda: sp.QuadratureConfig(max_depth=True),
+    "tree max_depth str": lambda: sp.TreeConfig(max_depth="3"),
+    "tree max_depth float": lambda: sp.TreeConfig(max_depth=2.5),
+    "tree max_depth bool": lambda: sp.TreeConfig(max_depth=True),
+    "tree min_rows None": lambda: sp.TreeConfig(min_rows=None),
+    "tree min_rows float": lambda: sp.TreeConfig(min_rows=4.0),
+    "tree min_gain float": lambda: sp.TreeConfig(min_gain=0.0),
+    "tree min_gain None": lambda: sp.TreeConfig(min_gain=None),
+    "tree info None": lambda: sp.TreeConfig(info=None),
+    "tree info quadrature": lambda: sp.TreeConfig(info=sp.QuadratureConfig()),
+    "split feature_index str": lambda: sp.Split("x", "0", 0.0, ZERO, LEAF, LEAF),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_a_config_field_of_the_wrong_type_is_a_domain_error(name):
+    with pytest.raises(DomainError, match=r"^(max_depth|min_rows|min_gain|info|feature_index) "):
+        BAD_CONFIGS[name]()
+
+
+def test_integer_fields_take_any_integer():
+    assert sp.TreeConfig(max_depth=np.int64(3), min_rows=np.int32(2)).max_depth == 3
+    assert sp.QuadratureConfig(max_depth=np.int64(4)).max_depth == 4
+    assert sp.TreeConfig(min_gain=sp.SoftNumber(0.0, 1.0), info=sp.InfoConfig(log_base=2))
+    assert [is_count(v) for v in (0, 7, np.int64(2), -1, True, 2.0, "3", None)] == [
+        True, True, True, False, False, False, False, False]

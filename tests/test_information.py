@@ -722,9 +722,9 @@ def transform_calls(monkeypatch):
     calls = []
     interpolate = information._chebyshev_interpolate
 
-    def spy(kernel, t, lo, width, panels):
+    def spy(kernel, t, panels):
         calls.append(panels)
-        return interpolate(kernel, t, lo, width, panels)
+        return interpolate(kernel, t, panels)
 
     monkeypatch.setattr(information, "_chebyshev_interpolate", spy)
     return calls
@@ -833,10 +833,11 @@ class TestChebyshevTransform:
     @example(case=([3 * 2.0 ** -54], [-2.0]))
     @example(case=([-3 * 2.0 ** -54, 9.0], [2.0]))
     def test_reach_rule_admits_what_the_nearest_source_form_admits(self, case):
+        # _within_reach reads sources and targets in the pair sum's sorted order
         w, t = np.array(case[0]), np.array(case[1])
-        ws = np.sort(w)
-        admitted = information._within_reach(ws, t, t.min(), t.max())
+        admitted = information._within_reach(np.sort(w), np.sort(t))
         assert admitted == _nearest_source_admits(t, w)
+        assert information._within_reach(np.sort(w), np.sort(t)[::-1]) == admitted
 
     @staticmethod
     def _takes(j, xs, ys, monkeypatch, transform_calls) -> bool:
@@ -934,13 +935,16 @@ class TestChebyshevTransform:
         lo, panels = -1.0, 3
         w = np.sort(rng.uniform(lo - 3.0, lo + panels * width + 3.0, 300))
         v_powers = (w - 0.4)[:, None] ** np.arange(3.0)
-        targets = np.concatenate(([lo, lo + panels * width],
-                                  rng.uniform(lo, lo + panels * width, 3000)))
+        # sorted, as the pair sum gives them; the ends set lo and the width
+        targets = np.sort(np.concatenate(([lo, lo + panels * width],
+                                          rng.uniform(lo, lo + panels * width, 3000))))
 
         def kernel(s):
             return information._dense_gauss_sums(np.zeros(len(s)), s, w, v_powers)
 
-        got = information._chebyshev_interpolate(kernel, targets, lo, width, panels)
+        got = information._chebyshev_interpolate(kernel, targets, panels)
+        assert np.array_equal(information._chebyshev_interpolate(kernel, targets[::-1], panels),
+                              got[::-1])
         err = np.abs(got - kernel(targets))
         assert np.all(err <= _interpolation_bound(w, v_powers, lo, width, panels, targets))
         if width >= 3.0:
@@ -949,19 +953,21 @@ class TestChebyshevTransform:
 
     @pytest.mark.filterwarnings("error")
     def test_targets_on_nodes_take_the_node_values(self):
-        # on [0, 1], a node s_k <= -0.5 maps to t = (s_k + 1)/2 and back exactly
+        # on [0, 1], a node s_k <= -0.5 maps to t = (s_k + 1)/2 and back exactly;
+        # the nodes descend, so these targets come first in descending order
         nodes = information._CHEB_NODES
-        targets = np.concatenate(((nodes[nodes <= -0.5] + 1.0) / 2.0, [0.0, 0.5, 1.0]))
+        targets = np.concatenate(([1.0, 0.5], (nodes[nodes <= -0.5] + 1.0) / 2.0, [0.0]))
         w = np.linspace(-2.0, 3.0, 50)
         v_powers = w[:, None] ** np.arange(3.0)
 
         def kernel(s):
             return information._dense_gauss_sums(np.zeros(len(s)), s, w, v_powers)
 
-        got = information._chebyshev_interpolate(kernel, targets, 0.0, 1.0, 1)
-        k = np.sum(nodes <= -0.5)
-        assert np.array_equal(got[:k], kernel((nodes + 1.0) / 2.0)[nodes <= -0.5])
-        assert np.allclose(got[k:], kernel(targets[k:]), rtol=1e-12, atol=0.0)
+        got = information._chebyshev_interpolate(kernel, targets, 1)
+        on_node = np.isin(targets, (nodes + 1.0) / 2.0)
+        assert on_node.sum() == np.sum(nodes <= -0.5)
+        assert np.array_equal(got[on_node], kernel((nodes + 1.0) / 2.0)[nodes <= -0.5])
+        assert np.allclose(got[~on_node], kernel(targets[~on_node]), rtol=1e-12, atol=0.0)
 
 
 # Frozen outputs of the additive standard-Gaussian model on the five
@@ -1085,6 +1091,28 @@ class _GridOnly(_ScalarOnly):
 
     def conditional_pdf_grid(self, ys, given_xs):
         return self.inner.conditional_pdf_grid(ys, given_xs)
+
+
+def test_unit_ratio_tolerance_makes_matching_densities_cancel_exactly(monkeypatch):
+    # an independent model on the generic path, and a normal against the same
+    # normal written out by hand: every density ratio is 1 up to rounding
+    j = _GridOnly(BivariateGaussianModel(0.3, -0.2, 1.7, 0.6, 0.0))
+    sx = MixedSet([0.1, 0.5], [(-1.0, 0.0), (1.0, 2.5)])
+    sy = MixedSet([0.9], [(-0.9, 0.4)])
+    same_normal = UserDefinedDistribution(
+        lambda x: math.exp(-(x - 0.3) ** 2 / 3.4) / math.sqrt(2.0 * math.pi * 1.7),
+        lambda x: 0.5 * math.erfc((0.3 - x) / math.sqrt(3.4)),
+        location=0.3, scale=math.sqrt(1.7))
+    values = [lambda: soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC),
+              lambda: soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL),
+              lambda: soft_kld(Gaussian(0.3, 1.7), same_normal, sx)]
+    for value in values:
+        assert value() == SoftNumber(0.0, 0.0)
+    # without the tolerance the rounding noise is left for quadrature to meet
+    monkeypatch.setattr(information, "UNIT_RATIO_TOLERANCE", 0.0)
+    for value in values:
+        with pytest.raises(ConvergenceError):
+            value()
 
 
 def _random_rectangle(rng: random.Random, rho: float):

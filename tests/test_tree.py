@@ -592,9 +592,9 @@ class TestInduce:
             node["feature"] += 1
             return value
 
-        def interpolate_spy(kernel, t, lo, width, n):
+        def interpolate_spy(kernel, t, n):
             panels.append(n)
-            return interpolate(kernel, t, lo, width, n)
+            return interpolate(kernel, t, n)
 
         monkeypatch.setattr(tree, "_grow", grow_spy)
         monkeypatch.setattr(tree, "_gain", gain_spy)
@@ -620,9 +620,9 @@ class TestInduce:
         panels = []
         interpolate = information._chebyshev_interpolate
 
-        def spy(kernel, t, lo, width, n):
+        def spy(kernel, t, n):
             panels.append(n)
-            return interpolate(kernel, t, lo, width, n)
+            return interpolate(kernel, t, n)
 
         ds = _synthetic(29, n=800)
         cfg = TreeConfig(max_depth=3, min_rows=8)
