@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from softprob.cli import TABLE1_ROWS, _build_parser, main
 from softprob.distributions import Gaussian, joint_gaussian_additive
+from softprob.errors import DomainError
 from softprob.information import FORM_CONDITIONAL, FORM_SYMMETRIC, InfoConfig, \
     soft_mutual_information
 from softprob.moments import MixedSet
@@ -251,12 +252,19 @@ class TestEntropyCommands:
             assert payload["mi"] == soft_to_dict(value)
 
     @pytest.mark.filterwarnings("error")
-    def test_mi_far_point_fails_without_warnings(self, capsys):
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    def test_mi_far_point_fails_without_warnings(self, capsys, form):
+        # the CLI has no form flag; its error is the one either library form raises
         code, _, err = _run(capsys, ["mi", "--joint", ADDITIVE,
                                      "--set-x", '{"points": [1e200]}',
                                      "--set-y", '{"points": [0]}'])
         assert code == 1
         assert err.startswith("error:")
+        model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+        with pytest.raises(DomainError) as raised:
+            soft_mutual_information(model, MixedSet([1e200], []), MixedSet([0.0], []),
+                                    form=form)
+        assert str(raised.value) in err
 
     def test_mi_underflowing_marginal_product_on_rectangle_is_computed(self, capsys):
         # f_X * f_Y underflows on this box; the Gaussian closed form never forms it
