@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
-from .errors import DomainError, SoftProbError
+from .errors import DomainError, SoftProbError, open_interval
 from .information import FORM_CONDITIONAL, ZLOGZ_AXIS, InfoConfig, \
     soft_cross_entropy, soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
@@ -148,64 +148,79 @@ def cmd_table1(args) -> int:
 
 
 def _interval_event(args) -> IntervalEvent:
-    if args.interval is None:
-        raise SoftProbError("this operation needs --interval \"lo,hi\"")
-    parts = args.interval.split(",")
-    if len(parts) != 2:
-        raise SoftProbError(f"--interval expects \"lo,hi\", got {args.interval!r}")
-    return IntervalEvent(float(parts[0]), float(parts[1]), strict=not args.closed)
+    lo, hi = open_interval(args.interval.split(","), "--interval")
+    return IntervalEvent(lo, hi, strict=not args.closed)
 
 
 def _points_list(args) -> list[float]:
-    if args.points is None:
-        raise SoftProbError("this operation needs --points \"p1,p2,...\"")
     text = args.points.strip()
     if not text:
         return []
     return [float(p) for p in text.split(",")]
 
 
-def _need(args, name: str) -> float:
-    if (value := getattr(args, name)) is None:
-        raise SoftProbError(f"this operation needs --{name}")
-    return value
+def _dist(args):
+    return parse_distribution(_parse_json(args.dist, "--dist"))
 
 
-# ps operations on one distribution d; each lambda looks its ps_* function
-# and argument helpers up when it runs, so wrappers installed on this
-# module's names see every call
+# the flags of the ps operations, with the add_argument keywords of each
+PS_FLAGS = {
+    "--dist": {"help": "distribution descriptor (JSON)"},
+    "--joint": {"help": "joint model descriptor (JSON), for ps2"},
+    "--x": {"type": float, "help": "point of interest"},
+    "--y": {"type": float, "help": "second point (cond-point) or y for ps2"},
+    "--points": {"help": "comma-separated points for set operations; join a list that "
+                         "starts with '-' with '=', as in --points=-1,2"},
+    "--interval": {"help": "interval as \"lo,hi\"; join a negative lo with '=', as in "
+                           "--interval=-0.5,1.5"},
+    "--closed": {"action": "store_true", "help": "treat the interval as closed (non-strict)"},
+    "--rx": {"choices": ["lt", "leq", "eq"], "help": "relation on X for ps2"},
+    "--ry": {"choices": ["lt", "leq", "eq"], "help": "relation on Y for ps2"},
+}
+# each ps operation: the flags it reads, every one of them needed but
+# --closed, and its value; each lambda looks its ps_* function and argument
+# helpers up when it runs, so wrappers installed on this module's names see
+# every call
 PS_OPS = {
-    "eq": lambda d, args: ps_eq(d, _need(args, "x")),
-    "lt": lambda d, args: ps_lt(d, _need(args, "x")),
-    "leq": lambda d, args: ps_leq(d, _need(args, "x")),
-    "neq": lambda d, args: ps_neq(d, _need(args, "x")),
-    "interval": lambda d, args: ps_interval(d, _interval_event(args)),
-    "points-union": lambda d, args: ps_points_union(d, _points_list(args)),
-    "points-intersect": lambda d, args: ps_points_intersection(d, _points_list(args)),
-    "union": lambda d, args: ps_union_point_interval(d, _need(args, "x"), _interval_event(args)),
-    "intersect": lambda d, args: ps_intersect_point_interval(
-        d, _need(args, "x"), _interval_event(args)),
-    "cond-interval": lambda d, args: ps_cond_point_given_interval(
-        d, _need(args, "x"), _interval_event(args)),
-    "cond-point": lambda d, args: ps_cond_point_given_point(d, _need(args, "x"),
-                                                            _need(args, "y")),
+    "eq": ("--dist --x", lambda args: ps_eq(_dist(args), args.x)),
+    "lt": ("--dist --x", lambda args: ps_lt(_dist(args), args.x)),
+    "leq": ("--dist --x", lambda args: ps_leq(_dist(args), args.x)),
+    "neq": ("--dist --x", lambda args: ps_neq(_dist(args), args.x)),
+    "interval": ("--dist --interval --closed",
+                 lambda args: ps_interval(_dist(args), _interval_event(args))),
+    "points-union": ("--dist --points",
+                     lambda args: ps_points_union(_dist(args), _points_list(args))),
+    "points-intersect": ("--dist --points",
+                         lambda args: ps_points_intersection(_dist(args), _points_list(args))),
+    "union": ("--dist --x --interval --closed", lambda args: ps_union_point_interval(
+        _dist(args), args.x, _interval_event(args))),
+    "intersect": ("--dist --x --interval --closed", lambda args: ps_intersect_point_interval(
+        _dist(args), args.x, _interval_event(args))),
+    "cond-interval": ("--dist --x --interval --closed",
+                      lambda args: ps_cond_point_given_interval(_dist(args), args.x,
+                                                                _interval_event(args))),
+    "cond-point": ("--dist --x --y",
+                   lambda args: ps_cond_point_given_point(_dist(args), args.x, args.y)),
+    "ps2": ("--joint --x --y --rx --ry", lambda args: ps2(
+        parse_joint(_parse_json(args.joint, "--joint")), args.x, args.y, Relation(args.rx),
+        Relation(args.ry))),
 }
 
 
+def _ps_parser(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    """Add --op and the given ps flags to parser, and return it."""
+    parser.add_argument("--op", required=True, choices=PS_OPS)
+    for flag in flags:
+        parser.add_argument(flag, **PS_FLAGS[flag])
+    return parser
+
+
 def cmd_ps(args) -> int:
-    if args.op == "ps2":
-        if args.joint is None:
-            raise SoftProbError("ps2 needs --joint")
-        model = parse_joint(_parse_json(args.joint, "--joint"))
-        if args.rx is None or args.ry is None:
-            raise SoftProbError("ps2 needs --rx and --ry")
-        value = ps2(model, _need(args, "x"), args.y if args.y is not None else 0.0,
-                    Relation(args.rx), Relation(args.ry))
-    else:
-        if args.dist is None:
-            raise SoftProbError(f"operation {args.op!r} needs --dist")
-        value = PS_OPS[args.op](parse_distribution(_parse_json(args.dist, "--dist")), args)
-    _emit(args, {"value": value})
+    flags, value = PS_OPS[args.op]
+    for flag in flags.split():
+        if flag != "--closed" and getattr(args, flag[2:]) is None:
+            raise SoftProbError(f"operation {args.op!r} needs {flag}")
+    _emit(args, {"value": value(args)})
     return 0
 
 
@@ -321,7 +336,7 @@ def cmd_tree_predict(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _shared_parents() -> tuple[argparse.ArgumentParser, ...]:
     # flags shared by several subcommands; each subcommand takes the parents
     # whose flags it reads, so that no flag is accepted and then ignored
     stats = argparse.ArgumentParser(add_help=False)
@@ -337,6 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
     info = argparse.ArgumentParser(add_help=False, parents=[tol])
     info.add_argument("--log-base", choices=sorted(LOG_BASES), default="e",
                       help="logarithm base for information quantities")
+    return stats, shown, tol, info
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    stats, shown, tol, info = _shared_parents()
 
     parser = argparse.ArgumentParser(
         prog="softprob",
@@ -349,20 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", parents=[shown, tol],
                    help="evaluate the Gaussian mutual-information reference table")
 
-    p = sub.add_parser("ps", parents=[shown], help="soft probability of an event")
-    p.add_argument("--op", required=True, choices=[*PS_OPS, "ps2"])
-    p.add_argument("--dist", help="distribution descriptor (JSON)")
-    p.add_argument("--joint", help="joint model descriptor (JSON), for ps2")
-    p.add_argument("--x", type=float, help="point of interest")
-    p.add_argument("--y", type=float, help="second point (cond-point) or y for ps2")
-    p.add_argument("--points", help="comma-separated points for set operations; join a "
-                   "list that starts with '-' with '=', as in --points=-1,2")
-    p.add_argument("--interval", help="interval as \"lo,hi\"; join a negative lo with '=', "
-                   "as in --interval=-0.5,1.5")
-    p.add_argument("--closed", action="store_true",
-                   help="treat the interval as closed (non-strict)")
-    p.add_argument("--rx", choices=["lt", "leq", "eq"], help="relation on X for ps2")
-    p.add_argument("--ry", choices=["lt", "leq", "eq"], help="relation on Y for ps2")
+    _ps_parser(sub.add_parser("ps", parents=[shown], help="soft probability of an event"),
+               PS_FLAGS)
 
     p = sub.add_parser("entropy", parents=[shown, info],
                        help="soft entropy (or cross entropy with --dist-hat)")
@@ -419,7 +427,13 @@ HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(argv)
+    if args.command == "ps":
+        # again with the flags the operation reads alone, so that any other is refused
+        op_parser = argparse.ArgumentParser(prog="softprob ps", parents=[_shared_parents()[1]],
+                                            allow_abbrev=False)
+        _ps_parser(op_parser, PS_OPS[args.op][0].split()).parse_args(argv[1:], args)
     with collect_stats() if args.stats else contextlib.nullcontext() as records:
         try:
             return HANDLERS[args.command](args)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, finite_float, record_numbers
+from .errors import DomainError, finite_float, open_interval, record_numbers
 from .quadrature import integrate_1d, integrate_2d
 
 _SQRT2 = math.sqrt(2.0)
@@ -142,10 +142,7 @@ class Uniform(ContinuousDistribution):
     """Uniform distribution on the open interval (lo, hi); pdf is 0 at the endpoints."""
 
     def __init__(self, lo: float, hi: float):
-        self.lo = finite_float(lo, "lo")
-        self.hi = finite_float(hi, "hi")
-        if not self.lo < self.hi:
-            raise DomainError(f"need lo < hi, got ({self.lo!r}, {self.hi!r})")
+        self.lo, self.hi = open_interval((lo, hi), "uniform support")
         self._density = 1.0 / (self.hi - self.lo)
 
     def pdf(self, x: float) -> float:

@@ -1,18 +1,21 @@
-"""Exception types shared across the package, and the one check of a caller's number.
+"""Exception types shared across the package, and the one check of each kind of caller input.
 
 Every number a caller passes in (a point, an interval end, a model
 parameter, a tolerance) goes through finite_float, so bad input is a
 DomainError and never a bare TypeError, ValueError or OverflowError: an
 integer too large for a float, a value float() cannot convert, and an
-infinity or NaN where a finite number is needed all raise it. Range checks
-(a positive variance, lo < hi) stay with each constructor. A number read
-from a JSON record must also pass is_number, so that a boolean or a string
-never stands in for one (record_numbers), and an integer must pass is_count.
+infinity or NaN where a finite number is needed all raise it. Every open
+interval goes through open_interval and every set of distinct points
+through distinct_points; other range checks stay with each constructor.
+A number read from a JSON record must also pass is_number, so that a
+boolean or a string never stands in for one (record_numbers), and an
+integer must pass is_count.
 """
 
 import math
 import numbers
 import sys
+from collections.abc import Iterable
 
 
 class SoftProbError(Exception):
@@ -38,6 +41,30 @@ def finite_float(value, what: str, *, allow_inf: bool = False) -> float:
     if not (allow_inf or math.isfinite(x)):
         raise DomainError(f"{what} must be finite, got {x!r}")
     return x
+
+
+def open_interval(pair, what: str) -> tuple[float, float]:
+    """The ends of pair as finite floats lo < hi; anything else is a DomainError naming what."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a (lo, hi) pair, got {pair!r}") from None
+    end = what + " end"
+    lo, hi = finite_float(lo, end), finite_float(hi, end)
+    if not lo < hi:
+        raise DomainError(f"{what} needs lo < hi, got ({lo!r}, {hi!r})")
+    return lo, hi
+
+
+def distinct_points(points, what: str) -> list[float]:
+    """The points as ascending finite floats; a repeat or a non-sequence is a DomainError."""
+    if isinstance(points, (str, bytes)) or not isinstance(points, Iterable):
+        raise DomainError(f"{what}s must be a sequence of numbers, got {points!r}")
+    values = sorted(finite_float(p, what) for p in points)
+    for prev, nxt in zip(values, values[1:]):
+        if prev == nxt:
+            raise DomainError(f"duplicate {what} {prev!r}")
+    return values
 
 
 def is_number(value) -> bool:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution
-from .errors import DomainError, finite_float, is_number
+from .errors import DomainError, distinct_points, finite_float, is_number, open_interval
 from .quadrature import QuadratureConfig, integrate_pieces, sample_1d
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
@@ -47,17 +47,8 @@ class MixedSet:
 
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
-        pts = tuple(sorted(finite_float(p, "point") for p in points))
-        for prev, nxt in zip(pts, pts[1:]):
-            if prev == nxt:
-                raise DomainError(f"duplicate point {prev!r}")
-        ivs = []
-        for iv in intervals:
-            lo, hi = (finite_float(v, "interval end") for v in iv)
-            if not lo < hi:
-                raise DomainError(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
-            ivs.append((lo, hi))
-        ivs.sort()
+        pts = distinct_points(points, "point")
+        ivs = sorted(open_interval(iv, "interval") for iv in intervals)
         for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
             if lo2 < hi1:
                 raise DomainError(
@@ -107,15 +98,12 @@ class MixedSet:
     @classmethod
     def with_closed_intervals(cls, points: Sequence[float] = (),
                               closed_intervals: Sequence[Sequence[float]] = ()) -> "MixedSet":
-        """Normalize closed intervals: interiors stay intervals, endpoints become points."""
-        pts = set(finite_float(p, "point") for p in points)
-        ivs = []
-        for iv in closed_intervals:
-            lo, hi = (finite_float(v, "interval end") for v in iv)
-            ivs.append((lo, hi))
-            pts.add(lo)
-            pts.add(hi)
-        return cls(sorted(pts), ivs)
+        """Normalize closed intervals: interiors stay intervals, endpoints become points.
+
+        The points are a union: a listed point may repeat or equal an end.
+        """
+        ivs = [open_interval(iv, "interval") for iv in closed_intervals]
+        return cls({finite_float(p, "point") for p in points}.union(*ivs), ivs)
 
     @property
     def is_empty(self) -> bool:

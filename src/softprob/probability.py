@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .distributions import ContinuousDistribution, JointModel
-from .errors import DomainError, finite_float
+from .errors import DomainError, distinct_points, finite_float, open_interval
 from .softnum import SoftNumber, div
 
 
@@ -23,20 +23,6 @@ class Relation(enum.Enum):
     LT = "lt"
     LEQ = "leq"
     EQ = "eq"
-
-
-@dataclass(frozen=True)
-class PointSetEvent:
-    """A finite union of equality events {X = x_i} with distinct points."""
-
-    points: tuple[float, ...]
-
-    def __init__(self, points: Sequence[float]):
-        values = tuple(sorted(finite_float(p, "point") for p in points))
-        for prev, nxt in zip(values, values[1:]):
-            if prev == nxt:
-                raise DomainError(f"duplicate point {prev!r} in point set")
-        object.__setattr__(self, "points", values)
 
 
 @dataclass(frozen=True)
@@ -48,10 +34,9 @@ class IntervalEvent:
     strict: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", finite_float(self.lo, "interval end"))
-        object.__setattr__(self, "hi", finite_float(self.hi, "interval end"))
-        if not self.lo < self.hi:
-            raise DomainError(f"need lo < hi, got ({self.lo!r}, {self.hi!r})")
+        lo, hi = open_interval((self.lo, self.hi), "interval")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, x: float) -> bool:
         if self.strict:
@@ -91,12 +76,9 @@ def ps_interval(d: ContinuousDistribution, iv: IntervalEvent) -> SoftNumber:
     return open_part if iv.strict else open_part + ps_points_union(d, (iv.lo, iv.hi))
 
 
-def ps_points_union(d: ContinuousDistribution,
-                    e: Union[PointSetEvent, Sequence[float]]) -> SoftNumber:
-    """Ps of a union of distinct equality events: the sum of their ps_eq."""
-    if not isinstance(e, PointSetEvent):
-        e = PointSetEvent(e)
-    return sum((ps_eq(d, p) for p in e.points), SoftNumber.zero())
+def ps_points_union(d: ContinuousDistribution, points: Sequence[float]) -> SoftNumber:
+    """Ps of a union of equality events at distinct points: the sum of their ps_eq, in order."""
+    return sum((ps_eq(d, p) for p in distinct_points(points, "point")), SoftNumber.zero())
 
 
 def ps_points_intersection(d: ContinuousDistribution,

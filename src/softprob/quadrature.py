@@ -24,7 +24,7 @@ absolute cutoff would silently zero the tail cases. Rounds double the
 panels of an integrand made of rounding noise, which no relative
 tolerance stops, so a run that would pass PANEL_CAP panels plus
 PIECE_PANELS a piece raises ConvergenceError, as does one whose remaining
-error sits in panels at max_depth. A round is one call of the integrand
+error sits in panels at MAX_DEPTH. A round is one call of the integrand
 unless it holds more than CALL_PANELS panels, which go CALL_PANELS to a
 call, so that what one call holds does not grow with the pieces. Each
 panel's 16 values are summed on their own row, so a panel's estimate does
@@ -56,15 +56,16 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 import numpy.polynomial.legendre as _legendre
 
-from .errors import ConvergenceError, DomainError, finite_float, is_count
+from .errors import ConvergenceError, DomainError, finite_float, open_interval
 
 # A 1-D run that would hold more than PANEL_CAP panels plus PIECE_PANELS a
 # piece raises ConvergenceError. An integrand made of rounding noise never
 # meets a relative tolerance, and each round doubles its panels. A piece's
-# share is room to bisect toward one point down to the default max_depth,
-# two panels a level.
+# share is room to bisect toward one point down to MAX_DEPTH, two panels a
+# level. A piece is depth 1, and a panel at MAX_DEPTH is never bisected.
 PANEL_CAP = 1 << 12
 PIECE_PANELS = 64
+MAX_DEPTH = 30
 
 # One call of a 1-D integrand evaluates at most this many panels, 16 nodes
 # each, so that each array of a call holds at most 16,384 floats (128 KiB)
@@ -82,7 +83,7 @@ class QuadStats(NamedTuple):
     round unless a round holds more than CALL_PANELS panels. panels:
     panels at the end. max_depth: the deepest panel, a piece being
     depth 1. error: the summed error estimate of the result. stuck:
-    panels at max_depth that still needed bisecting when the run
+    panels at MAX_DEPTH that still needed bisecting when the run
     stopped (0 when it converged).
     """
 
@@ -126,7 +127,6 @@ def total_stats(records: Sequence[QuadStats]) -> QuadStats:
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
-    max_depth: int = 30
 
     def __post_init__(self):
         object.__setattr__(self, "rel_tol", finite_float(self.rel_tol, "rel_tol"))
@@ -135,8 +135,6 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if not self.abs_tol >= 0.0:
             raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if not (is_count(self.max_depth) and self.max_depth >= 1):
-            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
 
 
 DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)
@@ -222,10 +220,7 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     """
     if cfg is None:
         cfg = DEFAULT_1D
-    pieces = [(finite_float(a, "bound"), finite_float(b, "bound")) for a, b in pieces]
-    for a, b in pieces:
-        if not a < b:
-            raise DomainError(f"need bounds a < b, got ({a!r}, {b!r})")
+    pieces = [open_interval(piece, "piece") for piece in pieces]
     if not pieces:
         return 0.0
     lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))
@@ -247,7 +242,7 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         if summed <= budget or not split.any():
             converged = True
             break
-        stuck = split & (depth >= cfg.max_depth)
+        stuck = split & (depth >= MAX_DEPTH)
         split &= ~stuck
         splits = int(split.sum())
         if not splits or len(panels) + splits > cap:
@@ -282,7 +277,7 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
             why = f"it needs more than {cap} panels"
         else:
             k = int(np.flatnonzero(stuck)[0])
-            why = (f"{stats.stuck} panel(s) need refining at depth {cfg.max_depth}, the first "
+            why = (f"{stats.stuck} panel(s) need refining at depth {MAX_DEPTH}, the first "
                    f"{_describe(tuple(panels[k, :2].tolist()))} with error {float(error[k])!r}")
         raise ConvergenceError(
             f"integral over {where} did not converge: {why}; summed error {summed!r} "

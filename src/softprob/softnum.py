@@ -9,13 +9,12 @@ return type of nearly every quantity in this package.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import DomainError, finite_float, record_numbers
-
-Scalar = Union[int, float]
 
 
 def _order_key(s: "SoftNumber") -> tuple[float, float]:
@@ -23,13 +22,25 @@ def _order_key(s: "SoftNumber") -> tuple[float, float]:
     return (s.real, s.soft)
 
 
+def _coerced(method):
+    """The binary method(self, other) with other a SoftNumber.
+
+    An int or float other stands for the real number 0*0~ + other; any
+    other type returns NotImplemented, so that Python tries the reflected
+    operation.
+    """
+    @functools.wraps(method)
+    def coerced(self, other):
+        if not isinstance(other, SoftNumber):
+            if not isinstance(other, (int, float)):
+                return NotImplemented
+            other = SoftNumber(0.0, other)
+        return method(self, other)
+    return coerced
+
+
 def _comparison(op):
-    def compare(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return op(_order_key(self), _order_key(other))
-    return compare
+    return _coerced(lambda self, other: op(_order_key(self), _order_key(other)))
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,8 @@ class SoftNumber:
         """Flip the sign of the soft coefficient."""
         return SoftNumber(-self.soft, self.real)
 
+    @_coerced
     def __add__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return SoftNumber(self.soft + other.soft, self.real + other.real)
 
     __radd__ = __add__
@@ -72,38 +81,28 @@ class SoftNumber:
     def __neg__(self) -> "SoftNumber":
         return SoftNumber(-self.soft, -self.real)
 
+    @_coerced
     def __sub__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return SoftNumber(self.soft - other.soft, self.real - other.real)
 
+    @_coerced
     def __rsub__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_coerced
     def __mul__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         # (a*0~ + b)(c*0~ + d) = (ad + bc)*0~ + bd, using 0~^2 = 0
         return SoftNumber(self.soft * other.real + self.real * other.soft,
                           self.real * other.real)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return div(self, other)
 
+    @_coerced
     def __rtruediv__(self, other) -> "SoftNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return div(other, self)
 
     def __pow__(self, n: int) -> "SoftNumber":
@@ -116,14 +115,6 @@ class SoftNumber:
 
     def __str__(self) -> str:
         return render_soft(self)
-
-
-def _coerce(value) -> SoftNumber:
-    if isinstance(value, SoftNumber):
-        return value
-    if isinstance(value, (int, float)):
-        return SoftNumber(0.0, value)
-    return NotImplemented
 
 
 def pow_nat(s: SoftNumber, n: int) -> SoftNumber:

@@ -30,7 +30,8 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
-from .errors import DegenerateModelError, DomainError, finite_float, is_count, is_number
+from .errors import DegenerateModelError, DomainError, finite_float, is_count, is_number, \
+    open_interval
 from .information import InfoConfig, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
@@ -54,11 +55,9 @@ class Observation:
         if self.kind == POINT:
             object.__setattr__(self, "value", finite_float(self.value, "point value"))
         elif self.kind == INTERVAL:
-            object.__setattr__(self, "lo", finite_float(self.lo, "interval lo"))
-            object.__setattr__(self, "hi", finite_float(self.hi, "interval hi"))
-            if not self.lo < self.hi:
-                raise DomainError(
-                    f"interval observation needs lo < hi, got ({self.lo!r}, {self.hi!r})")
+            lo, hi = open_interval((self.lo, self.hi), "interval observation")
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         else:
             raise DomainError(f"unknown observation kind {self.kind!r}")
 
@@ -110,13 +109,20 @@ class Dataset:
         if not names or len(set(names)) != len(names):
             raise DomainError(f"feature names must be nonempty and distinct: {names!r}")
         cells = []
-        for features, label in rows:
-            features = tuple(features)
+        for row in rows:
+            try:
+                features, label = row
+                features = tuple(features)
+            except (TypeError, ValueError):
+                raise DomainError(f"row must be a (features, label) pair, got {row!r}") from None
             if len(features) != len(names):
                 raise DomainError(
                     f"row has {len(features)} features, expected {len(names)}")
             cells += features
             cells.append(label)
+        for cell in cells:
+            if not isinstance(cell, Observation):
+                raise DomainError(f"cell must be an Observation, got {cell!r}")
         n = len(cells) // (len(names) + 1)
         if n < 2:
             raise DomainError("dataset needs at least 2 rows")

@@ -196,6 +196,10 @@ class TestPs:
         code, _, err = _run(capsys, ["ps", "--op", "interval", "--dist", UNIFORM_01])
         assert code == 1
         assert err.startswith("error:")
+        # ps2 reads y as it reads x: without --y it is an error, not the value at y = 0
+        code, out, err = _run(capsys, ["ps", "--op", "ps2", "--joint", ADDITIVE, "--x", "0.3",
+                                       "--rx", "leq", "--ry", "leq"])
+        assert (code, out, err) == (1, "", "error: operation 'ps2' needs --y\n")
 
 
 class TestEntropyCommands:
@@ -618,9 +622,18 @@ class TestOutputFormats:
         assert sorted(human.splitlines()) == sorted(_flattened(record) + headlines)
 
 
-# flags a subcommand never reads, with a value for each
+# flags a subcommand, or a ps operation, never reads, with a value for each
+# that takes one
 REFUSED_FLAGS = {
-    "ps": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse")],
+    "ps": [("--rel-tol", "1e-3"), ("--log-base", "2"), ("--zlogz", "collapse"),
+           ("--dist", GAUSSIAN_STD), ("--points", "1"), ("--interval", "0,1"),
+           ("--closed", None)],
+    "ps eq": [("--y", "5"), ("--rx", "leq"), ("--ry", "lt"), ("--joint", ADDITIVE),
+              ("--interval", "0,1"), ("--points", "1"), ("--closed", None)],
+    "ps interval": [("--x", "0.5"), ("--y", "5"), ("--points", "1")],
+    "ps points-union": [("--x", "0.5"), ("--interval", "0,1"), ("--closed", None)],
+    "ps union": [("--y", "5"), ("--points", "1"), ("--rx", "lt")],
+    "ps cond-point": [("--interval", "0,1"), ("--closed", None), ("--joint", ADDITIVE)],
     "kld": [("--zlogz", "collapse")],
     "mi": [("--zlogz", "collapse"), ("--form", "symmetric")],
     "moments": [("--log-base", "2"), ("--zlogz", "collapse")],
@@ -633,6 +646,13 @@ REFUSED_FLAGS = {
 ACCEPTED_ARGV = {
     "ps": ["ps", "--op", "ps2", "--joint", ADDITIVE, "--x", "0.2", "--y", "-0.1",
            "--rx", "leq", "--ry", "leq"],
+    "ps eq": ["ps", "--op", "eq", "--dist", GAUSSIAN_STD, "--x", "0.3"],
+    "ps interval": ["ps", "--op", "interval", "--dist", GAUSSIAN_STD, "--interval", "0,1",
+                    "--closed"],
+    "ps points-union": ["ps", "--op", "points-union", "--dist", GAUSSIAN_STD, "--points", "1,2"],
+    "ps union": ["ps", "--op", "union", "--dist", GAUSSIAN_STD, "--x", "0.5",
+                 "--interval", "0,1"],
+    "ps cond-point": ["ps", "--op", "cond-point", "--dist", GAUSSIAN_STD, "--x", "0", "--y", "1"],
     "kld": ["kld", "--dist", GAUSSIAN_STD, "--dist-hat", GAUSSIAN_STD, "--set", '{"points": [0]}'],
     "mi": ["mi", "--joint", ADDITIVE, "--set-x", '{"points": [0]}', "--set-y", '{"points": [0]}'],
     "moments": ["moments", "--dist", GAUSSIAN_STD, "--set", '{"points": [0]}'],
@@ -648,12 +668,18 @@ class TestFlags:
         for flag, value in flags])
     def test_a_flag_the_command_never_reads_is_a_usage_error(self, capsys, command, flag,
                                                              value):
+        refused = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as exc:
-            main(ACCEPTED_ARGV[command] + [flag, value])
+            main(ACCEPTED_ARGV[command] + refused)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert f"unrecognized arguments: {' '.join(refused)}\n" in captured.err
+
+    @pytest.mark.parametrize("command", [name for name in ACCEPTED_ARGV if name.startswith("ps")])
+    def test_each_accepted_ps_command_runs(self, capsys, command):
+        code, out, err = _run(capsys, ACCEPTED_ARGV[command])
+        assert (code, err) == (0, "") and out.startswith("value = ")
 
     def test_each_subcommand_accepts_only_the_flags_it_reads(self):
         # a flag added to a shared parent parser shows up here for every
@@ -729,8 +755,15 @@ def _assert_exits_cleanly(argv):
         assert out.getvalue() == ""
 
 
-_PS_OPS = ["eq", "lt", "leq", "neq", "interval", "points-union", "points-intersect",
-           "union", "intersect", "cond-interval", "cond-point"]
+# the flags each ps operation reads (the flag table of the README)
+_PS_OP_FLAGS = {
+    **dict.fromkeys(["eq", "lt", "leq", "neq"], ["--dist", "--x"]),
+    "interval": ["--dist", "--interval", "--closed"],
+    **dict.fromkeys(["points-union", "points-intersect"], ["--dist", "--points"]),
+    **dict.fromkeys(["union", "intersect", "cond-interval"],
+                    ["--dist", "--x", "--interval", "--closed"]),
+    "cond-point": ["--dist", "--x", "--y"],
+}
 _FLOAT_TEXT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                         st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e308])).map(repr)
 _LIST_TEXT = st.one_of(st.lists(_NUMBERS, max_size=3).map(lambda v: ",".join(map(str, v))),
@@ -754,12 +787,15 @@ class TestRandomDescriptors:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(op=st.sampled_from(_PS_OPS), dist=_json_ish(_DIST), x=_FLOAT_TEXT, y=_FLOAT_TEXT,
-           interval=_LIST_TEXT, points=_LIST_TEXT, closed=st.booleans())
+    @given(op=st.sampled_from(sorted(_PS_OP_FLAGS)), dist=_json_ish(_DIST), x=_FLOAT_TEXT,
+           y=_FLOAT_TEXT, interval=_LIST_TEXT, points=_LIST_TEXT, closed=st.booleans())
     def test_ps_never_raises(self, op, dist, x, y, interval, points, closed):
-        _assert_exits_cleanly(["ps", f"--op={op}", f"--dist={dist}", f"--x={x}", f"--y={y}",
-                               f"--interval={interval}", f"--points={points}"]
-                              + (["--closed"] if closed else []))
+        # each operation gets the flags it reads, and no other, which it would refuse
+        values = {"--dist": dist, "--x": x, "--y": y, "--interval": interval, "--points": points}
+        flags = _PS_OP_FLAGS[op]
+        _assert_exits_cleanly(["ps", f"--op={op}"]
+                              + [f"{flag}={values[flag]}" for flag in flags if flag in values]
+                              + (["--closed"] if closed and "--closed" in flags else []))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,4 @@
-"""Every number a caller passes in is checked by one helper, errors.finite_float."""
+"""Every number, open interval and point set a caller passes in is checked by one helper each."""
 
 import math
 import re
@@ -9,6 +9,7 @@ import pytest
 import softprob as sp
 from softprob.distributions import parse_distribution, parse_joint
 from softprob.errors import DomainError, finite_float, is_count
+from softprob.quadrature import integrate_pieces
 
 N01 = sp.Gaussian(0.0, 1.0)
 IV = sp.IntervalEvent(-1.0, 1.0)
@@ -50,6 +51,47 @@ ENTRY_POINTS = {
     "InfoConfig": lambda v: sp.InfoConfig(log_base=v),
     "integrate_1d": lambda v: sp.integrate_1d(np.exp, 0.0, v),
 }
+
+
+# operands of the wrong shape: an interval that is not a (lo, hi) pair, a
+# point set that is not a sequence, a dataset row that is not a (features,
+# label) pair or a cell that is not an Observation
+MALFORMED = {
+    "MixedSet interval triple": lambda: sp.MixedSet([], [(1, 2, 3)]),
+    "MixedSet interval number": lambda: sp.MixedSet([], [5]),
+    "MixedSet points None": lambda: sp.MixedSet(None),
+    "with_closed_intervals triple": lambda: sp.MixedSet.with_closed_intervals([], [(1, 2, 3)]),
+    "integrate_pieces triple": lambda: integrate_pieces(np.exp, [(0, 1, 2)]),
+    "ps_points_union number": lambda: sp.ps_points_union(N01, 5),
+    "Dataset row not a pair": lambda: sp.Dataset(["a"], [(1,)] * 2),
+    "Dataset cell not an Observation": lambda: sp.Dataset(["a"], [((1.0,), 2.0)] * 2),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_malformed_operand_is_a_domain_error(name):
+    with pytest.raises(DomainError, match=r"^\w+ must be a"):
+        MALFORMED[name]()
+
+
+# every open interval, read by errors.open_interval: (constructor, its name in messages)
+INTERVALS = {
+    "MixedSet": (lambda lo, hi: sp.MixedSet([], [(lo, hi)]), "interval"),
+    "with_closed_intervals": (lambda lo, hi: sp.MixedSet.with_closed_intervals([], [(lo, hi)]),
+                              "interval"),
+    "IntervalEvent": (sp.IntervalEvent, "interval"),
+    "Observation.interval": (sp.Observation.interval, "interval observation"),
+    "Uniform": (sp.Uniform, "uniform support"),
+    "integrate_1d": (lambda lo, hi: sp.integrate_1d(np.exp, lo, hi), "piece"),
+}
+
+
+@pytest.mark.parametrize("name", INTERVALS)
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+def test_an_interval_needs_lo_below_hi(name, lo, hi):
+    build, what = INTERVALS[name]
+    with pytest.raises(DomainError, match=f"^{what} needs lo < hi, got \\({lo!r}, {hi!r}\\)$"):
+        build(lo, hi)
 
 
 @pytest.mark.parametrize("value", [10 ** 400, math.inf, math.nan], ids=["1e400", "inf", "nan"])
@@ -176,10 +218,6 @@ def test_a_soft_record_that_is_not_an_object_is_a_domain_error(kind, record):
 
 # config fields of the wrong type, each a DomainError at construction
 BAD_CONFIGS = {
-    "quad max_depth str": lambda: sp.QuadratureConfig(max_depth="3"),
-    "quad max_depth None": lambda: sp.QuadratureConfig(max_depth=None),
-    "quad max_depth float": lambda: sp.QuadratureConfig(max_depth=2.5),
-    "quad max_depth bool": lambda: sp.QuadratureConfig(max_depth=True),
     "tree max_depth str": lambda: sp.TreeConfig(max_depth="3"),
     "tree max_depth float": lambda: sp.TreeConfig(max_depth=2.5),
     "tree max_depth bool": lambda: sp.TreeConfig(max_depth=True),
@@ -201,7 +239,6 @@ def test_a_config_field_of_the_wrong_type_is_a_domain_error(name):
 
 def test_integer_fields_take_any_integer():
     assert sp.TreeConfig(max_depth=np.int64(3), min_rows=np.int32(2)).max_depth == 3
-    assert sp.QuadratureConfig(max_depth=np.int64(4)).max_depth == 4
     assert sp.TreeConfig(min_gain=sp.SoftNumber(0.0, 1.0), info=sp.InfoConfig(log_base=2))
     assert [is_count(v) for v in (0, 7, np.int64(2), -1, True, 2.0, "3", None)] == [
         True, True, True, False, False, False, False, False]

@@ -73,6 +73,12 @@ class TestMixedSet:
         assert ms.points == (0.0, 0.25)
         assert ms.intervals == ((0.0, 0.25),)
 
+    def test_closed_interval_points_are_a_union(self):
+        # a listed point may repeat or equal an end: only MixedSet's own points are distinct
+        ms = MixedSet.with_closed_intervals([1, 1], [(1, 2)])
+        assert ms.points == (1.0, 2.0)
+        assert ms.intervals == ((1.0, 2.0),)
+
     def test_dict_round_trip(self):
         ms = MixedSet([0.5], [(0.0, 0.25)])
         assert MixedSet.from_dict(ms.to_dict()) == ms

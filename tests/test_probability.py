@@ -9,12 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from softprob.distributions import BivariateGaussianModel, Gaussian, Uniform
-from softprob.errors import DomainError
+from softprob.errors import DomainError, distinct_points
 from softprob.information import soft_entropy
 from softprob.moments import MixedSet
 from softprob.probability import (
     IntervalEvent,
-    PointSetEvent,
     Relation,
     ps2,
     ps_cond_point_given_interval,
@@ -40,10 +39,10 @@ xs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 class TestEvents:
     def test_point_set_sorts_and_rejects_duplicates(self):
-        e = PointSetEvent([0.75, 0.25])
-        assert e.points == (0.25, 0.75)
-        with pytest.raises(DomainError):
-            PointSetEvent([0.3, 0.3])
+        # the one point-set rule, behind MixedSet and ps_points_union
+        assert distinct_points([0.75, 0.25], "point") == [0.25, 0.75]
+        with pytest.raises(DomainError, match="^duplicate point 0.3$"):
+            distinct_points([0.3, 0.3], "point")
 
     def test_interval_needs_ordered_endpoints(self):
         with pytest.raises(DomainError):

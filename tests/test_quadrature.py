@@ -11,6 +11,7 @@ from softprob.quadrature import (
     DEFAULT_1D,
     CALL_PANELS,
     PANEL_CAP,
+    MAX_DEPTH,
     PIECE_PANELS,
     QuadratureConfig,
     QuadStats,
@@ -39,8 +40,6 @@ class TestConfig:
     def test_invalid_settings_rejected(self):
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_depth=0)
 
 
 class TestIntegrate1D:
@@ -130,14 +129,16 @@ class TestIntegrate1D:
         assert got == pytest.approx(2.5e8, rel=1e-12)
 
     def test_convergence_error_carries_best_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, max_depth=3)
-        # |x - pi/8| has a kink no 3-level refinement resolves to 1e-15
-        with pytest.raises(ConvergenceError) as err:
-            integrate_1d(lambda x: abs(x - math.pi / 8.0), 0.0, 1.0, cfg)
-        exact = ((math.pi / 8) ** 2 + (1 - math.pi / 8) ** 2) / 2.0
-        assert err.value.best_estimate == pytest.approx(exact, rel=1e-3)
+        cfg = QuadratureConfig(rel_tol=1e-15)
+        # no panel MAX_DEPTH levels down resolves a step at pi/8 to 1e-15;
+        # one panel a round is split, the one holding the step
+        with pytest.raises(ConvergenceError, match=f"at depth {MAX_DEPTH}, ") as err:
+            integrate_1d(lambda x: np.where(x < math.pi / 8.0, 0.0, 1.0), 0.0, 1.0, cfg)
+        exact = 1.0 - math.pi / 8.0
+        assert err.value.best_estimate == pytest.approx(exact, rel=1e-8)
         stats = err.value.stats
-        assert stats.stuck >= 1 and stats.max_depth == 3
+        assert (stats.stuck, stats.max_depth) == (1, MAX_DEPTH)
+        assert (stats.calls, stats.nodes) == (MAX_DEPTH, 48 + 64 * (MAX_DEPTH - 1))
         assert stats.error > 1e-15 * exact
 
     def test_noise_hits_the_panel_cap(self):
@@ -161,9 +162,9 @@ class TestIntegrate1D:
 
     def test_error_names_the_first_pieces_only(self):
         pieces = [(float(k), k + 0.5) for k in range(1000)]
-        cfg = QuadratureConfig(max_depth=1)
-        with pytest.raises(ConvergenceError) as err:
-            integrate_pieces(lambda xs: np.sin(120.0 * xs), pieces, cfg)
+        cfg = QuadratureConfig(rel_tol=1e-15)
+        with pytest.raises(ConvergenceError, match="need refining") as err:
+            integrate_pieces(lambda xs: np.where(xs < math.pi / 8.0, 0.0, 1.0), pieces, cfg)
         message = str(err.value)
         assert "over (0.0, 0.5), (1.0, 1.5), (2.0, 2.5) and 997 more pieces" in message
         assert len(message) < 300

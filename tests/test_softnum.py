@@ -1,6 +1,7 @@
 """Tests for the soft-number algebra core."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,47 @@ class TestAddMul:
         s = SoftNumber(1, 2)
         assert 2.0 * s == SoftNumber(2, 4)
         assert s + 1.0 == SoftNumber(1, 3)
+
+    # each binary operator's formula, on (soft, real) pairs; a scalar x is (0.0, x)
+    FORMULAS = {
+        "add": (operator.add, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+        "sub": (operator.sub, lambda a, b: (a[0] - b[0], a[1] - b[1])),
+        "mul": (operator.mul, lambda a, b: (a[0] * b[1] + a[1] * b[0], a[1] * b[1])),
+        "truediv": (operator.truediv,
+                    lambda a, b: ((a[0] * b[1] - a[1] * b[0]) / (b[1] * b[1]), a[1] / b[1])),
+    }
+    OPERANDS = [SoftNumber(0.1, -2.5), SoftNumber(-3.0, 1e-100), SoftNumber(7.25, 3.0),
+                3, -1, 0.7, -2.5e10]
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_operators_give_the_formula_bits_with_scalars_on_either_side(self, name):
+        op, formula = self.FORMULAS[name]
+        pair = lambda v: (v.soft, v.real) if isinstance(v, SoftNumber) else (0.0, float(v))
+        for a in self.OPERANDS:
+            for b in self.OPERANDS:
+                if not (isinstance(a, SoftNumber) or isinstance(b, SoftNumber)):
+                    continue
+                got = op(a, b)
+                assert type(got) is SoftNumber
+                want = formula(pair(a), pair(b))
+                assert (got.soft.hex(), got.real.hex()) == tuple(v.hex() for v in want), (a, b)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.lt, operator.le,
+                                    operator.gt, operator.ge])
+    def test_an_operand_of_another_type_is_not_implemented(self, op):
+        s = SoftNumber(1.0, 2.0)
+        for other in ("1", None, 1j):
+            with pytest.raises(TypeError):
+                op(s, other)
+            with pytest.raises(TypeError):
+                op(other, s)
+
+    def test_comparisons_order_scalars_as_real_numbers(self):
+        s = SoftNumber(-1.0, 2.0)
+        assert s < 2 and 2 > s and s <= 2.0 and 2.0 >= s
+        assert not (s > 2 or 2 < s or s >= 2.0 or 2.0 <= s)
+        assert SoftNumber(1.0, 2.0) > 2 and 2 < SoftNumber(1.0, 2.0)
 
     @given(soft_numbers, soft_numbers)
     def test_add_commutes(self, s, t):
