@@ -8,6 +8,8 @@ information measures over mixed point + interval sets, and a decision-tree
 inducer whose split score is soft mutual information.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConvergenceError, DegenerateModelError, DomainError, SoftProbError
 from .softnum import (
     CONJUGATE,
@@ -94,82 +96,6 @@ from .tree import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariateGaussianModel",
-    "CONJUGATE",
-    "ContinuousDistribution",
-    "ConvergenceError",
-    "DEFAULT_1D",
-    "Dataset",
-    "DegenerateModelError",
-    "DomainError",
-    "ExtendedSoftNumber",
-    "FORM_CONDITIONAL",
-    "FORM_SYMMETRIC",
-    "Gaussian",
-    "InfoConfig",
-    "IntervalEvent",
-    "JointModel",
-    "Leaf",
-    "MixedSet",
-    "Observation",
-    "QuadratureConfig",
-    "Relation",
-    "SIGN_RULE",
-    "SoftMoments",
-    "SoftNumber",
-    "SoftProbError",
-    "Split",
-    "SymmetricPair",
-    "TreeConfig",
-    "Uniform",
-    "UserDefinedDistribution",
-    "ZLOGZ_AXIS",
-    "ZLOGZ_COLLAPSE",
-    "build_mixed_sets",
-    "cmp",
-    "div",
-    "ext_from_dict",
-    "ext_to_dict",
-    "fit_joint_model",
-    "from_sp",
-    "induce",
-    "integrate_1d",
-    "integrate_2d",
-    "joint_gaussian_additive",
-    "lift",
-    "parse_dataset",
-    "parse_distribution",
-    "parse_joint",
-    "pow_nat",
-    "predict",
-    "ps2",
-    "ps_cond_point_given_interval",
-    "ps_cond_point_given_point",
-    "ps_eq",
-    "ps_interval",
-    "ps_intersect_point_interval",
-    "ps_leq",
-    "ps_lt",
-    "ps_neq",
-    "ps_points_intersection",
-    "ps_points_union",
-    "ps_union_point_interval",
-    "render_extended",
-    "render_soft",
-    "soft_abs",
-    "soft_cross_entropy",
-    "soft_entropy",
-    "soft_expectation",
-    "soft_expectation_of",
-    "soft_from_dict",
-    "soft_kld",
-    "soft_mutual_information",
-    "soft_sum",
-    "soft_to_dict",
-    "soft_variance",
-    "split_gain",
-    "to_sp",
-    "tree_from_dict",
-    "tree_to_dict",
-]
+# the public names are the ones imported above, so they are listed only there
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -6,7 +6,8 @@ DomainError and never a bare TypeError, ValueError or OverflowError: an
 integer too large for a float, a value float() cannot convert, and an
 infinity or NaN where a finite number is needed all raise it. Every open
 interval goes through open_interval and every set of distinct points
-through distinct_points; other range checks stay with each constructor.
+through distinct_points; a container of points or intervals must pass
+sequence. Other range checks stay with each constructor.
 A number read from a JSON record must also pass is_number, so that a
 boolean or a string never stands in for one (record_numbers), and an
 integer must pass is_count.
@@ -56,11 +57,20 @@ def open_interval(pair, what: str) -> tuple[float, float]:
     return lo, hi
 
 
+def sequence(values, what: str, of: str):
+    """values, which must be an iterable other than a string; else a DomainError.
+
+    what names the container and of its items, as in "points must be a
+    sequence of numbers".
+    """
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise DomainError(f"{what} must be a sequence of {of}, got {values!r}")
+    return values
+
+
 def distinct_points(points, what: str) -> list[float]:
     """The points as ascending finite floats; a repeat or a non-sequence is a DomainError."""
-    if isinstance(points, (str, bytes)) or not isinstance(points, Iterable):
-        raise DomainError(f"{what}s must be a sequence of numbers, got {points!r}")
-    values = sorted(finite_float(p, what) for p in points)
+    values = sorted(finite_float(p, what) for p in sequence(points, what + "s", "numbers"))
     for prev, nxt in zip(values, values[1:]):
         if prev == nxt:
             raise DomainError(f"duplicate {what} {prev!r}")

@@ -86,12 +86,14 @@ _DEFAULT = InfoConfig()
 def _log_terms(w: np.ndarray, num, den) -> np.ndarray:
     """w*log(num/den) elementwise: the pointwise rule of every term here.
 
-    Terms with weight below TINY_DENSITY are 0, and ratios within
-    UNIT_RATIO_TOLERANCE of one give exactly 0. A vanishing numerator or
-    denominator under a weight that counts gives a non-finite term, and
-    every sum of terms rejects one with a DomainError: the integrators and
-    soft_sum name its point, the point-pair sum checks its total. Callers
-    run it with numpy's floating-point warnings off, as the integrators do.
+    It is the one zero-density rule. Terms with weight below TINY_DENSITY
+    are 0, whatever the densities, so a point where the density vanishes
+    adds 0 on every axis. Ratios within UNIT_RATIO_TOLERANCE of one give
+    exactly 0. A vanishing numerator or denominator under a weight that
+    counts gives a non-finite term, and every sum of terms rejects one with
+    a DomainError: the integrators and soft_sum name its point, the
+    point-pair sum checks its total. Callers run it with numpy's
+    floating-point warnings off, as the integrators do.
     """
     ratio = num / den
     keep = ~(w < TINY_DENSITY)
@@ -99,15 +101,6 @@ def _log_terms(w: np.ndarray, num, den) -> np.ndarray:
     terms = np.log(ratio, out=np.zeros_like(ratio), where=keep)
     terms *= w
     return terms
-
-
-def _require_positive_density(d: ContinuousDistribution, points: np.ndarray, what: str) -> None:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = d.pdf_array(points)
-    bad = np.flatnonzero(~(f > 0.0))
-    if bad.size:
-        k = bad[0]
-        raise DomainError(f"{what} is {float(f[k])!r} at point {float(points[k])!r}")
 
 
 def _entropy_axes(d: ContinuousDistribution, ms: MixedSet, point_sum: float,
@@ -126,11 +119,10 @@ def soft_entropy(d: ContinuousDistribution, ms: MixedSet,
     """Hs[X | X in ms] = h1*0log0~ + h2*0~ + h3.
 
     h1 = -sum f(x_i), h2 = -sum f(x_i) log f(x_i), h3 = -sum of interval
-    integrals of f log f. Zero density at a listed point is a domain error;
-    inside intervals f -> 0 is handled by the limit f log f -> 0.
+    integrals of f log f. Where f is below TINY_DENSITY, at a listed point
+    or inside an interval, the term is the limit of f log f as f -> 0,
+    which is 0 (_log_terms).
     """
-    _require_positive_density(d, ms.point_array, "density")
-
     def flogf(xs: np.ndarray) -> np.ndarray:
         f = d.pdf_array(xs)
         return _log_terms(f, f, 1.0)
@@ -431,7 +423,11 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     once (a MixedSet's already are), so that the transform reads v
     ascending and rho*u monotone; the sum does not depend on their order.
 
-    A weight below TINY_DENSITY counts as 0, as in the pointwise rule; the
+    A weight below TINY_DENSITY counts as 0, as in the pointwise rule. The
+    weights are built in log space and f_X or f_Y is never evaluated at a
+    point, so a point where a marginal density underflows adds 0 like any
+    other pair of negligible weight. A point whose squared standardised
+    value overflows makes the sum NaN, which _point_pair_sum rejects. The
     interpolation is taken only where no weight is that small and every
     target lies within 2 of a source, a reach checked as coverage by the
     sorted sources (_within_reach). Those rules also keep every weight at
@@ -479,13 +475,12 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
 def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> float:
     """Sum of the pointwise MI terms over every (xs[i], ys[k]) pair.
 
-    A marginal density that is not positive at a listed point is a
-    DomainError, whatever the weight of its pairs. A BivariateGaussianModel
+    Every pair follows the pointwise rule of _log_terms: a pair whose
+    weight is below TINY_DENSITY adds 0, whatever its marginal densities,
+    and a total that is not finite is a DomainError. A BivariateGaussianModel
     sums its pairs as a Gauss transform (_gaussian_pair_sum); any other
     JointModel sums the _mi_terms grids block by block.
     """
-    _require_positive_density(j.marginal_x, xs, "marginal density of X")
-    _require_positive_density(j.marginal_y, ys, "marginal density of Y")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(j, BivariateGaussianModel):
             total = _gaussian_pair_sum(j, xs, ys)

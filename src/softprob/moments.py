@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .distributions import ContinuousDistribution
-from .errors import DomainError, distinct_points, finite_float, is_number, open_interval
+from .errors import (DomainError, distinct_points, finite_float, is_number, open_interval,
+                     sequence)
 from .quadrature import QuadratureConfig, integrate_pieces, sample_1d
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
@@ -48,7 +49,8 @@ class MixedSet:
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
         pts = distinct_points(points, "point")
-        ivs = sorted(open_interval(iv, "interval") for iv in intervals)
+        ivs = sorted(open_interval(iv, "interval")
+                     for iv in sequence(intervals, "intervals", "(lo, hi) pairs"))
         for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
             if lo2 < hi1:
                 raise DomainError(
@@ -102,8 +104,10 @@ class MixedSet:
 
         The points are a union: a listed point may repeat or equal an end.
         """
-        ivs = [open_interval(iv, "interval") for iv in closed_intervals]
-        return cls({finite_float(p, "point") for p in points}.union(*ivs), ivs)
+        ivs = [open_interval(iv, "interval")
+               for iv in sequence(closed_intervals, "intervals", "(lo, hi) pairs")]
+        pts = {finite_float(p, "point") for p in sequence(points, "points", "numbers")}
+        return cls(pts.union(*ivs), ivs)
 
     @property
     def is_empty(self) -> bool:
@@ -117,6 +121,9 @@ class MixedSet:
     def from_dict(cls, obj: dict) -> "MixedSet":
         if not isinstance(obj, dict):
             raise DomainError(f"mixed-set record must be an object, got {obj!r}")
+        for key in obj:
+            if key not in ("points", "intervals"):
+                raise DomainError(f"mixed-set record has unknown field {key!r}")
         points = obj.get("points", [])
         intervals = obj.get("intervals", [])
         if not (isinstance(points, list) and all(map(is_number, points))):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import ContinuousDistribution, JointModel
-from .errors import DomainError, distinct_points, finite_float, open_interval
+from .errors import DomainError, distinct_points, finite_float, open_interval, sequence
 from .softnum import SoftNumber, div
 
 
@@ -88,7 +88,7 @@ def ps_points_intersection(d: ContinuousDistribution,
     Nonempty only when every listed point is the same value; duplicates are
     meaningful here, unlike in a union.
     """
-    values = [finite_float(p, "point") for p in points]
+    values = [finite_float(p, "point") for p in sequence(points, "points", "numbers")]
     if values and all(v == values[0] for v in values):
         return ps_eq(d, values[0])
     return SoftNumber.zero()

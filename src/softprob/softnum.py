@@ -178,7 +178,9 @@ def div(num: SoftNumber, den: SoftNumber) -> SoftNumber:
     a*0~ divides only pure soft zeros, giving the real ratio of the
     coefficients. Otherwise the denominator c*0~ + d has d != 0 and
     rationalizing with its conjugate gives
-    ((a*d - b*c)/d^2)*0~ + b/d.
+    ((a*d - b*c)/d^2)*0~ + b/d. The soft part divides by d twice, since
+    d*d leaves the float range for |d| below about 1.5e-154 or above
+    about 1.3e154.
     """
     if den.is_absolute_zero:
         raise DomainError("division by absolute zero")
@@ -189,8 +191,7 @@ def div(num: SoftNumber, den: SoftNumber) -> SoftNumber:
                 "only a pure soft zero can be divided by a pure soft zero")
         return SoftNumber(0.0, num.soft / den.soft)
     d = den.real
-    return SoftNumber((num.soft * d - num.real * den.soft) / (d * d),
-                      num.real / d)
+    return SoftNumber((num.soft * d - num.real * den.soft) / d / d, num.real / d)
 
 
 def cmp(s: SoftNumber, t: SoftNumber) -> int:

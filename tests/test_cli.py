@@ -308,6 +308,13 @@ class TestEntropyCommands:
         assert err.startswith("error:")
 
 
+    def test_an_unknown_set_field_is_named(self, capsys):
+        # a misspelt "points" used to be ignored, giving the entropy of the empty set
+        code, out, err = _run(capsys, ["entropy", "--dist", GAUSSIAN_STD,
+                                       "--set", '{"point": [1.0]}'])
+        assert (code, out) == (1, "")
+        assert err == "error: mixed-set record has unknown field 'point'\n"
+
     def test_malformed_set_records_fail_cleanly(self, capsys):
         for record in ('{"points": 5}', '{"intervals": [5]}', '{"points": "12"}',
                        '{"points": [null]}', '{"intervals": [[0, 1, 2]]}',

@@ -60,9 +60,13 @@ MALFORMED = {
     "MixedSet interval triple": lambda: sp.MixedSet([], [(1, 2, 3)]),
     "MixedSet interval number": lambda: sp.MixedSet([], [5]),
     "MixedSet points None": lambda: sp.MixedSet(None),
+    "MixedSet intervals None": lambda: sp.MixedSet([], None),
     "with_closed_intervals triple": lambda: sp.MixedSet.with_closed_intervals([], [(1, 2, 3)]),
+    "with_closed_intervals points number": lambda: sp.MixedSet.with_closed_intervals(5),
+    "with_closed_intervals intervals number": lambda: sp.MixedSet.with_closed_intervals([], 5),
     "integrate_pieces triple": lambda: integrate_pieces(np.exp, [(0, 1, 2)]),
     "ps_points_union number": lambda: sp.ps_points_union(N01, 5),
+    "ps_points_intersection number": lambda: sp.ps_points_intersection(N01, 5),
     "Dataset row not a pair": lambda: sp.Dataset(["a"], [(1,)] * 2),
     "Dataset cell not an Observation": lambda: sp.Dataset(["a"], [((1.0,), 2.0)] * 2),
 }

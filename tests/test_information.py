@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import random
-import re
 import tracemalloc
 import warnings
 
@@ -135,10 +134,12 @@ class TestEntropy:
         assert value.real == pytest.approx(5.560020595838215e-87, rel=1e-12, abs=0.0)
 
     def test_zero_density_at_point_rejected(self):
-        with pytest.raises(DomainError):
-            soft_entropy(Uniform(0, 1), MixedSet([2.0], []))
-        with pytest.raises(DomainError):
-            soft_entropy(Uniform(0, 1), MixedSet([0.0], []))
+        # the id predates the one zero-density rule: a listed point where the
+        # density is 0 is not rejected but adds 0 on every axis
+        for point in (2.0, 0.0):
+            assert Uniform(0, 1).pdf(point) == 0.0
+            value = soft_entropy(Uniform(0, 1), MixedSet([point], []))
+            assert (value.zlogz, value.soft, value.real) == (0.0, 0.0, 0.0)
 
     def test_density_vanishing_inside_interval_uses_limit(self):
         value = soft_entropy(Uniform(0, 1), MixedSet([], [(0.5, 2.0)]))
@@ -295,6 +296,19 @@ class TestPointwiseRule:
         assert soft_cross_entropy(STD, Gaussian(1.0, 1.0), self.FAR).soft == 0.0
         assert soft_kld(STD, Gaussian(1.0, 1.0), self.FAR) == SoftNumber(0.0, 0.0)
 
+    def test_underflowed_density_gives_zero_in_every_functional(self):
+        # f(40) of N(0, 1) underflows to 0, and each functional takes the
+        # term as the pointwise rule's 0
+        far = MixedSet([40.0])
+        assert STD.pdf(40.0) == 0.0
+        for value in (soft_entropy(STD, far), soft_cross_entropy(STD, Gaussian(1.0, 2.0), far)):
+            assert (value.zlogz, value.soft, value.real) == (0.0, 0.0, 0.0)
+        assert soft_kld(STD, Gaussian(1.0, 2.0), far) == SoftNumber(0.0, 0.0)
+        assert soft_expectation(STD, far) == SoftNumber(0.0, 0.0)
+        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+            assert soft_mutual_information(STD_ADDITIVE, far, MixedSet([0.0]),
+                                           form=form) == SoftNumber(0.0, 0.0)
+
     def test_far_tail_point_needs_no_reference_density(self):
         assert soft_cross_entropy(STD, Uniform(0, 1), self.FAR).soft == 0.0
         assert soft_kld(STD, Uniform(0, 1), self.FAR) == SoftNumber(0.0, 0.0)
@@ -405,12 +419,14 @@ class TestMutualInformation:
         assert bits.real == nats.real / LN2
 
     def test_zero_marginal_at_point_rejected(self):
-        with pytest.raises(DomainError):
-            soft_mutual_information(STD_ADDITIVE, MixedSet([60.0], []),
-                                    MixedSet([0.0], []))
-        with pytest.raises(DomainError):
-            soft_mutual_information(STD_ADDITIVE, MixedSet([0.0], []),
-                                    MixedSet([80.0], []))
+        # the id predates the one zero-density rule: a point where a marginal
+        # density is 0 is not rejected, its pairs weigh below TINY_DENSITY and add 0
+        assert STD_ADDITIVE.marginal_x.pdf(60.0) == STD_ADDITIVE.marginal_y.pdf(80.0) == 0.0
+        for sx, sy in ((MixedSet([60.0]), MixedSet([0.0])),
+                       (MixedSet([0.0]), MixedSet([80.0]))):
+            for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+                assert soft_mutual_information(STD_ADDITIVE, sx, sy,
+                                               form=form) == SoftNumber(0.0, 0.0)
 
     def test_point_interval_cross_pairs_contribute_nothing(self):
         sx = MixedSet([0.0, 0.4], [(1.0, 2.0)])
@@ -539,17 +555,57 @@ class TestPointPairSum:
     @pytest.mark.parametrize("z", [39.0, 40.0, 42.5])
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_zero_density_of_a_narrow_marginal_is_a_domain_error(self, axis, z):
-        # with sd 1e-100, exp(-z^2/2) underflows to 0 at these z although
-        # z^2/2 + log(sd * sqrt(2 pi)) is below -log(TINY_DENSITY)
+        # the id predates the one zero-density rule. With sd 1e-100,
+        # exp(-z^2/2) underflows to 0 at these z although z^2/2 +
+        # log(sd * sqrt(2 pi)) is below -log(TINY_DENSITY); the pair's weight,
+        # taken in log space, is below TINY_DENSITY, so the pair adds 0
         point = z * 1e-100
         narrow, wide = (MixedSet([point]), MixedSet([0.0]))
         if axis == "X":
             j, sx, sy = BivariateGaussianModel(0.0, 0.0, 1e-200, 1.0, 0.5), narrow, wide
         else:
             j, sx, sy = BivariateGaussianModel(0.0, 0.0, 1.0, 1e-200, 0.5), wide, narrow
-        message = f"marginal density of {axis} is 0.0 at point {point!r}"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            soft_mutual_information(j, sx, sy)
+        marginal = j.marginal_x if axis == "X" else j.marginal_y
+        assert marginal.pdf(point) == 0.0
+        u = sx.points[0] / math.sqrt(j.var_x)
+        v = sy.points[0] / math.sqrt(j.var_y)
+        q = 1.0 - j.rho ** 2
+        log_weight = (-0.5 * u * u - (v - j.rho * u) ** 2 / (2.0 * q)
+                      - math.log(2.0 * math.pi * math.sqrt(j.var_x * j.var_y * q)))
+        assert log_weight < math.log(information.TINY_DENSITY)
+        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+            assert soft_mutual_information(j, sx, sy, form=form) == SoftNumber(0.0, 0.0)
+
+    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("model", ["gaussian", "grid", "scalar"])
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_far_points_add_nothing_on_every_path(self, axis, model, form):
+        # the marginal densities are 0 at ±60 and ±80, so these points add 0
+        j = {"gaussian": STD_ADDITIVE, "grid": _GridOnly(STD_ADDITIVE),
+             "scalar": _ScalarOnly(STD_ADDITIVE)}[model]
+        sx = MixedSet([-0.7, 0.0, 0.4], [(1.0, 2.0)])
+        sy = MixedSet([-0.1, 1.7], [(0.5, 1.5)])
+        if axis == "X":
+            far_x, far_y = MixedSet([-80.0, *sx.points, 60.0], sx.intervals), sy
+        else:
+            far_x, far_y = sx, MixedSet([-60.0, *sy.points, 80.0], sy.intervals)
+        far = soft_mutual_information(j, far_x, far_y, form=form)
+        near = soft_mutual_information(j, sx, sy, form=form)
+        if model == "gaussian":
+            assert far == near
+        else:
+            # numpy sums each grid pairwise, and the far points' zero terms
+            # regroup that sum, so the soft part may move in its last bit
+            assert far.real == near.real
+            assert far.soft == pytest.approx(near.soft, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_a_point_whose_square_overflows_is_a_domain_error(self, axis):
+        # (1e200)^2 overflows, and inf * 0 leaves a NaN in the pair sum
+        far, near = MixedSet([1e200]), MixedSet([0.0])
+        sx, sy = (far, near) if axis == "X" else (near, far)
+        with pytest.raises(DomainError, match=r"^point-pair sum of mutual information is nan$"):
+            soft_mutual_information(STD_ADDITIVE, sx, sy)
 
 
 def _mi_pairs_by_mpmath(mp, j: BivariateGaussianModel, xs, ys):

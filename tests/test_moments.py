@@ -83,6 +83,11 @@ class TestMixedSet:
         ms = MixedSet([0.5], [(0.0, 0.25)])
         assert MixedSet.from_dict(ms.to_dict()) == ms
 
+    @pytest.mark.parametrize("key", ["point", "Points"])
+    def test_a_record_field_other_than_points_and_intervals_is_named(self, key):
+        with pytest.raises(DomainError, match=f"^mixed-set record has unknown field '{key}'$"):
+            MixedSet.from_dict({"points": [0.5], key: [1.0]})
+
     def test_empty_set(self):
         assert MixedSet().is_empty
 

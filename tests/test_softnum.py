@@ -95,7 +95,7 @@ class TestAddMul:
         "sub": (operator.sub, lambda a, b: (a[0] - b[0], a[1] - b[1])),
         "mul": (operator.mul, lambda a, b: (a[0] * b[1] + a[1] * b[0], a[1] * b[1])),
         "truediv": (operator.truediv,
-                    lambda a, b: ((a[0] * b[1] - a[1] * b[0]) / (b[1] * b[1]), a[1] / b[1])),
+                    lambda a, b: ((a[0] * b[1] - a[1] * b[0]) / b[1] / b[1], a[1] / b[1])),
     }
     OPERANDS = [SoftNumber(0.1, -2.5), SoftNumber(-3.0, 1e-100), SoftNumber(7.25, 3.0),
                 3, -1, 0.7, -2.5e10]
@@ -235,6 +235,14 @@ class TestDiv:
     def test_pure_soft_denominator_needs_pure_soft_numerator(self):
         with pytest.raises(DomainError):
             div(SoftNumber(1, 2), SoftNumber(3, 0))
+
+    def test_a_tiny_real_part_divides_without_underflow(self):
+        # d*d underflows to 0 at d = 1e-300, where dividing by d twice does not
+        assert div(SoftNumber(0, 0), SoftNumber(1, 1e-300)) == SoftNumber(0.0, 0.0)
+        assert div(SoftNumber(1, 1e-300), SoftNumber(1, 1e-300)) == SoftNumber(0.0, 1.0)
+        # the soft part of this quotient, 3e600, is beyond the float range
+        with pytest.raises(DomainError, match="^soft must be finite, got inf$"):
+            SoftNumber(1, 1) / SoftNumber(-3.0, 1e-300)
 
     @given(soft_numbers, st.builds(SoftNumber, finite, nonzero))
     def test_div_inverts_mul(self, s, den):

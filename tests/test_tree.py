@@ -564,6 +564,16 @@ class TestInduce:
         node = induce(ds, TreeConfig(min_gain=SoftNumber(0.0, 1e9)))
         assert isinstance(node, Leaf)
 
+    @pytest.mark.parametrize("n, outlier", [(2000, 1e3), (1600, 1e6), (2000, 1e9)])
+    def test_one_far_outlier_still_splits(self, n, outlier):
+        # the outlier lies about sqrt(n) sd out under the fitted Gaussian,
+        # where its marginal density underflows to 0; its pairs weigh below
+        # TINY_DENSITY and add 0 to each gain
+        rows = _synthetic_rows(5, n)
+        (_, x2), y = rows[0]
+        rows[0] = ((Observation.point(outlier), x2), y)
+        assert isinstance(induce(_dataset(rows), TreeConfig(max_depth=3, min_rows=8)), Split)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             TreeConfig(max_depth=0)
