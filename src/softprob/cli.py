@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -23,7 +22,7 @@ from typing import Optional
 
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
-from .errors import DomainError, SoftProbError, open_interval
+from .errors import DomainError, SoftProbError, finite_float, open_interval
 from .information import FORM_CONDITIONAL, ZLOGZ_AXIS, InfoConfig, \
     soft_cross_entropy, soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
@@ -156,7 +155,7 @@ def _points_list(args) -> list[float]:
     text = args.points.strip()
     if not text:
         return []
-    return [float(p) for p in text.split(",")]
+    return [finite_float(p, "--points entry") for p in text.split(",")]
 
 
 def _dist(args):
@@ -271,7 +270,7 @@ def cmd_moments(args) -> int:
     expectation = soft_expectation(d, ms, quad)
     variance, rec = soft_variance(d, ms, quad)
     _emit(args, {"expectation": expectation, "variance": variance,
-                 "components": dataclasses.asdict(rec)})
+                 "components": vars(rec)})
     return 0
 
 

@@ -62,14 +62,16 @@ class ContinuousDistribution(ABC):
     def location(self) -> float:
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
-            return 0.5 * (lo + hi)
+            # halving first keeps the midpoint of any finite support finite
+            return 0.5 * lo + 0.5 * hi
         return 0.0
 
     @property
     def scale(self) -> float:
+        """(hi - lo) / sqrt(12) on a finite support, from the halved ends."""
         lo, hi = self.support
         if math.isfinite(lo) and math.isfinite(hi):
-            return (hi - lo) / math.sqrt(12.0)
+            return (0.5 * hi - 0.5 * lo) / math.sqrt(3.0)
         return 1.0
 
     def truncated_range(self) -> tuple[float, float]:
@@ -139,11 +141,26 @@ class Gaussian(ContinuousDistribution):
 
 
 class Uniform(ContinuousDistribution):
-    """Uniform distribution on the open interval (lo, hi); pdf is 0 at the endpoints."""
+    """Uniform distribution on the open interval (lo, hi); pdf is 0 at the endpoints.
+
+    The width and the distance x - lo are taken between the ends scaled by
+    1/8: an eighth of any finite width is finite and has a normal
+    reciprocal (the width is below 2^1025), so the widest supports keep the
+    digits of their cdf. Scaling by a power of two is exact for normal
+    floats, so an ordinary support gets the bits of 1/(hi - lo) and
+    (x - lo)/(hi - lo). A support so narrow that the reciprocal overflows
+    is a DomainError.
+    """
 
     def __init__(self, lo: float, hi: float):
         self.lo, self.hi = open_interval((lo, hi), "uniform support")
-        self._density = 1.0 / (self.hi - self.lo)
+        eighth = 0.125 * self.hi - 0.125 * self.lo
+        # an eighth of a subnormal width may round to 0
+        self._inv_eighth = 1.0 / eighth if eighth > 0.0 else math.inf
+        if not math.isfinite(self._inv_eighth):
+            raise DomainError(f"uniform support ({self.lo!r}, {self.hi!r}) is too narrow: "
+                              "its density overflows")
+        self._density = 0.125 * self._inv_eighth
 
     def pdf(self, x: float) -> float:
         return self._density if self.lo < x < self.hi else 0.0
@@ -153,7 +170,7 @@ class Uniform(ContinuousDistribution):
             return 0.0
         if x >= self.hi:
             return 1.0
-        return (x - self.lo) * self._density
+        return (0.125 * x - 0.125 * self.lo) * self._inv_eighth
 
     @property
     def support(self) -> tuple[float, float]:

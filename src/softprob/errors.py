@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check of each kind of caller input.
+"""Exception types and the record base shared across the package, and the one check of
+each kind of caller input.
 
 Every number a caller passes in (a point, an interval end, a model
 parameter, a tolerance) goes through finite_float, so bad input is a
@@ -11,6 +12,10 @@ sequence. Other range checks stay with each constructor.
 A number read from a JSON record must also pass is_number, so that a
 boolean or a string never stands in for one (record_numbers), and an
 integer must pass is_count.
+
+Every immutable value class of the package derives from Record, which
+gives it the value semantics of a frozen record without generating code
+at import.
 """
 
 import math
@@ -102,6 +107,35 @@ def record_numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
         if not is_number(value) or isinstance(value, int) and abs(value) > sys.float_info.max:
             raise DomainError(f"{what} field {name!r} is not a number: {value!r}")
     return [float(obj[name]) for name in names]
+
+
+class Record:
+    """An immutable value whose fields are the entries of its __dict__.
+
+    A subclass's __init__ checks its arguments and stores each field, in
+    order, with object.__setattr__; nothing else goes in its __dict__.
+    Records of the same class are equal when their fields are, hash by
+    their fields, and repr as Name(field=value, ...). Assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 class ConvergenceError(SoftProbError, RuntimeError):

@@ -26,13 +26,12 @@ by exactly the same factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
-from .errors import DomainError, finite_float
+from .errors import DomainError, Record, finite_float
 from .moments import MixedSet, soft_sum, split_at
 from .quadrature import QuadratureConfig, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -53,8 +52,7 @@ ZLOGZ_AXIS = "axis"
 ZLOGZ_COLLAPSE = "collapse"
 
 
-@dataclass(frozen=True)
-class InfoConfig:
+class InfoConfig(Record):
     """Options shared by the information-theoretic quantities.
 
     ``log_base`` rescales results (natural log by default). ``zlogz_mode``
@@ -63,17 +61,17 @@ class InfoConfig:
     every integral; None leaves integrate_pieces its default.
     """
 
-    log_base: float = math.e
-    zlogz_mode: str = ZLOGZ_AXIS
-    quadrature: Optional[QuadratureConfig] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_base", finite_float(self.log_base, "log_base"))
+    def __init__(self, log_base: float = math.e, zlogz_mode: str = ZLOGZ_AXIS,
+                 quadrature: Optional[QuadratureConfig] = None):
+        log_base = finite_float(log_base, "log_base")
         # a base in (0, 1) has ln(base) < 0 and would flip the sign of every result
-        if not self.log_base > 1.0:
-            raise DomainError(f"log_base must be greater than 1, got {self.log_base!r}")
-        if self.zlogz_mode not in (ZLOGZ_AXIS, ZLOGZ_COLLAPSE):
-            raise DomainError(f"unknown zlogz_mode {self.zlogz_mode!r}")
+        if not log_base > 1.0:
+            raise DomainError(f"log_base must be greater than 1, got {log_base!r}")
+        if zlogz_mode not in (ZLOGZ_AXIS, ZLOGZ_COLLAPSE):
+            raise DomainError(f"unknown zlogz_mode {zlogz_mode!r}")
+        object.__setattr__(self, "log_base", log_base)
+        object.__setattr__(self, "zlogz_mode", zlogz_mode)
+        object.__setattr__(self, "quadrature", quadrature)
 
     @property
     def ln_base(self) -> float:

@@ -13,21 +13,19 @@ kernels over the same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import ContinuousDistribution
-from .errors import (DomainError, distinct_points, finite_float, is_number, open_interval,
-                     sequence)
+from .errors import (DomainError, Record, distinct_points, finite_float, is_number,
+                     open_interval, sequence)
 from .quadrature import QuadratureConfig, integrate_pieces, sample_1d
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import SoftNumber
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class MixedSet:
+class MixedSet(Record):
     """Disjoint union of isolated points and open intervals.
 
     Canonical form: points ascending, intervals sorted by left endpoint.
@@ -40,11 +38,8 @@ class MixedSet:
     `points` and `intervals` read them back as tuples. _from_canonical
     stores arrays that are already in canonical form without the checks;
     its one caller is tree.build_mixed_sets, whose merge produces that form.
+    Equality, hash and repr go by the points and intervals.
     """
-
-    point_array: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
     def __init__(self, points: Sequence[float] = (),
                  intervals: Sequence[Sequence[float]] = ()):
@@ -162,8 +157,7 @@ def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float,
     return list(zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True)
-class SoftMoments:
+class SoftMoments(Record):
     """Intermediate components of the soft variance.
 
     nu and kappa are the two components of the soft expectation. gamma1_sq
@@ -173,12 +167,14 @@ class SoftMoments:
     the soft coefficient of the variance.
     """
 
-    nu: float
-    kappa: float
-    gamma1_sq: float
-    gamma2: float
-    lambda_sq: float
-    gamma: float
+    def __init__(self, nu: float, kappa: float, gamma1_sq: float, gamma2: float,
+                 lambda_sq: float, gamma: float):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "gamma1_sq", gamma1_sq)
+        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "lambda_sq", lambda_sq)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def soft_expectation_of(d: ContinuousDistribution, ms: MixedSet,

@@ -11,11 +11,10 @@ two-variable form sums the same atoms of a joint model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import ContinuousDistribution, JointModel
-from .errors import DomainError, distinct_points, finite_float, open_interval, sequence
+from .errors import DomainError, Record, distinct_points, finite_float, open_interval, sequence
 from .softnum import SoftNumber, div
 
 
@@ -25,18 +24,14 @@ class Relation(enum.Enum):
     EQ = "eq"
 
 
-@dataclass(frozen=True)
-class IntervalEvent:
+class IntervalEvent(Record):
     """The event a < X < b (strict) or a <= X <= b (non-strict), with float ends."""
 
-    lo: float
-    hi: float
-    strict: bool = True
-
-    def __post_init__(self):
-        lo, hi = open_interval((self.lo, self.hi), "interval")
+    def __init__(self, lo: float, hi: float, strict: bool = True):
+        lo, hi = open_interval((lo, hi), "interval")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "strict", strict)
 
     def contains(self, x: float) -> bool:
         if self.strict:

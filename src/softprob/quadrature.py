@@ -50,13 +50,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-import numpy.polynomial.legendre as _legendre
 
-from .errors import ConvergenceError, DomainError, finite_float, open_interval
+from .errors import ConvergenceError, DomainError, Record, finite_float, open_interval
 
 # A 1-D run that would hold more than PANEL_CAP panels plus PIECE_PANELS a
 # piece raises ConvergenceError. An integrand made of rounding noise never
@@ -75,9 +73,6 @@ CALL_PANELS = 1 << 10
 
 class QuadStats(NamedTuple):
     """What one 1-D run did, the (abserr, neval, ier) of QUADPACK.
-
-    A named tuple, so frozen, and defined without the code generation that
-    a dataclass runs at import.
 
     nodes: integrand values computed. calls: integrand calls, one per
     round unless a round holds more than CALL_PANELS panels. panels:
@@ -123,23 +118,31 @@ def total_stats(records: Sequence[QuadStats]) -> QuadStats:
                      stuck=sum(r.stuck for r in records))
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rel_tol", finite_float(self.rel_tol, "rel_tol"))
-        object.__setattr__(self, "abs_tol", finite_float(self.abs_tol, "abs_tol"))
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not self.abs_tol >= 0.0:
-            raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
+class QuadratureConfig(Record):
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 0.0):
+        rel_tol, abs_tol = finite_float(rel_tol, "rel_tol"), finite_float(abs_tol, "abs_tol")
+        if not rel_tol > 0.0:
+            raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
+        if not abs_tol >= 0.0:
+            raise DomainError(f"abs_tol must be nonnegative, got {abs_tol!r}")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
 
 
 DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)
 
-_NODES, _WEIGHTS = _legendre.leggauss(16)
+# the 16-node Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(16),
+# written out in full digits so that importing this module computes nothing
+_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 

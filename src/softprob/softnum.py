@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, finite_float, record_numbers
+from .errors import DomainError, Record, finite_float, record_numbers
 
 
 def _order_key(s: "SoftNumber") -> tuple[float, float]:
@@ -43,16 +42,12 @@ def _comparison(op):
     return _coerced(lambda self, other: op(_order_key(self), _order_key(other)))
 
 
-@dataclass(frozen=True)
-class SoftNumber:
+class SoftNumber(Record):
     """Value a*0~ + b with soft coefficient ``soft`` and real part ``real``."""
 
-    soft: float
-    real: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "soft", finite_float(self.soft, "soft"))
-        object.__setattr__(self, "real", finite_float(self.real, "real"))
+    def __init__(self, soft: float, real: float):
+        object.__setattr__(self, "soft", finite_float(soft, "soft"))
+        object.__setattr__(self, "real", finite_float(real, "real"))
 
     @classmethod
     def zero(cls) -> "SoftNumber":
@@ -203,8 +198,7 @@ def cmp(s: SoftNumber, t: SoftNumber) -> int:
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
-class SymmetricPair:
+class SymmetricPair(Record):
     """Alternative (height, width) coordinates for a soft number.
 
     ``height`` is the component sum soft + real and ``width`` is the share
@@ -213,8 +207,9 @@ class SymmetricPair:
     in [0, 1].
     """
 
-    height: float
-    width: float
+    def __init__(self, height: float, width: float):
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
 
 
 def to_sp(s: SoftNumber) -> SymmetricPair:
@@ -233,8 +228,7 @@ def from_sp(p: SymmetricPair) -> SoftNumber:
     return SoftNumber((1.0 - b) * a, b * a)
 
 
-@dataclass(frozen=True)
-class ExtendedSoftNumber:
+class ExtendedSoftNumber(Record):
     """Three-axis value h1*0log0~ + h2*0~ + h3 used by entropy quantities.
 
     The extra axis 0log0~ carries coefficients of the indeterminate form
@@ -242,14 +236,10 @@ class ExtendedSoftNumber:
     multiplication involving the 0log0~ axis.
     """
 
-    zlogz: float
-    soft: float
-    real: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "zlogz", finite_float(self.zlogz, "zlogz"))
-        object.__setattr__(self, "soft", finite_float(self.soft, "soft"))
-        object.__setattr__(self, "real", finite_float(self.real, "real"))
+    def __init__(self, zlogz: float, soft: float, real: float):
+        object.__setattr__(self, "zlogz", finite_float(zlogz, "zlogz"))
+        object.__setattr__(self, "soft", finite_float(soft, "soft"))
+        object.__setattr__(self, "real", finite_float(real, "real"))
 
     def __add__(self, other) -> "ExtendedSoftNumber":
         if not isinstance(other, ExtendedSoftNumber):

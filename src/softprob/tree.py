@@ -24,14 +24,13 @@ fsum(midpoints) / n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
-from .errors import DegenerateModelError, DomainError, finite_float, is_count, is_number, \
-    open_interval
+from .errors import DegenerateModelError, DomainError, Record, finite_float, is_count, \
+    is_number, open_interval
 from .information import InfoConfig, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
@@ -42,24 +41,21 @@ POINT = "point"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(Record):
     """A single measured value, either exact or known only to an interval, as floats."""
 
-    kind: str
-    value: Optional[float] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == POINT:
-            object.__setattr__(self, "value", finite_float(self.value, "point value"))
-        elif self.kind == INTERVAL:
-            lo, hi = open_interval((self.lo, self.hi), "interval observation")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
+    def __init__(self, kind: str, value: Optional[float] = None, lo: Optional[float] = None,
+                 hi: Optional[float] = None):
+        if kind == POINT:
+            value = finite_float(value, "point value")
+        elif kind == INTERVAL:
+            lo, hi = open_interval((lo, hi), "interval observation")
         else:
-            raise DomainError(f"unknown observation kind {self.kind!r}")
+            raise DomainError(f"unknown observation kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, value: float) -> "Observation":
@@ -91,17 +87,15 @@ def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Record):
     """Rows of cells as two read-only float arrays lo and hi of shape (rows, features + 1).
 
-    The label is the last column, and a point cell has lo == hi.
+    The label is the last column, and a point cell has lo == hi. A dataset
+    equals only itself.
     """
 
-    feature_names: tuple[str, ...]
-    lo: np.ndarray
-    hi: np.ndarray
-    label_name: str = "label"
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, feature_names: Sequence[str], rows: Sequence[Row],
                  label_name: str = "label"):
@@ -163,7 +157,10 @@ def read_table(text: str, delimiter: str = ",") -> tuple[list[str], Iterator[lis
     Blank lines are skipped, and blank text has an empty header and no rows.
     Each row is checked and parsed as the iterator reaches it, so a caller
     checks the header before any row; an error names its line of the text.
+    A delimiter that is not a non-empty string is a DomainError.
     """
+    if not (isinstance(delimiter, str) and delimiter):
+        raise DomainError(f"delimiter must be a non-empty string, got {delimiter!r}")
     lines = [(lineno, line) for lineno, line in
              enumerate((raw.strip() for raw in text.splitlines()), start=1) if line]
     header = [h.strip() for h in lines[0][1].split(delimiter)] if lines else []
@@ -195,50 +192,44 @@ def parse_dataset(text: str, delimiter: str = ",") -> Dataset:
     return Dataset(header[:-1], rows, label_name=header[-1])
 
 
-@dataclass(frozen=True)
-class Leaf:
-    prediction: float
-    count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "prediction",
-                           finite_float(self.prediction, "leaf prediction"))
+class Leaf(Record):
+    def __init__(self, prediction: float, count: int):
+        object.__setattr__(self, "prediction", finite_float(prediction, "leaf prediction"))
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: str
-    feature_index: int
-    threshold: float
-    gain: SoftNumber
-    left: "TreeNode"
-    right: "TreeNode"
-
-    def __post_init__(self):
-        object.__setattr__(self, "threshold", finite_float(self.threshold, "split threshold"))
-        if not is_count(self.feature_index):
-            raise DomainError(f"feature_index must be an integer >= 0, got {self.feature_index!r}")
+class Split(Record):
+    def __init__(self, feature: str, feature_index: int, threshold: float, gain: SoftNumber,
+                 left: "TreeNode", right: "TreeNode"):
+        threshold = finite_float(threshold, "split threshold")
+        if not is_count(feature_index):
+            raise DomainError(f"feature_index must be an integer >= 0, got {feature_index!r}")
+        object.__setattr__(self, "feature", feature)
+        object.__setattr__(self, "feature_index", feature_index)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 TreeNode = Union[Leaf, Split]
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int = 5
-    min_rows: int = 4
-    min_gain: SoftNumber = SoftNumber.zero()
-    info: InfoConfig = field(default_factory=InfoConfig)
-
-    def __post_init__(self):
-        if not (is_count(self.max_depth) and self.max_depth >= 1):
-            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-        if not (is_count(self.min_rows) and self.min_rows >= 2):
-            raise DomainError(f"min_rows must be an integer >= 2, got {self.min_rows!r}")
-        if not isinstance(self.min_gain, SoftNumber):
-            raise DomainError(f"min_gain must be a SoftNumber, got {self.min_gain!r}")
-        if not isinstance(self.info, InfoConfig):
-            raise DomainError(f"info must be an InfoConfig, got {self.info!r}")
+class TreeConfig(Record):
+    def __init__(self, max_depth: int = 5, min_rows: int = 4,
+                 min_gain: SoftNumber = SoftNumber.zero(), info: InfoConfig = InfoConfig()):
+        if not (is_count(max_depth) and max_depth >= 1):
+            raise DomainError(f"max_depth must be an integer >= 1, got {max_depth!r}")
+        if not (is_count(min_rows) and min_rows >= 2):
+            raise DomainError(f"min_rows must be an integer >= 2, got {min_rows!r}")
+        if not isinstance(min_gain, SoftNumber):
+            raise DomainError(f"min_gain must be a SoftNumber, got {min_gain!r}")
+        if not isinstance(info, InfoConfig):
+            raise DomainError(f"info must be an InfoConfig, got {info!r}")
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "min_rows", min_rows)
+        object.__setattr__(self, "min_gain", min_gain)
+        object.__setattr__(self, "info", info)
 
 
 ColumnMoments = tuple[float, float, np.ndarray]

@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -500,6 +503,17 @@ class TestTreeCommands:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_an_empty_delimiter_is_named(self, capsys, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text(TRAIN_CSV, encoding="utf-8")
+        model = tmp_path / "model.json"
+        _run(capsys, ["tree-train", "--data", str(data), "--out", str(model)])
+        for argv in (["tree-train", "--data", str(data)],
+                     ["tree-predict", "--model", str(model), "--data", str(data)]):
+            code, out, err = _run(capsys, argv + ["--delimiter", ""])
+            assert (code, out) == (1, "")
+            assert err == "error: delimiter must be a non-empty string, got ''\n"
+
     def test_missing_files_fail_cleanly(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["tree-train", "--data",
                                      str(tmp_path / "absent.csv")])
@@ -545,6 +559,14 @@ class TestErrorHandling:
                                      "--x", "0"])
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("points, bad", [("1,abc", "'abc'"), ("1,,2", "''")])
+    def test_a_bad_points_entry_is_named(self, capsys, points, bad):
+        for op in ("points-union", "points-intersect"):
+            code, out, err = _run(capsys, ["ps", "--op", op, "--dist", GAUSSIAN_STD,
+                                           f"--points={points}"])
+            assert (code, out) == (1, "")
+            assert err == f"error: --points entry must be a number, got {bad}\n"
 
     def test_unknown_distribution_kind(self, capsys):
         code, _, err = _run(capsys, ["ps", "--op", "eq", "--dist",
@@ -902,3 +924,14 @@ class TestRandomTables:
             model.write_text(model_text, encoding="utf-8")
             _assert_exits_cleanly(["tree-predict", "--model", str(model),
                                    "--data", str(data), "--delimiter", delimiter])
+
+
+def test_importing_the_cli_generates_no_record_code_and_loads_no_polynomial_module():
+    # every CLI process would pay for either import: the records define their
+    # own methods, and the Gauss-Legendre rule is a literal table
+    probe = ("import sys, softprob.cli; print(sorted(m for m in sys.modules if m == "
+             "'dataclasses' or m.startswith('numpy.polynomial')))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out == "[]\n"

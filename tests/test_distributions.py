@@ -106,6 +106,33 @@ class TestUniform:
         assert d.cdf(1.0) == 0.5
         assert d.cdf(5.0) == 1.0
 
+    def test_supports_wider_than_the_largest_float(self):
+        # hi - lo overflows on each of these supports
+        d = Uniform(-1e308, 1e308)
+        assert d.pdf(0.0) == 5e-309
+        assert d.cdf(0.0) == 0.5
+        assert d.cdf(5e307) == 0.75
+        assert d.mass(0.0, 1e308) == 0.5
+        assert (d.location, d.scale) == (0.0, 1e308 / math.sqrt(3.0))
+        assert Uniform(1e308, 1.7e308).location == 1.35e308
+        assert Uniform(-1.7e308, 1.7e308).cdf(0.0) == 0.5
+
+    def test_support_whose_density_overflows_is_rejected(self):
+        for hi in (1e-320, 5e-324):
+            with pytest.raises(DomainError, match="too narrow"):
+                Uniform(0.0, hi)
+
+    @pytest.mark.parametrize("lo, hi, x", [(0.0, 1.0, 0.3), (-3.7, 2.9, 1.1),
+                                           (1e-3, 1.7e-3, 1.3e-3), (-1e200, 3e200, 7e199),
+                                           (12.25, 12.75, 12.6)])
+    def test_ordinary_supports_keep_the_reciprocal_width_bits(self, lo, hi, x):
+        d = Uniform(lo, hi)
+        density = 1.0 / (hi - lo)
+        assert d.pdf(x) == density
+        assert d.cdf(x) == (x - lo) * density
+        assert d.location == 0.5 * (lo + hi)
+        assert d.scale == (hi - lo) / math.sqrt(12.0)
+
 
 class TestUserDefined:
     def test_wraps_callables(self):

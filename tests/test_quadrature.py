@@ -15,6 +15,8 @@ from softprob.quadrature import (
     PIECE_PANELS,
     QuadratureConfig,
     QuadStats,
+    _NODES,
+    _WEIGHTS,
     _estimates,
     collect_stats,
     integrate_1d,
@@ -22,6 +24,12 @@ from softprob.quadrature import (
     integrate_pieces,
     total_stats,
 )
+
+
+def test_rule_is_numpys_16_point_gauss_legendre_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert _NODES.tobytes() == nodes.tobytes()
+    assert _WEIGHTS.tobytes() == weights.tobytes()
 
 
 def phi(x):

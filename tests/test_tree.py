@@ -195,6 +195,14 @@ class TestParsing:
         header, rows = read_table(" \n\n")
         assert header == [] and list(rows) == []
 
+    @pytest.mark.parametrize("delimiter", ["", None, 1, b","])
+    def test_a_delimiter_must_be_a_non_empty_string(self, delimiter):
+        for text in ("a,b\n1,2\n2,3\n", ""):
+            with pytest.raises(DomainError, match="delimiter must be a non-empty string"):
+                read_table(text, delimiter)
+        with pytest.raises(DomainError, match="delimiter must be a non-empty string"):
+            parse_dataset("a,b\n1,2\n2,3\n", delimiter=delimiter)
+
     def test_header_only_rejected(self):
         with pytest.raises(DomainError):
             parse_dataset("a,b\n")
