@@ -303,11 +303,15 @@ class BivariateGaussianModel(JointModel):
             raise DomainError(f"|correlation| must be < 1, got {self.rho!r}")
         self._mx = Gaussian(self.mean_x, var_x)
         self._my = Gaussian(self.mean_y, var_y)
+        # Y given X, and X given Y for cdf_partial_y
         self._cond_var = var_y * (1.0 - self.rho * self.rho)
         self._cond_sd = math.sqrt(self._cond_var)
         self._cond_slope = self.rho * math.sqrt(var_y / var_x)
+        self._x_cond_sd = math.sqrt(var_x * (1.0 - self.rho * self.rho))
+        self._x_cond_slope = self.rho * math.sqrt(var_x / var_y)
         self._mi_log_term = -0.5 * math.log1p(-self.rho * self.rho)
-        if not (math.isfinite(self._cond_slope) and self._cond_var > 0.0):
+        if not (math.isfinite(self._cond_slope) and self._cond_var > 0.0
+                and math.isfinite(self._x_cond_slope) and self._x_cond_sd > 0.0):
             raise DomainError(
                 f"variances ({var_x!r}, {var_y!r}) are too far apart for a conditional model")
 
@@ -350,10 +354,8 @@ class BivariateGaussianModel(JointModel):
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         # by symmetry, condition X on Y = y
-        cond_sd = math.sqrt(self.var_x * (1.0 - self.rho * self.rho))
-        cond_mean = self.mean_x + self.rho * math.sqrt(self.var_x / self.var_y) * (
-            y - self.mean_y)
-        return self._my.pdf(y) * _at(_upper_tail, (cond_mean - x) / cond_sd)
+        cond_mean = self.mean_x + self._x_cond_slope * (y - self.mean_y)
+        return self._my.pdf(y) * _at(_upper_tail, (cond_mean - x) / self._x_cond_sd)
 
     def mi_y_integral(self, xs: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
                       ) -> np.ndarray:

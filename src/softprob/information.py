@@ -7,16 +7,16 @@ the same shape, their difference (the KL divergence) has no 0log0~ part,
 and mutual information pairs points with points and intervals with
 intervals on a two-variable model. Every one of them is a term kernel
 w*log(num/den) under one pointwise rule (_log_terms); the 1-D ones are
-summed over points and intervals by moments.soft_sum. The exception is
-mutual information under a BivariateGaussianModel, whose log ratio is a
-quadratic: its point pairs are summed as a Gauss transform
-(_gaussian_pair_sum), densely or, where a cost model finds it cheaper, by
-a one-level Chebyshev interpolation of its kernel (_gauss_sums), and its
-y-integral has a closed form (BivariateGaussianModel.mi_y_integral). Any
-other JointModel takes the generic path: the pointwise terms summed over
-the point pairs, and integrated over the y-intervals by
-quadrature.y_integral. Either way the real part is one 1-D run over the
-x-intervals.
+summed over points and intervals by moments.soft_sum. Mutual information
+is the 2-D form, and soft_mutual_information picks its path once, from the
+model, for both axes. A BivariateGaussianModel, whose log ratio is a
+quadratic, sums its point pairs as a Gauss transform (_gaussian_pair_sum),
+densely or, where a cost model finds it cheaper, by a one-level Chebyshev
+interpolation of its kernel (_gauss_sums), and has its y-integral in
+closed form (BivariateGaussianModel.mi_y_integral). Any other JointModel
+takes the generic path: the pointwise terms summed over the point pairs,
+and integrated over the y-intervals by quadrature.y_integral. Either way
+the real part is one 1-D run over the x-intervals.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -32,7 +32,7 @@ import numpy as np
 
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
 from .errors import DomainError, Record, finite_float
-from .moments import MixedSet, soft_sum, split_at
+from .moments import MixedSet, soft_sum
 from .quadrature import QuadratureConfig, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -425,11 +425,11 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     weights are built in log space and f_X or f_Y is never evaluated at a
     point, so a point where a marginal density underflows adds 0 like any
     other pair of negligible weight. A point whose squared standardised
-    value overflows makes the sum NaN, which _point_pair_sum rejects. The
-    interpolation is taken only where no weight is that small and every
-    target lies within 2 of a source, a reach checked as coverage by the
-    sorted sources (_within_reach). Those rules also keep every weight at
-    the interpolation nodes above TINY_DENSITY, so the node sums
+    value overflows makes the sum NaN, which soft_mutual_information
+    rejects. The interpolation is taken only where no weight is that small
+    and every target lies within 2 of a source, a reach checked as coverage
+    by the sorted sources (_within_reach). Those rules also keep every
+    weight at the interpolation nodes above TINY_DENSITY, so the node sums
     (_node_gauss_sums) run without that test.
     UNIT_RATIO_TOLERANCE does not apply, because no ratio is formed, so
     sums near independence keep the digits that the log of a ratio near 1
@@ -470,48 +470,6 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     return float(terms.sum())
 
 
-def _point_pair_sum(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> float:
-    """Sum of the pointwise MI terms over every (xs[i], ys[k]) pair.
-
-    Every pair follows the pointwise rule of _log_terms: a pair whose
-    weight is below TINY_DENSITY adds 0, whatever its marginal densities,
-    and a total that is not finite is a DomainError. A BivariateGaussianModel
-    sums its pairs as a Gauss transform (_gaussian_pair_sum); any other
-    JointModel sums the _mi_terms grids block by block.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if isinstance(j, BivariateGaussianModel):
-            total = _gaussian_pair_sum(j, xs, ys)
-        else:
-            total = 0.0
-            rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
-            for start in range(0, len(ys), rows):
-                total += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
-    if not math.isfinite(total):
-        raise DomainError(f"point-pair sum of mutual information is {total!r}")
-    return total
-
-
-def _mi_y_integrand(j: JointModel, sy: MixedSet, form: str, quad: Optional[QuadratureConfig]):
-    """xs -> the y-integral of the MI terms over all the intervals of sy at each x of xs.
-
-    A BivariateGaussianModel has it in closed form (mi_y_integral, the same
-    function in both forms). Any other JointModel integrates the _mi_terms
-    columns with y_integral under quad, each y-interval split at the ends
-    of marginal_y.truncated_range() that lie inside it.
-    """
-    if not isinstance(j, BivariateGaussianModel):
-        breaks = j.marginal_y.truncated_range()
-        y_pieces = [piece for lo, hi in sy.intervals for piece in split_at(lo, hi, breaks)]
-        return y_integral(lambda xs, ys: _mi_terms(j, xs, ys, form), y_pieces, quad)
-    # x nodes a call of mi_y_integral: whole 16-node panels, about
-    # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its temporaries stay
-    # small however many intervals there are
-    rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(sy.lo)))
-    return lambda xs: np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
-                                      for k in range(0, len(xs), rows)])
-
-
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                             cfg: InfoConfig = _DEFAULT,
                             form: str = FORM_SYMMETRIC) -> SoftNumber:
@@ -524,20 +482,46 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     f_XY * log(f_XY / (f_X f_Y)); the ``conditional`` form evaluates the
     algebraically equal factorization f_{Y|X} f_X * log(f_{Y|X} / f_Y).
 
-    For a BivariateGaussianModel the soft coefficient is a Gauss transform
-    of the point pairs (_gaussian_pair_sum). For every model the real part
-    is one integrate_pieces run, under cfg.quadrature, over all x-intervals,
-    each split at the ends of marginal_x.truncated_range() that lie inside
-    it, of the y-integral over all y-intervals (_mi_y_integrand).
+    The model picks the path of both axes. A BivariateGaussianModel sums
+    its point pairs as a Gauss transform (_gaussian_pair_sum) and has the
+    y-integral at each x in closed form (mi_y_integral, the same function
+    in both forms). Any other JointModel sums the _mi_terms grids block by
+    block and integrates their columns over the y-intervals with
+    y_integral under cfg.quadrature, each y-interval cut at the ends of
+    marginal_y.truncated_range(). Every pair follows the pointwise rule of
+    _log_terms: a pair whose weight is below TINY_DENSITY adds 0, whatever
+    its marginal densities, and a point-pair total that is not finite is a
+    DomainError. The real part is one integrate_pieces run, under
+    cfg.quadrature, of that y-integral over all x-intervals, each cut at
+    the ends of marginal_x.truncated_range().
     """
     if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
         raise DomainError(f"unknown mutual-information form {form!r}")
-    soft = _point_pair_sum(j, sx.point_array, sy.point_array, form)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(j, BivariateGaussianModel):
+            soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
+
+            def y_integrand(xs: np.ndarray) -> np.ndarray:
+                # x nodes a call of mi_y_integral: whole 16-node panels, about
+                # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its
+                # temporaries stay small however many intervals there are
+                rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(sy.lo)))
+                return np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
+                                       for k in range(0, len(xs), rows)])
+        else:
+            soft = 0.0
+            xs, ys = sx.point_array, sy.point_array
+            rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
+            for start in range(0, len(ys), rows):
+                soft += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
+            y_integrand = y_integral(lambda gx, gy: _mi_terms(j, gx, gy, form),
+                                     sy.pieces(j.marginal_y.truncated_range()),
+                                     cfg.quadrature)
+    if not math.isfinite(soft):
+        raise DomainError(f"point-pair sum of mutual information is {soft!r}")
     real = 0.0
     if sy.lo.size:
-        breaks = j.marginal_x.truncated_range()
-        x_pieces = [piece for lo, hi in sx.intervals for piece in split_at(lo, hi, breaks)]
-        real = integrate_pieces(_mi_y_integrand(j, sy, form, cfg.quadrature), x_pieces,
+        real = integrate_pieces(y_integrand, sx.pieces(j.marginal_x.truncated_range()),
                                 cfg.quadrature)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)

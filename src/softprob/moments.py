@@ -104,6 +104,14 @@ class MixedSet(Record):
         pts = {finite_float(p, "point") for p in sequence(points, "points", "numbers")}
         return cls(pts.union(*ivs), ivs)
 
+    def pieces(self, breaks: Sequence[float]) -> list[tuple[float, float]]:
+        """The intervals cut at the breaks strictly inside them, in interval order."""
+        pieces = []
+        for lo, hi in self.intervals:
+            edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
+            pieces += zip(edges, edges[1:])
+        return pieces
+
     @property
     def is_empty(self) -> bool:
         return not (self.point_array.size or self.lo.size)
@@ -140,21 +148,14 @@ def soft_sum(d: ContinuousDistribution, term: Callable[[np.ndarray], np.ndarray]
     of d times some function. point_sum adds it over ms.points, in order;
     interval_sum integrates it over every interval, all of them in one
     integrate_pieces run. Each interval is split, never clipped, at
-    d.location and at the ends of d.truncated_range() that lie strictly
-    inside it, so that no panel straddles a narrow peak, the bulk of a
-    wide interval or a jump at a support edge. A non-finite term is a
-    DomainError that names its point.
+    d.location and at the ends of d.truncated_range() (MixedSet.pieces),
+    so that no panel straddles a narrow peak, the bulk of a wide interval
+    or a jump at a support edge. A non-finite term is a DomainError that
+    names its point.
     """
     point_sum = sum(sample_1d(term, ms.point_array).tolist(), 0.0)
-    breaks = (d.location, *d.truncated_range())
-    pieces = [piece for lo, hi in ms.intervals for piece in split_at(lo, hi, breaks)]
+    pieces = ms.pieces((d.location, *d.truncated_range()))
     return point_sum, integrate_pieces(term, pieces, quadrature)
-
-
-def split_at(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float, float]]:
-    """The pieces of (lo, hi) between the breaks that lie strictly inside it, in order."""
-    edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
-    return list(zip(edges, edges[1:]))
 
 
 class SoftMoments(Record):

@@ -192,6 +192,17 @@ class TestPs:
         assert payload["value"]["soft"] == 0.0
         assert 0.0 < payload["value"]["real"] < 1.0
 
+    def test_ps2_on_variances_too_far_apart_fails(self, capsys):
+        # the slope of X given Y overflows; cdf_partial_y read 0.0 at y = 1e-160
+        joint = ('{"kind": "bivariate_gaussian", "mean_x": 0, "mean_y": 0, '
+                 '"var_x": 1e300, "var_y": 1e-300, "correlation": 0.5}')
+        for y in ("1e-160", "0"):
+            code, out, err = _run(capsys, ["ps", "--op", "ps2", "--joint", joint,
+                                           "--rx", "lt", "--ry", "eq", "--x=0", f"--y={y}"])
+            assert (code, out) == (1, "")
+            assert err == ("error: variances (1e+300, 1e-300) are too far apart "
+                           "for a conditional model\n")
+
     def test_missing_required_input_fails(self, capsys):
         code, out, err = _run(capsys, ["ps", "--op", "eq", "--dist", UNIFORM_01])
         assert code == 1

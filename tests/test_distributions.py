@@ -249,9 +249,15 @@ class TestBivariateGaussianModel:
         assert j.conditional_cdf(-9.0, -1.3) == _rel(8.8167641050199394e-66)
 
     def test_variances_too_far_apart_rejected(self):
-        # the conditional slope rho * sqrt(var_y / var_x) overflows
-        with pytest.raises(DomainError):
-            BivariateGaussianModel(0, 0, 5e-324, 1.0, 0.5)
+        # the slope of Y given X, rho * sqrt(var_y / var_x), overflows; or that
+        # of X given Y, rho * sqrt(var_x / var_y), which cdf_partial_y reads:
+        # (1e300, 1e-300) gave cdf_partial_y(0, 1e-160) = 0.0 where mpmath at
+        # 40 digits gives 1.9947114019152752e+149; or var_x * (1 - rho^2)
+        # underflows to 0, where cdf_partial_y raised ZeroDivisionError
+        for var_x, var_y, rho in ((5e-324, 1.0, 0.5), (1e300, 1e-300, 0.5),
+                                  (1.0, 5e-324, 0.5), (1e-320, 1e-310, 0.99999)):
+            with pytest.raises(DomainError, match="too far apart"):
+                BivariateGaussianModel(0, 0, var_x, var_y, rho)
 
     def test_extreme_correlation_rejected(self):
         with pytest.raises(DomainError):

@@ -428,17 +428,24 @@ class TestMutualInformation:
                                                form=form) == SoftNumber(0.0, 0.0)
 
     def test_point_interval_cross_pairs_contribute_nothing(self):
+        # on the Gaussian path and on the generic grid path
         sx = MixedSet([0.0, 0.4], [(1.0, 2.0)])
         sy = MixedSet([-0.1], [(0.5, 1.5), (2.0, 2.5)])
-        full = soft_mutual_information(STD_ADDITIVE, sx, sy)
-        points_only = soft_mutual_information(
-            STD_ADDITIVE, MixedSet(sx.points, []), MixedSet(sy.points, []))
-        intervals_only = soft_mutual_information(
-            STD_ADDITIVE, MixedSet([], sx.intervals), MixedSet([], sy.intervals))
-        assert full.soft == points_only.soft
-        assert full.real == intervals_only.real
-        assert points_only.real == 0.0
-        assert intervals_only.soft == 0.0
+        x_points, y_points = MixedSet(sx.points, []), MixedSet(sy.points, [])
+        for j in (STD_ADDITIVE, _GridOnly(STD_ADDITIVE)):
+            full = soft_mutual_information(j, sx, sy)
+            points_only = soft_mutual_information(j, x_points, y_points)
+            intervals_only = soft_mutual_information(
+                j, MixedSet([], sx.intervals), MixedSet([], sy.intervals))
+            assert full.soft == points_only.soft
+            assert full.real == intervals_only.real
+            assert points_only.real == 0.0
+            assert intervals_only.soft == 0.0
+            # intervals on one axis only: x-intervals against y-points, and the reverse
+            for one_sided in (soft_mutual_information(j, sx, y_points),
+                              soft_mutual_information(j, x_points, sy)):
+                assert one_sided.real == 0.0
+                assert one_sided.soft == points_only.soft
 
     def test_unknown_form_rejected(self):
         with pytest.raises(DomainError):

@@ -108,6 +108,17 @@ class TestMixedSet:
         assert ms != MixedSet([0.0], [(2.0, 3.0)])
         assert repr(ms) == "MixedSet(points=(0.0, 1.0), intervals=((2.0, 3.0),))"
 
+    def test_pieces_cut_only_at_breaks_strictly_inside(self):
+        ms = MixedSet([0.5], [(2.0, 4.0), (-1.0, 0.0)])
+        # breaks outside every interval or at an end cut nothing
+        assert ms.pieces(()) == [(-1.0, 0.0), (2.0, 4.0)]
+        assert ms.pieces((-5.0, -1.0, 0.0, 0.5, 2.0, 4.0, 9.0)) == [(-1.0, 0.0), (2.0, 4.0)]
+        # a repeated break cuts once, and the pieces come in interval order,
+        # whatever the order of the breaks
+        assert ms.pieces((3.0, -0.5, 3.0, 2.5, -0.5)) == [
+            (-1.0, -0.5), (-0.5, 0.0), (2.0, 2.5), (2.5, 3.0), (3.0, 4.0)]
+        assert MixedSet([1.0]).pieces((1.0,)) == []
+
     @pytest.mark.parametrize("build", [
         lambda: MixedSet([10 ** 400]),
         lambda: MixedSet([], [(0, 10 ** 400)]),
