@@ -223,14 +223,12 @@ def cmd_ps(args) -> int:
     return 0
 
 
-def _mixed_set(text: Optional[str], flag: str) -> MixedSet:
-    if text is None:
-        raise SoftProbError(f"missing {flag}")
+def _mixed_set(text: str, flag: str) -> MixedSet:
     return MixedSet.from_dict(_parse_json(text, flag))
 
 
 def cmd_entropy(args) -> int:
-    d = parse_distribution(_parse_json(args.dist, "--dist"))
+    d = _dist(args)
     ms = _mixed_set(args.set, "--set")
     cfg = _info_config(args, args.zlogz)
     if args.dist_hat is not None:
@@ -245,7 +243,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_kld(args) -> int:
-    d = parse_distribution(_parse_json(args.dist, "--dist"))
+    d = _dist(args)
     d_hat = parse_distribution(_parse_json(args.dist_hat, "--dist-hat"))
     ms = _mixed_set(args.set, "--set")
     value = soft_kld(d, d_hat, ms, _info_config(args))
@@ -264,7 +262,7 @@ def cmd_mi(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    d = parse_distribution(_parse_json(args.dist, "--dist"))
+    d = _dist(args)
     ms = _mixed_set(args.set, "--set")
     quad = _quadrature(args)
     expectation = soft_expectation(d, ms, quad)

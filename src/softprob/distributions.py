@@ -58,21 +58,29 @@ class ContinuousDistribution(ABC):
     @abstractmethod
     def support(self) -> tuple[float, float]: ...
 
+    def _finite_support(self) -> tuple[float, float]:
+        """The support, which must be finite for the default location and scale.
+
+        On an infinite support no default could know where the mass lies,
+        so a subclass there defines location and scale itself.
+        """
+        lo, hi = self.support
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"support {(lo, hi)!r} is infinite, so "
+                              f"{type(self).__name__} must define location and scale")
+        return lo, hi
+
     @property
     def location(self) -> float:
-        lo, hi = self.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            # halving first keeps the midpoint of any finite support finite
-            return 0.5 * lo + 0.5 * hi
-        return 0.0
+        lo, hi = self._finite_support()
+        # halving first keeps the midpoint of any finite support finite
+        return 0.5 * lo + 0.5 * hi
 
     @property
     def scale(self) -> float:
-        """(hi - lo) / sqrt(12) on a finite support, from the halved ends."""
-        lo, hi = self.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            return (0.5 * hi - 0.5 * lo) / math.sqrt(3.0)
-        return 1.0
+        """(hi - lo) / sqrt(12), from the halved ends."""
+        lo, hi = self._finite_support()
+        return (0.5 * hi - 0.5 * lo) / math.sqrt(3.0)
 
     def truncated_range(self) -> tuple[float, float]:
         """Finite integration window: support clipped to +/-10 scales."""
@@ -180,12 +188,22 @@ class Uniform(ContinuousDistribution):
         return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
 
 
+def _as_float(value) -> float:
+    """float(value), or NaN where value is not a number a float holds."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 class UserDefinedDistribution(ContinuousDistribution):
     """Wrap caller-supplied pdf and cdf callables.
 
     On an infinite support, location and scale are required: they place
     the truncated_range() window that every improper integral uses, and
-    no default could know where the mass lies.
+    no default could know where the mass lies. A pdf value must be a
+    finite number >= 0 and a cdf value a number in [0, 1]; anything else
+    is a DomainError naming x.
     """
 
     def __init__(self, pdf: Callable[[float], float], cdf: Callable[[float], float],
@@ -206,10 +224,18 @@ class UserDefinedDistribution(ContinuousDistribution):
             raise DomainError(f"scale must be positive, got {self._scale!r}")
 
     def pdf(self, x: float) -> float:
-        return float(self._pdf(x))
+        value = self._pdf(x)
+        density = _as_float(value)
+        if not 0.0 <= density < math.inf:
+            raise DomainError(f"pdf must be a finite number >= 0, got {value!r} at x={x!r}")
+        return density
 
     def cdf(self, x: float) -> float:
-        return float(self._cdf(x))
+        value = self._cdf(x)
+        p = _as_float(value)
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"cdf must be a number in [0, 1], got {value!r} at x={x!r}")
+        return p
 
     @property
     def support(self) -> tuple[float, float]:

@@ -112,12 +112,18 @@ def record_numbers(obj: dict, names: tuple[str, ...], what: str) -> list[float]:
 class Record:
     """An immutable value whose fields are the entries of its __dict__.
 
-    A subclass's __init__ checks its arguments and stores each field, in
-    order, with object.__setattr__; nothing else goes in its __dict__.
+    A subclass's __init__ checks its arguments and then stores every field
+    with one call of _store_fields; nothing else goes in its __dict__.
     Records of the same class are equal when their fields are, hash by
     their fields, and repr as Name(field=value, ...). Assigning or deleting
     an attribute raises AttributeError.
     """
+
+    def _store_fields(self, **fields):
+        """Store the fields in keyword order, one object.__setattr__ each: unlike
+        __dict__.update, that keeps the key table that records of a class share."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

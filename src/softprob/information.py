@@ -69,9 +69,10 @@ class InfoConfig(Record):
             raise DomainError(f"log_base must be greater than 1, got {log_base!r}")
         if zlogz_mode not in (ZLOGZ_AXIS, ZLOGZ_COLLAPSE):
             raise DomainError(f"unknown zlogz_mode {zlogz_mode!r}")
-        object.__setattr__(self, "log_base", log_base)
-        object.__setattr__(self, "zlogz_mode", zlogz_mode)
-        object.__setattr__(self, "quadrature", quadrature)
+        if not (quadrature is None or isinstance(quadrature, QuadratureConfig)):
+            raise DomainError(f"quadrature must be a QuadratureConfig or None, "
+                              f"got {quadrature!r}")
+        self._store_fields(log_base=log_base, zlogz_mode=zlogz_mode, quadrature=quadrature)
 
     @property
     def ln_base(self) -> float:
@@ -464,7 +465,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     v_powers[:, 1] = v
     np.multiply(v, v, out=v_powers[:, 2])
     g = _gauss_sums(lead, t, v_scaled, v_powers)
-    c0 = -0.5 * math.log1p(-rho * rho)
+    c0 = j._mi_log_term
     c1 = -0.5 * rho * rho / q
     terms = (c0 + c1 * u * u) * g[:, 0] + (rho / q * u) * g[:, 1] + c1 * g[:, 2]
     return float(terms.sum())
@@ -502,9 +503,11 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
             soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
 
             def y_integrand(xs: np.ndarray) -> np.ndarray:
-                # x nodes a call of mi_y_integral: whole 16-node panels, about
-                # POINT_BLOCK_PAIRS (x, y-interval) pairs, so that its
-                # temporaries stay small however many intervals there are
+                # x nodes a call of mi_y_integral: about POINT_BLOCK_PAIRS
+                # (x, y-interval) pairs, so that its temporaries stay small
+                # however many intervals there are. Whole 16-node panels keep
+                # a call from getting one x alone, whose column numpy would
+                # sum pairwise, not in order, to other last bits
                 rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(sy.lo)))
                 return np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
                                        for k in range(0, len(xs), rows)])

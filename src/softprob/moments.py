@@ -69,9 +69,9 @@ class MixedSet(Record):
         return ms
 
     def _store(self, points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        for name, values in (("point_array", points), ("lo", lo), ("hi", hi)):
+        for values in (points, lo, hi):
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        self._store_fields(point_array=points, lo=lo, hi=hi)
 
     @property
     def points(self) -> tuple[float, ...]:
@@ -170,12 +170,8 @@ class SoftMoments(Record):
 
     def __init__(self, nu: float, kappa: float, gamma1_sq: float, gamma2: float,
                  lambda_sq: float, gamma: float):
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "gamma1_sq", gamma1_sq)
-        object.__setattr__(self, "gamma2", gamma2)
-        object.__setattr__(self, "lambda_sq", lambda_sq)
-        object.__setattr__(self, "gamma", gamma)
+        self._store_fields(nu=nu, kappa=kappa, gamma1_sq=gamma1_sq, gamma2=gamma2,
+                           lambda_sq=lambda_sq, gamma=gamma)
 
 
 def soft_expectation_of(d: ContinuousDistribution, ms: MixedSet,

@@ -29,9 +29,7 @@ class IntervalEvent(Record):
 
     def __init__(self, lo: float, hi: float, strict: bool = True):
         lo, hi = open_interval((lo, hi), "interval")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "strict", strict)
+        self._store_fields(lo=lo, hi=hi, strict=strict)
 
     def contains(self, x: float) -> bool:
         if self.strict:

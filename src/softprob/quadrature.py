@@ -125,11 +125,10 @@ class QuadratureConfig(Record):
             raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
         if not abs_tol >= 0.0:
             raise DomainError(f"abs_tol must be nonnegative, got {abs_tol!r}")
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "abs_tol", abs_tol)
+        self._store_fields(rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-DEFAULT_1D = QuadratureConfig(rel_tol=1e-9)
+DEFAULT_1D = QuadratureConfig()
 
 # the 16-node Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(16),
 # written out in full digits so that importing this module computes nothing
@@ -219,10 +218,13 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
 
     f(xs) returns the array of f at each of the nodes xs; a non-finite
     value in it is a DomainError naming the first bad x. No pieces
-    integrate to 0.0 without a call.
+    integrate to 0.0 without a call. cfg must be None, for DEFAULT_1D, or a
+    QuadratureConfig.
     """
     if cfg is None:
         cfg = DEFAULT_1D
+    elif not isinstance(cfg, QuadratureConfig):
+        raise DomainError(f"quadrature must be a QuadratureConfig or None, got {cfg!r}")
     pieces = [open_interval(piece, "piece") for piece in pieces]
     if not pieces:
         return 0.0

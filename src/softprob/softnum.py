@@ -46,8 +46,7 @@ class SoftNumber(Record):
     """Value a*0~ + b with soft coefficient ``soft`` and real part ``real``."""
 
     def __init__(self, soft: float, real: float):
-        object.__setattr__(self, "soft", finite_float(soft, "soft"))
-        object.__setattr__(self, "real", finite_float(real, "real"))
+        self._store_fields(soft=finite_float(soft, "soft"), real=finite_float(real, "real"))
 
     @classmethod
     def zero(cls) -> "SoftNumber":
@@ -208,8 +207,7 @@ class SymmetricPair(Record):
     """
 
     def __init__(self, height: float, width: float):
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "width", width)
+        self._store_fields(height=height, width=width)
 
 
 def to_sp(s: SoftNumber) -> SymmetricPair:
@@ -237,9 +235,8 @@ class ExtendedSoftNumber(Record):
     """
 
     def __init__(self, zlogz: float, soft: float, real: float):
-        object.__setattr__(self, "zlogz", finite_float(zlogz, "zlogz"))
-        object.__setattr__(self, "soft", finite_float(soft, "soft"))
-        object.__setattr__(self, "real", finite_float(real, "real"))
+        self._store_fields(zlogz=finite_float(zlogz, "zlogz"), soft=finite_float(soft, "soft"),
+                           real=finite_float(real, "real"))
 
     def __add__(self, other) -> "ExtendedSoftNumber":
         if not isinstance(other, ExtendedSoftNumber):

@@ -52,10 +52,7 @@ class Observation(Record):
             lo, hi = open_interval((lo, hi), "interval observation")
         else:
             raise DomainError(f"unknown observation kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._store_fields(kind=kind, value=value, lo=lo, hi=hi)
 
     @classmethod
     def point(cls, value: float) -> "Observation":
@@ -124,10 +121,7 @@ class Dataset(Record):
         hi = np.array([c.value if c.kind == POINT else c.hi for c in cells], dtype=float)
         lo, hi = lo.reshape(n, -1), hi.reshape(n, -1)
         lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "label_name", str(label_name))
+        self._store_fields(feature_names=names, lo=lo, hi=hi, label_name=str(label_name))
 
     def feature_index(self, feature: str) -> int:
         try:
@@ -194,8 +188,7 @@ def parse_dataset(text: str, delimiter: str = ",") -> Dataset:
 
 class Leaf(Record):
     def __init__(self, prediction: float, count: int):
-        object.__setattr__(self, "prediction", finite_float(prediction, "leaf prediction"))
-        object.__setattr__(self, "count", count)
+        self._store_fields(prediction=finite_float(prediction, "leaf prediction"), count=count)
 
 
 class Split(Record):
@@ -204,12 +197,8 @@ class Split(Record):
         threshold = finite_float(threshold, "split threshold")
         if not is_count(feature_index):
             raise DomainError(f"feature_index must be an integer >= 0, got {feature_index!r}")
-        object.__setattr__(self, "feature", feature)
-        object.__setattr__(self, "feature_index", feature_index)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self._store_fields(feature=feature, feature_index=feature_index, threshold=threshold,
+                           gain=gain, left=left, right=right)
 
 
 TreeNode = Union[Leaf, Split]
@@ -226,10 +215,7 @@ class TreeConfig(Record):
             raise DomainError(f"min_gain must be a SoftNumber, got {min_gain!r}")
         if not isinstance(info, InfoConfig):
             raise DomainError(f"info must be an InfoConfig, got {info!r}")
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "min_rows", min_rows)
-        object.__setattr__(self, "min_gain", min_gain)
-        object.__setattr__(self, "info", info)
+        self._store_fields(max_depth=max_depth, min_rows=min_rows, min_gain=min_gain, info=info)
 
 
 ColumnMoments = tuple[float, float, np.ndarray]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from softprob.distributions import (
     BivariateGaussianModel,
+    ContinuousDistribution,
     Gaussian,
     JointModel,
     Uniform,
@@ -19,6 +20,7 @@ from softprob.distributions import (
     parse_joint,
 )
 from softprob.errors import DomainError
+from softprob.moments import MixedSet, soft_expectation
 from softprob.quadrature import integrate_1d, integrate_2d
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -151,6 +153,12 @@ class TestUserDefined:
         with pytest.raises(DomainError, match="location and scale"):
             UserDefinedDistribution(g.pdf, g.cdf, support, **hints)
 
+    @pytest.mark.parametrize("which", ["pdf", "cdf"])
+    def test_a_bad_value_names_x(self, which):
+        d = UserDefinedDistribution(lambda x: -1.0, lambda x: 1.5, support=(0.0, 1.0))
+        with pytest.raises(DomainError, match=rf"^{which} must be .* at x=0\.25$"):
+            getattr(d, which)(0.25)
+
     def test_hints_place_the_generic_joint_cdf_window(self):
         # without the hints the window was (-10, 10) and joint_cdf(101, 101) was 0.0
         g = Gaussian(100.0, 1.0)
@@ -167,6 +175,24 @@ class TestUserDefined:
 
         assert Independent().joint_cdf(101.0, 101.0) == pytest.approx(g.cdf(101.0) ** 2,
                                                                         rel=1e-8)
+
+
+def test_default_window_needs_a_finite_support():
+    # with location 0 and scale 1 on an infinite support, the window (-10, 10)
+    # missed N(1000, 1): soft_expectation over (0, 2000) gave 999.9997118622981
+    g = Gaussian(1000.0, 1.0)
+
+    class Shifted(ContinuousDistribution):
+        support = (-math.inf, math.inf)
+        pdf, cdf = g.pdf, g.cdf
+
+    for hint in ("location", "scale"):
+        with pytest.raises(DomainError, match="Shifted must define location and scale"):
+            getattr(Shifted(), hint)
+    with pytest.raises(DomainError, match="infinite"):
+        soft_expectation(Shifted(), MixedSet([], [(0.0, 2000.0)]))
+    Shifted.location, Shifted.scale = 1000.0, 1.0
+    assert soft_expectation(Shifted(), MixedSet([], [(0.0, 2000.0)])).real == _rel(1000.0)
 
 
 class TestJointGaussianAdditive:

@@ -53,9 +53,15 @@ ENTRY_POINTS = {
 }
 
 
+def _user(pdf=N01.pdf, cdf=N01.cdf):
+    return sp.UserDefinedDistribution(pdf, cdf, support=(-1.0, 1.0))
+
+
 # operands of the wrong shape: an interval that is not a (lo, hi) pair, a
 # point set that is not a sequence, a dataset row that is not a (features,
-# label) pair or a cell that is not an Observation
+# label) pair or a cell that is not an Observation; a value of a caller's pdf
+# or cdf that is not a density or a probability; quadrature settings that are
+# not a QuadratureConfig
 MALFORMED = {
     "MixedSet interval triple": lambda: sp.MixedSet([], [(1, 2, 3)]),
     "MixedSet interval number": lambda: sp.MixedSet([], [5]),
@@ -69,6 +75,17 @@ MALFORMED = {
     "ps_points_intersection number": lambda: sp.ps_points_intersection(N01, 5),
     "Dataset row not a pair": lambda: sp.Dataset(["a"], [(1,)] * 2),
     "Dataset cell not an Observation": lambda: sp.Dataset(["a"], [((1.0,), 2.0)] * 2),
+    "user pdf string": lambda: _user(pdf=lambda x: "a").pdf(0.5),
+    "user pdf None": lambda: _user(pdf=lambda x: None).pdf(0.5),
+    "user pdf negative": lambda: sp.soft_entropy(_user(pdf=lambda x: -1.0), sp.MixedSet([0.5])),
+    "user pdf infinite": lambda: sp.soft_expectation(_user(pdf=lambda x: math.inf),
+                                                     sp.MixedSet([], [(0.0, 0.5)])),
+    "user cdf above 1": lambda: sp.ps_lt(_user(cdf=lambda x: 2.0), 0.5),
+    "user cdf negative": lambda: _user(cdf=lambda x: -0.5).cdf(0.5),
+    "user cdf NaN": lambda: _user(cdf=lambda x: math.nan).cdf(0.5),
+    "InfoConfig quadrature number": lambda: sp.InfoConfig(quadrature=1e-6),
+    "soft_expectation quadrature string": lambda: sp.soft_expectation(N01, sp.MixedSet([0.0]),
+                                                                      "x"),
 }
 
 

@@ -1341,6 +1341,12 @@ class TestGaussianClosedForm:
         assert value.real == 0.0
         assert sum(n for n, _ in calls) == 48 * 1000
         assert all(n % 16 == 0 and n * m <= POINT_BLOCK_PAIRS for n, m in calls)
+        # past POINT_BLOCK_PAIRS / 2 y-intervals a call still gets a whole
+        # panel: numpy would sum the column of one x alone in another order
+        calls.clear()
+        many = MixedSet([], [(0.001 * k, 0.001 * k + 0.0004) for k in range(9000)])
+        soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), MixedSet([], [(0, 1)]), many)
+        assert calls and all(n % 16 == 0 for n, _ in calls)
 
     def test_many_intervals_keep_memory_small(self):
         j = BivariateGaussianModel(0.3, -0.2, 1.3, 0.8, 0.6)
