@@ -5,9 +5,10 @@ plus location/scale hints for truncating improper integrals). The Gaussian
 joint model overrides every generic quadrature path with closed forms, and
 adds one more: mi_y_integral, the y-integral of the mutual-information
 terms in truncated-normal moments. The generic paths remain available for
-user-supplied models: the joint cdf is an iterated integral of the joint
-density (quadrature.integrate_2d), and soft mutual information integrates
-their pointwise terms over y at each x node (quadrature.y_integral).
+user-supplied models: the joint cdf is a 1-D run over x of the x-partial,
+whose generic column is quadrature.y_integral of the joint density, and
+soft mutual information integrates the pointwise terms over y at each x
+node the same way.
 
 Densities at many points at once come from the array methods (pdf_array,
 joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
@@ -25,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, finite_float, open_interval, record_numbers
-from .quadrature import integrate_1d, integrate_2d
+from .quadrature import integrate_1d, y_integral
+from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -258,8 +260,9 @@ class JointModel(ABC):
     """Bivariate model (X, Y): joint density plus both marginals.
 
     The cdf and its partial derivatives default to adaptive quadrature of
-    the joint density over truncated ranges; subclasses with closed forms
-    should override them.
+    the joint density over truncated ranges. joint_cdf runs over x the hook
+    _cdf_partial_x_array, which cdf_partial_x views at one point; a subclass
+    with closed forms overrides that hook.
     """
 
     @abstractmethod
@@ -288,21 +291,22 @@ class JointModel(ABC):
                          for y in ys], dtype=float).reshape(len(ys), len(given_xs))
 
     def joint_cdf(self, x: float, y: float) -> float:
-        """P(X <= x, Y <= y)."""
+        """P(X <= x, Y <= y): the integral of cdf_partial_x(t, y) for t <= x, in one 1-D run."""
         x_lo, x_hi = self.marginal_x.truncated_range()
-        y_lo, y_hi = self.marginal_y.truncated_range()
-        xu, yu = min(x, x_hi), min(y, y_hi)
-        if xu <= x_lo or yu <= y_lo:
+        xu = min(x, x_hi)
+        if xu <= x_lo:
             return 0.0
-        return integrate_2d(self.joint_pdf_grid, x_lo, xu, y_lo, yu)
+        return integrate_1d(lambda xs: self._cdf_partial_x_array(xs, y), x_lo, xu)
+
+    def _cdf_partial_x_array(self, xs: np.ndarray, y: float) -> np.ndarray:
+        """cdf_partial_x at each x of xs: y_integral columns of joint_pdf_grid, 0 below y_lo."""
+        y_lo, y_hi = self.marginal_y.truncated_range()
+        yu = min(y, y_hi)
+        return y_integral(self.joint_pdf_grid, [] if yu <= y_lo else [(y_lo, yu)])(xs)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""
-        y_lo, y_hi = self.marginal_y.truncated_range()
-        yu = min(y, y_hi)
-        if yu <= y_lo:
-            return 0.0
-        return integrate_1d(lambda ts: self.joint_pdf_grid(np.array([x]), ts)[:, 0], y_lo, yu)
+        return _at(lambda xs: self._cdf_partial_x_array(xs, y), x)
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         """d/dy of the joint cdf: integral of joint_pdf(t, y) for t <= x."""
@@ -353,7 +357,7 @@ class BivariateGaussianModel(JointModel):
         return self._my
 
     def joint_pdf(self, x: float, y: float) -> float:
-        return self._mx.pdf(x) * self.conditional_pdf(y, x)
+        return _at(lambda xs, ys: self.joint_pdf_grid(xs, ys)[0], x, y)
 
     def conditional_pdf(self, y: float, given_x: float) -> float:
         return _at(lambda ys, xs: self.conditional_pdf_grid(ys, xs)[0], y, given_x)
@@ -375,8 +379,8 @@ class BivariateGaussianModel(JointModel):
     def conditional_cdf(self, y: float, given_x: float) -> float:
         return _at(_upper_tail, (self._cond_mean(given_x) - y) / self._cond_sd)
 
-    def cdf_partial_x(self, x: float, y: float) -> float:
-        return self._mx.pdf(x) * self.conditional_cdf(y, x)
+    def _cdf_partial_x_array(self, xs: np.ndarray, y: float) -> np.ndarray:
+        return self._mx.pdf_array(xs) * _upper_tail((self._cond_mean(xs) - y) / self._cond_sd)
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         # by symmetry, condition X on Y = y
@@ -422,21 +426,15 @@ class BivariateGaussianModel(JointModel):
         m2 = mass + (a * phi_a - b * phi_b)
         inner = ((self._mi_log_term + delta * delta / (2.0 * self.var_y)) * mass
                  - (0.5 * self.rho * self.rho) * m2 + (s / self.var_y) * delta * m1)
+        # each x adds its intervals in order; sum(axis=0) goes pairwise for one x alone
+        total = np.add.accumulate(inner, axis=0)[-1] if len(inner) else 0.0
         fx = self._mx.pdf_array(xs)
-        return np.where(fx > 0.0, fx * inner.sum(axis=0), 0.0)
+        return np.where(fx > 0.0, fx * total, 0.0)
 
     def joint_cdf(self, x: float, y: float) -> float:
         if self.rho == 0.0:
             return self._mx.cdf(x) * self._my.cdf(y)
-        x_lo, x_hi = self._mx.truncated_range()
-        xu = min(x, x_hi)
-        if xu <= x_lo:
-            return 0.0
-
-        def integrand(ts: np.ndarray) -> np.ndarray:
-            return self._mx.pdf_array(ts) * _upper_tail((self._cond_mean(ts) - y) / self._cond_sd)
-
-        return integrate_1d(integrand, x_lo, xu)
+        return super().joint_cdf(x, y)
 
     def __repr__(self) -> str:
         return (f"BivariateGaussianModel(mean_x={self.mean_x!r}, mean_y={self.mean_y!r}, "

@@ -505,10 +505,8 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
             def y_integrand(xs: np.ndarray) -> np.ndarray:
                 # x nodes a call of mi_y_integral: about POINT_BLOCK_PAIRS
                 # (x, y-interval) pairs, so that its temporaries stay small
-                # however many intervals there are. Whole 16-node panels keep
-                # a call from getting one x alone, whose column numpy would
-                # sum pairwise, not in order, to other last bits
-                rows = 16 * max(1, POINT_BLOCK_PAIRS // (16 * len(sy.lo)))
+                # however many intervals there are
+                rows = max(1, POINT_BLOCK_PAIRS // len(sy.lo))
                 return np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
                                        for k in range(0, len(xs), rows)])
         else:

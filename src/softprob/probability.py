@@ -29,6 +29,8 @@ class IntervalEvent(Record):
 
     def __init__(self, lo: float, hi: float, strict: bool = True):
         lo, hi = open_interval((lo, hi), "interval")
+        if not isinstance(strict, bool):
+            raise DomainError(f"strict must be a bool, got {strict!r}")
         self._store_fields(lo=lo, hi=hi, strict=strict)
 
     def contains(self, x: float) -> bool:

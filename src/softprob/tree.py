@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import BivariateGaussianModel, JointModel
 from .errors import DegenerateModelError, DomainError, Record, finite_float, is_count, \
-    is_number, open_interval
+    is_number, open_interval, sequence
 from .information import InfoConfig, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
@@ -96,7 +96,7 @@ class Dataset(Record):
 
     def __init__(self, feature_names: Sequence[str], rows: Sequence[Row],
                  label_name: str = "label"):
-        names = tuple(str(n) for n in feature_names)
+        names = tuple(str(n) for n in sequence(feature_names, "feature_names", "strings"))
         if not names or len(set(names)) != len(names):
             raise DomainError(f"feature names must be nonempty and distinct: {names!r}")
         cells = []
@@ -188,16 +188,26 @@ def parse_dataset(text: str, delimiter: str = ",") -> Dataset:
 
 class Leaf(Record):
     def __init__(self, prediction: float, count: int):
-        self._store_fields(prediction=finite_float(prediction, "leaf prediction"), count=count)
+        if not is_count(count):
+            raise DomainError(f"count must be an integer >= 0, got {count!r}")
+        self._store_fields(prediction=finite_float(prediction, "leaf prediction"),
+                           count=int(count))
 
 
 class Split(Record):
     def __init__(self, feature: str, feature_index: int, threshold: float, gain: SoftNumber,
                  left: "TreeNode", right: "TreeNode"):
         threshold = finite_float(threshold, "split threshold")
+        if not isinstance(feature, str):
+            raise DomainError(f"feature must be a string, got {feature!r}")
         if not is_count(feature_index):
             raise DomainError(f"feature_index must be an integer >= 0, got {feature_index!r}")
-        self._store_fields(feature=feature, feature_index=feature_index, threshold=threshold,
+        if not isinstance(gain, SoftNumber):
+            raise DomainError(f"gain must be a SoftNumber, got {gain!r}")
+        for name, child in (("left", left), ("right", right)):
+            if not isinstance(child, (Leaf, Split)):
+                raise DomainError(f"{name} must be a Leaf or Split, got {child!r}")
+        self._store_fields(feature=feature, feature_index=int(feature_index), threshold=threshold,
                            gain=gain, left=left, right=right)
 
 
@@ -458,10 +468,9 @@ def _node_from_dict(obj: dict) -> TreeNode:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"tree record must be an object with a 'kind': {obj!r}")
     try:
-        if obj["kind"] == "leaf" and is_number(obj["prediction"]) and is_count(obj["count"]):
+        if obj["kind"] == "leaf" and is_number(obj["prediction"]):
             return Leaf(prediction=obj["prediction"], count=obj["count"])
-        if (obj["kind"] == "split" and isinstance(obj["feature"], str)
-                and is_count(obj["feature_index"]) and is_number(obj["threshold"])):
+        if obj["kind"] == "split" and is_number(obj["threshold"]):
             return Split(feature=obj["feature"], feature_index=obj["feature_index"],
                          threshold=obj["threshold"], gain=soft_from_dict(obj["gain"]),
                          left=_node_from_dict(obj["left"]),
@@ -470,5 +479,5 @@ def _node_from_dict(obj: dict) -> TreeNode:
         raise DomainError(f"tree record is missing field {exc}") from None
     if obj["kind"] not in ("leaf", "split"):
         raise DomainError(f"unknown tree node kind {obj['kind']!r}")
-    raise DomainError(f"malformed {obj['kind']} record: count and feature_index must be "
-                      "non-negative integers, feature a string, prediction and threshold numbers")
+    field = "prediction" if obj["kind"] == "leaf" else "threshold"
+    raise DomainError(f"malformed {obj['kind']} record: {field} must be a number")

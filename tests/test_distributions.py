@@ -21,7 +21,7 @@ from softprob.distributions import (
 )
 from softprob.errors import DomainError
 from softprob.moments import MixedSet, soft_expectation
-from softprob.quadrature import integrate_1d, integrate_2d
+from softprob.quadrature import collect_stats, integrate_1d, integrate_2d
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -222,6 +222,71 @@ class TestJointGaussianAdditive:
             assert math.isclose(got, j.marginal_x.pdf(x), rel_tol=1e-6)
 
 
+class _Generic(JointModel):
+    """A joint model that exposes only the densities of the one it wraps, so
+    that every cdf takes JointModel's generic quadrature path."""
+
+    def __init__(self, inner: JointModel):
+        self.inner = inner
+        self.marginal_x, self.marginal_y = inner.marginal_x, inner.marginal_y
+
+    marginal_x = marginal_y = None
+
+    def joint_pdf(self, x, y):
+        return self.inner.joint_pdf(x, y)
+
+    def conditional_pdf(self, y, given_x):
+        return self.inner.conditional_pdf(y, given_x)
+
+    def joint_pdf_grid(self, xs, ys):
+        return self.inner.joint_pdf_grid(xs, ys)
+
+
+class TestJointCdfIsOneXRun:
+    """JointModel.joint_cdf is one 1-D run over x of the x-partial's array hook:
+    generically y_integral columns of the joint density, for the Gaussian model
+    its closed form."""
+
+    MODELS = [BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.6),
+              BivariateGaussianModel(-1.0, 2.0, 0.3, 4.0, -0.9),
+              BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.0)]
+
+    @pytest.mark.parametrize("j", MODELS)
+    def test_generic_joint_cdf_is_the_iterated_integral(self, j):
+        # integrate_2d over the clipped window is the generic algorithm it replaced
+        g = _Generic(j)
+        (x_lo, x_hi), (y_lo, y_hi) = j.marginal_x.truncated_range(), j.marginal_y.truncated_range()
+        for x, y in ((0.3, -0.2), (-1.0, 1.5), (x_hi + 1.0, 0.5), (0.5, y_hi + 3.0)):
+            want = integrate_2d(g.joint_pdf_grid, x_lo, min(x, x_hi), y_lo, min(y, y_hi))
+            assert g.joint_cdf(x, y) == want
+
+    def test_generic_joint_cdf_below_either_window_is_zero(self):
+        g = _Generic(self.MODELS[0])
+        (x_lo, _), (y_lo, _) = g.marginal_x.truncated_range(), g.marginal_y.truncated_range()
+        assert g.joint_cdf(x_lo, 0.0) == g.joint_cdf(x_lo - 1.0, 0.0) == 0.0
+        assert g.cdf_partial_x(0.0, y_lo) == g.cdf_partial_x(0.0, y_lo - 1.0) == 0.0
+        # below the y-window the x-run still runs, once, over columns of no pieces
+        with collect_stats() as records:
+            assert g.joint_cdf(0.0, y_lo - 1.0) == 0.0
+        assert [(r.nodes, r.calls, r.error) for r in records] == [(48, 1, 0.0)]
+
+    @pytest.mark.parametrize("j", MODELS[:2])
+    def test_gaussian_joint_cdf_is_the_generic_run_of_its_closed_form_column(self, j):
+        rng = np.random.default_rng(1)
+        for u, v in rng.normal(0.0, 3.0, (5, 2)).tolist():
+            x, y = j.mean_x + u * math.sqrt(j.var_x), j.mean_y + v * math.sqrt(j.var_y)
+            assert j.joint_cdf(x, y) == JointModel.joint_cdf(j, x, y)
+            assert j.joint_cdf(x, y) == pytest.approx(_Generic(j).joint_cdf(x, y),
+                                                      rel=1e-8, abs=1e-300)
+
+    @pytest.mark.parametrize("j", MODELS)
+    def test_gaussian_cdf_partial_x_is_density_times_conditional_cdf(self, j):
+        rng = np.random.default_rng(2)
+        for u, v in rng.normal(0.0, 6.0, (200, 2)).tolist():
+            x, y = j.mean_x + u * math.sqrt(j.var_x), j.mean_y + v * math.sqrt(j.var_y)
+            assert j.cdf_partial_x(x, y) == j.marginal_x.pdf(x) * j.conditional_cdf(y, x)
+
+
 class TestBivariateGaussianModel:
     def test_independent_joint_cdf_factorizes(self):
         j = BivariateGaussianModel(0, 0, 1, 1, 0.0)
@@ -236,18 +301,7 @@ class TestBivariateGaussianModel:
 
     def test_partial_cdfs_match_generic_quadrature(self):
         j = BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.4)
-
-        class Generic(JointModel):
-            marginal_x = j.marginal_x
-            marginal_y = j.marginal_y
-
-            def joint_pdf(self, x, y):
-                return j.joint_pdf(x, y)
-
-            def conditional_pdf(self, x, y):
-                return j.conditional_pdf(x, y)
-
-        g = Generic()
+        g = _Generic(j)
         for x, y in ((0.0, 0.0), (0.5, -1.0), (-1.2, 0.7)):
             assert math.isclose(j.cdf_partial_x(x, y), g.cdf_partial_x(x, y),
                                 rel_tol=1e-6, abs_tol=1e-9)

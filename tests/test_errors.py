@@ -16,6 +16,7 @@ IV = sp.IntervalEvent(-1.0, 1.0)
 MODEL = sp.BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.5)
 ZERO = sp.SoftNumber.zero()
 LEAF = sp.Leaf(0.0, 1)
+POINT = sp.Observation.point(1.0)
 
 # one caller's number v passed to each public entry point
 ENTRY_POINTS = {
@@ -75,6 +76,7 @@ MALFORMED = {
     "ps_points_intersection number": lambda: sp.ps_points_intersection(N01, 5),
     "Dataset row not a pair": lambda: sp.Dataset(["a"], [(1,)] * 2),
     "Dataset cell not an Observation": lambda: sp.Dataset(["a"], [((1.0,), 2.0)] * 2),
+    "Dataset feature names string": lambda: sp.Dataset("x1", [((POINT,), POINT)] * 2),
     "user pdf string": lambda: _user(pdf=lambda x: "a").pdf(0.5),
     "user pdf None": lambda: _user(pdf=lambda x: None).pdf(0.5),
     "user pdf negative": lambda: sp.soft_entropy(_user(pdf=lambda x: -1.0), sp.MixedSet([0.5])),
@@ -249,12 +251,25 @@ BAD_CONFIGS = {
     "tree info None": lambda: sp.TreeConfig(info=None),
     "tree info quadrature": lambda: sp.TreeConfig(info=sp.QuadratureConfig()),
     "split feature_index str": lambda: sp.Split("x", "0", 0.0, ZERO, LEAF, LEAF),
+    "split feature int": lambda: sp.Split(3, 0, 0.0, ZERO, LEAF, LEAF),
+    "split gain float": lambda: sp.Split("x", 0, 0.0, 1.0, LEAF, LEAF),
+    "split left None": lambda: sp.Split("x", 0, 0.0, ZERO, None, LEAF),
+    "split right dict": lambda: sp.Split("x", 0, 0.0, ZERO, LEAF, sp.tree_to_dict(LEAF)),
+    "leaf count negative": lambda: sp.Leaf(1.0, count=-3),
+    "leaf count str": lambda: sp.Leaf(1.0, count="3"),
+    "leaf count float": lambda: sp.Leaf(1.0, count=2.5),
+    "leaf count bool": lambda: sp.Leaf(1.0, count=True),
+    "leaf count None": lambda: sp.Leaf(1.0, count=None),
+    "interval strict str": lambda: sp.IntervalEvent(-1.0, 1.0, strict="false"),
+    "interval strict None": lambda: sp.IntervalEvent(-1.0, 1.0, strict=None),
+    "interval strict int": lambda: sp.IntervalEvent(-1.0, 1.0, strict=0),
 }
 
 
 @pytest.mark.parametrize("name", BAD_CONFIGS)
 def test_a_config_field_of_the_wrong_type_is_a_domain_error(name):
-    with pytest.raises(DomainError, match=r"^(max_depth|min_rows|min_gain|info|feature_index) "):
+    fields = "max_depth|min_rows|min_gain|info|feature_index|feature|gain|left|right|count|strict"
+    with pytest.raises(DomainError, match=f"^({fields}) "):
         BAD_CONFIGS[name]()
 
 

@@ -1244,7 +1244,8 @@ class TestIntervalGrid:
     def test_generic_joint_cdf_default_grid_matches_gaussian_override(self):
         j = BivariateGaussianModel(0.1, -0.2, 1.0, 2.0, 0.6)
         for x, y in ((0.3, -0.2), (-1.0, 1.5)):
-            fast = JointModel.joint_cdf(j, x, y)
+            # on j itself JointModel.joint_cdf would run over the closed-form column
+            fast = JointModel.joint_cdf(_GridOnly(j), x, y)
             assert fast == pytest.approx(j.joint_cdf(x, y), rel=1e-6)
             assert _ScalarOnly(j).joint_cdf(x, y) == pytest.approx(fast, rel=1e-12)
 
@@ -1325,8 +1326,9 @@ class TestGaussianClosedForm:
 
     def test_many_intervals_keep_each_call_small(self):
         # every x node meets every y-interval in mi_y_integral, so 1,000
-        # x-intervals against 1,000 y-intervals go in blocks of whole panels
-        # of at most POINT_BLOCK_PAIRS pairs, not 48,000 x nodes at once
+        # x-intervals against 1,000 y-intervals go in blocks of at most
+        # POINT_BLOCK_PAIRS pairs, not 48,000 x nodes at once; past that many
+        # y-intervals a call holds one x
         calls = []
 
         class Counting(BivariateGaussianModel):
@@ -1340,13 +1342,24 @@ class TestGaussianClosedForm:
         value = soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), ms, ms)
         assert value.real == 0.0
         assert sum(n for n, _ in calls) == 48 * 1000
-        assert all(n % 16 == 0 and n * m <= POINT_BLOCK_PAIRS for n, m in calls)
-        # past POINT_BLOCK_PAIRS / 2 y-intervals a call still gets a whole
-        # panel: numpy would sum the column of one x alone in another order
+        assert all(n * m <= POINT_BLOCK_PAIRS for n, m in calls)
+        assert max(n for n, _ in calls) == POINT_BLOCK_PAIRS // 1000
         calls.clear()
-        many = MixedSet([], [(0.001 * k, 0.001 * k + 0.0004) for k in range(9000)])
+        many = MixedSet([], [(0.001 * k, 0.001 * k + 0.0004) for k in range(20000)])
         soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), MixedSet([], [(0, 1)]), many)
-        assert calls and all(n % 16 == 0 for n, _ in calls)
+        assert calls == [(1, 20000)] * 48
+
+    def test_an_x_alone_sums_its_intervals_as_it_does_beside_others(self):
+        # each x adds its y-intervals in order: numpy's sum over them went
+        # pairwise for a call of one x, which moved 0.3's last bits
+        j = BivariateGaussianModel(0.1, -0.2, 1.3, 0.8, 0.6)
+        ends = np.sort(np.random.default_rng(5).normal(-0.2, 1.5, 2000)).reshape(1000, 2)
+        xs = np.array([0.3, 0.7, *np.linspace(-3.0, 3.0, 17)])
+        together = j.mi_y_integral(xs, ends[:, 0], ends[:, 1])
+        for x, value in zip(xs.tolist(), together.tolist()):
+            assert j.mi_y_integral(np.array([x]), ends[:, 0], ends[:, 1]).tolist() == [value]
+        assert j.mi_y_integral(xs[:2], ends[:, 0], ends[:, 1]).tolist() == together[:2].tolist()
+        assert j.mi_y_integral(xs, np.empty(0), np.empty(0)).tolist() == [0.0] * len(xs)
 
     def test_many_intervals_keep_memory_small(self):
         j = BivariateGaussianModel(0.3, -0.2, 1.3, 0.8, 0.6)

@@ -1,8 +1,10 @@
 """Tests for the soft-MI decision-tree inducer and its dataset plumbing."""
 
 import gc
+import json
 import math
 import random
+import re
 import statistics
 import warnings
 from fractions import Fraction
@@ -726,6 +728,37 @@ class TestSerialization:
                 tree_from_dict(obj)
         assert tree_from_dict(split) == Split("a", 0, 0.5, SoftNumber(0.0, 1.0),
                                               Leaf(0.5, 1), Leaf(0.5, 1))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"count": -3}, "count must be an integer >= 0, got -3"),
+        ({"count": "3"}, "count must be an integer >= 0, got '3'"),
+        ({"prediction": None}, "malformed leaf record: prediction must be a number"),
+        ({"threshold": "0"}, "malformed split record: threshold must be a number"),
+        ({"feature": 3}, "feature must be a string, got 3"),
+        ({"feature_index": -1}, "feature_index must be an integer >= 0, got -1"),
+    ])
+    def test_the_constructors_name_a_bad_field(self, change, message):
+        # a leaf record's fields, or a split's whose children are that leaf;
+        # _node_from_dict checks only that the numbers are JSON numbers
+        leaf = {"kind": "leaf", "prediction": 0.5, "count": 1}
+        split = {"kind": "split", "feature": "a", "feature_index": 0, "threshold": 0.5,
+                 "gain": {"soft": 0.0, "real": 1.0}, "left": leaf, "right": leaf}
+        record = {**(leaf if change.keys() <= {"count", "prediction"} else split), **change}
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            tree_from_dict(record)
+
+    def test_every_tree_the_constructors_accept_round_trips(self):
+        # each of these was accepted, and tree_to_dict or tree_from_dict then failed
+        leaf = Leaf(1.0, count=np.int64(3))
+        for build in (lambda: Leaf(1.0, count=-3), lambda: Leaf(1.0, count=None),
+                      lambda: Split("a", 0, 0.5, 1.0, leaf, leaf),
+                      lambda: Split(3, 0, 0.5, SoftNumber(0.0, 1.0), leaf, leaf),
+                      lambda: Split("a", 0, 0.5, SoftNumber(0.0, 1.0), None, leaf)):
+            with pytest.raises(DomainError):
+                build()
+        tree = Split("", np.int32(2), -0.5, SoftNumber(1.0, 0.0), leaf, Leaf(2.0, count=0))
+        # numpy integers are stored as int, so the record is also JSON
+        assert tree_from_dict(json.loads(json.dumps(tree_to_dict(tree)))) == tree
 
     def test_record_nested_past_the_recursion_limit_rejected(self):
         obj = {"kind": "leaf", "prediction": 1.0, "count": 1}
