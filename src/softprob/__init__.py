@@ -68,8 +68,6 @@ from .moments import (
     soft_variance,
 )
 from .information import (
-    FORM_CONDITIONAL,
-    FORM_SYMMETRIC,
     InfoConfig,
     ZLOGZ_AXIS,
     ZLOGZ_COLLAPSE,

@@ -23,7 +23,7 @@ from typing import Optional
 from . import __version__
 from .distributions import joint_gaussian_additive, Gaussian, parse_distribution, parse_joint
 from .errors import DomainError, SoftProbError, finite_float, open_interval
-from .information import FORM_CONDITIONAL, ZLOGZ_AXIS, InfoConfig, \
+from .information import ZLOGZ_AXIS, InfoConfig, \
     soft_cross_entropy, soft_entropy, soft_kld, soft_mutual_information
 from .moments import MixedSet, soft_expectation, soft_variance
 from .probability import IntervalEvent, Relation, ps2, ps_cond_point_given_interval, \
@@ -120,7 +120,7 @@ def cmd_table1(args) -> int:
             TABLE1_ROWS, start=1):
         sx = MixedSet([x0], [xiv])
         sy = MixedSet([y0], [yiv])
-        value = soft_mutual_information(model, sx, sy, cfg, form=FORM_CONDITIONAL)
+        value = soft_mutual_information(model, sx, sy, cfg)
         ok_soft, d_soft = _within(value.soft, ref_soft, tol_soft)
         ok_real, d_real = _within(value.real, ref_real, tol_real)
         all_pass = all_pass and ok_soft and ok_real

@@ -1,7 +1,8 @@
 """Continuous distributions and bivariate joint models.
 
 The abstract bases deliberately expose a small surface (pdf, cdf, support
-plus location/scale hints for truncating improper integrals). The Gaussian
+plus location/scale hints for truncating improper integrals; joint_pdf and
+the marginals of a joint model). The Gaussian
 joint model overrides every generic quadrature path with closed forms, and
 adds one more: mi_y_integral, the y-integral of the mutual-information
 terms in truncated-normal moments. The generic paths remain available for
@@ -10,11 +11,13 @@ whose generic column is quadrature.y_integral of the joint density, and
 soft mutual information integrates the pointwise terms over y at each x
 node the same way.
 
-Densities at many points at once come from the array methods (pdf_array,
-joint_pdf_grid, conditional_pdf_grid). Their defaults call the scalar
-methods point by point; the Gaussian models write each density once, as a
-numpy broadcast whose scalar methods are views at one point, and take
-every cdf and interval mass from one upper-tail function (_upper_tail).
+Densities at many points come from pdf_array and joint_pdf_array, which
+work elementwise over the broadcast of their arguments: the grid is
+joint_pdf_array(xs[None, :], ys[:, None]). Their defaults, the only Python
+loops over points, call the scalar methods point by point; the Gaussian
+models write each density once, as a numpy broadcast whose scalar methods
+are views at one point, and take every cdf and interval mass from one
+upper-tail function (_upper_tail).
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ class ContinuousDistribution(ABC):
     def cdf(self, x: float) -> float: ...
 
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
-        """Density at each of the points xs."""
-        return np.array([self.pdf(float(x)) for x in xs], dtype=float)
+        """Density at each of the points xs, an array of any shape."""
+        xs = np.asarray(xs, dtype=float)
+        return np.array([self.pdf(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
 
     def mass(self, lo: float, hi: float) -> float:
         """P(lo < X < hi) for lo <= hi."""
@@ -198,6 +202,15 @@ def _as_float(value) -> float:
         return math.nan
 
 
+def _density(value, what: str, name: str, point) -> float:
+    """The value a caller's density returned at point, a finite float >= 0, or a DomainError."""
+    density = _as_float(value)
+    if not 0.0 <= density < math.inf:
+        raise DomainError(
+            f"{what} must be a finite number >= 0, got {value!r} at {name}={point!r}")
+    return density
+
+
 class UserDefinedDistribution(ContinuousDistribution):
     """Wrap caller-supplied pdf and cdf callables.
 
@@ -226,11 +239,7 @@ class UserDefinedDistribution(ContinuousDistribution):
             raise DomainError(f"scale must be positive, got {self._scale!r}")
 
     def pdf(self, x: float) -> float:
-        value = self._pdf(x)
-        density = _as_float(value)
-        if not 0.0 <= density < math.inf:
-            raise DomainError(f"pdf must be a finite number >= 0, got {value!r} at x={x!r}")
-        return density
+        return _density(self._pdf(x), "pdf", "x", x)
 
     def cdf(self, x: float) -> float:
         value = self._cdf(x)
@@ -259,10 +268,11 @@ class UserDefinedDistribution(ContinuousDistribution):
 class JointModel(ABC):
     """Bivariate model (X, Y): joint density plus both marginals.
 
-    The cdf and its partial derivatives default to adaptive quadrature of
-    the joint density over truncated ranges. joint_cdf runs over x the hook
-    _cdf_partial_x_array, which cdf_partial_x views at one point; a subclass
-    with closed forms overrides that hook.
+    A model writes joint_pdf and the marginals. The cdf and its partial
+    derivatives default to adaptive quadrature of joint_pdf_array over
+    truncated ranges. joint_cdf runs over x the hook _cdf_partial_x_array,
+    which cdf_partial_x views at one point; a subclass with closed forms
+    overrides that hook.
     """
 
     @abstractmethod
@@ -276,19 +286,16 @@ class JointModel(ABC):
     @abstractmethod
     def marginal_y(self) -> ContinuousDistribution: ...
 
-    @abstractmethod
-    def conditional_pdf(self, y: float, given_x: float) -> float:
-        """Density of Y at y conditioned on X = given_x."""
+    def joint_pdf_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Joint density at each pair of the broadcast of x and y; by default
+        joint_pdf pair by pair, each value checked as _joint_density checks it."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        pairs = zip(x.ravel().tolist(), y.ravel().tolist())
+        return np.array([self._joint_density(*p) for p in pairs], dtype=float).reshape(x.shape)
 
-    def joint_pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Joint density with rows over ys and columns over xs: [j, i] = f(xs[i], ys[j])."""
-        return np.array([[self.joint_pdf(float(x), float(y)) for x in xs] for y in ys],
-                        dtype=float).reshape(len(ys), len(xs))
-
-    def conditional_pdf_grid(self, ys: np.ndarray, given_xs: np.ndarray) -> np.ndarray:
-        """Conditional density laid out like joint_pdf_grid: [j, i] = f(ys[j] | given_xs[i])."""
-        return np.array([[self.conditional_pdf(float(y), float(x)) for x in given_xs]
-                         for y in ys], dtype=float).reshape(len(ys), len(given_xs))
+    def _joint_density(self, x: float, y: float) -> float:
+        """joint_pdf(x, y), a finite number >= 0, or a DomainError naming (x, y)."""
+        return _density(self.joint_pdf(x, y), "joint_pdf", "(x, y)", (x, y))
 
     def joint_cdf(self, x: float, y: float) -> float:
         """P(X <= x, Y <= y): the integral of cdf_partial_x(t, y) for t <= x, in one 1-D run."""
@@ -299,10 +306,10 @@ class JointModel(ABC):
         return integrate_1d(lambda xs: self._cdf_partial_x_array(xs, y), x_lo, xu)
 
     def _cdf_partial_x_array(self, xs: np.ndarray, y: float) -> np.ndarray:
-        """cdf_partial_x at each x of xs: y_integral columns of joint_pdf_grid, 0 below y_lo."""
+        """cdf_partial_x at each x of xs: y_integral columns of joint_pdf_array, 0 below y_lo."""
         y_lo, y_hi = self.marginal_y.truncated_range()
         yu = min(y, y_hi)
-        return y_integral(self.joint_pdf_grid, [] if yu <= y_lo else [(y_lo, yu)])(xs)
+        return y_integral(self.joint_pdf_array, [] if yu <= y_lo else [(y_lo, yu)])(xs)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""
@@ -314,7 +321,7 @@ class JointModel(ABC):
         xu = min(x, x_hi)
         if xu <= x_lo:
             return 0.0
-        return integrate_1d(lambda ts: self.joint_pdf_grid(ts, np.array([y]))[0], x_lo, xu)
+        return integrate_1d(lambda ts: self.joint_pdf_array(ts, np.array([y])), x_lo, xu)
 
 
 class BivariateGaussianModel(JointModel):
@@ -357,19 +364,20 @@ class BivariateGaussianModel(JointModel):
         return self._my
 
     def joint_pdf(self, x: float, y: float) -> float:
-        return _at(lambda xs, ys: self.joint_pdf_grid(xs, ys)[0], x, y)
+        return _at(self.joint_pdf_array, x, y)
 
     def conditional_pdf(self, y: float, given_x: float) -> float:
-        return _at(lambda ys, xs: self.conditional_pdf_grid(ys, xs)[0], y, given_x)
+        """Density of Y at y conditioned on X = given_x."""
+        return _at(self._conditional_pdf_array, y, given_x)
 
-    def joint_pdf_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        grid = self.conditional_pdf_grid(ys, xs)
-        grid *= self._mx.pdf_array(xs)
-        return grid
+    def joint_pdf_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        density = self._conditional_pdf_array(y, x)
+        density *= self._mx.pdf_array(x)
+        return density
 
-    def conditional_pdf_grid(self, ys: np.ndarray, given_xs: np.ndarray) -> np.ndarray:
-        # evaluated in place on one temporary
-        z = ys[:, None] - self._cond_mean(given_xs)
+    def _conditional_pdf_array(self, y: np.ndarray, given_x: np.ndarray) -> np.ndarray:
+        # evaluated in place on one temporary of the broadcast shape
+        z = np.asarray(y - self._cond_mean(given_x), dtype=float)
         z *= -0.5 * z
         z /= self._cond_var
         np.exp(z, out=z)

@@ -8,7 +8,8 @@ and mutual information pairs points with points and intervals with
 intervals on a two-variable model. Every one of them is a term kernel
 w*log(num/den) under one pointwise rule (_log_terms); the 1-D ones are
 summed over points and intervals by moments.soft_sum. Mutual information
-is the 2-D form, and soft_mutual_information picks its path once, from the
+is the 2-D form, f_XY*log(f_XY/(f_X f_Y)), which reads only joint_pdf_array
+and the marginals; soft_mutual_information picks its path once, from the
 model, for both axes. A BivariateGaussianModel, whose log ratio is a
 quadratic, sums its point pairs as a Gauss transform (_gaussian_pair_sum),
 densely or, where a cost model finds it cheaper, by a one-level Chebyshev
@@ -159,9 +160,6 @@ def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
     return SoftNumber(soft / lnb, real / lnb)
 
 
-FORM_SYMMETRIC = "symmetric"
-FORM_CONDITIONAL = "conditional"
-
 # pairs per block of the point-pair sum: whole rows (of y for the pointwise
 # terms, of x or of Chebyshev nodes for the Gaussian transform, of x against
 # its panel's nodes for the interpolation) are taken until a block holds
@@ -183,18 +181,10 @@ _CHEB_WEIGHTS = np.where(np.arange(_PANEL_NODES) % 2, -1.0, 1.0) * np.sin(_CHEB_
 _SOURCE_REACH = 2.0
 
 
-def _mi_terms(j: JointModel, xs: np.ndarray, ys: np.ndarray, form: str) -> np.ndarray:
-    """Pointwise MI terms w*log(num/den) on the grid [k, i] = (xs[i], ys[k])."""
-    fx = j.marginal_x.pdf_array(xs)
-    fy = j.marginal_y.pdf_array(ys)[:, None]
-    if form == FORM_SYMMETRIC:
-        w = num = j.joint_pdf_grid(xs, ys)
-        den = fx * fy
-    else:
-        num = j.conditional_pdf_grid(ys, xs)
-        w = num * fx
-        den = fy
-    return _log_terms(w, num, den)
+def _mi_terms(j: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise MI terms f_XY*log(f_XY/(f_X f_Y)) over the broadcast of x and y."""
+    f = j.joint_pdf_array(x, y)
+    return _log_terms(f, f, j.marginal_x.pdf_array(x) * j.marginal_y.pdf_array(y))
 
 
 def _dense_gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
@@ -408,7 +398,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     With u = (x - mean_x)/sd_x, v = (y - mean_y)/sd_y and q = 1 - rho^2,
     the weight f_X f_{Y|X} of the pair (x_i, y_k) is exp(e_ik), where
     e_ik = lead_i - (v_k - rho*u_i)^2/(2q) and lead_i = -u_i^2/2 -
-    log(2 pi sd_x sd_y sqrt(q)). Its log ratio, the same in both forms, is
+    log(2 pi sd_x sd_y sqrt(q)). Its log ratio log(f_XY/(f_X f_Y)) is
     the quadratic c0 + c1*u^2 + c2*u*v + c1*v^2 with c0 = -log1p(-rho^2)/2,
     c1 = -rho^2/(2q) and c2 = rho/q. So the sum is
     sum_i (c0 + c1*u_i^2)*G_i0 + c2*u_i*G_i1 + c1*G_i2, where G = W V for
@@ -473,21 +463,21 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
 
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                             cfg: InfoConfig = _DEFAULT,
-                            form: str = FORM_SYMMETRIC) -> SoftNumber:
+                            form: str = "symmetric") -> SoftNumber:
     """Is[Y; X] over mixed sets for X and Y.
 
-    The soft coefficient sums the pointwise terms over every (x_i, y_j)
-    pair; the real part integrates over every (x-interval, y-interval)
-    pair. Cross pairings of a point with an interval contribute nothing by
-    definition. The ``symmetric`` form evaluates
-    f_XY * log(f_XY / (f_X f_Y)); the ``conditional`` form evaluates the
-    algebraically equal factorization f_{Y|X} f_X * log(f_{Y|X} / f_Y).
+    The soft coefficient sums the pointwise terms
+    f_XY * log(f_XY / (f_X f_Y)) over every (x_i, y_j) pair; the real part
+    integrates them over every (x-interval, y-interval) pair. Cross
+    pairings of a point with an interval contribute nothing by definition.
+    ``form`` may name either factorization, "symmetric" or "conditional";
+    both give this one value, and any other name is a DomainError.
 
     The model picks the path of both axes. A BivariateGaussianModel sums
     its point pairs as a Gauss transform (_gaussian_pair_sum) and has the
-    y-integral at each x in closed form (mi_y_integral, the same function
-    in both forms). Any other JointModel sums the _mi_terms grids block by
-    block and integrates their columns over the y-intervals with
+    y-integral at each x in closed form (mi_y_integral). Any other
+    JointModel sums _mi_terms on grids of the points block by block, and
+    integrates their columns over the y-intervals with
     y_integral under cfg.quadrature, each y-interval cut at the ends of
     marginal_y.truncated_range(). Every pair follows the pointwise rule of
     _log_terms: a pair whose weight is below TINY_DENSITY adds 0, whatever
@@ -496,7 +486,7 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     cfg.quadrature, of that y-integral over all x-intervals, each cut at
     the ends of marginal_x.truncated_range().
     """
-    if form not in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+    if form not in ("symmetric", "conditional"):
         raise DomainError(f"unknown mutual-information form {form!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(j, BivariateGaussianModel):
@@ -514,8 +504,8 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
             xs, ys = sx.point_array, sy.point_array
             rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
             for start in range(0, len(ys), rows):
-                soft += float(_mi_terms(j, xs, ys[start:start + rows], form).sum())
-            y_integrand = y_integral(lambda gx, gy: _mi_terms(j, gx, gy, form),
+                soft += float(_mi_terms(j, xs[None, :], ys[start:start + rows, None]).sum())
+            y_integrand = y_integral(lambda x, y: _mi_terms(j, x, y),
                                      sy.pieces(j.marginal_y.truncated_range()),
                                      cfg.quadrature)
     if not math.isfinite(soft):

@@ -138,7 +138,7 @@ _COMPONENTS = {Relation.LT: (Relation.LT,),
 _ATOMS = {(Relation.LT, Relation.LT): lambda j, x, y: SoftNumber(0.0, j.joint_cdf(x, y)),
           (Relation.EQ, Relation.LT): lambda j, x, y: SoftNumber(j.cdf_partial_x(x, y), 0.0),
           (Relation.LT, Relation.EQ): lambda j, x, y: SoftNumber(j.cdf_partial_y(x, y), 0.0),
-          (Relation.EQ, Relation.EQ): lambda j, x, y: SoftNumber(j.joint_pdf(x, y), 0.0)}
+          (Relation.EQ, Relation.EQ): lambda j, x, y: SoftNumber(j._joint_density(x, y), 0.0)}
 
 
 def ps2(j: JointModel, x: float, y: float, rx: Relation, ry: Relation) -> SoftNumber:

@@ -1,12 +1,12 @@
 """Adaptive Gauss-Legendre quadrature, in one dimension and iterated in two.
 
 Integrands take arrays. The 1-D integrand f(xs) takes a 1-D array of
-nodes and returns the array of f at each of them. The 2-D integrand is a
-grid function: f(xs, ys) takes two 1-D arrays and returns the array
-[len(ys), len(xs)] with [j, i] = f(xs[i], ys[j]), the layout of
-JointModel.joint_pdf_grid. A result of the wrong shape, or a non-finite
-value in it, is a DomainError that names the first bad point. Every
-estimate is the 16-node Gauss-Legendre rule on a panel.
+nodes and returns the array of f at each of them. The 2-D integrand
+f(x, y) works elementwise over the broadcast of its two arrays, as
+JointModel.joint_pdf_array does: a column is f(np.array([x]), ys), of
+shape ys.shape. A result of the wrong shape, or a non-finite value in it,
+is a DomainError that names the first bad point. Every estimate is the
+16-node Gauss-Legendre rule on a panel.
 
 1-D integrals run in rounds, after MATLAB's quadgk (Shampine, J. Comput.
 Appl. Math. 211, 2008), with the global error test of QUADPACK's QAG
@@ -35,7 +35,7 @@ collect_stats gathers.
 2-D integrals are iterated 1-D ones, the "iterated" method of Shampine's
 quad2d (Appl. Math. Comput. 202, 2008): y_integral(f, y_pieces) is the
 x-integrand whose value at each x node is one integrate_pieces run over
-the y-pieces, on the single column f(x, ys), and an integrate_pieces run
+the y-pieces, on the column f(np.array([x]), ys), and an integrate_pieces run
 over the x-pieces integrates it (integrate_2d is the one-rectangle case).
 moments.soft_sum evaluates its array kernel on a MixedSet's points with
 sample_1d and integrates it over all the pieces of its intervals in one
@@ -299,18 +299,18 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                y_pieces: Sequence[tuple[float, float]],
                cfg: Optional[QuadratureConfig] = None) -> Callable[[np.ndarray], np.ndarray]:
-    """The x-integrand of the iterated integral of the grid function f over y_pieces.
+    """The x-integrand of the iterated integral of the 2-D integrand f over y_pieces.
 
     Its value at each x of xs is one integrate_pieces run, under cfg, of
-    the column f([x], ys) over the y-pieces. A column of the wrong shape,
+    the column f(np.array([x]), ys) over the y-pieces. A column of the wrong shape,
     or a non-finite value in it, is a DomainError naming the bad (x, y). A
     column run that does not converge raises its ConvergenceError, naming
     its x; the best estimate and stats on it are that column's.
     """
     def column_integral(x: float) -> float:
         def column(ys: np.ndarray) -> np.ndarray:
-            return _checked(f, (np.array([x]), ys), (len(ys), 1),
-                            lambda k: f"({x!r}, {float(ys[k[0]])!r})")[:, 0]
+            return _checked(f, (np.array([x]), ys), ys.shape,
+                            lambda k: f"({x!r}, {float(ys[k[0]])!r})")
 
         try:
             return integrate_pieces(column, y_pieces, cfg)
@@ -323,10 +323,10 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x_lo: float, x_hi: float, y_lo: float, y_hi: float,
                  cfg: Optional[QuadratureConfig] = None) -> float:
-    """Integrate the grid function f over the open rectangle (x_lo, x_hi) x (y_lo, y_hi).
+    """Integrate f over the open rectangle (x_lo, x_hi) x (y_lo, y_hi).
 
-    f(xs, ys) returns the array [len(ys), len(xs)] of f(xs[i], ys[j]); a
-    non-finite value in it is a DomainError naming the first bad (x, y).
+    f(x, y) works elementwise over the broadcast of x and y; a non-finite
+    value is a DomainError naming the first bad (x, y).
     The iterated integral with one piece a side: an integrate_pieces run
     over x of y_integral, every run under cfg.
     """

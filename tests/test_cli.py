@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from softprob.cli import TABLE1_ROWS, _build_parser, main
 from softprob.distributions import Gaussian, joint_gaussian_additive
 from softprob.errors import DomainError
-from softprob.information import FORM_CONDITIONAL, FORM_SYMMETRIC, InfoConfig, \
-    soft_mutual_information
+from softprob.information import InfoConfig, soft_mutual_information
 from softprob.moments import MixedSet
 from softprob.quadrature import QuadratureConfig
 from softprob.softnum import ext_from_dict, soft_from_dict, soft_to_dict
@@ -265,12 +264,12 @@ class TestEntropyCommands:
         assert payload["mi"]["real"] == pytest.approx(0.042381, abs=1e-5)
         model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
         sets = MixedSet([0.0], [(1.0, 2.0)]), MixedSet([0.0], [(1.0, 2.0)])
-        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+        for form in ("symmetric", "conditional"):
             value = soft_mutual_information(model, *sets, form=form)
             assert payload["mi"] == soft_to_dict(value)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", ["symmetric", "conditional"])
     def test_mi_far_point_fails_without_warnings(self, capsys, form):
         # the CLI has no form flag; its error is the one either library form raises
         code, _, err = _run(capsys, ["mi", "--joint", ADDITIVE,

@@ -20,7 +20,9 @@ from softprob.distributions import (
     parse_joint,
 )
 from softprob.errors import DomainError
+from softprob.information import soft_mutual_information
 from softprob.moments import MixedSet, soft_expectation
+from softprob.probability import Relation, ps2
 from softprob.quadrature import collect_stats, integrate_1d, integrate_2d
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -170,11 +172,67 @@ class TestUserDefined:
             def joint_pdf(self, x, y):
                 return d.pdf(x) * d.pdf(y)
 
-            def conditional_pdf(self, y, given_x):
-                return d.pdf(y)
-
         assert Independent().joint_cdf(101.0, 101.0) == pytest.approx(g.cdf(101.0) ** 2,
                                                                         rel=1e-8)
+
+
+def test_default_pdf_array_takes_any_shape():
+    # the default loop took only 1-D arrays: float() of a row was a TypeError
+    xs = np.array([[0.25, 1.5, -0.5], [0.75, 0.5, 2.0]])
+    ramp = UserDefinedDistribution(lambda x: 2.0 * x if 0.0 < x < 1.0 else 0.0,
+                                   lambda x: min(max(x, 0.0), 1.0) ** 2, support=(0.0, 1.0))
+    for d in (Uniform(0.0, 1.0), ramp):
+        got = d.pdf_array(xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == [[d.pdf(x) for x in row] for row in xs.tolist()]
+        assert d.pdf_array(xs[:, :0]).shape == (2, 0)
+        assert d.pdf_array(np.array(0.5)).shape == ()
+
+
+class _UserGaussian(JointModel):
+    """A user's joint model: joint_pdf, written out by hand, and the two
+    marginals, nothing else. It is the density of BivariateGaussianModel(0.5,
+    -1, 2, 0.5, -0.7)."""
+
+    MODEL = BivariateGaussianModel(0.5, -1.0, 2.0, 0.5, -0.7)
+
+    @property
+    def marginal_x(self):
+        return self.MODEL.marginal_x
+
+    @property
+    def marginal_y(self):
+        return self.MODEL.marginal_y
+
+    def joint_pdf(self, x, y):
+        u, v, rho = (x - 0.5) / math.sqrt(2.0), (y + 1.0) / math.sqrt(0.5), -0.7
+        q = 1.0 - rho * rho
+        return (math.exp(-(u * u - 2.0 * rho * u * v + v * v) / (2.0 * q))
+                / (2.0 * math.pi * math.sqrt(2.0 * 0.5 * q)))
+
+
+class TestMinimalUserModel:
+    """A JointModel that writes only joint_pdf and the marginals gets every
+    other quantity from the defaults, at the tolerances of the generic paths."""
+
+    def test_ps2_and_joint_cdf_match_the_gaussian(self):
+        g, j = _UserGaussian(), _UserGaussian.MODEL
+        for x, y in ((0.3, -1.2), (-1.0, 0.0)):
+            assert g.joint_cdf(x, y) == pytest.approx(j.joint_cdf(x, y), rel=1e-6, abs=1e-9)
+            for rx in Relation:
+                for ry in Relation:
+                    want, got = ps2(j, x, y, rx, ry), ps2(g, x, y, rx, ry)
+                    assert got.soft == pytest.approx(want.soft, rel=1e-6, abs=1e-9)
+                    assert got.real == pytest.approx(want.real, rel=1e-6, abs=1e-9)
+
+    def test_mutual_information_matches_the_gaussian(self):
+        sx = MixedSet([-0.4, 0.9, 2.0], [(2.5, 3.5)])
+        sy = MixedSet([-1.5, -0.8], [(0.0, 0.5)])
+        want = soft_mutual_information(_UserGaussian.MODEL, sx, sy)
+        got = soft_mutual_information(_UserGaussian(), sx, sy)
+        assert want.soft != 0.0 and want.real != 0.0
+        assert got.soft == pytest.approx(want.soft, rel=1e-12)
+        assert got.real == pytest.approx(want.real, rel=1e-12)
 
 
 def test_default_window_needs_a_finite_support():
@@ -235,11 +293,8 @@ class _Generic(JointModel):
     def joint_pdf(self, x, y):
         return self.inner.joint_pdf(x, y)
 
-    def conditional_pdf(self, y, given_x):
-        return self.inner.conditional_pdf(y, given_x)
-
-    def joint_pdf_grid(self, xs, ys):
-        return self.inner.joint_pdf_grid(xs, ys)
+    def joint_pdf_array(self, x, y):
+        return self.inner.joint_pdf_array(x, y)
 
 
 class TestJointCdfIsOneXRun:
@@ -257,7 +312,7 @@ class TestJointCdfIsOneXRun:
         g = _Generic(j)
         (x_lo, x_hi), (y_lo, y_hi) = j.marginal_x.truncated_range(), j.marginal_y.truncated_range()
         for x, y in ((0.3, -0.2), (-1.0, 1.5), (x_hi + 1.0, 0.5), (0.5, y_hi + 3.0)):
-            want = integrate_2d(g.joint_pdf_grid, x_lo, min(x, x_hi), y_lo, min(y, y_hi))
+            want = integrate_2d(g.joint_pdf_array, x_lo, min(x, x_hi), y_lo, min(y, y_hi))
             assert g.joint_cdf(x, y) == want
 
     def test_generic_joint_cdf_below_either_window_is_zero(self):
@@ -296,7 +351,7 @@ class TestBivariateGaussianModel:
         j = BivariateGaussianModel(0, 0, 1, 1, 0.6)
         x_lo, _ = j.marginal_x.truncated_range()
         y_lo, _ = j.marginal_y.truncated_range()
-        want = integrate_2d(j.joint_pdf_grid, x_lo, 0.3, y_lo, -0.2)
+        want = integrate_2d(j.joint_pdf_array, x_lo, 0.3, y_lo, -0.2)
         assert math.isclose(j.joint_cdf(0.3, -0.2), want, rel_tol=1e-6)
 
     def test_partial_cdfs_match_generic_quadrature(self):
@@ -314,9 +369,16 @@ class TestBivariateGaussianModel:
         j = BivariateGaussianModel(0.3, -1.2, 2.0, 0.5, 0.6)
         xs, ys = np.random.default_rng(0).normal(0.0, 3.0, (2, 2000))
         for x, y in zip(xs.tolist(), ys.tolist()):
-            grid = j.conditional_pdf_grid(np.array([y]), np.array([x]))[0, 0]
-            assert j.conditional_pdf(y, x) == grid
-            assert j.joint_pdf(x, y) == j.joint_pdf_grid(np.array([x]), np.array([y]))[0, 0]
+            assert j.conditional_pdf(y, x) == j._conditional_pdf_array(np.array([y]),
+                                                                       np.array([x]))[0]
+            assert j.joint_pdf(x, y) == j.joint_pdf_array(np.array([x]), np.array([y]))[0]
+        # scalars broadcast too, as the default loop lets them
+        assert j.joint_pdf_array(0.3, -1.0) == j.joint_pdf(0.3, -1.0)
+        # the grid is the broadcast of a row of x against a column of y
+        grid = j.joint_pdf_array(xs[None, :50], ys[:40, None])
+        assert grid.shape == (40, 50)
+        assert all(grid[k, i] == j.joint_pdf(x, y) for k, y in enumerate(ys[:40].tolist())
+                   for i, x in enumerate(xs[:50].tolist()))
 
     def test_tail_cdfs_keep_their_digits(self):
         # mpmath at 30-40 digits: closed forms, and the joint cdf as a 600-panel

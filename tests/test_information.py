@@ -21,8 +21,6 @@ from softprob.distributions import (
 )
 from softprob.errors import ConvergenceError, DomainError
 from softprob.information import (
-    FORM_CONDITIONAL,
-    FORM_SYMMETRIC,
     InfoConfig,
     POINT_BLOCK_PAIRS,
     ZLOGZ_COLLAPSE,
@@ -38,6 +36,8 @@ from softprob.softnum import ExtendedSoftNumber, SoftNumber
 LN2 = math.log(2.0)
 BASE2 = InfoConfig(log_base=2.0)
 COLLAPSE = InfoConfig(zlogz_mode=ZLOGZ_COLLAPSE)
+# the names soft_mutual_information accepts for its one form
+FORMS = ["symmetric", "conditional"]
 
 
 def _random_gaussian(rng: random.Random) -> Gaussian:
@@ -304,7 +304,7 @@ class TestPointwiseRule:
             assert (value.zlogz, value.soft, value.real) == (0.0, 0.0, 0.0)
         assert soft_kld(STD, Gaussian(1.0, 2.0), far) == SoftNumber(0.0, 0.0)
         assert soft_expectation(STD, far) == SoftNumber(0.0, 0.0)
-        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+        for form in FORMS:
             assert soft_mutual_information(STD_ADDITIVE, far, MixedSet([0.0]),
                                            form=form) == SoftNumber(0.0, 0.0)
 
@@ -388,16 +388,17 @@ class TestMutualInformation:
         sx = MixedSet([0.0], [(1.0, 2.0)])
         sy = MixedSet([0.5], [(-1.0, 0.25)])
         assert soft_mutual_information(j, sx, sy) == SoftNumber(0.0, 0.0)
-        assert soft_mutual_information(j, sx, sy,
-                                       form=FORM_CONDITIONAL) == SoftNumber(0.0, 0.0)
+        assert soft_mutual_information(_GridOnly(j), sx, sy) == SoftNumber(0.0, 0.0)
 
     def test_forms_agree_on_correlated_model(self):
+        # "conditional" names a factorization of the same terms: on either path
+        # it gives the default's value, bit for bit
         sx = MixedSet([0.2], [(0.5, 1.5)])
         sy = MixedSet([-0.3], [(0.1, 0.9)])
-        sym = soft_mutual_information(STD_ADDITIVE, sx, sy, form=FORM_SYMMETRIC)
-        cond = soft_mutual_information(STD_ADDITIVE, sx, sy, form=FORM_CONDITIONAL)
-        assert abs(sym.soft - cond.soft) <= max(1e-8, 1e-6 * abs(sym.soft))
-        assert abs(sym.real - cond.real) <= max(1e-8, 1e-6 * abs(sym.real))
+        for j in (STD_ADDITIVE, _GridOnly(STD_ADDITIVE)):
+            default = soft_mutual_information(j, sx, sy)
+            assert default.soft > 0.0 and default.real > 0.0
+            assert soft_mutual_information(j, sx, sy, form="conditional") == default
 
     def test_symmetric_in_the_two_variables(self):
         j = BivariateGaussianModel(0.2, -0.4, 1.0, 2.0, 0.6)
@@ -423,7 +424,7 @@ class TestMutualInformation:
         assert STD_ADDITIVE.marginal_x.pdf(60.0) == STD_ADDITIVE.marginal_y.pdf(80.0) == 0.0
         for sx, sy in ((MixedSet([60.0]), MixedSet([0.0])),
                        (MixedSet([0.0]), MixedSet([80.0]))):
-            for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+            for form in FORMS:
                 assert soft_mutual_information(STD_ADDITIVE, sx, sy,
                                                form=form) == SoftNumber(0.0, 0.0)
 
@@ -454,8 +455,7 @@ class TestMutualInformation:
 
     def test_additive_gaussian_point_term_closed_form(self):
         value = soft_mutual_information(STD_ADDITIVE, MixedSet([0.0], []),
-                                        MixedSet([0.0], []),
-                                        form=FORM_CONDITIONAL)
+                                        MixedSet([0.0], []))
         assert value.soft == pytest.approx(LN2 / (4.0 * math.pi), rel=1e-12)
         assert value.real == 0.0
 
@@ -491,8 +491,36 @@ class _ScalarOnly(JointModel):
     def joint_pdf(self, x, y):
         return self.inner.joint_pdf(x, y)
 
-    def conditional_pdf(self, y, given_x):
-        return self.inner.conditional_pdf(y, given_x)
+
+class _FgmCopula(JointModel):
+    """The Farlie-Gumbel-Morgenstern density 1 + theta*(1 - 2x)(1 - 2y) on the
+    unit square, whose marginals are Uniform(0, 1): a user's model whose
+    marginals have only the default pdf_array."""
+
+    THETA = 0.8
+    marginal_x = marginal_y = Uniform(0.0, 1.0)
+
+    def joint_pdf(self, x, y):
+        inside = 0.0 < x < 1.0 and 0.0 < y < 1.0
+        return 1.0 + self.THETA * (1.0 - 2.0 * x) * (1.0 - 2.0 * y) if inside else 0.0
+
+
+def test_uniform_marginals_take_the_broadcast_terms():
+    # the terms broadcast a row of x against a column of y, so each marginal's
+    # pdf_array sees a 2-D array
+    c = lambda x, y: 1.0 + _FgmCopula.THETA * (1.0 - 2.0 * x) * (1.0 - 2.0 * y)
+    xs, ys = [0.1, 0.35, 0.9], [0.2, 0.6]
+    value = soft_mutual_information(_FgmCopula(), MixedSet(xs), MixedSet(ys))
+    assert value.soft == pytest.approx(sum(c(x, y) * math.log(c(x, y)) for x in xs for y in ys),
+                                       rel=1e-13)
+    # c log c is smooth on the square: a 64-node Gauss-Legendre grid is exact to rounding
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (nodes + 1.0)
+    grid = c(t[None, :], t[:, None])
+    truth = 0.25 * float(weights @ (grid * np.log(grid)) @ weights)
+    square = MixedSet([], [(0.0, 1.0)])
+    assert soft_mutual_information(_FgmCopula(), square, square).real == pytest.approx(
+        truth, rel=1e-9)
 
 
 def _spread_points(rng: random.Random, n: int, sd: float) -> list[float]:
@@ -505,7 +533,7 @@ class TestPointPairSum:
     # transform takes N_X rows of x per block up to this many y points, fewer above
     ROWS = POINT_BLOCK_PAIRS // N_X
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("n_y", [1, ROWS - 1, ROWS, ROWS + 1, 300])
     def test_default_grid_matches_gaussian_override(self, form, n_y):
         rng = random.Random(n_y)
@@ -518,7 +546,7 @@ class TestPointPairSum:
         assert generic.soft == pytest.approx(fast.soft, rel=1e-12)
         assert generic.real == fast.real == 0.0
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_matches_dense_oracle_at_800_points(self, form):
         rng = random.Random(800)
         j = BivariateGaussianModel(0.0, 0.1, 1.0, 1.25, 0.89)
@@ -527,7 +555,7 @@ class TestPointPairSum:
         value = soft_mutual_information(j, MixedSet(xs), MixedSet(ys), form=form)
         assert value.soft == pytest.approx(_mi_oracle_pairs(j, xs, ys), rel=1e-12)
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_independent_model_with_many_points_is_absolute_zero(self, form):
         rng = random.Random(7)
         j = BivariateGaussianModel(0.5, -1.0, 2.0, 0.5, 0.0)
@@ -535,7 +563,7 @@ class TestPointPairSum:
         sy = MixedSet(_spread_points(rng, 400, 0.7))
         assert soft_mutual_information(j, sx, sy, form=form) == SoftNumber(0.0, 0.0)
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_far_tail_pair_adds_nothing(self, form):
         # f_{Y|X}(37.5 | 0) * f_X(0) is about 7e-307: nonzero but below TINY_DENSITY,
         # while the marginal densities at both points stay positive
@@ -554,8 +582,8 @@ class TestPointPairSum:
         with pytest.raises(DomainError):
             soft_mutual_information(_ScalarOnly(j), sx, sy)
         # the Gaussian transform never forms f_X * f_Y
-        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
-        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
+        sym = soft_mutual_information(j, sx, sy, form="symmetric")
+        assert sym == soft_mutual_information(j, sx, sy, form="conditional")
         assert sym.soft == pytest.approx(truth, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("z", [39.0, 40.0, 42.5])
@@ -579,10 +607,10 @@ class TestPointPairSum:
         log_weight = (-0.5 * u * u - (v - j.rho * u) ** 2 / (2.0 * q)
                       - math.log(2.0 * math.pi * math.sqrt(j.var_x * j.var_y * q)))
         assert log_weight < math.log(information.TINY_DENSITY)
-        for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+        for form in FORMS:
             assert soft_mutual_information(j, sx, sy, form=form) == SoftNumber(0.0, 0.0)
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("model", ["gaussian", "grid", "scalar"])
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_far_points_add_nothing_on_every_path(self, axis, model, form):
@@ -659,7 +687,7 @@ def test_point_pair_truths_against_mpmath(name):
     assert float(value) == pytest.approx(truth, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+@pytest.mark.parametrize("form", FORMS)
 def test_pointwise_rule_near_independence_loses_digits_in_the_densities(form):
     # the pointwise rule is 4.0e-9 off the rho 1e-6 truth. The log is not
     # where the digits go: summed with every log taken exactly from the same
@@ -669,17 +697,12 @@ def test_pointwise_rule_near_independence_loses_digits_in_the_densities(form):
     j, sx, sy, truth = POINT_PAIR_TRUTHS["rho 1e-6"]
     generic = soft_mutual_information(_GridOnly(j), sx, sy, form=form).soft
     assert generic == pytest.approx(truth, rel=1e-8, abs=0.0)
-    xs, ys = sx.point_array, sy.point_array
-    fx, fy = j.marginal_x.pdf_array(xs), j.marginal_y.pdf_array(ys)[:, None]
-    if form == FORM_SYMMETRIC:
-        w = num = j.joint_pdf_grid(xs, ys)
-        den = fx * fy
-    else:
-        num = j.conditional_pdf_grid(ys, xs)
-        w, den = num * fx, np.broadcast_to(fy, num.shape)
+    x, y = sx.point_array[None, :], sy.point_array[:, None]
+    f = j.joint_pdf_array(x, y)
+    den = j.marginal_x.pdf_array(x) * j.marginal_y.pdf_array(y)
     with mp.workdps(40):
-        exact_logs = mp.fsum(mp.mpf(a) * mp.log(mp.mpf(b) / mp.mpf(c)) for a, b, c in
-                             zip(w.ravel().tolist(), num.ravel().tolist(), den.ravel().tolist()))
+        exact_logs = mp.fsum(mp.mpf(a) * mp.log(mp.mpf(a) / mp.mpf(c)) for a, c in
+                             zip(f.ravel().tolist(), den.ravel().tolist()))
     assert generic == pytest.approx(float(exact_logs), rel=1e-9, abs=0.0)
 
 
@@ -688,7 +711,7 @@ class TestGaussianPairSum:
     pointwise rule over _mi_terms grids is its oracle."""
 
     @pytest.mark.parametrize("name", ["rho 1e-6", "rho 1e-4"])
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_near_independence_keeps_its_digits(self, name, form):
         # the pointwise rule's log of a ratio near 1 is 4.0e-9 (rho 1e-6) and
         # 1.5e-10 (rho 1e-4) off on these sums
@@ -710,13 +733,13 @@ class TestGaussianPairSum:
                                  for _ in range(rng.randint(1, 300))}))
                 for mean, var in ((j.mean_x, j.var_x), (j.mean_y, j.var_y)))
             xs, ys = np.array(sx.points), np.array(sy.points)
-            scale = float(np.abs(information._mi_terms(j, xs, ys, FORM_CONDITIONAL)).sum())
+            scale = float(np.abs(information._mi_terms(j, xs[None, :], ys[:, None])).sum())
             fast = soft_mutual_information(j, sx, sy).soft
-            for form in (FORM_SYMMETRIC, FORM_CONDITIONAL):
+            for form in FORMS:
                 grid = soft_mutual_information(_GridOnly(j), sx, sy, form=form).soft
                 assert abs(fast - grid) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_weights_below_tiny_density_add_exactly_nothing(self, form):
         # under the additive model f_X(0) * f_{Y|X}(y | 0) = exp(-y^2/2) / (2 pi)
         def y_at(weight):
@@ -737,11 +760,11 @@ class TestGaussianPairSum:
         j = BivariateGaussianModel(0.4, -1.0, 2.0, 0.3, -0.93)
         sx = MixedSet(_spread_points(rng, 200, 1.5))
         sy = MixedSet(_spread_points(rng, 300, 0.6))
-        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
+        sym = soft_mutual_information(j, sx, sy, form="symmetric")
         assert sym.soft > 0.0
-        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
+        assert sym == soft_mutual_information(j, sx, sy, form="conditional")
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_never_takes_the_pointwise_terms(self, form, monkeypatch):
         def pointwise(*args):
             raise AssertionError("_mi_terms called for a BivariateGaussianModel")
@@ -765,9 +788,9 @@ class TestGaussianPairSum:
 
 
 def _abs_pair_terms(j, xs: np.ndarray, ys: np.ndarray) -> float:
-    """sum |w log(f_{Y|X}/f_Y)| over the point pairs, by the pointwise rule,
-    in blocks of y rows."""
-    return sum(float(np.abs(information._mi_terms(j, xs, ys[k:k + 100], FORM_CONDITIONAL)).sum())
+    """sum |f_XY log(f_XY/(f_X f_Y))| over the point pairs, by the pointwise
+    rule, in blocks of y rows."""
+    return sum(float(np.abs(information._mi_terms(j, xs[None, :], ys[k:k + 100, None])).sum())
                for k in range(0, len(ys), 100))
 
 
@@ -1145,14 +1168,11 @@ def test_closed_form_truths_against_mpmath(name):
 
 
 class _GridOnly(_ScalarOnly):
-    """A generic JointModel with the Gaussian model's density grids: the
-    _mi_terms grid path at numpy speed."""
+    """A generic JointModel with the Gaussian model's array density: the
+    _mi_terms path at numpy speed."""
 
-    def joint_pdf_grid(self, xs, ys):
-        return self.inner.joint_pdf_grid(xs, ys)
-
-    def conditional_pdf_grid(self, ys, given_xs):
-        return self.inner.conditional_pdf_grid(ys, given_xs)
+    def joint_pdf_array(self, x, y):
+        return self.inner.joint_pdf_array(x, y)
 
 
 def test_unit_ratio_tolerance_makes_matching_densities_cancel_exactly(monkeypatch):
@@ -1165,8 +1185,7 @@ def test_unit_ratio_tolerance_makes_matching_densities_cancel_exactly(monkeypatc
         lambda x: math.exp(-(x - 0.3) ** 2 / 3.4) / math.sqrt(2.0 * math.pi * 1.7),
         lambda x: 0.5 * math.erfc((0.3 - x) / math.sqrt(3.4)),
         location=0.3, scale=math.sqrt(1.7))
-    values = [lambda: soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC),
-              lambda: soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL),
+    values = [lambda: soft_mutual_information(j, sx, sy),
               lambda: soft_kld(Gaussian(0.3, 1.7), same_normal, sx)]
     for value in values:
         assert value() == SoftNumber(0.0, 0.0)
@@ -1196,7 +1215,7 @@ def _abs_terms_integral(j, x_iv, y_iv, n: int = 64) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     hx, hy = (x_iv[1] - x_iv[0]) / 2, (y_iv[1] - y_iv[0]) / 2
     xs, ys = x_iv[0] + hx * (nodes + 1), y_iv[0] + hy * (nodes + 1)
-    terms = np.abs(information._mi_terms(j, xs, ys, FORM_SYMMETRIC))
+    terms = np.abs(information._mi_terms(j, xs[None, :], ys[:, None]))
     return hx * hy * float(weights @ terms @ weights)
 
 
@@ -1216,8 +1235,8 @@ class TestIntervalGrid:
     def test_table1_rows_match_the_closed_form(self, row):
         x0, y0, x_iv, y_iv, _, _ = BENCHMARK_ROWS[row]
         sx, sy = MixedSet([x0], [x_iv]), MixedSet([y0], [y_iv])
-        closed = soft_mutual_information(STD_ADDITIVE, sx, sy, form=FORM_CONDITIONAL)
-        generic = soft_mutual_information(_GridOnly(STD_ADDITIVE), sx, sy, form=FORM_CONDITIONAL)
+        closed = soft_mutual_information(STD_ADDITIVE, sx, sy)
+        generic = soft_mutual_information(_GridOnly(STD_ADDITIVE), sx, sy)
         assert generic.real == pytest.approx(closed.real, rel=1e-15, abs=0.0)
 
     def test_near_independence_never_returns_a_wrong_value(self):
@@ -1233,7 +1252,7 @@ class TestIntervalGrid:
         else:
             assert value == pytest.approx(truth, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("form", [FORM_SYMMETRIC, FORM_CONDITIONAL])
+    @pytest.mark.parametrize("form", FORMS)
     def test_default_grid_matches_gaussian_override_on_rectangle(self, form):
         sx, sy = MixedSet([], [(2.0, 3.0)]), MixedSet([], [(1.0, 3.0)])
         fast = soft_mutual_information(STD_ADDITIVE, sx, sy, form=form)
@@ -1257,12 +1276,9 @@ class TestIntervalGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite"):
-                soft_mutual_information(_ScalarOnly(j), box, box, form=FORM_SYMMETRIC)
-            assert soft_mutual_information(_ScalarOnly(j), box, box,
-                                           form=FORM_CONDITIONAL).real > 0.0
+                soft_mutual_information(_ScalarOnly(j), box, box)
             # the Gaussian model's closed form never forms f_X * f_Y
-            sym = soft_mutual_information(j, box, box, form=FORM_SYMMETRIC)
-            assert sym == soft_mutual_information(j, box, box, form=FORM_CONDITIONAL)
+            sym = soft_mutual_information(j, box, box)
         truth = CLOSED_FORM_TRUTHS["underflowing box"][3]
         assert sym.real == pytest.approx(truth, rel=1e-12, abs=0.0)
 
@@ -1380,9 +1396,9 @@ class TestGaussianClosedForm:
         j = BivariateGaussianModel(0.2, -0.4, 1.0, 2.0, -0.6)
         sx = MixedSet([], [(-2.0, -0.5), (0.1, 1.3), (3.0, 40.0)])
         sy = MixedSet([], [(-5.0, -1.0), (0.5, 0.75)])
-        sym = soft_mutual_information(j, sx, sy, form=FORM_SYMMETRIC)
+        sym = soft_mutual_information(j, sx, sy, form="symmetric")
         assert sym.real > 0.0
-        assert sym == soft_mutual_information(j, sx, sy, form=FORM_CONDITIONAL)
+        assert sym == soft_mutual_information(j, sx, sy, form="conditional")
 
 
 class TestBenchmarkRegression:
@@ -1390,8 +1406,7 @@ class TestBenchmarkRegression:
     def test_row_values_are_stable(self, row):
         x0, y0, x_iv, y_iv, soft_ref, real_ref = BENCHMARK_ROWS[row]
         value = soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
-                                        MixedSet([y0], [y_iv]),
-                                        form=FORM_CONDITIONAL)
+                                        MixedSet([y0], [y_iv]))
         assert value.soft == pytest.approx(soft_ref, rel=1e-9, abs=0.0)
         assert value.real == pytest.approx(real_ref, rel=1e-9, abs=0.0)
 
@@ -1400,12 +1415,12 @@ class TestBenchmarkRegression:
         with collect_stats() as records:
             for x0, y0, x_iv, y_iv, _, _ in BENCHMARK_ROWS:
                 soft_mutual_information(STD_ADDITIVE, MixedSet([x0], [x_iv]),
-                                        MixedSet([y0], [y_iv]), form=FORM_CONDITIONAL)
+                                        MixedSet([y0], [y_iv]))
         assert [r.calls for r in records] == [1, 1, 1, 4, 1]
         assert total_stats(records).calls == 8
 
     def test_tail_rectangle_matches_high_precision_truth(self):
         value = soft_mutual_information(
             STD_ADDITIVE, MixedSet([1.0], [(20.0, 30.0)]),
-            MixedSet([0.0], [(10.0, 30.0)]), form=FORM_CONDITIONAL)
+            MixedSet([0.0], [(10.0, 30.0)]))
         assert value.real == pytest.approx(ROW4_TAIL_TRUTH, rel=1e-9, abs=0.0)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from softprob.distributions import BivariateGaussianModel, Gaussian, Uniform
+from softprob.distributions import BivariateGaussianModel, Gaussian, JointModel, Uniform
 from softprob.errors import DomainError, distinct_points
-from softprob.information import soft_entropy
+from softprob.information import soft_entropy, soft_mutual_information
 from softprob.moments import MixedSet
 from softprob.probability import (
     IntervalEvent,
@@ -397,3 +397,40 @@ class TestTails:
             want = mp.ncdf(-a) - mp.ncdf(-b) if a >= 0 else mp.ncdf(b) - mp.ncdf(a)
             assert d.mass(lo, hi) == pytest.approx(float(want), rel=1e-12, abs=0.0)
         assert d.mass(-1e300, 1e300) == 1.0
+
+
+class _ConstantJoint(JointModel):
+    """A user's joint model whose joint_pdf returns one value everywhere."""
+
+    marginal_x = marginal_y = STD
+
+    def __init__(self, value):
+        self.value = value
+
+    def joint_pdf(self, x, y):
+        return self.value
+
+
+BAD_DENSITIES = pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "a", None],
+                                        ids=["nan", "negative", "inf", "string", "None"])
+BAD_DENSITY = r"^joint_pdf must be a finite number >= 0, got .* at \(x, y\)=\(.*\)$"
+
+
+@BAD_DENSITIES
+@pytest.mark.parametrize("rx, ry", [(Relation.LT, Relation.LT), (Relation.EQ, Relation.LT),
+                                    (Relation.LT, Relation.EQ), (Relation.EQ, Relation.EQ)],
+                         ids=["lt-lt", "eq-lt", "lt-eq", "eq-eq"])
+def test_a_bad_user_joint_density_is_a_domain_error_on_every_atom(rx, ry, value):
+    # -1 gave ps2 the wrong sign without an error, and "a" a bare ValueError
+    with pytest.raises(DomainError, match=BAD_DENSITY):
+        ps2(_ConstantJoint(value), 0.3, -0.4, rx, ry)
+
+
+@BAD_DENSITIES
+def test_a_bad_user_joint_density_is_a_domain_error_in_mutual_information(value):
+    # -1 gave 0.0
+    j = _ConstantJoint(value)
+    for sx, sy in ((MixedSet([0.1]), MixedSet([0.2])),
+                   (MixedSet([], [(0.0, 1.0)]), MixedSet([], [(0.0, 1.0)]))):
+        with pytest.raises(DomainError, match=BAD_DENSITY):
+            soft_mutual_information(j, sx, sy)

@@ -281,62 +281,63 @@ class TestStats:
         assert total_stats([]) == QuadStats(0, 0, 0, 0, 0.0, 0)
 
 
-def on_grid(f):
-    """Grid integrand [j, i] = f(xs[i], ys[j]) from a formula that broadcasts."""
-    return lambda xs, ys: np.broadcast_to(f(xs, ys[:, None]), (len(ys), len(xs)))
+def elementwise(f):
+    """2-D integrand from a formula that may not broadcast, such as a constant:
+    f(x, y) spread over the broadcast shape of x and y."""
+    return lambda x, y: np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape))
 
 
 class TestIntegrate2D:
     def test_separable_polynomial(self):
-        got = integrate_2d(on_grid(lambda x, y: x * y), 0.0, 1.0, 0.0, 1.0)
+        got = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert abs(got - 0.25) < 1e-12
 
     def test_unit_area(self):
-        got = integrate_2d(on_grid(lambda x, y: 1.0), 0.0, 1.0, 0.0, 1.0)
+        got = integrate_2d(elementwise(lambda x, y: 1.0), 0.0, 1.0, 0.0, 1.0)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_product_factorizes(self):
-        got = integrate_2d(on_grid(lambda x, y: phi(x) * phi(y)),
+        got = integrate_2d(lambda x, y: phi(x) * phi(y),
                            1.0, 2.0, 1.0, 2.0)
         one_dim = integrate_1d(phi, 1.0, 2.0)
         assert math.isclose(got, one_dim * one_dim, rel_tol=1e-7)
 
     def test_deterministic_reruns(self):
-        f = on_grid(lambda x, y: np.exp(-x * y) * np.cos(x + y))
+        f = lambda x, y: np.exp(-x * y) * np.cos(x + y)
         assert integrate_2d(f, 0.0, 2.0, 0.0, 2.0) == integrate_2d(f, 0.0, 2.0, 0.0, 2.0)
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DomainError):
-            integrate_2d(on_grid(lambda x, y: math.inf), 0.0, 1.0, 0.0, 1.0)
+            integrate_2d(elementwise(lambda x, y: math.inf), 0.0, 1.0, 0.0, 1.0)
 
     def test_non_finite_grid_value_is_named(self):
         # finite on the nodes of the first call, NaN at the last node of the second
         seen = []
 
-        def f(xs, ys):
-            seen.append((xs, ys))
-            grid = np.ones((len(ys), len(xs)))
+        def f(x, y):
+            seen.append((x, y))
+            values = np.ones(np.broadcast_shapes(x.shape, y.shape))
             if len(seen) == 2:
-                grid[-1, -1] = math.nan
-            return grid
+                values[-1] = math.nan
+            return values
 
         with pytest.raises(DomainError) as err:
             integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
         assert len(seen) == 2
-        xs, ys = seen[1]
-        assert f"nan at ({float(xs[-1])!r}, {float(ys[-1])!r})" in str(err.value)
+        x, ys = seen[1]
+        assert f"nan at ({float(x[0])!r}, {float(ys[-1])!r})" in str(err.value)
 
     def test_wrong_grid_shape_rejected(self):
+        # a column is f(np.array([x]), ys) of shape ys.shape, not (len(ys), 1)
         with pytest.raises(DomainError, match="shape"):
-            integrate_2d(lambda xs, ys: xs * ys, 0.0, 1.0, 0.0, 1.0)
+            integrate_2d(lambda x, y: np.outer(y, x), 0.0, 1.0, 0.0, 1.0)
 
     def test_rectangle_wider_than_the_largest_float(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = integrate_2d(lambda xs, ys: np.full((len(ys), len(xs)), 1e-300),
-                               0.0, 1.0, -1e308, 1.5e308)
+            got = integrate_2d(elementwise(lambda x, y: 1e-300), 0.0, 1.0, -1e308, 1.5e308)
         assert got == pytest.approx(2.5e8, rel=1e-12)
 
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(DomainError):
-            integrate_2d(on_grid(lambda x, y: 1.0), 0.0, 1.0, 1.0, 1.0)
+            integrate_2d(elementwise(lambda x, y: 1.0), 0.0, 1.0, 1.0, 1.0)
