@@ -96,6 +96,12 @@ class ContinuousDistribution(ABC):
         return lo, hi
 
 
+def _window_below(d: ContinuousDistribution, u: float) -> Optional[tuple[float, float]]:
+    """The window of every clipped run: d.truncated_range() below u, or None if empty."""
+    lo, hi = d.truncated_range()
+    return None if min(u, hi) <= lo else (lo, min(u, hi))
+
+
 def _at(f: Callable[..., np.ndarray], *point: float) -> float:
     """The elementwise array function f at one point, without numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,7 +278,7 @@ class JointModel(ABC):
     derivatives default to adaptive quadrature of joint_pdf_array over
     truncated ranges. joint_cdf runs over x the hook _cdf_partial_x_array,
     which cdf_partial_x views at one point; a subclass with closed forms
-    overrides that hook.
+    overrides that hook. softprob reads every joint density by _checked_pdf.
     """
 
     @abstractmethod
@@ -288,28 +294,38 @@ class JointModel(ABC):
 
     def joint_pdf_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Joint density at each pair of the broadcast of x and y; by default
-        joint_pdf pair by pair, each value checked as _joint_density checks it."""
+        joint_pdf pair by pair, each value checked by _density."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         pairs = zip(x.ravel().tolist(), y.ravel().tolist())
-        return np.array([self._joint_density(*p) for p in pairs], dtype=float).reshape(x.shape)
+        return np.array([_density(self.joint_pdf(*p), "joint_pdf", "(x, y)", p) for p in pairs],
+                        dtype=float).reshape(x.shape)
 
-    def _joint_density(self, x: float, y: float) -> float:
-        """joint_pdf(x, y), a finite number >= 0, or a DomainError naming (x, y)."""
-        return _density(self.joint_pdf(x, y), "joint_pdf", "(x, y)", (x, y))
+    def _checked_pdf(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """joint_pdf_array(x, y), the one read of a joint density in softprob: a
+        result not of the broadcast shape, or a value that _density rejects, is
+        a DomainError, naming the first bad (x, y)."""
+        density = np.asarray(self.joint_pdf_array(x, y), dtype=float)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        if density.shape != shape:
+            raise DomainError(f"joint_pdf_array returned shape {density.shape}, expected {shape}")
+        bad = ~((density >= 0.0) & (density < math.inf))
+        if bad.any():
+            k = tuple(np.argwhere(bad)[0])
+            point = tuple(float(np.broadcast_to(v, shape)[k]) for v in (x, y))
+            _density(float(density[k]), "joint_pdf", "(x, y)", point)
+        return density
 
     def joint_cdf(self, x: float, y: float) -> float:
         """P(X <= x, Y <= y): the integral of cdf_partial_x(t, y) for t <= x, in one 1-D run."""
-        x_lo, x_hi = self.marginal_x.truncated_range()
-        xu = min(x, x_hi)
-        if xu <= x_lo:
+        window = _window_below(self.marginal_x, x)
+        if window is None:
             return 0.0
-        return integrate_1d(lambda xs: self._cdf_partial_x_array(xs, y), x_lo, xu)
+        return integrate_1d(lambda xs: self._cdf_partial_x_array(xs, y), *window)
 
     def _cdf_partial_x_array(self, xs: np.ndarray, y: float) -> np.ndarray:
-        """cdf_partial_x at each x of xs: y_integral columns of joint_pdf_array, 0 below y_lo."""
-        y_lo, y_hi = self.marginal_y.truncated_range()
-        yu = min(y, y_hi)
-        return y_integral(self.joint_pdf_array, [] if yu <= y_lo else [(y_lo, yu)])(xs)
+        """cdf_partial_x at each x of xs: y_integral columns of the joint density, 0 below y_lo."""
+        window = _window_below(self.marginal_y, y)
+        return y_integral(self._checked_pdf, [] if window is None else [window])(xs)
 
     def cdf_partial_x(self, x: float, y: float) -> float:
         """d/dx of the joint cdf: integral of joint_pdf(x, t) for t <= y."""
@@ -317,11 +333,10 @@ class JointModel(ABC):
 
     def cdf_partial_y(self, x: float, y: float) -> float:
         """d/dy of the joint cdf: integral of joint_pdf(t, y) for t <= x."""
-        x_lo, x_hi = self.marginal_x.truncated_range()
-        xu = min(x, x_hi)
-        if xu <= x_lo:
+        window = _window_below(self.marginal_x, x)
+        if window is None:
             return 0.0
-        return integrate_1d(lambda ts: self.joint_pdf_array(ts, np.array([y])), x_lo, xu)
+        return integrate_1d(lambda ts: self._checked_pdf(ts, np.array([y])), *window)
 
 
 class BivariateGaussianModel(JointModel):

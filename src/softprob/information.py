@@ -34,7 +34,7 @@ import numpy as np
 from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
 from .errors import DomainError, Record, finite_float
 from .moments import MixedSet, soft_sum
-from .quadrature import QuadratureConfig, integrate_pieces, sample_1d, y_integral
+from .quadrature import QuadratureConfig, blocks, integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import ExtendedSoftNumber, SoftNumber
@@ -160,13 +160,6 @@ def soft_kld(d: ContinuousDistribution, d_hat: ContinuousDistribution,
     return SoftNumber(soft / lnb, real / lnb)
 
 
-# pairs per block of the point-pair sum: whole rows (of y for the pointwise
-# terms, of x or of Chebyshev nodes for the Gaussian transform, of x against
-# its panel's nodes for the interpolation) are taken until a block holds
-# about this many pairs, so that each temporary array of a block (128 KiB at
-# this size) stays in cache however many points there are
-POINT_BLOCK_PAIRS = 1 << 14
-
 _LOG_TINY = math.log(TINY_DENSITY)
 
 # first-kind Chebyshev nodes per panel of the point-pair transform, their
@@ -183,7 +176,7 @@ _SOURCE_REACH = 2.0
 
 def _mi_terms(j: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise MI terms f_XY*log(f_XY/(f_X f_Y)) over the broadcast of x and y."""
-    f = j.joint_pdf_array(x, y)
+    f = j._checked_pdf(x, y)
     return _log_terms(f, f, j.marginal_x.pdf_array(x) * j.marginal_y.pdf_array(y))
 
 
@@ -191,15 +184,13 @@ def _dense_gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
                       v_powers: np.ndarray) -> np.ndarray:
     """G[i] = sum_k exp(e_ik) * v_powers[k], with e_ik = lead_i - (w_k - t_i)^2.
 
-    Summed densely, one exp per pair and one matmul per block of rows. A
-    weight below TINY_DENSITY counts as 0, as in the pointwise rule, judged
-    as e < log(TINY_DENSITY). exp never sees such an e: an exp whose result
-    is subnormal or 0 costs 10-100 times one whose result is normal.
+    Summed densely, one exp per pair and one matmul per block of rows
+    (blocks). A weight below TINY_DENSITY counts as 0, as in the pointwise
+    rule, judged as e < log(TINY_DENSITY). exp never sees such an e: an exp
+    whose result is subnormal or 0 costs 10-100 times one whose is normal.
     """
-    rows = max(1, POINT_BLOCK_PAIRS // len(w))
     g = np.empty((len(t), v_powers.shape[1]))
-    for start in range(0, len(t), rows):
-        block = slice(start, start + rows)
+    for block in blocks(len(t), len(w)):
         e = w - t[block, None]
         e *= e
         np.subtract(lead[block, None], e, out=e)
@@ -221,10 +212,8 @@ def _node_gauss_sums(top: float, s: np.ndarray, w: np.ndarray,
     It has no TINY_DENSITY test: _gauss_sums admits only calls where no
     exponent here falls below log(TINY_DENSITY).
     """
-    rows = max(1, POINT_BLOCK_PAIRS // len(w))
     k = np.empty((len(s), v_powers.shape[1]))
-    for start in range(0, len(s), rows):
-        block = slice(start, start + rows)
+    for block in blocks(len(s), len(w)):
         e = w - s[block, None]
         e *= e
         np.subtract(top, e, out=e)
@@ -297,10 +286,9 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, panels: int) -> np.ndarray:
     s = 2.0 * (x - panel) - 1.0
     edges = np.searchsorted(panel, np.arange(panels + 1)).tolist()
     r = np.empty((len(t), f.shape[2]))
-    rows = max(1, POINT_BLOCK_PAIRS // _PANEL_NODES)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(t), rows):
-            stop = min(start + rows, len(t))
+        for block in blocks(len(t), _PANEL_NODES):
+            start, stop, _ = block.indices(len(t))
             weights = np.subtract.outer(s[start:stop], _CHEB_NODES)
             np.divide(_CHEB_WEIGHTS, weights, out=weights)
             for p in range(panel[start], panel[stop - 1] + 1):
@@ -475,16 +463,16 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
 
     The model picks the path of both axes. A BivariateGaussianModel sums
     its point pairs as a Gauss transform (_gaussian_pair_sum) and has the
-    y-integral at each x in closed form (mi_y_integral). Any other
-    JointModel sums _mi_terms on grids of the points block by block, and
-    integrates their columns over the y-intervals with
-    y_integral under cfg.quadrature, each y-interval cut at the ends of
-    marginal_y.truncated_range(). Every pair follows the pointwise rule of
-    _log_terms: a pair whose weight is below TINY_DENSITY adds 0, whatever
-    its marginal densities, and a point-pair total that is not finite is a
-    DomainError. The real part is one integrate_pieces run, under
-    cfg.quadrature, of that y-integral over all x-intervals, each cut at
-    the ends of marginal_x.truncated_range().
+    y-integral at each x in closed form (mi_y_integral), a block of x nodes
+    a call. Any other JointModel sums _mi_terms (of _checked_pdf) on grids
+    of the points, a block of y points a grid, and integrates their columns
+    over the y-intervals with y_integral under cfg.quadrature, each
+    y-interval cut at the ends of marginal_y.truncated_range(). Every pair
+    follows the pointwise rule of _log_terms: a pair whose weight is below
+    TINY_DENSITY adds 0, whatever its marginal densities, and a point-pair
+    total that is not finite is a DomainError. The real part is one
+    integrate_pieces run, under cfg.quadrature, of that y-integral over all
+    x-intervals, each cut at the ends of marginal_x.truncated_range().
     """
     if form not in ("symmetric", "conditional"):
         raise DomainError(f"unknown mutual-information form {form!r}")
@@ -493,18 +481,13 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
             soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
 
             def y_integrand(xs: np.ndarray) -> np.ndarray:
-                # x nodes a call of mi_y_integral: about POINT_BLOCK_PAIRS
-                # (x, y-interval) pairs, so that its temporaries stay small
-                # however many intervals there are
-                rows = max(1, POINT_BLOCK_PAIRS // len(sy.lo))
-                return np.concatenate([j.mi_y_integral(xs[k:k + rows], sy.lo, sy.hi)
-                                       for k in range(0, len(xs), rows)])
+                return np.concatenate([j.mi_y_integral(xs[block], sy.lo, sy.hi)
+                                       for block in blocks(len(xs), len(sy.lo))])
         else:
             soft = 0.0
             xs, ys = sx.point_array, sy.point_array
-            rows = max(1, POINT_BLOCK_PAIRS // max(1, len(xs)))
-            for start in range(0, len(ys), rows):
-                soft += float(_mi_terms(j, xs[None, :], ys[start:start + rows, None]).sum())
+            for block in blocks(len(ys), len(xs)):
+                soft += float(_mi_terms(j, xs[None, :], ys[block, None]).sum())
             y_integrand = y_integral(lambda x, y: _mi_terms(j, x, y),
                                      sy.pieces(j.marginal_y.truncated_range()),
                                      cfg.quadrature)

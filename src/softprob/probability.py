@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .distributions import ContinuousDistribution, JointModel
+from .distributions import ContinuousDistribution, JointModel, _at
 from .errors import DomainError, Record, distinct_points, finite_float, open_interval, sequence
 from .softnum import SoftNumber, div
 
@@ -138,7 +138,7 @@ _COMPONENTS = {Relation.LT: (Relation.LT,),
 _ATOMS = {(Relation.LT, Relation.LT): lambda j, x, y: SoftNumber(0.0, j.joint_cdf(x, y)),
           (Relation.EQ, Relation.LT): lambda j, x, y: SoftNumber(j.cdf_partial_x(x, y), 0.0),
           (Relation.LT, Relation.EQ): lambda j, x, y: SoftNumber(j.cdf_partial_y(x, y), 0.0),
-          (Relation.EQ, Relation.EQ): lambda j, x, y: SoftNumber(j._joint_density(x, y), 0.0)}
+          (Relation.EQ, Relation.EQ): lambda j, x, y: SoftNumber(_at(j._checked_pdf, x, y), 0.0)}
 
 
 def ps2(j: JointModel, x: float, y: float, rx: Relation, ry: Relation) -> SoftNumber:

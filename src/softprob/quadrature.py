@@ -24,13 +24,12 @@ absolute cutoff would silently zero the tail cases. Rounds double the
 panels of an integrand made of rounding noise, which no relative
 tolerance stops, so a run that would pass PANEL_CAP panels plus
 PIECE_PANELS a piece raises ConvergenceError, as does one whose remaining
-error sits in panels at MAX_DEPTH. A round is one call of the integrand
-unless it holds more than CALL_PANELS panels, which go CALL_PANELS to a
-call, so that what one call holds does not grow with the pieces. Each
-panel's 16 values are summed on their own row, so a panel's estimate does
-not depend on the other panels in its call; the result is the math.fsum
-of the panel estimates. Each run reports a QuadStats record, which
-collect_stats gathers.
+error sits in panels at MAX_DEPTH. A round calls the integrand once a
+block of its panels (blocks), so that what one call holds does not grow
+with the pieces. Each panel's 16 values are summed on their own row, so
+a panel's estimate does not depend on the other panels in its call; the
+result is the math.fsum of the panel estimates. Each run reports a
+QuadStats record, which collect_stats gathers.
 
 2-D integrals are iterated 1-D ones, the "iterated" method of Shampine's
 quad2d (Appl. Math. Comput. 202, 2008): y_integral(f, y_pieces) is the
@@ -65,21 +64,18 @@ PANEL_CAP = 1 << 12
 PIECE_PANELS = 64
 MAX_DEPTH = 30
 
-# One call of a 1-D integrand evaluates at most this many panels, 16 nodes
-# each, so that each array of a call holds at most 16,384 floats (128 KiB)
-# however many pieces or panels a run has.
-CALL_PANELS = 1 << 10
+# the floats that one block of a batched array call holds (see blocks)
+BLOCK = 1 << 14
 
 
 class QuadStats(NamedTuple):
     """What one 1-D run did, the (abserr, neval, ier) of QUADPACK.
 
     nodes: integrand values computed. calls: integrand calls, one per
-    round unless a round holds more than CALL_PANELS panels. panels:
-    panels at the end. max_depth: the deepest panel, a piece being
-    depth 1. error: the summed error estimate of the result. stuck:
-    panels at MAX_DEPTH that still needed bisecting when the run
-    stopped (0 when it converged).
+    block of a round's panels (blocks). panels: panels at the end.
+    max_depth: the deepest panel, a piece being depth 1. error: the summed
+    error estimate of the result. stuck: panels at MAX_DEPTH that still
+    needed bisecting when the run stopped (0 when it converged).
     """
 
     nodes: int
@@ -178,27 +174,32 @@ def _mid(lo, hi):
     return 0.5 * lo + 0.5 * hi
 
 
-def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimates of the panels (lo[i], hi[i]), CALL_PANELS to a call of f.
+def blocks(rows: int, width: int) -> Iterator[slice]:
+    """The slices of range(rows), in order, BLOCK // width rows each (at least one;
+    the last may end past rows), that a batched array call on rows of width
+    floats takes one at a time, so that its temporaries (about BLOCK floats,
+    128 KiB) stay in cache however many points, panels or intervals there are."""
+    step = max(1, BLOCK // max(1, width))
+    return map(slice, range(0, rows, step), range(step, rows + step, step))
+
+
+def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Gauss-Legendre estimates of the panels (lo[i], hi[i]), and the calls of f, one a block.
 
     Each panel's row is reduced on its own: a matrix-vector product may
     round a row differently with other rows beside it, so a panel's
     estimate would depend on the batch it came in.
     """
     out = np.empty(len(lo))
-    for start in range(0, len(lo), CALL_PANELS):
-        stop = start + CALL_PANELS
-        a, b = lo[start:stop], hi[start:stop]
+    calls = 0
+    for block in blocks(len(lo), len(_NODES)):
+        a, b = lo[block], hi[block]
         half = 0.5 * b - 0.5 * a
         xs = (_mid(a, b)[:, None] + half[:, None] * _NODES).ravel()
         values = sample_1d(f, xs).reshape(len(half), len(_NODES))
-        out[start:stop] = (values * _WEIGHTS).sum(axis=1) * half
-    return out
-
-
-def _calls(panels: int) -> int:
-    """Calls of f that _estimates makes for this many panels."""
-    return -(-panels // CALL_PANELS)
+        out[block] = (values * _WEIGHTS).sum(axis=1) * half
+        calls += 1
+    return out, calls
 
 
 def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
@@ -210,11 +211,11 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     abs_tol) over all its panels. This L1 scale is the sum of the one-panel
     tests |halves - whole| <= rel_tol * |halves|, and an integrand that
     changes sign does not shrink it by cancelling. Rounds, bisection, the
-    panel cap and CALL_PANELS are as the module docstring describes. A run
-    that cannot meet the budget raises ConvergenceError with its best
-    estimate and its QuadStats; either way the QuadStats go to the open
-    collect_stats collector, if any. The result is the math.fsum of the
-    panel estimates.
+    panel cap and the blocks of a round are as the module docstring
+    describes. A run that cannot meet the budget raises ConvergenceError
+    with its best estimate and its QuadStats; either way the QuadStats go
+    to the open collect_stats collector, if any. The result is the
+    math.fsum of the panel estimates.
 
     f(xs) returns the array of f at each of the nodes xs; a non-finite
     value in it is a DomainError naming the first bad x. No pieces
@@ -231,11 +232,10 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))
     mid = _mid(lo, hi)
     # one row per panel: lo, hi, whole, left half, right half
-    panels = np.column_stack([lo, hi, *_estimates(f, np.concatenate([lo, lo, mid]),
-                                                  np.concatenate([hi, mid, hi])
-                                                  ).reshape(3, len(lo))])
+    halves, calls = _estimates(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    panels = np.column_stack([lo, hi, *halves.reshape(3, len(lo))])
     depth = np.ones(len(lo), dtype=int)
-    nodes, calls, converged = 3 * len(_NODES) * len(lo), _calls(3 * len(lo)), False
+    nodes, converged = 3 * len(_NODES) * len(lo), False
     cap = PANEL_CAP + PIECE_PANELS * len(lo)
     while True:
         estimate = panels[:, 3] + panels[:, 4]
@@ -255,11 +255,11 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         lo, hi, _, left, right = panels[split].T
         mid = _mid(lo, hi)
         quarter_lo, quarter_hi = _mid(lo, mid), _mid(mid, hi)
-        quarters = _estimates(f, np.concatenate([lo, quarter_lo, mid, quarter_hi]),
-                              np.concatenate([quarter_lo, mid, quarter_hi, hi])
-                              ).reshape(4, splits)
+        quarters, round_calls = _estimates(f, np.concatenate([lo, quarter_lo, mid, quarter_hi]),
+                                           np.concatenate([quarter_lo, mid, quarter_hi, hi]))
+        quarters = quarters.reshape(4, splits)
         nodes += 4 * len(_NODES) * splits
-        calls += _calls(4 * splits)
+        calls += round_calls
         counts = 1 + split
         first = (np.cumsum(counts) - counts)[split]
         panels = np.repeat(panels, counts, axis=0)

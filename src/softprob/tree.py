@@ -404,14 +404,11 @@ def _grow(ds: Dataset, cfg: TreeConfig, mids: np.ndarray, rows: np.ndarray,
         return _leaf(mids[rows, label])
     y = (lo[rows, label], hi[rows, label])
     y_moments, y_set = _column_moments(*y, mids[rows, label]), build_mixed_sets(y)
-    best_index = 0
-    best_gain = _gain((lo[rows, 0], hi[rows, 0]), mids[rows, 0], y_moments, y_set, cfg)
-    for index in range(1, label):
-        gain = _gain((lo[rows, index], hi[rows, index]), mids[rows, index], y_moments,
-                     y_set, cfg)
-        if cmp(gain, best_gain) > 0:
-            best_index, best_gain = index, gain
-    if cmp(best_gain, cfg.min_gain) <= 0:
+    gains = [_gain((lo[rows, index], hi[rows, index]), mids[rows, index], y_moments, y_set, cfg)
+             for index in range(label)]
+    # the first of the largest gains, in cmp's order
+    best_index = max(range(label), key=lambda index: (gains[index].real, gains[index].soft))
+    if cmp(gains[best_index], cfg.min_gain) <= 0:
         return _leaf(mids[rows, label])
     x_mids = mids[rows, best_index]
     threshold = _median(x_mids)
@@ -421,7 +418,7 @@ def _grow(ds: Dataset, cfg: TreeConfig, mids: np.ndarray, rows: np.ndarray,
     return Split(feature=ds.feature_names[best_index],
                  feature_index=best_index,
                  threshold=threshold,
-                 gain=best_gain,
+                 gain=gains[best_index],
                  left=_grow(ds, cfg, mids, left, depth + 1),
                  right=_grow(ds, cfg, mids, right, depth + 1))
 

@@ -22,7 +22,6 @@ from softprob.distributions import (
 from softprob.errors import ConvergenceError, DomainError
 from softprob.information import (
     InfoConfig,
-    POINT_BLOCK_PAIRS,
     ZLOGZ_COLLAPSE,
     soft_cross_entropy,
     soft_entropy,
@@ -30,7 +29,7 @@ from softprob.information import (
     soft_mutual_information,
 )
 from softprob.moments import MixedSet, soft_expectation, soft_variance
-from softprob.quadrature import QuadratureConfig, collect_stats, total_stats
+from softprob.quadrature import BLOCK, QuadratureConfig, collect_stats, total_stats
 from softprob.softnum import ExtendedSoftNumber, SoftNumber
 
 LN2 = math.log(2.0)
@@ -531,7 +530,7 @@ class TestPointPairSum:
     N_X = 128
     # rows of y per block of pointwise terms when X has N_X points; the Gaussian
     # transform takes N_X rows of x per block up to this many y points, fewer above
-    ROWS = POINT_BLOCK_PAIRS // N_X
+    ROWS = BLOCK // N_X
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("n_y", [1, ROWS - 1, ROWS, ROWS + 1, 300])
@@ -1343,7 +1342,7 @@ class TestGaussianClosedForm:
     def test_many_intervals_keep_each_call_small(self):
         # every x node meets every y-interval in mi_y_integral, so 1,000
         # x-intervals against 1,000 y-intervals go in blocks of at most
-        # POINT_BLOCK_PAIRS pairs, not 48,000 x nodes at once; past that many
+        # BLOCK pairs, not 48,000 x nodes at once; past that many
         # y-intervals a call holds one x
         calls = []
 
@@ -1358,8 +1357,8 @@ class TestGaussianClosedForm:
         value = soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), ms, ms)
         assert value.real == 0.0
         assert sum(n for n, _ in calls) == 48 * 1000
-        assert all(n * m <= POINT_BLOCK_PAIRS for n, m in calls)
-        assert max(n for n, _ in calls) == POINT_BLOCK_PAIRS // 1000
+        assert all(n * m <= BLOCK for n, m in calls)
+        assert max(n for n, _ in calls) == BLOCK // 1000
         calls.clear()
         many = MixedSet([], [(0.001 * k, 0.001 * k + 0.0004) for k in range(20000)])
         soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), MixedSet([], [(0, 1)]), many)

@@ -416,10 +416,14 @@ BAD_DENSITIES = pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "a",
 BAD_DENSITY = r"^joint_pdf must be a finite number >= 0, got .* at \(x, y\)=\(.*\)$"
 
 
+ATOMS = pytest.mark.parametrize(
+    "rx, ry", [(Relation.LT, Relation.LT), (Relation.EQ, Relation.LT),
+               (Relation.LT, Relation.EQ), (Relation.EQ, Relation.EQ)],
+    ids=["lt-lt", "eq-lt", "lt-eq", "eq-eq"])
+
+
 @BAD_DENSITIES
-@pytest.mark.parametrize("rx, ry", [(Relation.LT, Relation.LT), (Relation.EQ, Relation.LT),
-                                    (Relation.LT, Relation.EQ), (Relation.EQ, Relation.EQ)],
-                         ids=["lt-lt", "eq-lt", "lt-eq", "eq-eq"])
+@ATOMS
 def test_a_bad_user_joint_density_is_a_domain_error_on_every_atom(rx, ry, value):
     # -1 gave ps2 the wrong sign without an error, and "a" a bare ValueError
     with pytest.raises(DomainError, match=BAD_DENSITY):
@@ -434,3 +438,43 @@ def test_a_bad_user_joint_density_is_a_domain_error_in_mutual_information(value)
                    (MixedSet([], [(0.0, 1.0)]), MixedSet([], [(0.0, 1.0)]))):
         with pytest.raises(DomainError, match=BAD_DENSITY):
             soft_mutual_information(j, sx, sy)
+
+
+class _NegativeArrayJoint(JointModel):
+    """A user's joint model whose joint_pdf_array returns -1 where its joint_pdf returns 0.1."""
+
+    marginal_x = marginal_y = STD
+
+    def joint_pdf(self, x, y):
+        return 0.1
+
+    def joint_pdf_array(self, x, y):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), -1.0)
+
+
+@ATOMS
+def test_a_bad_user_joint_pdf_array_is_a_domain_error_on_every_atom(rx, ry):
+    # (EQ,EQ) read joint_pdf and gave 0.1*0~; the others read joint_pdf_array
+    # and gave -9.6*0~, -10.3*0~ and -98.88
+    with pytest.raises(DomainError, match=BAD_DENSITY):
+        ps2(_NegativeArrayJoint(), 0.3, -0.4, rx, ry)
+
+
+def test_a_bad_user_joint_pdf_array_is_a_domain_error_in_mutual_information():
+    # both gave 0.0
+    j = _NegativeArrayJoint()
+    with pytest.raises(DomainError, match=r"got -1\.0 at \(x, y\)=\(0\.1, 0\.2\)$"):
+        soft_mutual_information(j, MixedSet([0.1]), MixedSet([0.2]))
+    square = MixedSet([], [(0.0, 1.0)])
+    with pytest.raises(DomainError, match=BAD_DENSITY):
+        soft_mutual_information(j, square, square)
+
+
+def test_a_user_joint_pdf_array_of_the_wrong_shape_is_a_domain_error():
+    # a density that ignores y summed the wrong pairs without an error
+    class IgnoresY(_NegativeArrayJoint):
+        def joint_pdf_array(self, x, y):
+            return np.full(np.shape(x), 0.1)
+
+    with pytest.raises(DomainError, match=r"returned shape \(1, 1\), expected \(2, 1\)"):
+        soft_mutual_information(IgnoresY(), MixedSet([0.1]), MixedSet([0.2, 0.5]))

@@ -8,8 +8,8 @@ import pytest
 
 from softprob.errors import ConvergenceError, DomainError
 from softprob.quadrature import (
+    BLOCK,
     DEFAULT_1D,
-    CALL_PANELS,
     PANEL_CAP,
     MAX_DEPTH,
     PIECE_PANELS,
@@ -18,6 +18,7 @@ from softprob.quadrature import (
     _NODES,
     _WEIGHTS,
     _estimates,
+    blocks,
     collect_stats,
     integrate_1d,
     integrate_2d,
@@ -166,7 +167,7 @@ class TestIntegrate1D:
         assert stats.panels <= PANEL_CAP + PIECE_PANELS and stats.stuck == 0
         assert stats.nodes <= 64 * (PANEL_CAP + PIECE_PANELS)
         assert (stats.calls, stats.nodes) == (len(sizes), sum(sizes))
-        assert max(sizes) <= 16 * CALL_PANELS
+        assert max(sizes) <= BLOCK
 
     def test_error_names_the_first_pieces_only(self):
         pieces = [(float(k), k + 0.5) for k in range(1000)]
@@ -179,7 +180,7 @@ class TestIntegrate1D:
 
     def test_many_pieces_that_need_refining_converge(self):
         # more pieces than PANEL_CAP, every one refined: the cap grows with
-        # the pieces, and no call evaluates more than CALL_PANELS panels
+        # the pieces, and no call evaluates more than BLOCK nodes
         pieces = [(float(k), k + 0.9) for k in range(PANEL_CAP + 1000)]
         sizes = []
 
@@ -192,7 +193,7 @@ class TestIntegrate1D:
         [stats] = records
         assert stats.panels > 4 * len(pieces) and stats.max_depth >= 3
         assert (stats.calls, stats.nodes) == (len(sizes), sum(sizes))
-        assert max(sizes) <= 16 * CALL_PANELS
+        assert max(sizes) <= BLOCK
         exact = math.fsum((math.cos(120.0 * a) - math.cos(120.0 * b)) / 120.0
                           for a, b in pieces)
         assert abs(got - exact) <= stats.error + 1e-15
@@ -233,12 +234,14 @@ class TestIntegratePieces:
         lo = np.linspace(0.0, 3.0, 40)
         hi = lo + np.linspace(0.1, 2.0, 40)
         f = lambda x: np.exp(np.sin(3 * x)) / (1.0 + x * x)
-        lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1])[0]) for i in range(40)]
+        lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1])[0][0]) for i in range(40)]
         for k in (2, 3, 5, 7, 9, 17, 40):
-            assert _estimates(f, lo[:k], hi[:k]).tolist() == lone[:k]
-        # and past CALL_PANELS, where a round takes several calls
-        many = np.tile(lo, CALL_PANELS // 20), np.tile(hi, CALL_PANELS // 20)
-        assert _estimates(f, *many).tolist() == lone * (CALL_PANELS // 20)
+            assert _estimates(f, lo[:k], hi[:k])[0].tolist() == lone[:k]
+        # and past a block of panels, where a round takes several calls
+        tiles = BLOCK // (16 * 20)
+        estimates, calls = _estimates(f, np.tile(lo, tiles), np.tile(hi, tiles))
+        assert calls > 1
+        assert estimates.tolist() == lone * tiles
 
     def test_pieces_that_converge_at_once_sum_exactly(self):
         # a cubic is exact on every panel, so no piece is refined and the
@@ -279,6 +282,21 @@ class TestStats:
         assert total_stats([a, b]) == QuadStats(nodes=288, calls=5, panels=5, max_depth=4,
                                                 error=0.75, stuck=1)
         assert total_stats([]) == QuadStats(0, 0, 0, 0, 0.0, 0)
+
+
+class TestBlocks:
+    # (width, rows a block): 1,024 panels of 16 nodes, and the rows that the
+    # point-pair sums took for 20 Chebyshev nodes, 128 and 800 points a row
+    STEPS = [(0, BLOCK), (16, 1024), (20, 819), (128, 128), (800, 20), (BLOCK + 1, 1),
+             (3 * BLOCK, 1)]
+
+    @pytest.mark.parametrize("rows", [0, 1, 20, 819, 820, 2500])
+    @pytest.mark.parametrize("width, step", STEPS)
+    def test_blocks_partition_the_rows_in_order(self, rows, width, step):
+        got = list(blocks(rows, width))
+        assert [i for block in got for i in range(rows)[block]] == list(range(rows))
+        assert [len(range(rows)[block]) for block in got] == (
+            [step] * (rows // step) + ([rows % step] if rows % step else []))
 
 
 def elementwise(f):
