@@ -110,7 +110,7 @@ def _at(f: Callable[..., np.ndarray], *point: float) -> float:
 
 def _upper_tail(t: np.ndarray) -> np.ndarray:
     """1 - Phi(t) elementwise, from math.erfc so that it keeps its digits far out."""
-    tails = np.array(list(map(math.erfc, (t / _SQRT2).ravel().tolist())))
+    tails = np.fromiter(map(math.erfc, (t / _SQRT2).ravel().tolist()), float, t.size)
     return 0.5 * tails.reshape(t.shape)
 
 
@@ -440,11 +440,13 @@ class BivariateGaussianModel(JointModel):
         a, b = t = np.minimum(np.maximum((ends - m) / s, -_PHI_ZERO), _PHI_ZERO)
         phi_a, phi_b = np.exp(-0.5 * t * t) / _SQRT2PI
         mass = _std_mass(t)
-        half_sum = (0.5 * ends[0] + 0.5 * ends[1] - m) / s
+        half_lo, half_hi = 0.5 * ends
+        half_sum = (half_lo + half_hi - m) / s
         # an infinite width in sds is kept finite, so that half_sum = 0 gives 0, not inf*0
-        half_width = np.minimum((0.5 * ends[1] - 0.5 * ends[0]) / s, _FLOAT_MAX)
-        # phi(far) = phi(near) * exp(-2 * half_width * |half_sum|), and M1 has the sign of a + b
-        m1 = np.maximum(phi_a, phi_b) * -np.expm1(-2.0 * (half_width * np.abs(half_sum)))
+        half_width = np.minimum((half_hi - half_lo) / s, _FLOAT_MAX)
+        # |M1| = phi(near) * (1 - exp(-2 * half_width * |half_sum|)), as phi(far) =
+        # phi(near) * exp(-2 * half_width * |half_sum|), and M1 has the sign of a + b
+        m1 = np.maximum(phi_a, phi_b) * np.expm1(-2.0 * (half_width * np.abs(half_sum)))
         m1 = np.copysign(m1, half_sum)
         m2 = mass + (a * phi_a - b * phi_b)
         inner = ((self._mi_log_term + delta * delta / (2.0 * self.var_y)) * mass

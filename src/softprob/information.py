@@ -194,7 +194,7 @@ def _dense_gauss_sums(lead: np.ndarray, t: np.ndarray, w: np.ndarray,
         e = w - t[block, None]
         e *= e
         np.subtract(lead[block, None], e, out=e)
-        if e.min() < _LOG_TINY:
+        if np.minimum.reduce(e, axis=None) < _LOG_TINY:
             tiny = e < _LOG_TINY
             weights = np.exp(np.maximum(e, _LOG_TINY, out=e), out=e)
             weights[tiny] = 0.0
@@ -446,7 +446,7 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     c0 = j._mi_log_term
     c1 = -0.5 * rho * rho / q
     terms = (c0 + c1 * u * u) * g[:, 0] + (rho / q * u) * g[:, 1] + c1 * g[:, 2]
-    return float(terms.sum())
+    return float(np.add.reduce(terms))
 
 
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
@@ -481,8 +481,10 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
             soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
 
             def y_integrand(xs: np.ndarray) -> np.ndarray:
-                return np.concatenate([j.mi_y_integral(xs[block], sy.lo, sy.hi)
-                                       for block in blocks(len(xs), len(sy.lo))])
+                out = np.empty(len(xs))
+                for block in blocks(len(xs), len(sy.lo)):
+                    out[block] = j.mi_y_integral(xs[block], sy.lo, sy.hi)
+                return out
         else:
             soft = 0.0
             xs, ys = sx.point_array, sy.point_array

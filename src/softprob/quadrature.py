@@ -12,7 +12,10 @@ is a DomainError that names the first bad point. Every estimate is the
 Appl. Math. 211, 2008), with the global error test of QUADPACK's QAG
 (Piessens et al. 1983). All the pieces of one integral start as the
 panels of one run (integrate_pieces; integrate_1d is the one-piece case),
-and each round evaluates all its new panels together. A panel's estimate
+and each round evaluates all its new panels together. A run keeps its
+panels in one field-major table of shape (5, panels), a row each for lo,
+hi, the whole estimate and the two halves, so that a round selects,
+repeats and writes every field in one array call. A panel's estimate
 is the sum of its halves and its error estimate |halves - whole|. The
 first round evaluates every piece's whole and halves, 48 nodes a piece.
 Until the summed error meets the budget max(rel_tol * sum|estimate|,
@@ -193,11 +196,12 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
     out = np.empty(len(lo))
     calls = 0
     for block in blocks(len(lo), len(_NODES)):
-        a, b = lo[block], hi[block]
-        half = 0.5 * b - 0.5 * a
-        xs = (_mid(a, b)[:, None] + half[:, None] * _NODES).ravel()
-        values = sample_1d(f, xs).reshape(len(half), len(_NODES))
-        out[block] = (values * _WEIGHTS).sum(axis=1) * half
+        half_lo, half_hi = 0.5 * lo[block], 0.5 * hi[block]
+        half = half_hi - half_lo
+        xs = np.multiply.outer(half, _NODES)
+        xs += (half_lo + half_hi)[:, None]  # the panel midpoints, as _mid gives them
+        values = sample_1d(f, xs.ravel()).reshape(xs.shape)
+        out[block] = np.add.reduce(values * _WEIGHTS, axis=1) * half
         calls += 1
     return out, calls
 
@@ -231,45 +235,48 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         return 0.0
     lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))
     mid = _mid(lo, hi)
-    # one row per panel: lo, hi, whole, left half, right half
+    # the panel table: one row per field (lo, hi, whole, left half, right half),
+    # one column per panel
     halves, calls = _estimates(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    panels = np.column_stack([lo, hi, *halves.reshape(3, len(lo))])
+    panels = np.concatenate([lo, hi, halves]).reshape(5, -1)
     depth = np.ones(len(lo), dtype=int)
     nodes, converged = 3 * len(_NODES) * len(lo), False
     cap = PANEL_CAP + PIECE_PANELS * len(lo)
     while True:
-        estimate = panels[:, 3] + panels[:, 4]
-        error = np.abs(estimate - panels[:, 2])
-        summed = float(error.sum())
-        budget = max(cfg.rel_tol * float(np.abs(estimate).sum()), cfg.abs_tol)
-        split = error > budget / len(panels)
+        n = panels.shape[1]
+        estimate = panels[3] + panels[4]
+        error = np.abs(estimate - panels[2])
+        summed = float(np.add.reduce(error))
+        budget = max(cfg.rel_tol * float(np.add.reduce(np.abs(estimate))), cfg.abs_tol)
+        wanted = error > budget / n
+        over = np.count_nonzero(wanted)
         # with no panel over its share the sum is within the budget but for rounding
-        if summed <= budget or not split.any():
+        if summed <= budget or not over:
             converged = True
             break
-        stuck = split & (depth >= MAX_DEPTH)
-        split &= ~stuck
-        splits = int(split.sum())
-        if not splits or len(panels) + splits > cap:
+        split = wanted & (depth < MAX_DEPTH)
+        splits = int(np.count_nonzero(split))
+        if not splits or n + splits > cap:
             break
-        lo, hi, _, left, right = panels[split].T
+        lo, hi, _, left, right = panels[:, split]
         mid = _mid(lo, hi)
         quarter_lo, quarter_hi = _mid(lo, mid), _mid(mid, hi)
         quarters, round_calls = _estimates(f, np.concatenate([lo, quarter_lo, mid, quarter_hi]),
                                            np.concatenate([quarter_lo, mid, quarter_hi, hi]))
-        quarters = quarters.reshape(4, splits)
         nodes += 4 * len(_NODES) * splits
         calls += round_calls
         counts = 1 + split
         first = (np.cumsum(counts) - counts)[split]
-        panels = np.repeat(panels, counts, axis=0)
-        panels[first] = np.column_stack([lo, mid, left, quarters[0], quarters[1]])
-        panels[first + 1] = np.column_stack([mid, hi, right, quarters[2], quarters[3]])
+        # the halves of the left new panels, then those of the right ones
+        quarters = quarters.reshape(2, -1)
+        panels = np.repeat(panels, counts, axis=1)
+        panels[:, first] = np.concatenate([lo, mid, left, quarters[0]]).reshape(5, -1)
+        panels[:, first + 1] = np.concatenate([mid, hi, right, quarters[1]]).reshape(5, -1)
         depth = np.repeat(depth, counts)
         depth[first] += 1
         depth[first + 1] += 1
-    stats = QuadStats(nodes=nodes, calls=calls, panels=len(panels), max_depth=int(depth.max()),
-                      error=summed, stuck=0 if converged else int(stuck.sum()))
+    stats = QuadStats(nodes=nodes, calls=calls, panels=n, max_depth=int(np.maximum.reduce(depth)),
+                      error=summed, stuck=0 if converged else int(over) - splits)
     records = _RECORDS.get()
     if records is not None:
         records.append(stats)
@@ -281,9 +288,9 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
         if splits:
             why = f"it needs more than {cap} panels"
         else:
-            k = int(np.flatnonzero(stuck)[0])
+            k = int(np.argmax(wanted))  # no panel splits, so every wanted one is stuck
             why = (f"{stats.stuck} panel(s) need refining at depth {MAX_DEPTH}, the first "
-                   f"{_describe(tuple(panels[k, :2].tolist()))} with error {float(error[k])!r}")
+                   f"{_describe(tuple(panels[:2, k].tolist()))} with error {float(error[k])!r}")
         raise ConvergenceError(
             f"integral over {where} did not converge: {why}; summed error {summed!r} "
             f"exceeds the budget {budget!r}", best_estimate=total, stats=stats)

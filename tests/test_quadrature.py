@@ -1,12 +1,16 @@
 """Tests for the adaptive Gauss-Legendre integrators."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from softprob.distributions import Gaussian, joint_gaussian_additive
 from softprob.errors import ConvergenceError, DomainError
+from softprob.information import soft_mutual_information
+from softprob.moments import MixedSet
 from softprob.quadrature import (
     BLOCK,
     DEFAULT_1D,
@@ -265,7 +269,47 @@ class TestIntegratePieces:
             integrate_pieces(phi, [(0.0, math.inf)])
 
 
+def _table1_row4_records():
+    model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+    with collect_stats() as records:
+        soft_mutual_information(model, MixedSet([1.0], [(20.0, 30.0)]),
+                                MixedSet([0.0], [(10.0, 30.0)]))
+    return records
+
+
+def _failed_records(f, pieces, cfg=None):
+    with collect_stats() as records, pytest.raises(ConvergenceError) as err:
+        integrate_pieces(f, pieces, cfg)
+    assert records == [err.value.stats]
+    return records
+
+
+def _noise_at_the_cap():
+    rng = np.random.default_rng(7)
+    return _failed_records(lambda xs: 1e-17 * rng.standard_normal(len(xs)), [(0.0, 1.0)])
+
+
+def _stuck_at_max_depth():
+    return _failed_records(lambda xs: np.where(xs < math.pi / 8.0, 0.0, 1.0), [(0.0, 1.0)],
+                           QuadratureConfig(rel_tol=1e-15))
+
+
 class TestStats:
+    @pytest.mark.parametrize("run", [_table1_row4_records, _noise_at_the_cap,
+                                     _stuck_at_max_depth])
+    def test_records_of_refining_runs_are_plain_numbers(self, run):
+        # records go to JSON (softprob --stats) as they are: a numpy integer
+        # or float in a field would print differently or not at all
+        records = run()
+        assert max(r.calls for r in records) > 1
+        for r in records:
+            fields = r._asdict()
+            assert {name: type(value) for name, value in fields.items()} == {
+                **dict.fromkeys(QuadStats._fields, int), "error": float}
+            assert json.loads(json.dumps(fields)) == fields
+        if run is _stuck_at_max_depth:
+            assert records[0].stuck == 1
+
     def test_collector_is_opt_in_and_nests(self):
         integrate_1d(phi, 0.0, 1.0)  # no collector open: nothing to record
         with collect_stats() as outer:

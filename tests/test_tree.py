@@ -557,7 +557,7 @@ class TestInduce:
         rows = _synthetic_rows(7, n=40)
         node = induce(_dataset(rows), TreeConfig(max_depth=1))
         mids = [features[node.feature_index].midpoint for features, _ in rows]
-        assert node.threshold == pytest.approx(statistics.median(mids))
+        assert node.threshold == statistics.median(mids)
 
     def test_determinism(self):
         ds = _synthetic(19, n=60, interval_fraction=0.3)
@@ -601,9 +601,9 @@ class TestInduce:
         interpolate = information._chebyshev_interpolate
         panels = []
 
-        def grow_spy(ds, cfg, mids, rows, depth):
+        def grow_spy(ds, cfg, table, depth):
             node.update(depth=depth, feature=0)
-            return grow(ds, cfg, mids, rows, depth)
+            return grow(ds, cfg, table, depth)
 
         def gain_spy(*args):
             before = len(panels)
@@ -655,6 +655,100 @@ class TestInduce:
         for a, b in zip(gains(fast), gains(dense), strict=True):
             assert a.real == b.real == 0.0
             assert a.soft == pytest.approx(b.soft, rel=1e-12, abs=0.0)
+
+
+def _preorder(record: dict) -> list:
+    """Every field of a tree_to_dict record, node by node in preorder."""
+    if record["kind"] == "leaf":
+        return [(record["prediction"], record["count"])]
+    return [(record["feature"], record["feature_index"], record["threshold"],
+             record["gain"]["soft"], record["gain"]["real"]),
+            *_preorder(record["left"]), *_preorder(record["right"])]
+
+
+class TestBitPins:
+    # Trees on the benchmark's two kinds of data, pinned to the bit by the
+    # repr of every field: a change of any rounding on the induce path
+    # (fits, merges, medians, mutual information, leaf means) shows here.
+    # A change that moves them on purpose re-pins them and says why.
+    MIXED = [
+        ("x1", 0, 0.008405867212171242, 0.019029624059355682, 0.7654215424164064),
+        ("x1", 0, -0.6808998085835627, 0.001721193674286572, 0.3700431750388968),
+        ("x1", 0, -1.1366195865260247, 0.0019280662288455206, 0.2509490087075399),
+        (-1.653588676281599, 250),
+        (-0.920920857272151, 250),
+        ("x1", 0, -0.3117225638365682, 0.0, 0.04444211524127112),
+        (-0.44157477285665864, 250),
+        (-0.15074170968069578, 250),
+        ("x1", 0, 0.6355199928228911, 0.0, 0.39399245354288404),
+        ("x1", 0, 0.2843603685220294, 0.0, 0.04580635370636108),
+        (0.15637779026041138, 250),
+        (0.44084851696189814, 250),
+        ("x1", 0, 1.1190620674865455, -1.7300790799740057e-14, 0.3103029861296107),
+        (0.8748589932190751, 250),
+        (1.65366144800731, 250),
+    ]
+    POINTS = [
+        ("x1", 0, -0.010017484579148514, 28237.054755053912, 0.0),
+        ("x1", 0, -0.6574739778147447, 9335.52242077981, 0.0),
+        ("x1", 0, -1.060797133544415, 2492.829019287601, 0.0),
+        (-1.6368335377059982, 100),
+        (-0.9252677070371023, 100),
+        ("x1", 0, -0.32109921323597207, 986.2378368114123, 0.0),
+        (-0.4636149239354186, 100),
+        (-0.14510524423213225, 100),
+        ("x1", 0, 0.6602532002261401, 7768.5916539994, 0.0),
+        ("x1", 0, 0.3176143958820431, 1026.9858834056452, 0.0),
+        (0.15221769824213172, 100),
+        (0.4665541221324399, 100),
+        ("x1", 0, 1.2055673743591697, 1591.6770913807354, 0.0),
+        (1.0106762533957216, 100),
+        (1.677231960531927, 100),
+    ]
+
+    @pytest.mark.parametrize("seed, n, interval_fraction, pinned", [
+        (11, 2000, 0.25, MIXED), (12, 800, 0.0, POINTS)], ids=["mixed", "points"])
+    def test_tree_is_pinned_to_the_bit(self, seed, n, interval_fraction, pinned):
+        ds = _synthetic(seed, n, interval_fraction)
+        record = tree_to_dict(induce(ds, TreeConfig(max_depth=3, min_rows=8)))
+        assert json.loads(json.dumps(record)) == record
+        assert repr(_preorder(record)) == repr(pinned)
+
+
+class TestMedian:
+    """tree._median is statistics.median to the bit, 0.0 and -0.0 included."""
+
+    @staticmethod
+    def _assert_same(values):
+        got, want = tree._median(np.array(values)), statistics.median(values)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), values
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 799, 800, 2001])
+    def test_random_values(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            self._assert_same([rng.gauss(0.0, 1.0) for _ in range(n)])
+            # repeated values, so that the middle ones tie
+            self._assert_same([rng.choice((-1.5, 0.25, 3.0)) for _ in range(n)])
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 41, 40, 2001, 2000])
+    def test_middles_that_mix_signed_zeros(self, n):
+        # statistics.median keeps the input order of equal values, and 0.0
+        # and -0.0 are the only equal floats whose bits differ
+        rng = random.Random(n)
+        for _ in range(30):
+            values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            for i in rng.sample(range(n), max(2, n // 3)):
+                values[i] = rng.choice((0.0, -0.0))
+            self._assert_same(values)
+            self._assert_same(values[::-1])
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, 0.0, -0.0, -1.0, 0.0],
+        [0.0, -0.0, -0.0, 1.0], [-0.0, 0.0, 0.0, -1.0]])
+    def test_small_signed_zero_cases_in_both_orders(self, values):
+        self._assert_same(values)
+        self._assert_same(values[::-1])
 
 
 class TestPredict:
