@@ -5,11 +5,12 @@ plus location/scale hints for truncating improper integrals; joint_pdf and
 the marginals of a joint model). The Gaussian
 joint model overrides every generic quadrature path with closed forms, and
 adds one more: mi_y_integral, the y-integral of the mutual-information
-terms in truncated-normal moments. The generic paths remain available for
-user-supplied models: the joint cdf is a 1-D run over x of the x-partial,
-whose generic column is quadrature.y_integral of the joint density, and
-soft mutual information integrates the pointwise terms over y at each x
-node the same way.
+terms in truncated-normal moments (_mi_y_integral, whose parameters may
+differ from node to node, so that one call serves several models). The
+generic paths remain available for user-supplied models: the joint cdf
+is a 1-D run over x of the x-partial, whose generic column is
+quadrature.y_integral of the joint density, and soft mutual information
+integrates the pointwise terms over y at each x node the same way.
 
 Densities at many points come from pdf_array and joint_pdf_array, which
 work elementwise over the broadcast of their arguments: the grid is
@@ -362,6 +363,10 @@ class BivariateGaussianModel(JointModel):
         self._x_cond_sd = math.sqrt(var_x * (1.0 - self.rho * self.rho))
         self._x_cond_slope = self.rho * math.sqrt(var_x / var_y)
         self._mi_log_term = -0.5 * math.log1p(-self.rho * self.rho)
+        # what _mi_y_integral reads of the model, in its order
+        self._mi_params = (self.mean_x, self._mx.sigma, self._mx.sigma * _SQRT2PI, self.mean_y,
+                           self._cond_slope, self._cond_sd, self._mi_log_term, 2.0 * var_y,
+                           0.5 * self.rho * self.rho, self._cond_sd / var_y)
         if not (math.isfinite(self._cond_slope) and self._cond_var > 0.0
                 and math.isfinite(self._x_cond_slope) and self._x_cond_sd > 0.0):
             raise DomainError(
@@ -414,47 +419,9 @@ class BivariateGaussianModel(JointModel):
                       ) -> np.ndarray:
         """f_X(x) * sum_k of the integral of f_{Y|X} log(f_{Y|X} / f_Y) over (y_lo[k], y_hi[k]).
 
-        The log ratio is a quadratic in y, so each y-integral is a sum of
-        truncated-normal moments (Tallis 1961). With s the conditional sd,
-        m(x) the conditional mean, delta = m - mean_y, a = (lo - m)/s and
-        b = (hi - m)/s:
-            P  = Phi(b) - Phi(a),  M1 = phi(a) - phi(b),
-            M2 = P + a*phi(a) - b*phi(b),
-            inner = (-log1p(-rho^2)/2 + delta^2/(2 var_y))*P - (rho^2/2)*M2
-                    + (s/var_y)*delta*M1.
-        P comes from the tails on the side of each end, M1 from the end
-        nearer 0 times an expm1 of (a + b)/2 and (b - a)/2 taken straight
-        from the ends, and a*phi(a) is 0 where phi(a) is, so that tails,
-        tiny rho and ends near the float limit keep their digits. rho = 0
-        gives exactly 0, and so does an x where f_X(x) is 0. This is exact
-        arithmetic on the model, not the pointwise w*log(num/den) rule of
-        the information module: neither TINY_DENSITY nor
-        UNIT_RATIO_TOLERANCE applies here.
+        The closed form of _mi_y_integral, on this model's parameters.
         """
-        s = self._cond_sd
-        delta = self._cond_slope * (xs - self.mean_x)
-        m = self.mean_y + delta
-        ends = np.array((y_lo, y_hi))[:, :, None]
-        # beyond +/-PHI_ZERO sds phi and both tails are exactly 0, so clipping
-        # there changes none of them and keeps t*phi(t) finite
-        a, b = t = np.minimum(np.maximum((ends - m) / s, -_PHI_ZERO), _PHI_ZERO)
-        phi_a, phi_b = np.exp(-0.5 * t * t) / _SQRT2PI
-        mass = _std_mass(t)
-        half_lo, half_hi = 0.5 * ends
-        half_sum = (half_lo + half_hi - m) / s
-        # an infinite width in sds is kept finite, so that half_sum = 0 gives 0, not inf*0
-        half_width = np.minimum((half_hi - half_lo) / s, _FLOAT_MAX)
-        # |M1| = phi(near) * (1 - exp(-2 * half_width * |half_sum|)), as phi(far) =
-        # phi(near) * exp(-2 * half_width * |half_sum|), and M1 has the sign of a + b
-        m1 = np.maximum(phi_a, phi_b) * np.expm1(-2.0 * (half_width * np.abs(half_sum)))
-        m1 = np.copysign(m1, half_sum)
-        m2 = mass + (a * phi_a - b * phi_b)
-        inner = ((self._mi_log_term + delta * delta / (2.0 * self.var_y)) * mass
-                 - (0.5 * self.rho * self.rho) * m2 + (s / self.var_y) * delta * m1)
-        # each x adds its intervals in order; sum(axis=0) goes pairwise for one x alone
-        total = np.add.accumulate(inner, axis=0)[-1] if len(inner) else 0.0
-        fx = self._mx.pdf_array(xs)
-        return np.where(fx > 0.0, fx * total, 0.0)
+        return _mi_y_integral(self._mi_params, xs, _interval_ends(y_lo, y_hi))
 
     def joint_cdf(self, x: float, y: float) -> float:
         if self.rho == 0.0:
@@ -464,6 +431,65 @@ class BivariateGaussianModel(JointModel):
     def __repr__(self) -> str:
         return (f"BivariateGaussianModel(mean_x={self.mean_x!r}, mean_y={self.mean_y!r}, "
                 f"var_x={self.var_x!r}, var_y={self.var_y!r}, correlation={self.rho!r})")
+
+
+def _interval_ends(y_lo: np.ndarray, y_hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What _mi_y_integral reads of the y-intervals: their ends, stacked to
+    shape (2, k, 1), and the sum and difference of their halved ends."""
+    ends = np.concatenate((y_lo, y_hi)).reshape(2, -1, 1)
+    half_lo, half_hi = 0.5 * ends
+    return ends, half_lo + half_hi, half_hi - half_lo
+
+
+def _mi_y_integral(params, xs: np.ndarray, y: tuple[np.ndarray, ...]) -> np.ndarray:
+    """BivariateGaussianModel.mi_y_integral at the nodes xs, for the y-intervals y
+    of _interval_ends.
+
+    params are a model's _mi_params, each a number or an array like xs that
+    gives each node its model's value, so that one call serves the nodes
+    of several models. The log ratio is a quadratic in y, so each
+    y-integral is a sum of truncated-normal moments (Tallis 1961). With s
+    the conditional sd, m(x) the conditional mean, delta = m - mean_y,
+    a = (lo - m)/s and b = (hi - m)/s:
+        P  = Phi(b) - Phi(a),  M1 = phi(a) - phi(b),
+        M2 = P + a*phi(a) - b*phi(b),
+        inner = (-log1p(-rho^2)/2 + delta^2/(2 var_y))*P - (rho^2/2)*M2
+                + (s/var_y)*delta*M1.
+    P comes from the tails on the side of each end, M1 from the end
+    nearer 0 times an expm1 of (a + b)/2 and (b - a)/2 taken straight
+    from the ends, and a*phi(a) is 0 where phi(a) is, so that tails,
+    tiny rho and ends near the float limit keep their digits. rho = 0
+    gives exactly 0, and so does an x where f_X(x) is 0. This is exact
+    arithmetic on the model, not the pointwise w*log(num/den) rule of
+    the information module: neither TINY_DENSITY nor
+    UNIT_RATIO_TOLERANCE applies here. Every operation is elementwise, so
+    a node's value does not depend on the other nodes of the call.
+    """
+    mean_x, sd_x, pdf_scale, mean_y, slope, s, log_term, two_var_y, half_rho_sq, s_var_y = params
+    ends, ends_sum, ends_width = y
+    dx = xs - mean_x
+    delta = slope * dx
+    m = mean_y + delta
+    # beyond +/-PHI_ZERO sds phi and both tails are exactly 0, so clipping
+    # there changes none of them and keeps t*phi(t) finite
+    a, b = t = np.minimum(np.maximum((ends - m) / s, -_PHI_ZERO), _PHI_ZERO)
+    phi_a, phi_b = np.exp(-0.5 * t * t) / _SQRT2PI
+    mass = _std_mass(t)
+    half_sum = (ends_sum - m) / s
+    # an infinite width in sds is kept finite, so that half_sum = 0 gives 0, not inf*0
+    half_width = np.minimum(ends_width / s, _FLOAT_MAX)
+    # |M1| = phi(near) * (1 - exp(-2 * half_width * |half_sum|)), as phi(far) =
+    # phi(near) * exp(-2 * half_width * |half_sum|), and M1 has the sign of a + b
+    m1 = np.maximum(phi_a, phi_b) * np.expm1(-2.0 * (half_width * np.abs(half_sum)))
+    m1 = np.copysign(m1, half_sum)
+    m2 = mass + (a * phi_a - b * phi_b)
+    inner = (log_term + delta * delta / two_var_y) * mass - half_rho_sq * m2 + s_var_y * delta * m1
+    # each x adds its intervals in order; sum(axis=0) goes pairwise for one x alone
+    total = np.add.accumulate(inner, axis=0)[-1] if len(inner) else 0.0
+    # f_X, as Gaussian.pdf_array gives it
+    z = dx / sd_x
+    fx = np.exp(-0.5 * z * z) / pdf_scale
+    return np.where(fx > 0.0, fx * total, 0.0)
 
 
 def joint_gaussian_additive(signal: Gaussian, noise: Gaussian) -> BivariateGaussianModel:

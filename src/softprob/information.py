@@ -14,10 +14,13 @@ model, for both axes. A BivariateGaussianModel, whose log ratio is a
 quadratic, sums its point pairs as a Gauss transform (_gaussian_pair_sum),
 densely or, where a cost model finds it cheaper, by a one-level Chebyshev
 interpolation of its kernel (_gauss_sums), and has its y-integral in
-closed form (BivariateGaussianModel.mi_y_integral). Any other JointModel
-takes the generic path: the pointwise terms summed over the point pairs,
-and integrated over the y-intervals by quadrature.y_integral. Either way
-the real part is one 1-D run over the x-intervals.
+closed form (BivariateGaussianModel.mi_y_integral); the real parts of
+several Gaussian models against one y-set run together, as the runs of
+one quadrature call (_gaussian_mutual_information, which the tree uses
+for a node's candidates). Any other JointModel takes the generic path:
+the pointwise terms summed over the point pairs, and integrated over the
+y-intervals by quadrature.y_integral. Either way each real part is one
+1-D run over the x-intervals.
 
 All logarithms are taken in natural base internally; the final components
 are rescaled by 1/ln(base) so that changing the base rescales every axis
@@ -27,14 +30,16 @@ by exactly the same factor.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel
+from .distributions import BivariateGaussianModel, ContinuousDistribution, JointModel, \
+    _interval_ends, _mi_y_integral
 from .errors import DomainError, Record, finite_float
 from .moments import MixedSet, soft_sum
-from .quadrature import QuadratureConfig, blocks, integrate_pieces, sample_1d, y_integral
+from .quadrature import BLOCK, DEFAULT_1D, QuadratureConfig, _integrate_runs, blocks, \
+    integrate_pieces, sample_1d, y_integral
 from .quadrature import integrate_1d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .quadrature import integrate_2d  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .softnum import ExtendedSoftNumber, SoftNumber
@@ -170,6 +175,10 @@ _CHEB_NODES = np.cos(_CHEB_ANGLES)
 # the nodes' positions in [0, 1], the unit panel
 _CHEB_OFFSETS = 0.5 * (_CHEB_NODES + 1.0)
 _CHEB_WEIGHTS = np.where(np.arange(_PANEL_NODES) % 2, -1.0, 1.0) * np.sin(_CHEB_ANGLES)
+# the nodes and weights once a target, for a block of targets (blocks), so
+# that the barycentric weights take long elementwise loops, not 20-long ones
+_TILED_NODES, _TILED_WEIGHTS = (np.tile(a, BLOCK // _PANEL_NODES)
+                                for a in (_CHEB_NODES, _CHEB_WEIGHTS))
 # the farthest a target of the transform may lie from its nearest source
 _SOURCE_REACH = 2.0
 
@@ -289,8 +298,11 @@ def _chebyshev_interpolate(kernel, t: np.ndarray, panels: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in blocks(len(t), _PANEL_NODES):
             start, stop, _ = block.indices(len(t))
-            weights = np.subtract.outer(s[start:stop], _CHEB_NODES)
-            np.divide(_CHEB_WEIGHTS, weights, out=weights)
+            size = (stop - start) * _PANEL_NODES
+            weights = np.repeat(s[start:stop], _PANEL_NODES)
+            weights -= _TILED_NODES[:size]
+            np.divide(_TILED_WEIGHTS[:size], weights, out=weights)
+            weights = weights.reshape(-1, _PANEL_NODES)
             for p in range(panel[start], panel[stop - 1] + 1):
                 a, b = max(edges[p], start), min(edges[p + 1], stop)
                 np.matmul(weights[a - start:b - start], f[p], out=r[a:b])
@@ -449,6 +461,57 @@ def _gaussian_pair_sum(j: BivariateGaussianModel, xs: np.ndarray, ys: np.ndarray
     return float(np.add.reduce(terms))
 
 
+def _gaussian_mutual_information(models: Sequence[BivariateGaussianModel],
+                                 x_sets: Sequence[MixedSet], sy: MixedSet,
+                                 cfg: InfoConfig = _DEFAULT) -> list[SoftNumber]:
+    """soft_mutual_information of each model on its x-set against sy, to the bit.
+
+    The point pairs of each model are its Gauss transform
+    (_gaussian_pair_sum). The real parts share sy's y-intervals, so they
+    run together, as the runs of one quadrature call (one run for one
+    model), each reading the closed-form y-integral (_mi_y_integral) with
+    its own model's parameters at its x nodes, a block of x nodes a call.
+    An error is the one that soft_mutual_information on each model in turn
+    raises first: a point-pair total that is not finite, or what a run
+    raises.
+    """
+    softs, counts, pieces, params, failure = [], [], [], [], None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j, sx in zip(models, x_sets):
+            soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
+            if not math.isfinite(soft):
+                failure = DomainError(f"point-pair sum of mutual information is {soft!r}")
+                break
+            softs.append(soft)
+            own = sx.pieces(j.marginal_x.truncated_range()) if sy.lo.size else []
+            counts.append(len(own))
+            pieces += own
+            params.append(j._mi_params)
+    reals = [0.0] * len(softs)
+    if pieces:
+        # a row per parameter, a column per model, for calls of several models
+        by_model = np.array(params).T if len(params) > 1 else None
+        y = _interval_ends(sy.lo, sy.hi)
+
+        def y_integrand(xs: np.ndarray, run) -> np.ndarray:
+            out = np.empty(len(xs))
+            for block in blocks(len(xs), len(sy.lo)):
+                # the parameters of the one run, or of each node's run
+                p = params[run] if isinstance(run, int) else by_model[:, run[block]]
+                out[block] = _mi_y_integral(p, xs[block], y)
+            return out
+
+        x_lo, x_hi = np.array(pieces, dtype=float).T
+        reals = _integrate_runs(y_integrand, x_lo, x_hi, counts, cfg.quadrature or DEFAULT_1D)[0]
+        for real in reals:
+            if isinstance(real, Exception):
+                raise real
+    if failure is not None:
+        raise failure
+    lnb = cfg.ln_base
+    return [SoftNumber(soft / lnb, real / lnb) for soft, real in zip(softs, reals)]
+
+
 def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                             cfg: InfoConfig = _DEFAULT,
                             form: str = "symmetric") -> SoftNumber:
@@ -476,23 +539,15 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
     """
     if form not in ("symmetric", "conditional"):
         raise DomainError(f"unknown mutual-information form {form!r}")
+    if isinstance(j, BivariateGaussianModel):
+        return _gaussian_mutual_information([j], [sx], sy, cfg)[0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if isinstance(j, BivariateGaussianModel):
-            soft = _gaussian_pair_sum(j, sx.point_array, sy.point_array)
-
-            def y_integrand(xs: np.ndarray) -> np.ndarray:
-                out = np.empty(len(xs))
-                for block in blocks(len(xs), len(sy.lo)):
-                    out[block] = j.mi_y_integral(xs[block], sy.lo, sy.hi)
-                return out
-        else:
-            soft = 0.0
-            xs, ys = sx.point_array, sy.point_array
-            for block in blocks(len(ys), len(xs)):
-                soft += float(_mi_terms(j, xs[None, :], ys[block, None]).sum())
-            y_integrand = y_integral(lambda x, y: _mi_terms(j, x, y),
-                                     sy.pieces(j.marginal_y.truncated_range()),
-                                     cfg.quadrature)
+        soft = 0.0
+        xs, ys = sx.point_array, sy.point_array
+        for block in blocks(len(ys), len(xs)):
+            soft += float(_mi_terms(j, xs[None, :], ys[block, None]).sum())
+        y_integrand = y_integral(lambda x, y: _mi_terms(j, x, y),
+                                 sy.pieces(j.marginal_y.truncated_range()), cfg.quadrature)
     if not math.isfinite(soft):
         raise DomainError(f"point-pair sum of mutual information is {soft!r}")
     real = 0.0
@@ -501,4 +556,3 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
                                 cfg.quadrature)
     lnb = cfg.ln_base
     return SoftNumber(soft / lnb, real / lnb)
-

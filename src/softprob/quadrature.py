@@ -3,45 +3,51 @@
 Integrands take arrays. The 1-D integrand f(xs) takes a 1-D array of
 nodes and returns the array of f at each of them. The 2-D integrand
 f(x, y) works elementwise over the broadcast of its two arrays, as
-JointModel.joint_pdf_array does: a column is f(np.array([x]), ys), of
-shape ys.shape. A result of the wrong shape, or a non-finite value in it,
-is a DomainError that names the first bad point. Every estimate is the
-16-node Gauss-Legendre rule on a panel.
+JointModel.joint_pdf_array does: a call reads it on (x, y) pairs, of
+the shape of ys. A result of the wrong shape, or a non-finite value in
+it, is a DomainError that names the first bad point. Every estimate is
+the 16-node Gauss-Legendre rule on a panel.
 
 1-D integrals run in rounds, after MATLAB's quadgk (Shampine, J. Comput.
 Appl. Math. 211, 2008), with the global error test of QUADPACK's QAG
 (Piessens et al. 1983). All the pieces of one integral start as the
 panels of one run (integrate_pieces; integrate_1d is the one-piece case),
-and each round evaluates all its new panels together. A run keeps its
-panels in one field-major table of shape (5, panels), a row each for lo,
-hi, the whole estimate and the two halves, so that a round selects,
-repeats and writes every field in one array call. A panel's estimate
-is the sum of its halves and its error estimate |halves - whole|. The
-first round evaluates every piece's whole and halves, 48 nodes a piece.
-Until the summed error meets the budget max(rel_tol * sum|estimate|,
-abs_tol), each round bisects every panel whose error exceeds
-budget/len(panels) and evaluates the halves of the new panels, 64 nodes a
-split panel. The budget is relative by default because the integrals this
-package cares about range over hundreds of orders of magnitude; an
-absolute cutoff would silently zero the tail cases. Rounds double the
-panels of an integrand made of rounding noise, which no relative
-tolerance stops, so a run that would pass PANEL_CAP panels plus
-PIECE_PANELS a piece raises ConvergenceError, as does one whose remaining
-error sits in panels at MAX_DEPTH. A round calls the integrand once a
-block of its panels (blocks), so that what one call holds does not grow
-with the pieces. Each panel's 16 values are summed on their own row, so
-a panel's estimate does not depend on the other panels in its call; the
-result is the math.fsum of the panel estimates. Each run reports a
-QuadStats record, which collect_stats gathers.
+and each round evaluates all its new panels together. One routine
+(_integrate_runs) advances many runs at once, after the vectorised
+integrands of quadgk and DCUHRE's vector of integrands (Berntsen,
+Espelid & Genz, ACM TOMS 17, 1991); integrate_pieces is its one-run
+case. The panels of all runs sit in one field-major table of shape
+(7, panels), a row each for lo, hi, the whole estimate, the two halves,
+the depth and the run, each run's panels side by side, so that a round
+selects, repeats and writes every field in one array call. A panel's
+estimate is the sum of its halves and its error estimate
+|halves - whole|. The first round evaluates every piece's whole and
+halves, 48 nodes a piece. Until a run's summed error meets its budget
+max(rel_tol * sum|estimate|, abs_tol), each round bisects every panel of
+the run whose error exceeds budget/len(panels) and evaluates the halves
+of the new panels, 64 nodes a split panel. The budget is relative by
+default because the integrals this package cares about range over
+hundreds of orders of magnitude; an absolute cutoff would silently zero
+the tail cases. Rounds double the panels of an integrand made of
+rounding noise, which no relative tolerance stops, so a run that would
+pass PANEL_CAP panels plus PIECE_PANELS a piece raises ConvergenceError,
+as does one whose remaining error sits in panels at MAX_DEPTH. A round
+calls the integrand once a block of the new panels of all its runs
+(blocks), so that what one call holds does not grow with the pieces or
+the runs. Each panel's 16 values are summed on their own row, and each
+run's error and scale on its own slice, so a run's result does not
+depend on the other panels or runs in its calls; the result is the
+math.fsum of the run's panel estimates. Each run reports a QuadStats
+record, which collect_stats gathers.
 
 2-D integrals are iterated 1-D ones, the "iterated" method of Shampine's
 quad2d (Appl. Math. Comput. 202, 2008): y_integral(f, y_pieces) is the
-x-integrand whose value at each x node is one integrate_pieces run over
-the y-pieces, on the column f(np.array([x]), ys), and an integrate_pieces run
-over the x-pieces integrates it (integrate_2d is the one-rectangle case).
-moments.soft_sum evaluates its array kernel on a MixedSet's points with
-sample_1d and integrates it over all the pieces of its intervals in one
-run.
+x-integrand whose value at each x node is one run over the y-pieces, on
+the column f(x, ys), the columns of all the nodes of a call running
+together; an integrate_pieces run over the x-pieces integrates it
+(integrate_2d is the one-rectangle case). moments.soft_sum evaluates its
+array kernel on a MixedSet's points with sample_1d and integrates it over
+all the pieces of its intervals in one run.
 
 Everything here is pure and deterministic, so repeated calls return
 bit-identical results.
@@ -74,8 +80,9 @@ BLOCK = 1 << 14
 class QuadStats(NamedTuple):
     """What one 1-D run did, the (abserr, neval, ier) of QUADPACK.
 
-    nodes: integrand values computed. calls: integrand calls, one per
-    block of a round's panels (blocks). panels: panels at the end.
+    nodes: integrand values computed. calls: the integrand calls that held
+    the run's panels, one per block of a round's panels (blocks), which
+    may hold other runs' panels too. panels: panels at the end.
     max_depth: the deepest panel, a piece being depth 1. error: the summed
     error estimate of the result. stuck: panels at MAX_DEPTH that still
     needed bisecting when the run stopped (0 when it converged).
@@ -154,9 +161,12 @@ def _checked(f, args: tuple, shape: tuple[int, ...], where: Callable[[tuple], st
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = np.asarray(f(*args), dtype=float)
+        # a finite sum has no inf or nan among its terms, so only a sum that
+        # is not finite needs the test of every value
+        finite = math.isfinite(np.add.reduce(values, axis=None))
     if values.shape != shape:
         raise DomainError(f"integrand returned shape {values.shape}, expected {shape}")
-    if not np.isfinite(values).all():
+    if not (finite or np.isfinite(values).all()):
         k = tuple(np.argwhere(~np.isfinite(values))[0])
         raise DomainError(f"integrand returned non-finite value {float(values[k])!r} "
                           f"at {where(k)}")
@@ -170,6 +180,14 @@ def sample_1d(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarr
 
 def _describe(piece: tuple[float, float]) -> str:
     return "({!r}, {!r})".format(*piece)
+
+
+def _describe_pieces(pieces: list[tuple[float, float]]) -> str:
+    """The first three pieces, and how many more there are."""
+    where = ", ".join(_describe(piece) for piece in pieces[:3])
+    if len(pieces) > 3:
+        where += f" and {len(pieces) - 3} more pieces"
+    return where
 
 
 def _mid(lo, hi):
@@ -186,12 +204,20 @@ def blocks(rows: int, width: int) -> Iterator[slice]:
     return map(slice, range(0, rows, step), range(step, rows + step, step))
 
 
-def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
+def _x_at(run: int, t: float) -> str:
+    return f"x={t!r}"
+
+
+def _estimates(f, lo: np.ndarray, hi: np.ndarray, run,
+               point: Callable[[int, float], str] = _x_at) -> tuple[np.ndarray, int]:
     """Gauss-Legendre estimates of the panels (lo[i], hi[i]), and the calls of f, one a block.
 
-    Each panel's row is reduced on its own: a matrix-vector product may
-    round a row differently with other rows beside it, so a panel's
-    estimate would depend on the batch it came in.
+    f(xs, run) gives f at the nodes xs, run being the run of every node:
+    the int run, or else, where run is an int array, run[i] at each node
+    of panel i. point(r, t) names node t of run r in a DomainError. Each
+    panel's row is reduced on its own: a matrix-vector product may round a
+    row differently with other rows beside it, so a panel's estimate would
+    depend on the batch it came in.
     """
     out = np.empty(len(lo))
     calls = 0
@@ -200,10 +226,182 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
         half = half_hi - half_lo
         xs = np.multiply.outer(half, _NODES)
         xs += (half_lo + half_hi)[:, None]  # the panel midpoints, as _mid gives them
-        values = sample_1d(f, xs.ravel()).reshape(xs.shape)
-        out[block] = np.add.reduce(values * _WEIGHTS, axis=1) * half
+        nodes = xs.ravel()
+        of = run if isinstance(run, int) else np.repeat(run[block], len(_NODES))
+        values = _checked(f, (nodes, of), nodes.shape, lambda k: point(
+            of if isinstance(of, int) else int(of[k[0]]), float(nodes[k[0]])))
+        out[block] = np.add.reduce(values.reshape(xs.shape) * _WEIGHTS, axis=1) * half
         calls += 1
     return out, calls
+
+
+# the rows of a panel table: the panel's ends, its whole estimate and
+# those of its two halves, its depth (a piece is depth 1) and its run
+_LO, _HI, _WHOLE, _LEFT, _RIGHT, _DEPTH, _RUN = range(7)
+
+
+def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
+                    cfg: QuadratureConfig, point: Callable[[int, float], str] = _x_at,
+                    halt: Sequence = ()) -> tuple[list, list[Optional[QuadStats]]]:
+    """Integrate f over the pieces of many runs together: their (results, records).
+
+    Run r owns the next counts[r] pieces (lo[i], hi[i]), each a < b and
+    finite. f(xs, run) gives f at the nodes xs, run being the run of every
+    node: an int when the call holds one run, an int array like xs
+    otherwise. point(r, t) names node t of run r in a DomainError.
+    results[r] is the value integrate_pieces gives on the run's pieces, or
+    the ConvergenceError or DomainError it raises, and records[r] the
+    run's QuadStats (None for a DomainError or for no pieces); the records
+    go to the open collector in run order. Once halt is not empty, each run
+    ends at the end of its round: a run that has not converged then gives
+    its estimate so far, and its record counts as stuck the panels at
+    MAX_DEPTH that it would bisect. A call of several runs whose
+    integrand meets a DomainError does each run again on its own, so that
+    each result is the one integrate_pieces gives.
+    """
+    try:
+        return _advance(f, lo, hi, counts, cfg, point, halt)
+    except DomainError as err:
+        live = [r for r, n in enumerate(counts) if n]
+        results, records = [0.0] * len(counts), [None] * len(counts)
+        if len(live) == 1:
+            results[live[0]] = err
+            return results, records
+        ends = np.cumsum([0, *counts]).tolist()
+        for r in live:
+            own = slice(ends[r], ends[r + 1])
+            [results[r]], [records[r]] = _integrate_runs(
+                lambda xs, _, r=r: f(xs, r), lo[own], hi[own], [counts[r]], cfg,
+                lambda _, t, r=r: point(r, t), halt)
+        return results, records
+
+
+def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
+             point: Callable[[int, float], str], halt: Sequence
+             ) -> tuple[list, list[Optional[QuadStats]]]:
+    """The rounds of _integrate_runs; a DomainError of the integrand ends the call."""
+    results: list = [0.0] * len(counts)
+    records: list[Optional[QuadStats]] = [None] * len(counts)
+    live = [r for r, n in enumerate(counts) if n]
+    if not live:
+        return results, records
+    sizes = list(counts)
+    calls = [0] * len(counts)
+    solo = live[0] if len(live) == 1 else None
+    # each panel's depth, then its run, which a call of one run never reads
+    stamps = np.ones(2 * len(lo))
+    if solo is None:
+        run = np.repeat(np.arange(len(counts)), counts)
+        stamps[len(lo):] = run
+
+    def evaluate(lo, hi, run, runs):
+        """The estimates of the panels (lo[i], hi[i]) of the runs run[i], each one of
+        runs, which count the calls that held their panels."""
+        estimates, made = _estimates(f, lo, hi, run if solo is None else solo, point)
+        if solo is not None or made == 1:
+            for r in runs:
+                calls[r] += made
+        else:
+            for block in blocks(len(lo), len(_NODES)):
+                for r in np.flatnonzero(np.bincount(run[block])).tolist():
+                    calls[r] += 1
+        return estimates
+
+    mid = _mid(lo, hi)
+    halves = evaluate(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
+                      None if solo is not None else np.concatenate([run, run, run]), live)
+    panels = np.concatenate([lo, hi, halves, stamps]).reshape(7, -1)
+    while True:
+        estimate = panels[_LEFT] + panels[_RIGHT]
+        error = np.abs(estimate - panels[_WHOLE])
+        scale = np.abs(estimate)
+        going, widths, splits = [], [], []
+        start = 0
+        for r in live:
+            n = sizes[r]
+            own = slice(start, start + n)
+            start += n
+            widths.append(n)
+            summed = float(np.add.reduce(error[own]))
+            budget = max(cfg.rel_tol * float(np.add.reduce(scale[own])), cfg.abs_tol)
+            wanted = error[own] > budget / n
+            over = int(np.count_nonzero(wanted))
+            # with no panel over its share the sum is within the budget but for rounding
+            converged = summed <= budget or not over
+            if not converged:
+                split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
+                count = int(np.count_nonzero(split))
+                cap = PANEL_CAP + PIECE_PANELS * counts[r]
+                if count and n + count <= cap and not halt:
+                    going.append(r)
+                    splits.append(split)
+                    sizes[r] += count
+                    continue
+            # each split adds a panel and the 64 nodes of its children's
+            # halves; a run that has split no panel holds its pieces, at depth 1
+            splits_made = n - counts[r]
+            stats = QuadStats(nodes=3 * len(_NODES) * counts[r] + 4 * len(_NODES) * splits_made,
+                              calls=calls[r], panels=n, max_depth=int(
+                                  np.maximum.reduce(panels[_DEPTH, own])) if splits_made else 1,
+                              error=summed, stuck=0 if converged else over - count)
+            records[r] = stats
+            results[r] = total = math.fsum(estimate[own].tolist())
+            if not (converged or halt):
+                if count:
+                    why = f"it needs more than {cap} panels"
+                else:
+                    k = own.start + int(np.argmax(wanted))  # every wanted panel is stuck
+                    why = (f"{stats.stuck} panel(s) need refining at depth {MAX_DEPTH}, the "
+                           f"first {_describe(tuple(panels[:2, k].tolist()))} with error "
+                           f"{float(error[k])!r}")
+                own_pieces = slice(sum(counts[:r]), sum(counts[:r + 1]))
+                pieces = zip(lo[own_pieces].tolist(), hi[own_pieces].tolist())
+                results[r] = ConvergenceError(
+                    f"integral over {_describe_pieces(list(pieces))} did not converge: {why}; "
+                    f"summed error {summed!r} exceeds the budget {budget!r}",
+                    best_estimate=total, stats=stats)
+        if not going:
+            break
+        if len(going) < len(live):
+            # the panels of the runs that go on
+            panels = panels[:, np.repeat([r in going for r in live], widths)]
+            live = going
+        split = splits[0] if len(splits) == 1 else np.concatenate(splits)
+        lo_s, hi_s, _, left, right, depth, run_s = panels[:, split]
+        mid = _mid(lo_s, hi_s)
+        quarter_lo, quarter_hi = _mid(lo_s, mid), _mid(mid, hi_s)
+        if solo is None:
+            run_s = run_s.astype(np.intp)
+            run_s = np.concatenate([run_s, run_s, run_s, run_s])
+        quarters = evaluate(np.concatenate([lo_s, quarter_lo, mid, quarter_hi]),
+                            np.concatenate([quarter_lo, mid, quarter_hi, hi_s]), run_s, live)
+        counts_of = 1 + split
+        first = (np.cumsum(counts_of) - counts_of)[split]
+        # the halves of the left new panels, then those of the right ones
+        quarters = quarters.reshape(2, -1)
+        depth += 1
+        panels = np.repeat(panels, counts_of, axis=1)
+        panels[:_RUN, first] = np.concatenate([lo_s, mid, left, quarters[0], depth]).reshape(6, -1)
+        panels[:_RUN, first + 1] = np.concatenate([mid, hi_s, right, quarters[1], depth]
+                                                  ).reshape(6, -1)
+    collector = _RECORDS.get()
+    if collector is not None:
+        collector.extend(filter(None, records))
+    return results, records
+
+
+def _config(cfg: Optional[QuadratureConfig]) -> QuadratureConfig:
+    """cfg, or DEFAULT_1D for None; anything else is a DomainError."""
+    if cfg is None:
+        return DEFAULT_1D
+    if not isinstance(cfg, QuadratureConfig):
+        raise DomainError(f"quadrature must be a QuadratureConfig or None, got {cfg!r}")
+    return cfg
+
+
+# the column failures of y_integral within the innermost integrate_pieces run
+_COLUMN_FAILURES: ContextVar[Optional[list]] = ContextVar("softprob_column_failures",
+                                                          default=None)
 
 
 def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
@@ -219,82 +417,36 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     describes. A run that cannot meet the budget raises ConvergenceError
     with its best estimate and its QuadStats; either way the QuadStats go
     to the open collect_stats collector, if any. The result is the
-    math.fsum of the panel estimates.
+    math.fsum of the panel estimates. A y_integral column that fails
+    within the run adds its best estimate, and the run raises its
+    ConvergenceError when it ends (y_integral).
 
     f(xs) returns the array of f at each of the nodes xs; a non-finite
     value in it is a DomainError naming the first bad x. No pieces
     integrate to 0.0 without a call. cfg must be None, for DEFAULT_1D, or a
     QuadratureConfig.
     """
-    if cfg is None:
-        cfg = DEFAULT_1D
-    elif not isinstance(cfg, QuadratureConfig):
-        raise DomainError(f"quadrature must be a QuadratureConfig or None, got {cfg!r}")
+    cfg = _config(cfg)
     pieces = [open_interval(piece, "piece") for piece in pieces]
     if not pieces:
         return 0.0
     lo, hi = (np.array(ends, dtype=float) for ends in zip(*pieces))
-    mid = _mid(lo, hi)
-    # the panel table: one row per field (lo, hi, whole, left half, right half),
-    # one column per panel
-    halves, calls = _estimates(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    panels = np.concatenate([lo, hi, halves]).reshape(5, -1)
-    depth = np.ones(len(lo), dtype=int)
-    nodes, converged = 3 * len(_NODES) * len(lo), False
-    cap = PANEL_CAP + PIECE_PANELS * len(lo)
-    while True:
-        n = panels.shape[1]
-        estimate = panels[3] + panels[4]
-        error = np.abs(estimate - panels[2])
-        summed = float(np.add.reduce(error))
-        budget = max(cfg.rel_tol * float(np.add.reduce(np.abs(estimate))), cfg.abs_tol)
-        wanted = error > budget / n
-        over = np.count_nonzero(wanted)
-        # with no panel over its share the sum is within the budget but for rounding
-        if summed <= budget or not over:
-            converged = True
-            break
-        split = wanted & (depth < MAX_DEPTH)
-        splits = int(np.count_nonzero(split))
-        if not splits or n + splits > cap:
-            break
-        lo, hi, _, left, right = panels[:, split]
-        mid = _mid(lo, hi)
-        quarter_lo, quarter_hi = _mid(lo, mid), _mid(mid, hi)
-        quarters, round_calls = _estimates(f, np.concatenate([lo, quarter_lo, mid, quarter_hi]),
-                                           np.concatenate([quarter_lo, mid, quarter_hi, hi]))
-        nodes += 4 * len(_NODES) * splits
-        calls += round_calls
-        counts = 1 + split
-        first = (np.cumsum(counts) - counts)[split]
-        # the halves of the left new panels, then those of the right ones
-        quarters = quarters.reshape(2, -1)
-        panels = np.repeat(panels, counts, axis=1)
-        panels[:, first] = np.concatenate([lo, mid, left, quarters[0]]).reshape(5, -1)
-        panels[:, first + 1] = np.concatenate([mid, hi, right, quarters[1]]).reshape(5, -1)
-        depth = np.repeat(depth, counts)
-        depth[first] += 1
-        depth[first + 1] += 1
-    stats = QuadStats(nodes=nodes, calls=calls, panels=n, max_depth=int(np.maximum.reduce(depth)),
-                      error=summed, stuck=0 if converged else int(over) - splits)
-    records = _RECORDS.get()
-    if records is not None:
-        records.append(stats)
-    total = math.fsum(estimate.tolist())
-    if not converged:
-        where = ", ".join(_describe(piece) for piece in pieces[:3])
-        if len(pieces) > 3:
-            where += f" and {len(pieces) - 3} more pieces"
-        if splits:
-            why = f"it needs more than {cap} panels"
-        else:
-            k = int(np.argmax(wanted))  # no panel splits, so every wanted one is stuck
-            why = (f"{stats.stuck} panel(s) need refining at depth {MAX_DEPTH}, the first "
-                   f"{_describe(tuple(panels[:2, k].tolist()))} with error {float(error[k])!r}")
-        raise ConvergenceError(
-            f"integral over {where} did not converge: {why}; summed error {summed!r} "
-            f"exceeds the budget {budget!r}", best_estimate=total, stats=stats)
-    return total
+    failures: list = []
+    token = _COLUMN_FAILURES.set(failures)
+    try:
+        [result], [stats] = _integrate_runs(lambda xs, _: f(xs), lo, hi, [len(pieces)], cfg,
+                                            halt=failures)
+    finally:
+        _COLUMN_FAILURES.reset(token)
+    if isinstance(result, DomainError):
+        raise result
+    if failures:
+        x, err = failures[0]
+        total = result.best_estimate if isinstance(result, ConvergenceError) else result
+        raise ConvergenceError(f"at x={x!r}, {err}", best_estimate=total, stats=stats)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -308,23 +460,43 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                cfg: Optional[QuadratureConfig] = None) -> Callable[[np.ndarray], np.ndarray]:
     """The x-integrand of the iterated integral of the 2-D integrand f over y_pieces.
 
-    Its value at each x of xs is one integrate_pieces run, under cfg, of
-    the column f(np.array([x]), ys) over the y-pieces. A column of the wrong shape,
-    or a non-finite value in it, is a DomainError naming the bad (x, y). A
-    column run that does not converge raises its ConvergenceError, naming
-    its x; the best estimate and stats on it are that column's.
+    Its value at each x of xs is the integral, under cfg, of the column
+    f(x, ys) over the y-pieces: one run, as integrate_pieces makes it, and
+    the runs of all of xs go together (_integrate_runs), each call of f
+    reading the (x, y) pairs of several columns. A column of the wrong
+    shape, or a non-finite value in it, is a DomainError naming the bad
+    (x, y). A column that does not converge gives its best estimate
+    within an integrate_pieces run, which raises its ConvergenceError,
+    naming the first such x, with the run's own estimate and stats when it
+    ends; outside one it raises at once, with the column's.
     """
-    def column_integral(x: float) -> float:
-        def column(ys: np.ndarray) -> np.ndarray:
-            return _checked(f, (np.array([x]), ys), ys.shape,
-                            lambda k: f"({x!r}, {float(ys[k[0]])!r})")
+    def x_integrand(xs: np.ndarray) -> np.ndarray:
+        config = _config(cfg)
+        pieces = [open_interval(piece, "piece") for piece in y_pieces]
+        y_lo, y_hi = (np.tile(np.array([p[end] for p in pieces], dtype=float), len(xs))
+                      for end in (0, 1))
+        x_list = xs.tolist()
 
-        try:
-            return integrate_pieces(column, y_pieces, cfg)
-        except ConvergenceError as err:
-            raise ConvergenceError(f"at x={x!r}, {err}", err.best_estimate, err.stats) from None
+        def columns(ys: np.ndarray, run) -> np.ndarray:
+            return f(xs[run:run + 1] if isinstance(run, int) else xs[run], ys)
 
-    return lambda xs: np.array([column_integral(x) for x in xs.tolist()])
+        results, _ = _integrate_runs(columns, y_lo, y_hi, [len(pieces)] * len(xs), config,
+                                     lambda r, y: f"({x_list[r]!r}, {y!r})")
+        for result in results:
+            if isinstance(result, DomainError):
+                raise result
+        for k, (x, result) in enumerate(zip(x_list, results)):
+            if isinstance(result, ConvergenceError):
+                failures = _COLUMN_FAILURES.get()
+                if failures is None:
+                    raise ConvergenceError(f"at x={x!r}, {result}", result.best_estimate,
+                                           result.stats)
+                if not failures:
+                    failures.append((x, result))
+                results[k] = result.best_estimate
+        return np.array(results, dtype=float)
+
+    return x_integrand
 
 
 def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -14,7 +14,10 @@ the label last. `induce` computes every cell's midpoint once into a node
 table of shape (3, features + 1, rows): the lo, hi and midpoint of each
 column, each a contiguous row. A node is such a table, and each child
 takes one boolean-mask slice of its parent's, in the parent's row order.
-Fits, merges, medians and leaf means are array work. The column
+Fits, merges, medians and leaf means are array work. A node scores its
+candidates together (_gains): their real parts share the label's
+y-intervals, so they run as the runs of one quadrature call, and each
+gain is the one split_gain gives alone, to the bit. The column
 statistics are numpy's pairwise np.sum over the shifted midpoints and
 their products, whose error is O(u log n) times the sum of the magnitudes
 of the terms (Higham 2002, section 4.2); the covariance, which cancels
@@ -33,7 +36,7 @@ import numpy as np
 from .distributions import BivariateGaussianModel, JointModel
 from .errors import DegenerateModelError, DomainError, Record, finite_float, is_count, \
     is_number, open_interval, sequence
-from .information import InfoConfig, soft_mutual_information
+from .information import InfoConfig, _gaussian_mutual_information, soft_mutual_information
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
 
@@ -365,6 +368,35 @@ def _gain(x: Column, x_mids: np.ndarray, y_moments: ColumnMoments, y_set: MixedS
     return soft_mutual_information(model, build_mixed_sets(x), y_set, cfg.info)
 
 
+def _gains(table: np.ndarray, label: int, y_moments: ColumnMoments, y_set: MixedSet,
+           cfg: TreeConfig) -> list[SoftNumber]:
+    """The _gain of every feature column of a node table, to the bit, the label being column label.
+
+    The candidates' real parts share the label's y-intervals, so their MI
+    is one _gaussian_mutual_information call. An error is the one that
+    _gain on each feature in turn raises first.
+    """
+    lo, hi, mids = table
+    gains = [SoftNumber.zero()] * label
+    fitted, models, x_sets, failure = [], [], [], None
+    for index in range(label):
+        try:
+            models.append(_fit(_column_moments(lo[index], hi[index], mids[index]), y_moments))
+        except DegenerateModelError:
+            continue
+        except DomainError as err:
+            failure = err
+            break
+        fitted.append(index)
+        x_sets.append(build_mixed_sets((lo[index], hi[index])))
+    for index, gain in zip(fitted, _gaussian_mutual_information(models, x_sets, y_set,
+                                                                cfg.info)):
+        gains[index] = gain
+    if failure is not None:
+        raise failure
+    return gains
+
+
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
     index = ds.feature_index(feature)
@@ -417,9 +449,7 @@ def _grow(ds: Dataset, cfg: TreeConfig, table: np.ndarray, depth: int) -> TreeNo
     if table.shape[2] < cfg.min_rows or depth >= cfg.max_depth:
         return _leaf(mids[label])
     y = (lo[label], hi[label])
-    y_moments, y_set = _column_moments(*y, mids[label]), build_mixed_sets(y)
-    gains = [_gain((lo[index], hi[index]), mids[index], y_moments, y_set, cfg)
-             for index in range(label)]
+    gains = _gains(table, label, _column_moments(*y, mids[label]), build_mixed_sets(y), cfg)
     # the first of the largest gains, in cmp's order
     best_index = max(range(label), key=lambda index: (gains[index].real, gains[index].soft))
     if cmp(gains[best_index], cfg.min_gain) <= 0:

@@ -29,7 +29,7 @@ from softprob.information import (
     soft_mutual_information,
 )
 from softprob.moments import MixedSet, soft_expectation, soft_variance
-from softprob.quadrature import BLOCK, QuadratureConfig, collect_stats, total_stats
+from softprob.quadrature import BLOCK, QuadratureConfig, collect_stats, integrate_2d, total_stats
 from softprob.softnum import ExtendedSoftNumber, SoftNumber
 
 LN2 = math.log(2.0)
@@ -1174,6 +1174,60 @@ class _GridOnly(_ScalarOnly):
         return self.inner.joint_pdf_array(x, y)
 
 
+class TestGenericPath:
+    """The generic 2-D path: y_integral's columns run together as the runs of one call."""
+
+    MODEL = BivariateGaussianModel(-1.0, 2.0, 0.3, 4.0, -0.9)
+    SX = MixedSet([-1.3], [(-2.0, -1.5), (-1.0, 0.0)])
+    SY = MixedSet([2.7, 3.0], [(0.5, 2.5)])
+    # value, record count and repr(tuple(total_stats(records))), taken before
+    # the columns ran together; a change that moves them on purpose re-pins
+    # them and says why
+    PINNED = {
+        "rectangle": ("0.5319505434652181", 49,
+                      "(2352, 49, 49, 1, 4.371164476386913e-11, 0)"),
+        "inner rectangle": ("0.2723243260912948", 49,
+                            "(2352, 49, 49, 1, 1.3600232051658168e-15, 0)"),
+        "joint cdf": ("0.04869977191149264", 177,
+                      "(38448, 645, 645, 5, 3.48402180191766e-14, 0)"),
+        "mi": ("(0.5017868475162656, 0.1378753329658447)", 97,
+               "(4704, 97, 98, 1, 1.7483844233501245e-15, 0)"),
+    }
+    CASES = {
+        "rectangle": lambda j: integrate_2d(j.joint_pdf_array, -2.0, 0.0, 0.0, 3.0),
+        "inner rectangle": lambda j: integrate_2d(j.joint_pdf_array, -1.5, -0.5, 1.0, 2.5),
+        "joint cdf": lambda j: _GridOnly(j).joint_cdf(-1.2, 2.5),
+        "mi": lambda j: (lambda v: (v.soft, v.real))(
+            soft_mutual_information(_GridOnly(j), TestGenericPath.SX, TestGenericPath.SY)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_values_and_stats_are_pinned_to_the_bit(self, case):
+        with collect_stats() as records:
+            value = self.CASES[case](self.MODEL)
+        assert (repr(value), len(records), repr(tuple(total_stats(records)))) == \
+            self.PINNED[case]
+
+    def test_a_failing_column_gives_the_2d_estimate(self):
+        # near independence the pointwise terms are rounding noise, so some
+        # column meets no relative tolerance; the error carries the estimate
+        # of the whole integral, not that column's 5.34e-15
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-6)
+        square = MixedSet([], [(-3.0, 3.0)])
+        closed_form = soft_mutual_information(j, square, square).real
+        for run in (lambda: soft_mutual_information(_GridOnly(j), square, square),
+                    lambda: integrate_2d(lambda x, y: information._mi_terms(j, x, y),
+                                         -3.0, 3.0, -3.0, 3.0)):
+            with collect_stats() as records, pytest.raises(ConvergenceError) as err:
+                run()
+            assert str(err.value).startswith("at x=-0.015898597512525203, integral over "
+                                             "(-3.0, 3.0) did not converge")
+            assert err.value.best_estimate == pytest.approx(closed_form, rel=1e-4)
+            # the outer run's record, after those of its 48 columns
+            assert err.value.stats == records[-1] and len(records) == 49
+            assert err.value.stats.nodes == 48
+
+
 def test_unit_ratio_tolerance_makes_matching_densities_cancel_exactly(monkeypatch):
     # an independent model on the generic path, and a normal against the same
     # normal written out by hand: every density ratio is 1 up to rounding
@@ -1339,29 +1393,30 @@ class TestGaussianClosedForm:
         sx = MixedSet([], [(-1e6, -1.0), (0.0, 0.5), (2.0, 1e300)])
         assert soft_mutual_information(j, sx, MixedSet([], y_intervals)).real == 0.0
 
-    def test_many_intervals_keep_each_call_small(self):
-        # every x node meets every y-interval in mi_y_integral, so 1,000
+    def test_many_intervals_keep_each_call_small(self, monkeypatch):
+        # every x node meets every y-interval in the closed form, so 1,000
         # x-intervals against 1,000 y-intervals go in blocks of at most
         # BLOCK pairs, not 48,000 x nodes at once; past that many
         # y-intervals a call holds one x
         calls = []
 
-        class Counting(BivariateGaussianModel):
-            def mi_y_integral(self, xs, y_lo, y_hi):
-                calls.append((len(xs), len(y_lo)))
-                return np.zeros(len(xs))
+        def counting(params, xs, y):
+            calls.append((len(xs), y[0].shape[1]))
+            return np.zeros(len(xs))
 
+        monkeypatch.setattr(information, "_mi_y_integral", counting)
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 0.5)
         intervals = [(0.01 * k, 0.01 * k + 0.004) for k in range(-500, 500)]
         ms = MixedSet([], intervals)
         assert len(ms.intervals) == 1000
-        value = soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), ms, ms)
+        value = soft_mutual_information(j, ms, ms)
         assert value.real == 0.0
         assert sum(n for n, _ in calls) == 48 * 1000
         assert all(n * m <= BLOCK for n, m in calls)
         assert max(n for n, _ in calls) == BLOCK // 1000
         calls.clear()
         many = MixedSet([], [(0.001 * k, 0.001 * k + 0.0004) for k in range(20000)])
-        soft_mutual_information(Counting(0.0, 0.0, 1.0, 1.0, 0.5), MixedSet([], [(0, 1)]), many)
+        soft_mutual_information(j, MixedSet([], [(0, 1)]), many)
         assert calls == [(1, 20000)] * 48
 
     def test_an_x_alone_sums_its_intervals_as_it_does_beside_others(self):

@@ -22,6 +22,7 @@ from softprob.quadrature import (
     _NODES,
     _WEIGHTS,
     _estimates,
+    _integrate_runs,
     blocks,
     collect_stats,
     integrate_1d,
@@ -237,13 +238,13 @@ class TestIntegratePieces:
     def test_panel_estimate_does_not_depend_on_its_batch(self):
         lo = np.linspace(0.0, 3.0, 40)
         hi = lo + np.linspace(0.1, 2.0, 40)
-        f = lambda x: np.exp(np.sin(3 * x)) / (1.0 + x * x)
-        lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1])[0][0]) for i in range(40)]
+        f = lambda x, _: np.exp(np.sin(3 * x)) / (1.0 + x * x)
+        lone = [float(_estimates(f, lo[i:i + 1], hi[i:i + 1], 0)[0][0]) for i in range(40)]
         for k in (2, 3, 5, 7, 9, 17, 40):
-            assert _estimates(f, lo[:k], hi[:k])[0].tolist() == lone[:k]
+            assert _estimates(f, lo[:k], hi[:k], 0)[0].tolist() == lone[:k]
         # and past a block of panels, where a round takes several calls
         tiles = BLOCK // (16 * 20)
-        estimates, calls = _estimates(f, np.tile(lo, tiles), np.tile(hi, tiles))
+        estimates, calls = _estimates(f, np.tile(lo, tiles), np.tile(hi, tiles), 0)
         assert calls > 1
         assert estimates.tolist() == lone * tiles
 
@@ -328,6 +329,116 @@ class TestStats:
         assert total_stats([]) == QuadStats(0, 0, 0, 0, 0.0, 0)
 
 
+def _by_run(funcs):
+    """The batched integrand f(xs, run) that reads funcs[r] at the nodes of run r."""
+    def f(xs, run):
+        if isinstance(run, int):
+            return funcs[run](xs)
+        out = np.empty(len(xs))
+        for r in set(run.tolist()):
+            on = run == r
+            out[on] = funcs[r](xs[on])
+        return out
+
+    return f
+
+
+def _alone(f, pieces, cfg=None):
+    """What integrate_pieces gives on the pieces, as _integrate_runs reports a run."""
+    with collect_stats() as records:
+        try:
+            result = integrate_pieces(f, pieces, cfg)
+        except (ConvergenceError, DomainError) as err:
+            result = err
+    return result, records
+
+
+def _outcome(result):
+    if isinstance(result, ConvergenceError):
+        return "ConvergenceError", str(result), repr(result.best_estimate), result.stats
+    if isinstance(result, DomainError):
+        return "DomainError", str(result)
+    return repr(result)
+
+
+def _row4_tail(xs):
+    # the x-integrand of table 1's row 4, which refines over four rounds
+    model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+    return model.mi_y_integral(xs, np.array([10.0]), np.array([30.0]))
+
+
+class TestBatchedRuns:
+    """_integrate_runs gives each run what integrate_pieces gives on its pieces alone."""
+
+    def _check(self, funcs, runs, cfg=None):
+        lo = np.array([a for pieces in runs for a, _ in pieces], dtype=float)
+        hi = np.array([b for pieces in runs for _, b in pieces], dtype=float)
+        with collect_stats() as records:
+            results, run_records = _integrate_runs(_by_run(funcs), lo, hi,
+                                                   [len(pieces) for pieces in runs],
+                                                   cfg or DEFAULT_1D)
+        alone = [_alone(g, pieces, cfg) for g, pieces in zip(funcs, runs)]
+        for r, (result, lone_records) in enumerate(alone):
+            assert _outcome(results[r]) == _outcome(result), r
+            assert [run_records[r]] == lone_records or (run_records[r] is None
+                                                         and lone_records == []), r
+        # one record a run, in run order, and none for a DomainError or no pieces
+        assert records == [rec for _, lone in alone for rec in lone]
+        return results, run_records
+
+    def test_random_pieces_row4_and_noise_at_the_cap(self):
+        rng = np.random.default_rng(3)
+        funcs, runs = [], []
+        for k in range(6):
+            c = float(rng.uniform(0.5, 30.0))
+            funcs.append(lambda x, c=c: np.exp(np.sin(c * x)) / (1.0 + x * x))
+            ends = np.sort(rng.uniform(-5.0, 5.0, 2 * int(rng.integers(1, 4))))
+            runs.append([(float(a), float(b)) for a, b in ends.reshape(-1, 2)])
+        funcs.insert(2, _row4_tail)
+        runs.insert(2, [(20.0, 30.0)])
+        # noise that no relative tolerance stops, read the same at every x
+        funcs.append(lambda x: 1e-17 * np.sin(1e7 * x))
+        runs.append([(0.0, 1.0)])
+        funcs.append(lambda x: x * x)
+        runs.append([])
+        results, records = self._check(funcs, runs)
+        assert records[2].calls == 4
+        assert isinstance(results[-2], ConvergenceError) and "panels" in str(results[-2])
+        assert results[-1] == 0.0 and records[-1] is None
+
+    def test_stuck_at_max_depth_and_exact_runs(self):
+        funcs = [lambda x: x ** 3 - 2.0 * x, lambda x: np.where(x < math.pi / 8.0, 0.0, 1.0),
+                 lambda x: 1.0 + 0.0 * x]
+        runs = [[(-2.0, -1.0), (0.25, 3.0)], [(0.0, 1.0)], [(0.0, 0.5), (1.0, 4.0)]]
+        results, records = self._check(funcs, runs, QuadratureConfig(rel_tol=1e-15))
+        assert f"at depth {MAX_DEPTH}" in str(results[1]) and records[1].stuck == 1
+
+    def test_a_domain_error_ends_only_its_run(self):
+        funcs = [np.sin, lambda x: np.where(x > 0.7, math.nan, np.sin(20.0 * x)), np.cos,
+                 lambda x: np.where(x > 0.7, math.inf, 1.0 + 0.0 * x)]
+        runs = [[(0.0, 2.0)], [(0.0, 1.0)], [(-1.0, 3.0)], [(0.5, 0.75), (0.8, 1.0)]]
+        results, records = self._check(funcs, runs)
+        assert [type(r) for r in results] == [float, DomainError, float, DomainError]
+        assert records[1] is None and records[3] is None
+
+    def test_one_integrand_call_a_round_holds_every_run(self):
+        sizes = []
+
+        def f(xs, run):
+            sizes.append(len(xs))
+            return np.sin(20.0 * xs) + 0.0 * run
+
+        pieces = [(0.0, 1.0), (2.0, 4.0)]
+        lo, hi = np.array([0.0, 2.0] * 5), np.array([1.0, 4.0] * 5)
+        with collect_stats() as records:
+            _integrate_runs(f, lo, hi, [2] * 5, DEFAULT_1D)
+        with collect_stats() as alone:
+            integrate_pieces(lambda x: np.sin(20.0 * x), pieces)
+        # the runs refine alike, so each round is one call of all five
+        assert len(sizes) == alone[0].calls and sizes[0] == 5 * 2 * 48
+        assert records == alone * 5
+
+
 class TestBlocks:
     # (width, rows a block): 1,024 panels of 16 nodes, and the rows that the
     # point-pair sums took for 20 Chebyshev nodes, 128 and 800 points a row
@@ -373,24 +484,21 @@ class TestIntegrate2D:
             integrate_2d(elementwise(lambda x, y: math.inf), 0.0, 1.0, 0.0, 1.0)
 
     def test_non_finite_grid_value_is_named(self):
-        # finite on the nodes of the first call, NaN at the last node of the second
-        seen = []
-
+        # NaN on the right of x = 0.5 and above y = 0.9: the error names the
+        # first bad y of the first column, in node order, that has one; the
+        # columns of a call run together, so the integrand must not count calls
         def f(x, y):
-            seen.append((x, y))
-            values = np.ones(np.broadcast_shapes(x.shape, y.shape))
-            if len(seen) == 2:
-                values[-1] = math.nan
-            return values
+            return np.where((x > 0.5) & (y > 0.9), math.nan, 1.0 + 0.0 * (x * y))
 
         with pytest.raises(DomainError) as err:
             integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
-        assert len(seen) == 2
-        x, ys = seen[1]
-        assert f"nan at ({float(x[0])!r}, {float(ys[-1])!r})" in str(err.value)
+        nodes = (0.5 * _NODES + 0.5).tolist()  # the first call's nodes of (0, 1)
+        x = next(t for t in nodes if t > 0.5)
+        y = next(t for t in nodes if t > 0.9)
+        assert f"nan at ({x!r}, {y!r})" in str(err.value)
 
     def test_wrong_grid_shape_rejected(self):
-        # a column is f(np.array([x]), ys) of shape ys.shape, not (len(ys), 1)
+        # a call reads f on (x, y) pairs, of the shape of ys, not (len(ys), 1)
         with pytest.raises(DomainError, match="shape"):
             integrate_2d(lambda x, y: np.outer(y, x), 0.0, 1.0, 0.0, 1.0)
 

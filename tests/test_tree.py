@@ -597,7 +597,7 @@ class TestInduce:
         # both depth-1 nodes are the big pair sums, and a cost model that
         # sent them dense would add about 2 ms to a 6 ms induce
         taken, node = [], {}
-        grow, gain = tree._grow, tree._gain
+        grow, pair_sum = tree._grow, information._gaussian_pair_sum
         interpolate = information._chebyshev_interpolate
         panels = []
 
@@ -605,9 +605,9 @@ class TestInduce:
             node.update(depth=depth, feature=0)
             return grow(ds, cfg, table, depth)
 
-        def gain_spy(*args):
+        def pair_sum_spy(*args):
             before = len(panels)
-            value = gain(*args)
+            value = pair_sum(*args)
             taken.append((node["depth"], node["feature"], len(panels) > before))
             node["feature"] += 1
             return value
@@ -617,7 +617,7 @@ class TestInduce:
             return interpolate(kernel, t, n)
 
         monkeypatch.setattr(tree, "_grow", grow_spy)
-        monkeypatch.setattr(tree, "_gain", gain_spy)
+        monkeypatch.setattr(information, "_gaussian_pair_sum", pair_sum_spy)
         monkeypatch.setattr(information, "_chebyshev_interpolate", interpolate_spy)
         rng = random.Random(seed)
         for input_seed in [rng.randrange(2 ** 32) for _ in range(8)]:
@@ -713,6 +713,82 @@ class TestBitPins:
         record = tree_to_dict(induce(ds, TreeConfig(max_depth=3, min_rows=8)))
         assert json.loads(json.dumps(record)) == record
         assert repr(_preorder(record)) == repr(pinned)
+
+
+def _node_dataset(table: np.ndarray) -> Dataset:
+    """The rows of a node table as a Dataset of the tests' two features."""
+    lo, hi, _ = table
+    cell = lambda a, b: Observation.point(a) if a == b else Observation.interval(a, b)
+    rows = [tuple(cell(a, b) for a, b in zip(row_lo, row_hi))
+            for row_lo, row_hi in zip(lo.T.tolist(), hi.T.tolist())]
+    return _dataset([(row[:-1], row[-1]) for row in rows])
+
+
+class TestNodeGains:
+    """A node fits all its candidates together (tree._gains): each gain is split_gain's,
+    and an error is the one that split_gain on each feature in turn raises first."""
+
+    @pytest.mark.parametrize("seed, n, interval_fraction", [(11, 2000, 0.25), (12, 800, 0.0)],
+                             ids=["mixed", "points"])
+    def test_gains_are_split_gain_to_the_bit(self, seed, n, interval_fraction, monkeypatch):
+        nodes, gains = [], tree._gains
+
+        def spy(table, *args):
+            value = gains(table, *args)
+            nodes.append((table, value))
+            return value
+
+        monkeypatch.setattr(tree, "_gains", spy)
+        cfg = TreeConfig(max_depth=3, min_rows=8)
+        induce(_synthetic(seed, n, interval_fraction), cfg)
+        assert len(nodes) == 7
+        for table, value in nodes:
+            ds = _node_dataset(table)
+            lone = [split_gain(ds, name, cfg) for name in ds.feature_names]
+            assert repr([(g.soft, g.real) for g in value]) == \
+                repr([(g.soft, g.real) for g in lone])
+
+    @staticmethod
+    def _raised(call):
+        with pytest.raises(DomainError) as err:
+            call()
+        return type(err.value), str(err.value)
+
+    def _assert_loop_raises_the_same(self, ds):
+        cfg = TreeConfig()
+        table = np.stack((ds.lo.T, ds.hi.T, tree._midpoints(ds.lo, ds.hi).T))
+        y = (ds.lo[:, -1], ds.hi[:, -1])
+        label = (tree._column_moments(*y, table[2, -1]), build_mixed_sets(y))
+        batched = self._raised(lambda: tree._gains(table, 2, *label, cfg))
+        loop = self._raised(lambda: [split_gain(ds, name, cfg) for name in ds.feature_names])
+        assert batched == loop
+        return batched
+
+    def test_the_first_failing_candidate_raises(self, monkeypatch):
+        # x1 is fine, x2 too large to fit; the closed form is NaN for the
+        # model of x1 or of x2, as chosen
+        rows = _synthetic_rows(5, 60, 0.3)
+        rows = [((x1, Observation.point(1e306 * (k % 3))), y)
+                for k, ((x1, _), y) in enumerate(rows)]
+        ds = _dataset(rows)
+        closed_form = information._mi_y_integral
+        # the fit of x2 fails, after x1's gain
+        assert "not finite" in self._assert_loop_raises_the_same(ds)[1]
+        # x1's real part fails first
+        first_mean = fit_joint_model((ds.lo[:, 0], ds.hi[:, 0]),
+                     (ds.lo[:, 2], ds.hi[:, 2])).mean_x
+        monkeypatch.setattr(information, "_mi_y_integral", lambda p, xs, y: np.where(
+            p[0] == first_mean, math.nan, closed_form(p, xs, y)))
+        assert "non-finite value nan" in self._assert_loop_raises_the_same(ds)[1]
+
+    def test_a_later_candidate_fails_after_the_first_gains(self, monkeypatch):
+        ds = _synthetic(7, 300, 0.25)
+        closed_form = information._mi_y_integral
+        second_mean = fit_joint_model((ds.lo[:, 1], ds.hi[:, 1]),
+                      (ds.lo[:, 2], ds.hi[:, 2])).mean_x
+        monkeypatch.setattr(information, "_mi_y_integral", lambda p, xs, y: np.where(
+            p[0] == second_mean, math.inf, closed_form(p, xs, y)))
+        assert "non-finite value inf" in self._assert_loop_raises_the_same(ds)[1]
 
 
 class TestMedian:
