@@ -34,20 +34,24 @@ pass PANEL_CAP panels plus PIECE_PANELS a piece raises ConvergenceError,
 as does one whose remaining error sits in panels at MAX_DEPTH. A round
 calls the integrand once a block of the new panels of all its runs
 (blocks), so that what one call holds does not grow with the pieces or
-the runs. Each panel's 16 values are summed on their own row, and each
-run's error and scale on its own slice, so a run's result does not
-depend on the other panels or runs in its calls; the result is the
-math.fsum of the run's panel estimates. Each run reports a QuadStats
-record, which collect_stats gathers.
+the runs, and the runs go in groups whose caps sum to at most
+GROUP_PANELS, so that neither does the panel table. Each panel's 16
+values are summed on their own row, and each run's error and scale on
+its own slice, so a run's result does not depend on the other panels or
+runs in its calls; the result is the math.fsum of the run's panel
+estimates. Each run reports a QuadStats record, which collect_stats
+gathers.
 
 2-D integrals are iterated 1-D ones, the "iterated" method of Shampine's
 quad2d (Appl. Math. Comput. 202, 2008): y_integral(f, y_pieces) is the
 x-integrand whose value at each x node is one run over the y-pieces, on
 the column f(x, ys), the columns of all the nodes of a call running
 together; an integrate_pieces run over the x-pieces integrates it
-(integrate_2d is the one-rectangle case). moments.soft_sum evaluates its
-array kernel on a MixedSet's points with sample_1d and integrates it over
-all the pieces of its intervals in one run.
+(integrate_2d is the one-rectangle case). Once a column fails, the
+columns end with its round and the run over x with its own, and it
+raises with the estimate of the whole integral. moments.soft_sum
+evaluates its array kernel on a MixedSet's points with sample_1d and
+integrates it over all the pieces of its intervals in one run.
 
 Everything here is pure and deterministic, so repeated calls return
 bit-identical results.
@@ -161,12 +165,9 @@ def _checked(f, args: tuple, shape: tuple[int, ...], where: Callable[[tuple], st
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = np.asarray(f(*args), dtype=float)
-        # a finite sum has no inf or nan among its terms, so only a sum that
-        # is not finite needs the test of every value
-        finite = math.isfinite(np.add.reduce(values, axis=None))
     if values.shape != shape:
         raise DomainError(f"integrand returned shape {values.shape}, expected {shape}")
-    if not (finite or np.isfinite(values).all()):
+    if not np.isfinite(values).all():
         k = tuple(np.argwhere(~np.isfinite(values))[0])
         raise DomainError(f"integrand returned non-finite value {float(values[k])!r} "
                           f"at {where(k)}")
@@ -239,10 +240,15 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, run,
 # those of its two halves, its depth (a piece is depth 1) and its run
 _LO, _HI, _WHOLE, _LEFT, _RIGHT, _DEPTH, _RUN = range(7)
 
+# the panels that the runs of one group (see _integrate_runs) may reach
+# together at their caps: those of 64 one-piece runs, as many as a split
+# x panel adds columns to a y_integral call, a table of 14 MiB
+GROUP_PANELS = 64 * (PANEL_CAP + PIECE_PANELS)
+
 
 def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
                     cfg: QuadratureConfig, point: Callable[[int, float], str] = _x_at,
-                    halt: Sequence = ()) -> tuple[list, list[Optional[QuadStats]]]:
+                    halt: Optional[list] = None) -> tuple[list, list[Optional[QuadStats]]]:
     """Integrate f over the pieces of many runs together: their (results, records).
 
     Run r owns the next counts[r] pieces (lo[i], hi[i]), each a < b and
@@ -252,13 +258,51 @@ def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
     results[r] is the value integrate_pieces gives on the run's pieces, or
     the ConvergenceError or DomainError it raises, and records[r] the
     run's QuadStats (None for a DomainError or for no pieces); the records
-    go to the open collector in run order. Once halt is not empty, each run
-    ends at the end of its round: a run that has not converged then gives
-    its estimate so far, and its record counts as stuck the panels at
-    MAX_DEPTH that it would bisect. A call of several runs whose
+    go to the open collector in run order.
+
+    The runs go in groups, in run order, each as many runs as the caps of
+    their panels keep within GROUP_PANELS (one at least), so that however
+    many runs there are, the panel table stays bounded. With a halt list,
+    a run that fails appends its ConvergenceError to it, and once halt is
+    not empty each run ends at the end of its round: a run that has not
+    converged then gives its estimate so far, and its record counts as
+    stuck the panels at MAX_DEPTH that it would bisect. A group whose
     integrand meets a DomainError does each run again on its own, so that
     each result is the one integrate_pieces gives.
     """
+    if len(counts) == 1:
+        return _group(f, lo, hi, counts, cfg, point, halt)
+    results: list = []
+    records: list[Optional[QuadStats]] = []
+    first = piece = 0
+    while first < len(counts):
+        last, held = first, 0
+        while last < len(counts) and (last == first or held + _cap(counts[last]) <= GROUP_PANELS):
+            held += _cap(counts[last])
+            last += 1
+        pieces = slice(piece, piece + sum(counts[first:last]))
+        piece = pieces.stop
+        if first:
+            shift = first
+            got = _group(lambda xs, run: f(xs, run + shift), lo[pieces], hi[pieces],
+                         counts[first:last], cfg, lambda r, t: point(r + shift, t), halt)
+        else:
+            got = _group(f, lo[pieces], hi[pieces], counts[first:last], cfg, point, halt)
+        results += got[0]
+        records += got[1]
+        first = last
+    return results, records
+
+
+def _cap(pieces: int) -> int:
+    """The panels that a run of that many pieces may hold, 0 for no pieces."""
+    return PANEL_CAP + PIECE_PANELS * pieces if pieces else 0
+
+
+def _group(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
+           point: Callable[[int, float], str], halt: Optional[list]
+           ) -> tuple[list, list[Optional[QuadStats]]]:
+    """_integrate_runs on one group of runs."""
     try:
         return _advance(f, lo, hi, counts, cfg, point, halt)
     except DomainError as err:
@@ -270,16 +314,16 @@ def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
         ends = np.cumsum([0, *counts]).tolist()
         for r in live:
             own = slice(ends[r], ends[r + 1])
-            [results[r]], [records[r]] = _integrate_runs(
+            [results[r]], [records[r]] = _group(
                 lambda xs, _, r=r: f(xs, r), lo[own], hi[own], [counts[r]], cfg,
                 lambda _, t, r=r: point(r, t), halt)
         return results, records
 
 
 def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
-             point: Callable[[int, float], str], halt: Sequence
+             point: Callable[[int, float], str], halt: Optional[list]
              ) -> tuple[list, list[Optional[QuadStats]]]:
-    """The rounds of _integrate_runs; a DomainError of the integrand ends the call."""
+    """The rounds of one group; a DomainError of the integrand ends the call."""
     results: list = [0.0] * len(counts)
     records: list[Optional[QuadStats]] = [None] * len(counts)
     live = [r for r, n in enumerate(counts) if n]
@@ -297,15 +341,39 @@ def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: Quad
     def evaluate(lo, hi, run, runs):
         """The estimates of the panels (lo[i], hi[i]) of the runs run[i], each one of
         runs, which count the calls that held their panels."""
-        estimates, made = _estimates(f, lo, hi, run if solo is None else solo, point)
-        if solo is not None or made == 1:
+        if solo is not None:
+            estimates, made = _estimates(f, lo, hi, solo, point)
+            calls[solo] += made
+            return estimates
+        estimates, made = _estimates(f, lo, hi, run, point)
+        if made == 1:
             for r in runs:
-                calls[r] += made
+                calls[r] += 1
         else:
             for block in blocks(len(lo), len(_NODES)):
                 for r in np.flatnonzero(np.bincount(run[block])).tolist():
                     calls[r] += 1
         return estimates
+
+    def end(r, own, summed, stuck, why=None):
+        """Record run r, whose panels are own; why, if given, says why it failed."""
+        # each split adds a panel and the 64 nodes of its children's
+        # halves; a run that has split no panel holds its pieces, at depth 1
+        splits_made = sizes[r] - counts[r]
+        stats = QuadStats(nodes=3 * len(_NODES) * counts[r] + 4 * len(_NODES) * splits_made,
+                          calls=calls[r], panels=sizes[r], max_depth=int(
+                              np.maximum.reduce(panels[_DEPTH, own])) if splits_made else 1,
+                          error=summed, stuck=stuck)
+        records[r] = stats
+        results[r] = total = math.fsum(estimate[own].tolist())
+        if why is not None:
+            own_pieces = slice(sum(counts[:r]), sum(counts[:r + 1]))
+            pieces = zip(lo[own_pieces].tolist(), hi[own_pieces].tolist())
+            results[r] = ConvergenceError(
+                f"integral over {_describe_pieces(list(pieces))} did not converge: {why}",
+                best_estimate=total, stats=stats)
+            if halt is not None:
+                halt.append(results[r])
 
     mid = _mid(lo, hi)
     halves = evaluate(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
@@ -327,45 +395,37 @@ def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: Quad
             wanted = error[own] > budget / n
             over = int(np.count_nonzero(wanted))
             # with no panel over its share the sum is within the budget but for rounding
-            converged = summed <= budget or not over
-            if not converged:
-                split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
-                count = int(np.count_nonzero(split))
-                cap = PANEL_CAP + PIECE_PANELS * counts[r]
-                if count and n + count <= cap and not halt:
-                    going.append(r)
-                    splits.append(split)
-                    sizes[r] += count
-                    continue
-            # each split adds a panel and the 64 nodes of its children's
-            # halves; a run that has split no panel holds its pieces, at depth 1
-            splits_made = n - counts[r]
-            stats = QuadStats(nodes=3 * len(_NODES) * counts[r] + 4 * len(_NODES) * splits_made,
-                              calls=calls[r], panels=n, max_depth=int(
-                                  np.maximum.reduce(panels[_DEPTH, own])) if splits_made else 1,
-                              error=summed, stuck=0 if converged else over - count)
-            records[r] = stats
-            results[r] = total = math.fsum(estimate[own].tolist())
-            if not (converged or halt):
-                if count:
-                    why = f"it needs more than {cap} panels"
-                else:
-                    k = own.start + int(np.argmax(wanted))  # every wanted panel is stuck
-                    why = (f"{stats.stuck} panel(s) need refining at depth {MAX_DEPTH}, the "
-                           f"first {_describe(tuple(panels[:2, k].tolist()))} with error "
-                           f"{float(error[k])!r}")
-                own_pieces = slice(sum(counts[:r]), sum(counts[:r + 1]))
-                pieces = zip(lo[own_pieces].tolist(), hi[own_pieces].tolist())
-                results[r] = ConvergenceError(
-                    f"integral over {_describe_pieces(list(pieces))} did not converge: {why}; "
-                    f"summed error {summed!r} exceeds the budget {budget!r}",
-                    best_estimate=total, stats=stats)
-        if not going:
+            if summed <= budget or not over:
+                end(r, own, summed, 0)
+                continue
+            split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
+            count = int(np.count_nonzero(split))
+            cap = _cap(counts[r])
+            if halt or (count and n + count <= cap):
+                going.append((r, own, summed, over - count, count))
+                splits.append(split)
+                continue
+            if count:
+                why = f"it needs more than {cap} panels"
+            else:
+                k = own.start + int(np.argmax(wanted))  # every wanted panel is stuck
+                why = (f"{over} panel(s) need refining at depth {MAX_DEPTH}, the first "
+                       f"{_describe(tuple(panels[:2, k].tolist()))} with error "
+                       f"{float(error[k])!r}")
+            end(r, own, summed, over - count, f"{why}; summed error {summed!r} exceeds "
+                                              f"the budget {budget!r}")
+        # once a run has failed, with a halt list, every run ends with this round
+        if halt or not going:
+            for r, own, summed, stuck, _ in going:
+                end(r, own, summed, stuck)
             break
         if len(going) < len(live):
             # the panels of the runs that go on
-            panels = panels[:, np.repeat([r in going for r in live], widths)]
-            live = going
+            on = {r for r, *_ in going}
+            panels = panels[:, np.repeat([r in on for r in live], widths)]
+            live = [r for r, *_ in going]
+        for r, *_, count in going:
+            sizes[r] += count
         split = splits[0] if len(splits) == 1 else np.concatenate(splits)
         lo_s, hi_s, _, left, right, depth, run_s = panels[:, split]
         mid = _mid(lo_s, hi_s)
@@ -418,8 +478,9 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
     with its best estimate and its QuadStats; either way the QuadStats go
     to the open collect_stats collector, if any. The result is the
     math.fsum of the panel estimates. A y_integral column that fails
-    within the run adds its best estimate, and the run raises its
-    ConvergenceError when it ends (y_integral).
+    within the run adds its best estimate, the run ends with its round,
+    and it raises the column's ConvergenceError with the run's estimate
+    and QuadStats (y_integral).
 
     f(xs) returns the array of f at each of the nodes xs; a non-finite
     value in it is a DomainError naming the first bad x. No pieces
@@ -438,14 +499,10 @@ def integrate_pieces(f: Callable[[np.ndarray], np.ndarray],
                                             halt=failures)
     finally:
         _COLUMN_FAILURES.reset(token)
-    if isinstance(result, DomainError):
+    if isinstance(result, Exception):
         raise result
     if failures:
-        x, err = failures[0]
-        total = result.best_estimate if isinstance(result, ConvergenceError) else result
-        raise ConvergenceError(f"at x={x!r}, {err}", best_estimate=total, stats=stats)
-    if isinstance(result, ConvergenceError):
-        raise result
+        raise ConvergenceError(str(failures[0]), best_estimate=result, stats=stats)
     return result
 
 
@@ -465,10 +522,15 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the runs of all of xs go together (_integrate_runs), each call of f
     reading the (x, y) pairs of several columns. A column of the wrong
     shape, or a non-finite value in it, is a DomainError naming the bad
-    (x, y). A column that does not converge gives its best estimate
-    within an integrate_pieces run, which raises its ConvergenceError,
-    naming the first such x, with the run's own estimate and stats when it
-    ends; outside one it raises at once, with the column's.
+    (x, y). The columns of a call end with the round in which the first
+    of them fails, and after one round when the integrate_pieces run
+    around them already has a failing column. The error is then the first
+    in the call's order of x: a DomainError is raised; a ConvergenceError
+    is raised at once, with the column's estimate, outside an
+    integrate_pieces run, and within one the column gives its best
+    estimate, and the run raises the error, naming the x, when it ends. A
+    DomainError after a failing column of the same run raises that
+    column's error at once.
     """
     def x_integrand(xs: np.ndarray) -> np.ndarray:
         config = _config(cfg)
@@ -480,19 +542,23 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         def columns(ys: np.ndarray, run) -> np.ndarray:
             return f(xs[run:run + 1] if isinstance(run, int) else xs[run], ys)
 
+        failures = _COLUMN_FAILURES.get()
+        # the columns end with the round in which one fails, or after one
+        # round once the run has a failing column
         results, _ = _integrate_runs(columns, y_lo, y_hi, [len(pieces)] * len(xs), config,
-                                     lambda r, y: f"({x_list[r]!r}, {y!r})")
-        for result in results:
-            if isinstance(result, DomainError):
-                raise result
+                                     lambda r, y: f"({x_list[r]!r}, {y!r})",
+                                     list(failures or ()))
         for k, (x, result) in enumerate(zip(x_list, results)):
+            if isinstance(result, DomainError):
+                # a column that failed before it, in the run's order, comes first
+                raise failures[0] if failures else result
             if isinstance(result, ConvergenceError):
-                failures = _COLUMN_FAILURES.get()
+                err = ConvergenceError(f"at x={x!r}, {result}", result.best_estimate,
+                                       result.stats)
                 if failures is None:
-                    raise ConvergenceError(f"at x={x!r}, {result}", result.best_estimate,
-                                           result.stats)
+                    raise err
                 if not failures:
-                    failures.append((x, result))
+                    failures.append(err)
                 results[k] = result.best_estimate
         return np.array(results, dtype=float)
 

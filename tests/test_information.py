@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softprob.information as information
+import softprob.quadrature as quadrature
 from softprob.distributions import (
     BivariateGaussianModel,
     Gaussian,
@@ -1226,6 +1228,47 @@ class TestGenericPath:
             # the outer run's record, after those of its 48 columns
             assert err.value.stats == records[-1] and len(records) == 49
             assert err.value.stats.nodes == 48
+
+
+    @pytest.mark.parametrize("noise_first", [True, False])
+    def test_the_first_failing_column_in_call_order_names_the_error(self, noise_first):
+        # rounding-noise columns on one side of x = 0 fail only at their
+        # cap; a non-finite value on the other side is met in the first
+        # round. The column first in call order names the error.
+        noise_side, nan_side = (-1.0, 1.0) if noise_first else (1.0, -1.0)
+
+        def f(x, y):
+            noise = 1e-17 * np.sin(1e7 * y) + 0.0 * x
+            return np.where(noise_side * x > 0.0, noise,
+                            np.where((nan_side * x > 0.5) & (y > 0.9), math.nan, 1.0))
+
+        xs = np.linspace(-0.9, 0.9, 7)
+        for run in (lambda: integrate_2d(f, -1.0, 1.0, 0.0, 1.0),
+                    lambda: quadrature.y_integral(f, [(0.0, 1.0)])(xs)):
+            with pytest.raises((ConvergenceError, DomainError)) as err:
+                run()
+            if noise_first:
+                assert isinstance(err.value, ConvergenceError)
+                assert re.match(r"at x=-0\.9\d*, integral over \(0\.0, 1\.0\) did not "
+                                r"converge: it needs more than 4160 panels", str(err.value))
+            else:
+                assert type(err.value) is DomainError
+                assert re.match(r"integrand returned non-finite value nan at "
+                                r"\(-0\.9\d*, 0\.9\d*\)", str(err.value))
+
+    def test_many_noise_columns_stay_bounded(self):
+        # near independence many columns are rounding noise; the columns of
+        # a call run in groups and end with the round in which one fails,
+        # so their panels stay near one group's, however many x nodes
+        j = BivariateGaussianModel(0.0, 0.0, 1.0, 1.0, 1e-6)
+        sx = MixedSet([], [(-3.0 + 0.2 * k, -2.9 + 0.2 * k) for k in range(30)])
+        with collect_stats() as records, pytest.raises(ConvergenceError) as err:
+            soft_mutual_information(_GridOnly(j), sx, MixedSet([], [(-3.0, 3.0)]))
+        columns = records[:-1]
+        assert len(columns) == 30 * 48 and err.value.stats == records[-1]
+        assert sum(r.panels for r in columns) <= quadrature.GROUP_PANELS + len(columns)
+        closed_form = soft_mutual_information(j, sx, MixedSet([], [(-3.0, 3.0)])).real
+        assert err.value.best_estimate == pytest.approx(closed_form, rel=1e-3)
 
 
 def test_unit_ratio_tolerance_makes_matching_densities_cancel_exactly(monkeypatch):

@@ -11,9 +11,11 @@ from softprob.distributions import Gaussian, joint_gaussian_additive
 from softprob.errors import ConvergenceError, DomainError
 from softprob.information import soft_mutual_information
 from softprob.moments import MixedSet
+import softprob.quadrature as quadrature
 from softprob.quadrature import (
     BLOCK,
     DEFAULT_1D,
+    GROUP_PANELS,
     PANEL_CAP,
     MAX_DEPTH,
     PIECE_PANELS,
@@ -29,6 +31,7 @@ from softprob.quadrature import (
     integrate_2d,
     integrate_pieces,
     total_stats,
+    y_integral,
 )
 
 
@@ -437,6 +440,88 @@ class TestBatchedRuns:
         # the runs refine alike, so each round is one call of all five
         assert len(sizes) == alone[0].calls and sizes[0] == 5 * 2 * 48
         assert records == alone * 5
+
+
+    def test_groups_keep_each_run_its_own_result(self, monkeypatch):
+        # room for about two one-piece runs a group: the runs go in several
+        # groups, and each integrand call holds the runs of one group
+        monkeypatch.setattr(quadrature, "GROUP_PANELS", 2 * (PANEL_CAP + PIECE_PANELS) + 1)
+        held = []
+        funcs = [lambda x, c=c: np.exp(np.sin(c * x)) for c in (1.0, 7.0, 3.0, 19.0, 5.0)]
+        funcs.insert(3, lambda x: np.where(x > 0.7, math.nan, x))
+        runs = [[(0.0, 1.0)], [(-1.0, 2.0)], [], [(0.0, 1.0)], [(0.5, 0.75), (1.0, 3.0)],
+                [(2.0, 5.0)]]
+        batched = _by_run(funcs)
+
+        def f(xs, run):
+            held.append(frozenset([run] if isinstance(run, int) else run.tolist()))
+            return batched(xs, run)
+
+        lo = np.array([a for pieces in runs for a, _ in pieces], dtype=float)
+        hi = np.array([b for pieces in runs for _, b in pieces], dtype=float)
+        with collect_stats() as records:
+            results, run_records = _integrate_runs(f, lo, hi, [len(p) for p in runs],
+                                                   DEFAULT_1D)
+        alone = [_alone(g, pieces) for g, pieces in zip(funcs, runs)]
+        assert [_outcome(r) for r in results] == [_outcome(r) for r, _ in alone]
+        assert records == [rec for _, lone in alone for rec in lone]
+        assert run_records[2] is None and isinstance(results[3], DomainError)
+        # the groups are runs 0-1, 2-3 (run 2 has no pieces), 4 (two pieces,
+        # a larger cap) and 5, and no call holds runs of two groups
+        groups = [{0, 1}, {2, 3}, {4}, {5}]
+        assert all(any(h <= g for g in groups) for h in held)
+        assert {frozenset({0, 1}), frozenset({3}), frozenset({4}), frozenset({5})} <= set(held)
+
+    def test_a_halt_list_ends_every_run_with_the_round_of_the_first_failure(self):
+        noise, smooth = (lambda x: 1e-17 * np.sin(1e7 * x)), (lambda x: np.sin(40.0 * x))
+        with collect_stats() as alone:
+            integrate_pieces(smooth, [(0.0, 3.0)])
+        with pytest.raises(ConvergenceError) as failed:
+            integrate_pieces(noise, [(0.0, 1.0)])
+        lo, hi = np.array([0.0, 0.0]), np.array([3.0, 1.0])
+        halt = []
+        with collect_stats() as records:
+            results, _ = _integrate_runs(_by_run([smooth, noise]), lo, hi, [1, 1], DEFAULT_1D,
+                                         halt=halt)
+        # the smooth run converges before the noise run fails, which puts
+        # its error on the halt list
+        assert results[0] == integrate_pieces(smooth, [(0.0, 3.0)]) and halt == [results[1]]
+        assert records == [alone[0], failed.value.stats]
+        assert str(results[1]) == str(failed.value)
+        # a log singularity takes a round a level, more rounds than the
+        # noise run has: it ends with the noise run's round, and its estimate so far
+        slow = lambda x: np.log(np.abs(x - 1.0 / 3.0))
+        with collect_stats() as slow_alone:
+            exact = integrate_pieces(slow, [(0.0, 1.0)])
+        halt = []
+        results, records = _integrate_runs(_by_run([slow, noise]), np.array([0.0, 0.0]),
+                                           np.array([1.0, 1.0]), [1, 1], DEFAULT_1D, halt=halt)
+        assert slow_alone[0].max_depth > failed.value.stats.max_depth
+        assert halt == [results[1]] and str(results[1]) == str(failed.value)
+        assert isinstance(results[0], float) and results[0] != exact
+        assert records[0].max_depth == records[1].max_depth == failed.value.stats.max_depth
+        assert records[0].stuck == 0 and records[0].panels < slow_alone[0].panels
+        # a halt list that is not empty from the start: one round each
+        results, records = _integrate_runs(_by_run([slow, noise]), np.array([0.0, 0.0]),
+                                           np.array([30.0, 1.0]), [1, 1], DEFAULT_1D,
+                                           halt=[None])
+        assert all(isinstance(r, float) for r in results)
+        assert [(r.calls, r.panels, r.nodes) for r in records] == [(1, 1, 48)] * 2
+
+    def test_noise_columns_are_bounded_by_one_group(self):
+        # every column is rounding noise that runs to its cap; the columns
+        # of a call go in groups, and once one fails the rest take one round
+        f = lambda x, y: 1e-17 * np.sin(1e7 * y) + 0.0 * x
+        x_pieces = [(0.0, 0.5), (1.0, 1.5), (2.0, 2.5)]
+        with collect_stats() as records, pytest.raises(ConvergenceError) as err:
+            integrate_pieces(y_integral(f, [(0.0, 1.0)]), x_pieces)
+        columns = records[:-1]
+        assert len(columns) == 3 * 48 and err.value.stats == records[-1]
+        held = sum(r.panels for r in columns)
+        # all 144 columns at their caps would hold 144 * 4,096 panels
+        assert held <= GROUP_PANELS + len(columns) and held < len(columns) * PANEL_CAP // 2
+        assert max(r.panels for r in columns) <= PANEL_CAP + PIECE_PANELS
+        assert err.value.stats.nodes == 3 * 48 and str(err.value).startswith("at x=")
 
 
 class TestBlocks:
