@@ -239,6 +239,8 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, run,
 # the rows of a panel table: the panel's ends, its whole estimate and
 # those of its two halves, its depth (a piece is depth 1) and its run
 _LO, _HI, _WHOLE, _LEFT, _RIGHT, _DEPTH, _RUN = range(7)
+# the panels of a table that holds one run
+_ALL = slice(None)
 
 # the panels that the runs of one group (see _integrate_runs) may reach
 # together at their caps: those of 64 one-piece runs, as many as a split
@@ -294,6 +296,18 @@ def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
     return results, records
 
 
+def _why(panels: np.ndarray, error: np.ndarray, own: slice, wanted: np.ndarray, count: int,
+         cap: int, over: int, summed: float, budget: float) -> str:
+    """Why the run whose panels are own did not converge: its cap, or its panels at MAX_DEPTH."""
+    if count:
+        why = f"it needs more than {cap} panels"
+    else:
+        k = (own.start or 0) + int(np.argmax(wanted))  # every wanted panel is stuck
+        why = (f"{over} panel(s) need refining at depth {MAX_DEPTH}, the first "
+               f"{_describe(tuple(panels[:2, k].tolist()))} with error {float(error[k])!r}")
+    return f"{why}; summed error {summed!r} exceeds the budget {budget!r}"
+
+
 def _cap(pieces: int) -> int:
     """The panels that a run of that many pieces may hold, 0 for no pieces."""
     return PANEL_CAP + PIECE_PANELS * pieces if pieces else 0
@@ -323,7 +337,12 @@ def _group(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: Quadra
 def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
              point: Callable[[int, float], str], halt: Optional[list]
              ) -> tuple[list, list[Optional[QuadStats]]]:
-    """The rounds of one group; a DomainError of the integrand ends the call."""
+    """The rounds of one group; a DomainError of the integrand ends the call.
+
+    A group of one live run decides each round on the whole table, with no
+    slices and no lists, the cost that integrate_pieces and a one-model
+    soft MI pay; the decisions are those of the loop over several runs.
+    """
     results: list = [0.0] * len(counts)
     records: list[Optional[QuadStats]] = [None] * len(counts)
     live = [r for r, n in enumerate(counts) if n]
@@ -383,50 +402,62 @@ def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: Quad
         estimate = panels[_LEFT] + panels[_RIGHT]
         error = np.abs(estimate - panels[_WHOLE])
         scale = np.abs(estimate)
-        going, widths, splits = [], [], []
-        start = 0
-        for r in live:
-            n = sizes[r]
-            own = slice(start, start + n)
-            start += n
-            widths.append(n)
-            summed = float(np.add.reduce(error[own]))
-            budget = max(cfg.rel_tol * float(np.add.reduce(scale[own])), cfg.abs_tol)
-            wanted = error[own] > budget / n
+        if solo is not None:
+            # one run: the table holds its panels alone, so nothing is sliced
+            n = sizes[solo]
+            summed = float(np.add.reduce(error))
+            budget = max(cfg.rel_tol * float(np.add.reduce(scale)), cfg.abs_tol)
+            wanted = error > budget / n
             over = int(np.count_nonzero(wanted))
             # with no panel over its share the sum is within the budget but for rounding
             if summed <= budget or not over:
-                end(r, own, summed, 0)
-                continue
-            split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
+                end(solo, _ALL, summed, 0)
+                break
+            split = wanted & (panels[_DEPTH] < MAX_DEPTH)
             count = int(np.count_nonzero(split))
-            cap = _cap(counts[r])
-            if halt or (count and n + count <= cap):
-                going.append((r, own, summed, over - count, count))
-                splits.append(split)
-                continue
-            if count:
-                why = f"it needs more than {cap} panels"
-            else:
-                k = own.start + int(np.argmax(wanted))  # every wanted panel is stuck
-                why = (f"{over} panel(s) need refining at depth {MAX_DEPTH}, the first "
-                       f"{_describe(tuple(panels[:2, k].tolist()))} with error "
-                       f"{float(error[k])!r}")
-            end(r, own, summed, over - count, f"{why}; summed error {summed!r} exceeds "
-                                              f"the budget {budget!r}")
-        # once a run has failed, with a halt list, every run ends with this round
-        if halt or not going:
-            for r, own, summed, stuck, _ in going:
-                end(r, own, summed, stuck)
-            break
-        if len(going) < len(live):
-            # the panels of the runs that go on
-            on = {r for r, *_ in going}
-            panels = panels[:, np.repeat([r in on for r in live], widths)]
-            live = [r for r, *_ in going]
-        for r, *_, count in going:
-            sizes[r] += count
-        split = splits[0] if len(splits) == 1 else np.concatenate(splits)
+            cap = _cap(counts[solo])
+            if halt or not count or n + count > cap:
+                end(solo, _ALL, summed, over - count, None if halt else _why(
+                    panels, error, _ALL, wanted, count, cap, over, summed, budget))
+                break
+            sizes[solo] += count
+        else:
+            going, widths, splits = [], [], []
+            start = 0
+            for r in live:
+                n = sizes[r]
+                own = slice(start, start + n)
+                start += n
+                widths.append(n)
+                summed = float(np.add.reduce(error[own]))
+                budget = max(cfg.rel_tol * float(np.add.reduce(scale[own])), cfg.abs_tol)
+                wanted = error[own] > budget / n
+                over = int(np.count_nonzero(wanted))
+                if summed <= budget or not over:
+                    end(r, own, summed, 0)
+                    continue
+                split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
+                count = int(np.count_nonzero(split))
+                cap = _cap(counts[r])
+                if halt or (count and n + count <= cap):
+                    going.append((r, own, summed, over - count, count))
+                    splits.append(split)
+                    continue
+                end(r, own, summed, over - count,
+                    _why(panels, error, own, wanted, count, cap, over, summed, budget))
+            # once a run has failed, with a halt list, every run ends with this round
+            if halt or not going:
+                for r, own, summed, stuck, _ in going:
+                    end(r, own, summed, stuck)
+                break
+            if len(going) < len(live):
+                # the panels of the runs that go on
+                on = {r for r, *_ in going}
+                panels = panels[:, np.repeat([r in on for r in live], widths)]
+                live = [r for r, *_ in going]
+            for r, *_, count in going:
+                sizes[r] += count
+            split = splits[0] if len(splits) == 1 else np.concatenate(splits)
         lo_s, hi_s, _, left, right, depth, run_s = panels[:, split]
         mid = _mid(lo_s, hi_s)
         quarter_lo, quarter_hi = _mid(lo_s, mid), _mid(mid, hi_s)
