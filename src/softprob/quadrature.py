@@ -15,11 +15,13 @@ panels of one run (integrate_pieces; integrate_1d is the one-piece case),
 and each round evaluates all its new panels together. One routine
 (_integrate_runs) advances many runs at once, after the vectorised
 integrands of quadgk and DCUHRE's vector of integrands (Berntsen,
-Espelid & Genz, ACM TOMS 17, 1991); integrate_pieces is its one-run
-case. The panels of all runs sit in one field-major table of shape
-(7, panels), a row each for lo, hi, the whole estimate, the two halves,
-the depth and the run, each run's panels side by side, so that a round
-selects, repeats and writes every field in one array call. A panel's
+Espelid & Genz, ACM TOMS 17, 1991). The panels of all runs sit side by
+side in one field-major table, a row each for lo, hi, the whole
+estimate, the two halves and the depth, so that a round selects,
+repeats and writes every field in one array call. A round's decisions
+are written once, a loop over the live runs that reads the whole table
+when one is live; a call that holds one live run gets it as an int,
+and runs keep the caller's numbers from start to end. A panel's
 estimate is the sum of its halves and its error estimate
 |halves - whole|. The first round evaluates every piece's whole and
 halves, 48 nodes a piece. Until a run's summed error meets its budget
@@ -237,14 +239,14 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, run,
 
 
 # the rows of a panel table: the panel's ends, its whole estimate and
-# those of its two halves, its depth (a piece is depth 1) and its run
-_LO, _HI, _WHOLE, _LEFT, _RIGHT, _DEPTH, _RUN = range(7)
+# those of its two halves, and its depth (a piece is depth 1)
+_LO, _HI, _WHOLE, _LEFT, _RIGHT, _DEPTH = range(6)
 # the panels of a table that holds one run
 _ALL = slice(None)
 
 # the panels that the runs of one group (see _integrate_runs) may reach
 # together at their caps: those of 64 one-piece runs, as many as a split
-# x panel adds columns to a y_integral call, a table of 14 MiB
+# x panel adds columns to a y_integral call, a table of 12 MiB
 GROUP_PANELS = 64 * (PANEL_CAP + PIECE_PANELS)
 
 
@@ -255,7 +257,7 @@ def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
 
     Run r owns the next counts[r] pieces (lo[i], hi[i]), each a < b and
     finite. f(xs, run) gives f at the nodes xs, run being the run of every
-    node: an int when the call holds one run, an int array like xs
+    node: an int when the call holds one live run, an int array like xs
     otherwise. point(r, t) names node t of run r in a DomainError.
     results[r] is the value integrate_pieces gives on the run's pieces, or
     the ConvergenceError or DomainError it raises, and records[r] the
@@ -272,27 +274,35 @@ def _integrate_runs(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int],
     integrand meets a DomainError does each run again on its own, so that
     each result is the one integrate_pieces gives.
     """
-    if len(counts) == 1:
-        return _group(f, lo, hi, counts, cfg, point, halt)
-    results: list = []
-    records: list[Optional[QuadStats]] = []
-    first = piece = 0
-    while first < len(counts):
-        last, held = first, 0
-        while last < len(counts) and (last == first or held + _cap(counts[last]) <= GROUP_PANELS):
-            held += _cap(counts[last])
-            last += 1
-        pieces = slice(piece, piece + sum(counts[first:last]))
-        piece = pieces.stop
-        if first:
-            shift = first
-            got = _group(lambda xs, run: f(xs, run + shift), lo[pieces], hi[pieces],
-                         counts[first:last], cfg, lambda r, t: point(r + shift, t), halt)
-        else:
-            got = _group(f, lo[pieces], hi[pieces], counts[first:last], cfg, point, halt)
-        results += got[0]
-        records += got[1]
-        first = last
+    results: list = [0.0] * len(counts)
+    records: list[Optional[QuadStats]] = [None] * len(counts)
+    k = start = 0
+    while start < len(lo):
+        # the next group: its live runs, and the end of their pieces
+        live, held, stop = [], 0, start
+        for k in range(k, len(counts)):
+            held += _cap(counts[k])
+            if live and held > GROUP_PANELS:
+                break
+            if counts[k]:
+                live.append(k)
+                stop += counts[k]
+        try:
+            _advance(f, lo[start:stop], hi[start:stop], counts, live, cfg, point, halt,
+                     results, records)
+        except DomainError as err:
+            if len(live) == 1:
+                results[live[0]] = err
+            else:  # each run again on its own
+                for r in live:
+                    stop = start + counts[r]
+                    try:
+                        _advance(f, lo[start:stop], hi[start:stop], counts, [r], cfg, point,
+                                 halt, results, records)
+                    except DomainError as own_err:
+                        results[r], records[r] = own_err, None
+                    start = stop
+        start = stop
     return results, records
 
 
@@ -313,60 +323,26 @@ def _cap(pieces: int) -> int:
     return PANEL_CAP + PIECE_PANELS * pieces if pieces else 0
 
 
-def _group(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
-           point: Callable[[int, float], str], halt: Optional[list]
-           ) -> tuple[list, list[Optional[QuadStats]]]:
-    """_integrate_runs on one group of runs."""
-    try:
-        return _advance(f, lo, hi, counts, cfg, point, halt)
-    except DomainError as err:
-        live = [r for r, n in enumerate(counts) if n]
-        results, records = [0.0] * len(counts), [None] * len(counts)
-        if len(live) == 1:
-            results[live[0]] = err
-            return results, records
-        ends = np.cumsum([0, *counts]).tolist()
-        for r in live:
-            own = slice(ends[r], ends[r + 1])
-            [results[r]], [records[r]] = _group(
-                lambda xs, _, r=r: f(xs, r), lo[own], hi[own], [counts[r]], cfg,
-                lambda _, t, r=r: point(r, t), halt)
-        return results, records
+def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], runs: Sequence[int],
+             cfg: QuadratureConfig, point: Callable[[int, float], str], halt: Optional[list],
+             results: list, records: list[Optional[QuadStats]]) -> None:
+    """The rounds of one group of runs, each with pieces, lo and hi: run r writes
+    results[r] and records[r]. A DomainError of the integrand ends the call.
 
-
-def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: QuadratureConfig,
-             point: Callable[[int, float], str], halt: Optional[list]
-             ) -> tuple[list, list[Optional[QuadStats]]]:
-    """The rounds of one group; a DomainError of the integrand ends the call.
-
-    A group of one live run decides each round on the whole table, with no
-    slices and no lists, the cost that integrate_pieces and a one-model
-    soft MI pay; the decisions are those of the loop over several runs.
+    The decisions are written once, a loop over the live runs, each on its
+    own slice of the panel table, or on the whole table (_ALL) when one run
+    is live; a call of the integrand that holds one live run gets it as an int.
     """
-    results: list = [0.0] * len(counts)
-    records: list[Optional[QuadStats]] = [None] * len(counts)
-    live = [r for r, n in enumerate(counts) if n]
-    if not live:
-        return results, records
-    sizes = list(counts)
-    calls = [0] * len(counts)
-    solo = live[0] if len(live) == 1 else None
-    # each panel's depth, then its run, which a call of one run never reads
-    stamps = np.ones(2 * len(lo))
-    if solo is None:
-        run = np.repeat(np.arange(len(counts)), counts)
-        stamps[len(lo):] = run
+    live, sizes, calls = runs, {r: counts[r] for r in runs}, dict.fromkeys(runs, 0)
 
-    def evaluate(lo, hi, run, runs):
-        """The estimates of the panels (lo[i], hi[i]) of the runs run[i], each one of
-        runs, which count the calls that held their panels."""
-        if solo is not None:
-            estimates, made = _estimates(f, lo, hi, solo, point)
-            calls[solo] += made
-            return estimates
+    def evaluate(lo, hi, run):
+        """The estimates of the panels (lo[i], hi[i]) of the int run, or of the runs
+        run[i]; each live run counts the calls that held its panels."""
         estimates, made = _estimates(f, lo, hi, run, point)
-        if made == 1:
-            for r in runs:
+        if isinstance(run, int):
+            calls[run] += made
+        elif made == 1:
+            for r in live:
                 calls[r] += 1
         else:
             for block in blocks(len(lo), len(_NODES)):
@@ -386,99 +362,75 @@ def _advance(f, lo: np.ndarray, hi: np.ndarray, counts: Sequence[int], cfg: Quad
         records[r] = stats
         results[r] = total = math.fsum(estimate[own].tolist())
         if why is not None:
-            own_pieces = slice(sum(counts[:r]), sum(counts[:r + 1]))
-            pieces = zip(lo[own_pieces].tolist(), hi[own_pieces].tolist())
+            a = sum(counts[runs[0]:r])
+            pieces = zip(lo[a:a + counts[r]].tolist(), hi[a:a + counts[r]].tolist())
             results[r] = ConvergenceError(
                 f"integral over {_describe_pieces(list(pieces))} did not converge: {why}",
                 best_estimate=total, stats=stats)
             if halt is not None:
                 halt.append(results[r])
 
+    run = live[0] if len(live) == 1 else np.repeat(live * 3, [counts[r] for r in live] * 3)
     mid = _mid(lo, hi)
-    halves = evaluate(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
-                      None if solo is not None else np.concatenate([run, run, run]), live)
-    panels = np.concatenate([lo, hi, halves, stamps]).reshape(7, -1)
+    halves = evaluate(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]), run)
+    panels = np.concatenate([lo, hi, halves, np.ones(len(lo))]).reshape(6, -1)
     while True:
         estimate = panels[_LEFT] + panels[_RIGHT]
         error = np.abs(estimate - panels[_WHOLE])
         scale = np.abs(estimate)
-        if solo is not None:
-            # one run: the table holds its panels alone, so nothing is sliced
-            n = sizes[solo]
-            summed = float(np.add.reduce(error))
-            budget = max(cfg.rel_tol * float(np.add.reduce(scale)), cfg.abs_tol)
-            wanted = error > budget / n
+        going, splits = [], []
+        start = 0
+        for r in live:
+            n = sizes[r]
+            own = _ALL if len(live) == 1 else slice(start, start + n)
+            start += n
+            summed = float(np.add.reduce(error[own]))
+            budget = max(cfg.rel_tol * float(np.add.reduce(scale[own])), cfg.abs_tol)
+            wanted = error[own] > budget / n
             over = int(np.count_nonzero(wanted))
             # with no panel over its share the sum is within the budget but for rounding
             if summed <= budget or not over:
-                end(solo, _ALL, summed, 0)
-                break
-            split = wanted & (panels[_DEPTH] < MAX_DEPTH)
+                end(r, own, summed, 0)
+                continue
+            split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
             count = int(np.count_nonzero(split))
-            cap = _cap(counts[solo])
-            if halt or not count or n + count > cap:
-                end(solo, _ALL, summed, over - count, None if halt else _why(
-                    panels, error, _ALL, wanted, count, cap, over, summed, budget))
-                break
-            sizes[solo] += count
-        else:
-            going, widths, splits = [], [], []
-            start = 0
-            for r in live:
-                n = sizes[r]
-                own = slice(start, start + n)
-                start += n
-                widths.append(n)
-                summed = float(np.add.reduce(error[own]))
-                budget = max(cfg.rel_tol * float(np.add.reduce(scale[own])), cfg.abs_tol)
-                wanted = error[own] > budget / n
-                over = int(np.count_nonzero(wanted))
-                if summed <= budget or not over:
-                    end(r, own, summed, 0)
-                    continue
-                split = wanted & (panels[_DEPTH, own] < MAX_DEPTH)
-                count = int(np.count_nonzero(split))
-                cap = _cap(counts[r])
-                if halt or (count and n + count <= cap):
-                    going.append((r, own, summed, over - count, count))
-                    splits.append(split)
-                    continue
-                end(r, own, summed, over - count,
-                    _why(panels, error, own, wanted, count, cap, over, summed, budget))
-            # once a run has failed, with a halt list, every run ends with this round
-            if halt or not going:
-                for r, own, summed, stuck, _ in going:
-                    end(r, own, summed, stuck)
-                break
-            if len(going) < len(live):
-                # the panels of the runs that go on
-                on = {r for r, *_ in going}
-                panels = panels[:, np.repeat([r in on for r in live], widths)]
-                live = [r for r, *_ in going]
-            for r, *_, count in going:
-                sizes[r] += count
-            split = splits[0] if len(splits) == 1 else np.concatenate(splits)
-        lo_s, hi_s, _, left, right, depth, run_s = panels[:, split]
+            cap = _cap(counts[r])
+            if halt or (count and n + count <= cap):
+                going.append((r, own, summed, over - count, count))
+                splits.append(split)
+                continue
+            end(r, own, summed, over - count,
+                _why(panels, error, own, wanted, count, cap, over, summed, budget))
+        # once a run has failed, with a halt list, every run ends with this round
+        if halt or not going:
+            for r, own, summed, stuck, _ in going:
+                end(r, own, summed, stuck)
+            break
+        if len(going) < len(live):
+            # the panels of the runs that go on
+            panels = panels[:, np.r_[tuple(own for _, own, *_ in going)]]
+            live = [r for r, *_ in going]
+        for r, *_, count in going:
+            sizes[r] += count
+        split = splits[0] if len(splits) == 1 else np.concatenate(splits)
+        run = live[0] if len(live) == 1 else np.repeat(live * 4, [c for *_, c in going] * 4)
+        lo_s, hi_s, _, left, right, depth = panels[:, split]
         mid = _mid(lo_s, hi_s)
         quarter_lo, quarter_hi = _mid(lo_s, mid), _mid(mid, hi_s)
-        if solo is None:
-            run_s = run_s.astype(np.intp)
-            run_s = np.concatenate([run_s, run_s, run_s, run_s])
         quarters = evaluate(np.concatenate([lo_s, quarter_lo, mid, quarter_hi]),
-                            np.concatenate([quarter_lo, mid, quarter_hi, hi_s]), run_s, live)
+                            np.concatenate([quarter_lo, mid, quarter_hi, hi_s]), run)
         counts_of = 1 + split
         first = (np.cumsum(counts_of) - counts_of)[split]
         # the halves of the left new panels, then those of the right ones
         quarters = quarters.reshape(2, -1)
         depth += 1
         panels = np.repeat(panels, counts_of, axis=1)
-        panels[:_RUN, first] = np.concatenate([lo_s, mid, left, quarters[0], depth]).reshape(6, -1)
-        panels[:_RUN, first + 1] = np.concatenate([mid, hi_s, right, quarters[1], depth]
-                                                  ).reshape(6, -1)
+        panels[:, first] = np.concatenate([lo_s, mid, left, quarters[0], depth]).reshape(6, -1)
+        panels[:, first + 1] = np.concatenate([mid, hi_s, right, quarters[1], depth]
+                                              ).reshape(6, -1)
     collector = _RECORDS.get()
     if collector is not None:
-        collector.extend(filter(None, records))
-    return results, records
+        collector.extend([records[r] for r in runs])
 
 
 def _config(cfg: Optional[QuadratureConfig]) -> QuadratureConfig:
@@ -553,21 +505,22 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the runs of all of xs go together (_integrate_runs), each call of f
     reading the (x, y) pairs of several columns. A column of the wrong
     shape, or a non-finite value in it, is a DomainError naming the bad
-    (x, y). The columns of a call end with the round in which the first
-    of them fails, and after one round when the integrate_pieces run
-    around them already has a failing column. The error is then the first
-    in the call's order of x: a DomainError is raised; a ConvergenceError
+    (x, y); y_pieces and cfg are checked once, here. The columns of a
+    call end with the round in which the first of them fails, and after
+    one round when the integrate_pieces run around them already has a
+    failing column. The error is then the first in the call's order of
+    x: a DomainError is raised; a ConvergenceError
     is raised at once, with the column's estimate, outside an
     integrate_pieces run, and within one the column gives its best
     estimate, and the run raises the error, naming the x, when it ends. A
     DomainError after a failing column of the same run raises that
     column's error at once.
     """
+    config = _config(cfg)
+    ends = np.array([open_interval(p, "piece") for p in y_pieces], dtype=float).reshape(-1, 2).T
+
     def x_integrand(xs: np.ndarray) -> np.ndarray:
-        config = _config(cfg)
-        pieces = [open_interval(piece, "piece") for piece in y_pieces]
-        y_lo, y_hi = (np.tile(np.array([p[end] for p in pieces], dtype=float), len(xs))
-                      for end in (0, 1))
+        y_lo, y_hi = np.tile(ends, len(xs))
         x_list = xs.tolist()
 
         def columns(ys: np.ndarray, run) -> np.ndarray:
@@ -576,7 +529,7 @@ def y_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         failures = _COLUMN_FAILURES.get()
         # the columns end with the round in which one fails, or after one
         # round once the run has a failing column
-        results, _ = _integrate_runs(columns, y_lo, y_hi, [len(pieces)] * len(xs), config,
+        results, _ = _integrate_runs(columns, y_lo, y_hi, [ends.shape[1]] * len(xs), config,
                                      lambda r, y: f"({x_list[r]!r}, {y!r})",
                                      list(failures or ()))
         for k, (x, result) in enumerate(zip(x_list, results)):

@@ -373,11 +373,11 @@ def _row4_tail(xs):
 class TestBatchedRuns:
     """_integrate_runs gives each run what integrate_pieces gives on its pieces alone."""
 
-    def _check(self, funcs, runs, cfg=None):
+    def _check(self, funcs, runs, cfg=None, f=None):
         lo = np.array([a for pieces in runs for a, _ in pieces], dtype=float)
         hi = np.array([b for pieces in runs for _, b in pieces], dtype=float)
         with collect_stats() as records:
-            results, run_records = _integrate_runs(_by_run(funcs), lo, hi,
+            results, run_records = _integrate_runs(f or _by_run(funcs), lo, hi,
                                                    [len(pieces) for pieces in runs],
                                                    cfg or DEFAULT_1D)
         alone = [_alone(g, pieces, cfg) for g, pieces in zip(funcs, runs)]
@@ -441,6 +441,34 @@ class TestBatchedRuns:
         assert len(sizes) == alone[0].calls and sizes[0] == 5 * 2 * 48
         assert records == alone * 5
 
+    def test_a_call_that_holds_one_live_run_gets_it_as_an_int(self):
+        funcs = [lambda x: x * x, lambda x: np.log(np.abs(x - 1.0 / 3.0))]
+        batched, held = _by_run(funcs), []
+
+        def f(xs, run):
+            held.append(run)
+            return batched(xs, run)
+
+        _, records = self._check(funcs, [[(0.0, 1.0)], [(0.0, 1.0)]], f=f)
+        # x**2 converges in the first round; the log singularity takes many more
+        assert records[0].calls == 1 and len(held) == records[1].calls > 2
+        assert held[0].tolist() == ([0] * 16 + [1] * 16) * 3
+        assert all(type(run) is int and run == 1 for run in held[1:])
+
+    def test_calls_count_the_blocks_that_hold_each_run(self):
+        # 8 runs of 100 pieces converge in one round of 2,400 panels, three
+        # blocks of 1,024: runs 0-3 sit in the first two, runs 4-7 in all three
+        lo = np.arange(800.0)
+        hi = lo + 0.5
+        square = lambda xs: xs * xs
+        with collect_stats() as records:
+            results, _ = _integrate_runs(lambda xs, run: square(xs), lo, hi, [100] * 8,
+                                         DEFAULT_1D)
+        assert [r.calls for r in records] == [2] * 4 + [3] * 4
+        for r in range(8):
+            own = [(a, b) for a, b in zip(lo[100 * r:100 * (r + 1)], hi[100 * r:100 * (r + 1)])]
+            result, alone = _alone(square, own)
+            assert results[r] == result and records[r] == alone[0]._replace(calls=records[r].calls)
 
     def test_groups_keep_each_run_its_own_result(self, monkeypatch):
         # room for about two one-piece runs a group: the runs go in several
@@ -596,3 +624,7 @@ class TestIntegrate2D:
     def test_degenerate_rectangle_rejected(self):
         with pytest.raises(DomainError):
             integrate_2d(elementwise(lambda x, y: 1.0), 0.0, 1.0, 1.0, 1.0)
+        # y_integral checks its y-pieces and cfg once, as it builds the x-integrand
+        for pieces, cfg in (([(1.0, 1.0)], None), ([(0.0, 1.0)], 1e-9)):
+            with pytest.raises(DomainError):
+                y_integral(elementwise(lambda x, y: 1.0), pieces, cfg)

@@ -20,6 +20,7 @@ from softprob.distributions import BivariateGaussianModel
 from softprob.errors import DegenerateModelError, DomainError
 from softprob.information import soft_mutual_information
 from softprob.moments import MixedSet
+from softprob.quadrature import collect_stats
 from softprob.softnum import SoftNumber, cmp
 from softprob.tree import (
     INTERVAL,
@@ -734,19 +735,27 @@ class TestNodeGains:
         nodes, gains = [], tree._gains
 
         def spy(table, *args):
-            value = gains(table, *args)
-            nodes.append((table, value))
+            with collect_stats() as records:
+                value = gains(table, *args)
+            nodes.append((table, value, records))
             return value
 
         monkeypatch.setattr(tree, "_gains", spy)
         cfg = TreeConfig(max_depth=3, min_rows=8)
         induce(_synthetic(seed, n, interval_fraction), cfg)
         assert len(nodes) == 7
-        for table, value in nodes:
+        for table, value, records in nodes:
             ds = _node_dataset(table)
-            lone = [split_gain(ds, name, cfg) for name in ds.feature_names]
+            lone, lone_records = [], []
+            for name in ds.feature_names:
+                with collect_stats() as feature_records:
+                    lone.append(split_gain(ds, name, cfg))
+                lone_records += feature_records
             assert repr([(g.soft, g.real) for g in value]) == \
                 repr([(g.soft, g.real) for g in lone])
+            # the candidates' runs report what each feature's run alone reports
+            assert records == lone_records
+            assert len(records) == (len(ds.feature_names) if interval_fraction else 0)
 
     @staticmethod
     def _raised(call):
