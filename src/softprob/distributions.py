@@ -2,15 +2,15 @@
 
 The abstract bases deliberately expose a small surface (pdf, cdf, support
 plus location/scale hints for truncating improper integrals; joint_pdf and
-the marginals of a joint model). The Gaussian
-joint model overrides every generic quadrature path with closed forms, and
-adds one more: mi_y_integral, the y-integral of the mutual-information
-terms in truncated-normal moments (_mi_y_integral, whose parameters may
-differ from node to node, so that one call serves several models). The
-generic paths remain available for user-supplied models: the joint cdf
-is a 1-D run over x of the x-partial, whose generic column is
-quadrature.y_integral of the joint density, and soft mutual information
-integrates the pointwise terms over y at each x node the same way.
+the marginals of a joint model). The generic joint cdf is a 1-D run over
+x of the x-partial, whose generic column is quadrature.y_integral of the
+joint density, and soft mutual information integrates the pointwise
+terms over y at each x node the same way. The Gaussian joint model has
+both partials in closed form, so its joint cdf is the x-run of its
+closed-form x-partial, or at rho = 0 the product of its marginal cdfs;
+the y-integral of its mutual-information terms is in truncated-normal
+moments (_mi_y_integral, whose parameters may differ from node to node,
+so that one call serves several models).
 
 Densities at many points come from pdf_array and joint_pdf_array, which
 work elementwise over the broadcast of their arguments: the grid is
@@ -415,14 +415,6 @@ class BivariateGaussianModel(JointModel):
         cond_mean = self.mean_x + self._x_cond_slope * (y - self.mean_y)
         return self._my.pdf(y) * _at(_upper_tail, (cond_mean - x) / self._x_cond_sd)
 
-    def mi_y_integral(self, xs: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
-                      ) -> np.ndarray:
-        """f_X(x) * sum_k of the integral of f_{Y|X} log(f_{Y|X} / f_Y) over (y_lo[k], y_hi[k]).
-
-        The closed form of _mi_y_integral, on this model's parameters.
-        """
-        return _mi_y_integral(self._mi_params, xs, _interval_ends(y_lo, y_hi))
-
     def joint_cdf(self, x: float, y: float) -> float:
         if self.rho == 0.0:
             return self._mx.cdf(x) * self._my.cdf(y)
@@ -442,8 +434,8 @@ def _interval_ends(y_lo: np.ndarray, y_hi: np.ndarray) -> tuple[np.ndarray, ...]
 
 
 def _mi_y_integral(params, xs: np.ndarray, y: tuple[np.ndarray, ...]) -> np.ndarray:
-    """BivariateGaussianModel.mi_y_integral at the nodes xs, for the y-intervals y
-    of _interval_ends.
+    """f_X(x) * sum_k of the integral of f_{Y|X} log(f_{Y|X} / f_Y) over the k-th
+    y-interval, at the nodes xs, for the y-intervals y of _interval_ends.
 
     params are a model's _mi_params, each a number or an array like xs that
     gives each node its model's value, so that one call serves the nodes

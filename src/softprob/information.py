@@ -14,7 +14,7 @@ model, for both axes. A BivariateGaussianModel, whose log ratio is a
 quadratic, sums its point pairs as a Gauss transform (_gaussian_pair_sum),
 densely or, where a cost model finds it cheaper, by a one-level Chebyshev
 interpolation of its kernel (_gauss_sums), and has its y-integral in
-closed form (BivariateGaussianModel.mi_y_integral); the real parts of
+closed form (distributions._mi_y_integral); the real parts of
 several Gaussian models against one y-set run together, as the runs of
 one quadrature call (_gaussian_mutual_information, which the tree uses
 for a node's candidates). Any other JointModel takes the generic path:
@@ -526,7 +526,7 @@ def soft_mutual_information(j: JointModel, sx: MixedSet, sy: MixedSet,
 
     The model picks the path of both axes. A BivariateGaussianModel sums
     its point pairs as a Gauss transform (_gaussian_pair_sum) and has the
-    y-integral at each x in closed form (mi_y_integral), a block of x nodes
+    y-integral at each x in closed form (_mi_y_integral), a block of x nodes
     a call. Any other JointModel sums _mi_terms (of _checked_pdf) on grids
     of the points, a block of y points a grid, and integrates their columns
     over the y-intervals with y_integral under cfg.quadrature, each

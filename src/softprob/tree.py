@@ -11,19 +11,20 @@ pair of float arrays (lo, hi): a point has lo == hi == its value and an
 interval keeps its endpoints, so lo < hi marks exactly the interval cells.
 A Dataset holds its cells as two such arrays of shape (rows, features + 1),
 the label last. `induce` computes every cell's midpoint once into a node
-table of shape (3, features + 1, rows): the lo, hi and midpoint of each
-column, each a contiguous row. A node is such a table, and each child
-takes one boolean-mask slice of its parent's, in the parent's row order.
-Fits, merges, medians and leaf means are array work. A node scores its
-candidates together (_gains): their real parts share the label's
-y-intervals, so they run as the runs of one quadrature call, and each
-gain is the one split_gain gives alone, to the bit. The column
-statistics are numpy's pairwise np.sum over the shifted midpoints and
-their products, whose error is O(u log n) times the sum of the magnitudes
-of the terms (Higham 2002, section 4.2); the covariance, which cancels
-where the columns are nearly independent, first splits its terms
-error-free (_split_sum). The threshold is the median of the midpoints, found by
-selection (_median), and a leaf predicts fsum(midpoints) / n.
+table (_table) of shape (3, features + 1, rows): the lo, hi and midpoint
+of each column, each a contiguous row. A node is such a table, and each
+child takes one boolean-mask slice of its parent's, in the parent's row
+order. Fits, merges, medians and leaf means are array work. One function
+scores features (_gain): on a node's table, or on split_gain's table of
+one feature and the label, it fits each feature against the label, and
+their real parts, which share the label's y-intervals, run as the runs of
+one quadrature call. The column statistics are numpy's pairwise np.sum
+over the shifted midpoints and their products, whose error is O(u log n)
+times the sum of the magnitudes of the terms (Higham 2002, section 4.2);
+the covariance, which cancels where the columns are nearly independent,
+first splits its terms error-free (_split_sum). The threshold is the
+median of the midpoints, found by selection (_median), and a leaf predicts
+fsum(midpoints) / n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 from .distributions import BivariateGaussianModel, JointModel
 from .errors import DegenerateModelError, DomainError, Record, finite_float, is_count, \
     is_number, open_interval, sequence
-from .information import InfoConfig, _gaussian_mutual_information, soft_mutual_information
+from .information import InfoConfig, _gaussian_mutual_information
+from .information import soft_mutual_information  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .moments import MixedSet
 from .softnum import SoftNumber, cmp, soft_from_dict, soft_to_dict
 
@@ -358,25 +360,23 @@ def _distinct(points: np.ndarray) -> np.ndarray:
     return points.compress(distinct)
 
 
-def _gain(x: Column, x_mids: np.ndarray, y_moments: ColumnMoments, y_set: MixedSet,
-          cfg: TreeConfig) -> SoftNumber:
-    """Gain of feature column x, midpoints x_mids, for the label with these moments and set."""
-    try:
-        model = _fit(_column_moments(*x, x_mids), y_moments)
-    except DegenerateModelError:
-        return SoftNumber.zero()
-    return soft_mutual_information(model, build_mixed_sets(x), y_set, cfg.info)
+def _table(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The node table of cells (rows, columns): each column's lo, hi and midpoints."""
+    return np.stack((lo.T, hi.T, _midpoints(lo, hi).T))
 
 
-def _gains(table: np.ndarray, label: int, y_moments: ColumnMoments, y_set: MixedSet,
-           cfg: TreeConfig) -> list[SoftNumber]:
-    """The _gain of every feature column of a node table, to the bit, the label being column label.
+def _gain(table: np.ndarray, cfg: TreeConfig) -> list[SoftNumber]:
+    """The soft-MI gain of every feature column of a node table for its last column, the label.
 
-    The candidates' real parts share the label's y-intervals, so their MI
-    is one _gaussian_mutual_information call. An error is the one that
-    _gain on each feature in turn raises first.
+    A feature whose model is degenerate gains zero. The candidates' real
+    parts share the label's y-intervals, so their MI is one
+    _gaussian_mutual_information call. An error is the first that scoring
+    the features one at a time would raise: a fit that fails stops the
+    loop, after the MI of the features before it.
     """
     lo, hi, mids = table
+    label = len(mids) - 1
+    y_moments = _column_moments(lo[label], hi[label], mids[label])
     gains = [SoftNumber.zero()] * label
     fitted, models, x_sets, failure = [], [], [], None
     for index in range(label):
@@ -389,6 +389,7 @@ def _gains(table: np.ndarray, label: int, y_moments: ColumnMoments, y_set: Mixed
             break
         fitted.append(index)
         x_sets.append(build_mixed_sets((lo[index], hi[index])))
+    y_set = build_mixed_sets((lo[label], hi[label]))
     for index, gain in zip(fitted, _gaussian_mutual_information(models, x_sets, y_set,
                                                                 cfg.info)):
         gains[index] = gain
@@ -399,11 +400,8 @@ def _gains(table: np.ndarray, label: int, y_moments: ColumnMoments, y_set: Mixed
 
 def split_gain(ds: Dataset, feature: str, cfg: TreeConfig) -> SoftNumber:
     """Soft-MI gain of splitting the dataset on the named feature."""
-    index = ds.feature_index(feature)
-    x = (ds.lo[:, index], ds.hi[:, index])
-    y = (ds.lo[:, -1], ds.hi[:, -1])
-    return _gain(x, _midpoints(*x), _column_moments(*y, _midpoints(*y)),
-                 build_mixed_sets(y), cfg)
+    columns = [ds.feature_index(feature), -1]
+    return _gain(_table(ds.lo[:, columns], ds.hi[:, columns]), cfg)[0]
 
 
 def _median(values: np.ndarray) -> float:
@@ -438,20 +436,18 @@ def induce(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     does not exceed cfg.min_gain under cmp, or a split fails to separate
     the rows. Ties in gain go to the lowest feature index.
     """
-    table = np.stack((ds.lo.T, ds.hi.T, _midpoints(ds.lo, ds.hi).T))
-    return _grow(ds, cfg, table, 0)
+    return _grow(ds, cfg, _table(ds.lo, ds.hi), 0)
 
 
 def _grow(ds: Dataset, cfg: TreeConfig, table: np.ndarray, depth: int) -> TreeNode:
     """The subtree of a node; table[:, c] holds column c's lo, hi and midpoints on its rows."""
-    lo, hi, mids = table
+    mids = table[2]
     label = len(ds.feature_names)
     if table.shape[2] < cfg.min_rows or depth >= cfg.max_depth:
         return _leaf(mids[label])
-    y = (lo[label], hi[label])
-    gains = _gains(table, label, _column_moments(*y, mids[label]), build_mixed_sets(y), cfg)
-    # the first of the largest gains, in cmp's order
-    best_index = max(range(label), key=lambda index: (gains[index].real, gains[index].soft))
+    gains = _gain(table, cfg)
+    # the first of the largest gains
+    best_index = max(range(label), key=gains.__getitem__)
     if cmp(gains[best_index], cfg.min_gain) <= 0:
         return _leaf(mids[label])
     x_mids = mids[best_index]

@@ -19,6 +19,8 @@ from softprob.distributions import (
     JointModel,
     Uniform,
     UserDefinedDistribution,
+    _interval_ends,
+    _mi_y_integral,
     joint_gaussian_additive,
 )
 from softprob.errors import ConvergenceError, DomainError
@@ -1468,11 +1470,13 @@ class TestGaussianClosedForm:
         j = BivariateGaussianModel(0.1, -0.2, 1.3, 0.8, 0.6)
         ends = np.sort(np.random.default_rng(5).normal(-0.2, 1.5, 2000)).reshape(1000, 2)
         xs = np.array([0.3, 0.7, *np.linspace(-3.0, 3.0, 17)])
-        together = j.mi_y_integral(xs, ends[:, 0], ends[:, 1])
+        y = _interval_ends(ends[:, 0], ends[:, 1])
+        together = _mi_y_integral(j._mi_params, xs, y)
         for x, value in zip(xs.tolist(), together.tolist()):
-            assert j.mi_y_integral(np.array([x]), ends[:, 0], ends[:, 1]).tolist() == [value]
-        assert j.mi_y_integral(xs[:2], ends[:, 0], ends[:, 1]).tolist() == together[:2].tolist()
-        assert j.mi_y_integral(xs, np.empty(0), np.empty(0)).tolist() == [0.0] * len(xs)
+            assert _mi_y_integral(j._mi_params, np.array([x]), y).tolist() == [value]
+        assert _mi_y_integral(j._mi_params, xs[:2], y).tolist() == together[:2].tolist()
+        no_intervals = _interval_ends(np.empty(0), np.empty(0))
+        assert _mi_y_integral(j._mi_params, xs, no_intervals).tolist() == [0.0] * len(xs)
 
     def test_many_intervals_keep_memory_small(self):
         j = BivariateGaussianModel(0.3, -0.2, 1.3, 0.8, 0.6)

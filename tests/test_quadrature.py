@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from softprob.distributions import Gaussian, joint_gaussian_additive
+from softprob.distributions import (Gaussian, _interval_ends, _mi_y_integral,
+                                    joint_gaussian_additive)
 from softprob.errors import ConvergenceError, DomainError
 from softprob.information import soft_mutual_information
 from softprob.moments import MixedSet
@@ -367,7 +368,7 @@ def _outcome(result):
 def _row4_tail(xs):
     # the x-integrand of table 1's row 4, which refines over four rounds
     model = joint_gaussian_additive(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
-    return model.mi_y_integral(xs, np.array([10.0]), np.array([30.0]))
+    return _mi_y_integral(model._mi_params, xs, _interval_ends(np.array([10.0]), np.array([30.0])))
 
 
 class TestBatchedRuns:

@@ -726,23 +726,26 @@ def _node_dataset(table: np.ndarray) -> Dataset:
 
 
 class TestNodeGains:
-    """A node fits all its candidates together (tree._gains): each gain is split_gain's,
-    and an error is the one that split_gain on each feature in turn raises first."""
+    """A node scores all its candidates in one tree._gain call: each gain is the one
+    split_gain gives its feature alone, and an error is the one that split_gain on each
+    feature in turn raises first."""
 
     @pytest.mark.parametrize("seed, n, interval_fraction", [(11, 2000, 0.25), (12, 800, 0.0)],
                              ids=["mixed", "points"])
     def test_gains_are_split_gain_to_the_bit(self, seed, n, interval_fraction, monkeypatch):
-        nodes, gains = [], tree._gains
+        nodes, gain = [], tree._gain
 
         def spy(table, *args):
             with collect_stats() as records:
-                value = gains(table, *args)
+                value = gain(table, *args)
             nodes.append((table, value, records))
             return value
 
-        monkeypatch.setattr(tree, "_gains", spy)
         cfg = TreeConfig(max_depth=3, min_rows=8)
-        induce(_synthetic(seed, n, interval_fraction), cfg)
+        # split_gain calls tree._gain too, so the spy watches induce alone
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_gain", spy)
+            induce(_synthetic(seed, n, interval_fraction), cfg)
         assert len(nodes) == 7
         for table, value, records in nodes:
             ds = _node_dataset(table)
@@ -765,10 +768,8 @@ class TestNodeGains:
 
     def _assert_loop_raises_the_same(self, ds):
         cfg = TreeConfig()
-        table = np.stack((ds.lo.T, ds.hi.T, tree._midpoints(ds.lo, ds.hi).T))
-        y = (ds.lo[:, -1], ds.hi[:, -1])
-        label = (tree._column_moments(*y, table[2, -1]), build_mixed_sets(y))
-        batched = self._raised(lambda: tree._gains(table, 2, *label, cfg))
+        table = tree._table(ds.lo, ds.hi)
+        batched = self._raised(lambda: tree._gain(table, cfg))
         loop = self._raised(lambda: [split_gain(ds, name, cfg) for name in ds.feature_names])
         assert batched == loop
         return batched
